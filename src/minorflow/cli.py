@@ -7,7 +7,7 @@ import os
 import sys
 from pathlib import Path
 
-from .decomposition import NotK33MinorFree, NotK5MinorFree, validate
+from .decomposition import InvalidDecomposition, NotK33MinorFree, NotK5MinorFree, validate
 from .external import cut_table, verify_flow
 from .fileio import (
     FormatError,
@@ -21,7 +21,7 @@ from .fileio import (
 )
 from .mimic import build_full_mimic, build_mimic4_single_source
 from .network import FULL, SINGLE_SOURCE, FlowNetwork, TerminalSet, imbalances
-from .solver import max_flow_decomposed, max_flow_family
+from .solver import FAMILIES, decompose, max_flow_decomposed, max_flow_family
 from .testkit import (
     GenConfig,
     audit_step_values,
@@ -87,20 +87,10 @@ def cmd_solve(args) -> int:
 
 def cmd_decompose(args) -> int:
     net, _, _ = parse_network(_read(args.network))
-    if args.family == "k33":
-        tree = decompose(net, "k33")
-    else:
-        tree = decompose(net, "k5")
-    out = write_decomposition(tree)
-    Path(args.output).write_text(out)
+    tree = decompose(net, args.family)
+    Path(args.output).write_text(write_decomposition(tree))
     print(f"components {len(tree.components)} cliques {len(tree.cliques)}")
     return 0
-
-
-def decompose(net: FlowNetwork, family: str):
-    from .decomposition import decompose_k33_free, decompose_k5_free
-
-    return decompose_k33_free(net) if family == "k33" else decompose_k5_free(net)
 
 
 def cmd_mimic(args) -> int:
@@ -171,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--network", required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--decomposition")
-    group.add_argument("--family", choices=("k33", "k5"))
+    group.add_argument("--family", choices=FAMILIES)
     add_st(p)
     p.add_argument("--emit-flow")
     p.add_argument("--audit", action="store_true")
@@ -179,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="build a clique-sum decomposition")
     p.add_argument("--network", required=True)
-    p.add_argument("--family", choices=("k33", "k5"), required=True)
+    p.add_argument("--family", choices=FAMILIES, required=True)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_decompose)
 
@@ -215,7 +205,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, OSError) as exc:
+    except (FormatError, OSError, InvalidDecomposition) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (NotK33MinorFree, NotK5MinorFree) as exc:

@@ -37,16 +37,14 @@ class InvalidDecomposition(Exception):
 
 @dataclass(frozen=True)
 class Label:
-    kind: str  # "planar" | "planar_plus_k" | "btw"
-    extra: int = 0
+    kind: str  # "planar" | "btw"
 
 
 PLANAR = Label("planar")
 BTW = Label("btw")
 
-
-def planar_plus(extra: int) -> Label:
-    return Label("planar_plus_k", extra)
+# A node of the 2-colored tree: ("c", component id) or ("k", clique id).
+Node = tuple[str, int]
 
 
 @dataclass
@@ -118,6 +116,26 @@ class DecompositionTree:
         t.comp_cliques = {cid: set(s) for cid, s in self.comp_cliques.items()}
         t.clique_comps = {kid: set(s) for kid, s in self.clique_comps.items()}
         return t
+
+    def walk(self, roots: Iterable[Node]) -> tuple[dict[Node, Node | None], dict[Node, int]]:
+        """Breadth-first walk of the 2-colored tree from ``roots``: the parent
+        (None for a root) and the depth of every reached node."""
+        parent: dict[Node, Node | None] = dict.fromkeys(roots)
+        depth = dict.fromkeys(parent, 0)
+        queue = deque(parent)
+        while queue:
+            node = queue.popleft()
+            kind, nid = node
+            if kind == "c":
+                nbrs = [("k", k) for k in self.comp_cliques[nid]]
+            else:
+                nbrs = [("c", c) for c in self.clique_comps[nid]]
+            for nb in nbrs:
+                if nb not in depth:
+                    parent[nb] = node
+                    depth[nb] = depth[node] + 1
+                    queue.append(nb)
+        return parent, depth
 
     def reassemble(self) -> FlowNetwork:
         return merge_networks(*(c.net for _, c in sorted(self.components.items())))
@@ -635,22 +653,8 @@ def validate(
             problems.append(f"clique {kid} attached to fewer than 2 components")
     if n_edges != len(comp_ids) + len(clique_ids) - 1:
         problems.append("tree edge count is not nodes-1 (not a tree)")
-    seen: set[tuple[str, int]] = set()
-    start = ("c", comp_ids[0])
-    queue = deque([start])
-    seen.add(start)
-    while queue:
-        kind, nid = queue.popleft()
-        nbrs = (
-            [("k", k) for k in tree.comp_cliques[nid]]
-            if kind == "c"
-            else [("c", c) for c in tree.clique_comps[nid]]
-        )
-        for nb in nbrs:
-            if nb not in seen:
-                seen.add(nb)
-                queue.append(nb)
-    if len(seen) != len(comp_ids) + len(clique_ids):
+    reached, _ = tree.walk([("c", comp_ids[0])])
+    if len(reached) != len(comp_ids) + len(clique_ids):
         problems.append("tree is disconnected")
     # Clique containment.
     for kid in clique_ids:
@@ -676,7 +680,7 @@ def validate(
     if tree.all_vertices() != graph.vertices:
         problems.append("vertex union differs from the input network")
     # Running intersection: nodes holding any vertex form a subtree.
-    holders: dict[int, list[tuple[str, int]]] = {}
+    holders: dict[int, list[Node]] = {}
     for cid in comp_ids:
         for v in tree.components[cid].net.vertices:
             holders.setdefault(v, []).append(("c", cid))

@@ -30,7 +30,7 @@ def parse_network(text: str) -> tuple[FlowNetwork, int | None, int | None]:
     terminals are taken from ``n`` lines when present."""
     n_vertices = None
     m_arcs = None
-    edges: list[tuple[int, int, int, int]] = []
+    edges: list[Edge] = []
     source = sink = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -62,7 +62,10 @@ def parse_network(text: str) -> tuple[FlowNetwork, int | None, int | None]:
                     raise FormatError("vertex id out of range", lineno)
                 if cap < 0:
                     raise FormatError("negative capacity", lineno)
-                edges.append((len(edges) + 1, tail, head, cap))
+                try:
+                    edges.append(Edge(len(edges) + 1, tail, head, cap))
+                except ValueError as exc:  # capacity above 2^63-1 or a self-loop
+                    raise FormatError(str(exc), lineno) from None
             else:
                 raise FormatError(f"unknown line type {kind!r}", lineno)
         except ValueError as exc:
@@ -71,7 +74,7 @@ def parse_network(text: str) -> tuple[FlowNetwork, int | None, int | None]:
         raise FormatError("missing problem line")
     if m_arcs != len(edges):
         raise FormatError(f"expected {m_arcs} arcs, found {len(edges)}")
-    net = FlowNetwork.from_edges(edges, range(1, n_vertices + 1))
+    net = FlowNetwork(frozenset(range(1, n_vertices + 1)), tuple(edges))
     return net, source, sink
 
 

