@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Fuzz harness: solve random instances through the decomposition pipeline
-and cross-check every value against the independent oracle.
+and cross-check every value against the independent oracle.  With
+--decomposer, the family decomposer's tree is validated before it is solved.
 
     python scripts/fuzz_cross_check.py --rounds 100 --max-n 60
     MINORFLOW_SEED=9 python scripts/fuzz_cross_check.py --rounds 20 --decomposer
@@ -11,9 +12,10 @@ import os
 import random
 import time
 
+from minorflow.decomposition import validate
 from minorflow.external import verify_flow
 from minorflow.network import TerminalSet
-from minorflow.solver import max_flow_decomposed, max_flow_family
+from minorflow.solver import decompose, max_flow_decomposed
 from minorflow.testkit import GenConfig, gen_instance, oracle_max_flow
 
 
@@ -38,9 +40,14 @@ def main() -> None:
         s, t = rng.sample(sorted(graph.vertices), 2)
         if args.decomposer and family != "planar":
             key = "k33" if family == "k33free" else "k5"
-            value, flow = max_flow_family(graph, key, s, t)
-        else:
-            value, flow = max_flow_decomposed(graph, tree, s, t)
+            tree = decompose(graph, key)
+            ok, problems = validate(graph, tree)
+            if not ok:
+                print(f"round {round_no}: INVALID TREE family={family} n={n} decomposer={key}")
+                for problem in problems[:5]:
+                    print(f"  {problem}")
+                raise SystemExit(1)
+        value, flow = max_flow_decomposed(graph, tree, s, t)
         want = oracle_max_flow(graph, s, t)
         ok = verify_flow(graph, TerminalSet.of(s, t), (value, -value), flow)
         if value != want or not ok:

@@ -62,7 +62,7 @@ from .solver import (
     max_flow_family,
 )
 from .spqr import SpqrTree, check_spqr_axioms, spqr
-from .planar import NonPlanar, PlanarEmbedding, planar_embed
+from .planar import PlanarEmbedding, planar_embed
 
 __all__ = [
     "BTW",
@@ -80,7 +80,6 @@ __all__ = [
     "InvalidDecomposition",
     "Label",
     "MimicInputError",
-    "NonPlanar",
     "NotK33MinorFree",
     "NotK5MinorFree",
     "PlanarEmbedding",

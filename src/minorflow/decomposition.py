@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import networkx as nx
 
 from .network import Edge, FlowNetwork, merge_networks
-from .planar import Adjacency, NonPlanar, PlanarEmbedding, is_planar, planar_embed, to_nx
+from .planar import Adjacency, PlanarEmbedding, components, is_planar, planar_embed, to_nx
 from . import spqr as spqr_mod
 from .spqr import SpqrTree, spqr
 
@@ -256,10 +256,9 @@ def _block_pass(tree: DecompositionTree) -> bool:
     for cid in sorted(tree.components):
         comp = tree.components[cid]
         torso = torso_adjacency(tree, cid)
-        g = to_nx(torso)
-        if g.number_of_nodes() == 0:
+        if not torso:
             continue
-        if not nx.is_connected(g):
+        if len(components(torso)) > 1:
             raise InvalidDecomposition(f"component {cid} has a disconnected torso")
         blocks, _ = biconnected_split(torso)
         if len(blocks) <= 1:
@@ -355,7 +354,7 @@ def _triangle_pass(tree: DecompositionTree) -> bool:
             continue
         torso = torso_adjacency(tree, cid)
         emb = planar_embed(torso)
-        if isinstance(emb, NonPlanar):
+        if emb is None:
             continue
         for kid in tri_cliques:
             tri = tree.cliques[kid].vertices
@@ -375,7 +374,7 @@ def _split_at_triangle(
     clique_id: int,
     tri: frozenset[int],
 ) -> None:
-    parts = _components_minus(torso, tri)
+    parts = components(torso, tri)
     if len(parts) < 2:
         raise InvalidDecomposition(
             f"gluing triangle {sorted(tri)} of component {cid} is neither a face nor separating"
@@ -396,27 +395,6 @@ def _split_at_triangle(
         verts, edges, label = pieces[0]
         pieces[0] = (verts, list(edges) + inner, label)
     _replace_component(tree, cid, pieces, [(tri, list(range(len(pieces))))])
-
-
-def _components_minus(adj: Adjacency, removed: frozenset[int]) -> list[set[int]]:
-    rest = sorted(set(adj) - removed)
-    seen: set[int] = set()
-    out: list[set[int]] = []
-    for start in rest:
-        if start in seen:
-            continue
-        comp = {start}
-        seen.add(start)
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if v not in removed and v not in seen:
-                    seen.add(v)
-                    comp.add(v)
-                    queue.append(v)
-        out.append(comp)
-    return out
 
 
 def separating_triangles(
@@ -473,7 +451,7 @@ def _is_v8(adj: Adjacency) -> bool:
 def _structure_tree(net: FlowNetwork) -> DecompositionTree:
     """Blocks plus SPQR splits of every component (1- and 2-sums only)."""
     adj = underlying(net)
-    if adj and not nx.is_connected(to_nx(adj)):
+    if len(components(adj)) > 1:
         raise InvalidDecomposition("decomposers require a connected input graph")
     tree = single_component_tree(net)
     while _block_pass(tree) or _spqr_pass(tree):
@@ -595,7 +573,7 @@ def _split_k5(
         return memo[key]
     for triple in _separating_triples(verts, pairs):
         tri = frozenset(triple)
-        parts = _components_minus(adj, tri)
+        parts = components(adj, tri)
         if len(parts) < 2:
             continue
         tri_pairs = {frozenset(p) for p in itertools.combinations(sorted(tri), 2)}
@@ -711,8 +689,7 @@ def validate(
     for cid in comp_ids:
         comp = tree.components[cid]
         torso = torso_adjacency(tree, cid)
-        g = to_nx(torso)
-        if g.number_of_nodes() and not nx.is_connected(g):
+        if len(components(torso)) > 1:
             problems.append(f"component {cid} torso is disconnected")
         if comp.label.kind == "planar" and not is_planar(torso):
             problems.append(f"component {cid} labeled planar but torso is not")

@@ -16,7 +16,7 @@ from .decomposition import (
     DecompositionTree,
     InvalidDecomposition,
 )
-from .network import Edge, FlowNetwork
+from .network import MAX_CAPACITY, Edge, FlowNetwork
 
 
 class FormatError(Exception):
@@ -62,9 +62,11 @@ def parse_network(text: str) -> tuple[FlowNetwork, int | None, int | None]:
                     raise FormatError("vertex id out of range", lineno)
                 if cap < 0:
                     raise FormatError("negative capacity", lineno)
+                if cap > MAX_CAPACITY:
+                    raise FormatError(f"capacity {cap} above 2^63-1", lineno)
                 try:
                     edges.append(Edge(len(edges) + 1, tail, head, cap))
-                except ValueError as exc:  # capacity above 2^63-1 or a self-loop
+                except ValueError as exc:  # a self-loop
                     raise FormatError(str(exc), lineno) from None
             else:
                 raise FormatError(f"unknown line type {kind!r}", lineno)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
-MAX_CAPACITY = 2**63 - 1
+MAX_CAPACITY = 2**63 - 1  # bound on input arcs (fileio); internal arcs hold sums of them
 
 FULL = "full"
 SINGLE_SOURCE = "single_source"
@@ -44,8 +44,8 @@ class Edge:
     def __post_init__(self) -> None:
         if self.tail == self.head:
             raise ValueError(f"self-loop at vertex {self.tail} (edge {self.id})")
-        if not 0 <= self.cap <= MAX_CAPACITY:
-            raise ValueError(f"capacity {self.cap} out of range on edge {self.id}")
+        if self.cap < 0:
+            raise ValueError(f"negative capacity {self.cap} on edge {self.id}")
 
 
 @dataclass(frozen=True)

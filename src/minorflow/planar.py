@@ -1,15 +1,19 @@
-"""Planarity testing, combinatorial embeddings, and face lists.
+"""Undirected-graph questions for the structure layer, one way to answer each.
 
-Thin, deterministic wrapper over networkx's left-right planarity test; faces
-are extracted by the standard half-edge walk so triangle/face membership
-queries are cheap.
+- ``is_planar``: networkx's left-right planarity test (Brandes 2009), yes/no
+  only; it builds no embedding, face walk or Kuratowski witness.
+- ``planar_embed``: a clockwise rotation system for a planar graph (None for
+  a non-planar one); faces come from the standard half-edge walk, so
+  triangle/face membership queries are cheap.
+- ``components``: connected components, optionally with vertices removed.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import AbstractSet, Iterable, Mapping
 
 import networkx as nx
 
@@ -24,6 +28,27 @@ def to_nx(adj: Adjacency) -> nx.Graph:
             if u < v:
                 g.add_edge(u, v)
     return g
+
+
+def components(adj: Adjacency, removed: AbstractSet[int] = frozenset()) -> list[set[int]]:
+    """Vertex sets of the connected components of ``adj`` minus ``removed``
+    (and every edge touching it), ordered by their smallest vertex."""
+    seen = set(removed)
+    out: list[set[int]] = []
+    for start in sorted(adj):
+        if start in seen:
+            continue
+        comp = {start}
+        seen.add(start)
+        queue = deque([start])
+        while queue:
+            for v in adj[queue.popleft()]:
+                if v not in seen:
+                    seen.add(v)
+                    comp.add(v)
+                    queue.append(v)
+        out.append(comp)
+    return out
 
 
 @dataclass(frozen=True)
@@ -54,10 +79,6 @@ class PlanarEmbedding:
                 out.append(tuple(walk))
         return tuple(out)
 
-    @cached_property
-    def face_sets(self) -> frozenset[frozenset[int]]:
-        return frozenset(frozenset(f) for f in self.faces)
-
     def is_triangle_face(self, triangle: Iterable[int]) -> bool:
         tri = frozenset(triangle)
         return any(len(f) == 3 and frozenset(f) == tri for f in self.faces)
@@ -67,33 +88,25 @@ class PlanarEmbedding:
         return n_vertices - n_edges + len(self.faces) == 1 + n_components
 
 
-@dataclass(frozen=True)
-class NonPlanar:
-    """Witness for non-planarity: the edges of a K5/K3,3 subdivision."""
-
-    witness_edges: frozenset[frozenset[int]]
-
-
-def planar_embed(adj: Adjacency) -> PlanarEmbedding | NonPlanar:
-    """Embed a simple undirected graph or return a Kuratowski witness."""
+def planar_embed(adj: Adjacency) -> PlanarEmbedding | None:
+    """Embed a simple undirected graph; None when it is not planar."""
     g = to_nx(adj)
-    ok, cert = nx.check_planarity(g, counterexample=True)
+    ok, cert = nx.check_planarity(g)
     if not ok:
-        return NonPlanar(frozenset(frozenset(e) for e in cert.edges()))
+        return None
     rotation = {
         v: tuple(cert.neighbors_cw_order(v)) if cert.degree(v) else ()
         for v in sorted(g.nodes)
     }
     emb = PlanarEmbedding(rotation)
-    n_comp = nx.number_connected_components(g) if g.number_of_nodes() else 0
     # Isolated vertices contribute no face walk; exclude them from Euler.
     isolated = sum(1 for v in g.nodes if g.degree(v) == 0)
     if g.number_of_edges() and not emb.euler_ok(
-        g.number_of_nodes() - isolated, g.number_of_edges(), n_comp - isolated
+        g.number_of_nodes() - isolated, g.number_of_edges(), len(components(adj)) - isolated
     ):
         raise AssertionError("embedding failed the Euler check")
     return emb
 
 
 def is_planar(adj: Adjacency) -> bool:
-    return isinstance(planar_embed(adj), PlanarEmbedding)
+    return nx.check_planarity(to_nx(adj))[0]

@@ -1,20 +1,22 @@
 """SPQR trees: decomposition of a biconnected graph into a 2-sum of
 triconnected components (cycle, bond, and 3-connected skeletons).
 
-Construction is by recursive splitting at split pairs (superlinear split-pair
-search; desk-scale by design) followed by merging adjacent same-type S/P
-nodes, which yields the canonical tree.  Virtual edges come in linked pairs,
+Construction is by recursive splitting at split pairs followed by merging
+adjacent same-type S/P nodes, which yields the canonical tree.  A skeleton's
+split pairs are found by asking ``planar.components`` for the components of
+its adjacency with each vertex pair removed (superlinear split-pair search;
+desk-scale by design); the same helper answers the biconnectivity and
+3-connectivity checks.  Virtual edges come in linked pairs,
 one per tree edge; 2-summing every pair reproduces the input graph.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Mapping
 
-Adjacency = Mapping[int, set[int]]
+from .planar import Adjacency, components
 
 S, P, R, Q = "S", "P", "R", "Q"
 
@@ -73,66 +75,18 @@ def _edge_list(adj: Adjacency) -> list[SkelEdge]:
     return out
 
 
-def _is_connected(vertices: set[int], edges: list[SkelEdge]) -> bool:
-    if not vertices:
-        return True
-    nbr: dict[int, set[int]] = {v: set() for v in vertices}
+def _skel_adjacency(edges: list[SkelEdge]) -> dict[int, set[int]]:
+    adj: dict[int, set[int]] = {}
     for e in edges:
-        nbr[e.u].add(e.v)
-        nbr[e.v].add(e.u)
-    start = next(iter(vertices))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for v in nbr[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return seen == vertices
+        adj.setdefault(e.u, set()).add(e.v)
+        adj.setdefault(e.v, set()).add(e.u)
+    return adj
 
 
 def is_biconnected(adj: Adjacency) -> bool:
-    verts = set(adj)
-    edges = _edge_list(adj)
-    if len(verts) <= 2:
-        return _is_connected(verts, edges)
-    if not _is_connected(verts, edges):
+    if len(components(adj)) > 1:
         return False
-    for cut in sorted(verts):
-        rest = verts - {cut}
-        kept = [e for e in edges if cut not in (e.u, e.v)]
-        if not _is_connected(rest, kept):
-            return False
-    return True
-
-
-def _components_without(
-    vertices: set[int], edges: list[SkelEdge], removed: tuple[int, ...]
-) -> list[set[int]]:
-    rest = vertices.difference(removed)
-    nbr: dict[int, set[int]] = {v: set() for v in rest}
-    for e in edges:
-        if e.u in nbr and e.v in nbr:
-            nbr[e.u].add(e.v)
-            nbr[e.v].add(e.u)
-    comps: list[set[int]] = []
-    seen: set[int] = set()
-    for start in sorted(rest):
-        if start in seen:
-            continue
-        comp = {start}
-        queue = deque([start])
-        seen.add(start)
-        while queue:
-            u = queue.popleft()
-            for v in nbr[u]:
-                if v not in seen:
-                    seen.add(v)
-                    comp.add(v)
-                    queue.append(v)
-        comps.append(comp)
-    return comps
+    return len(adj) <= 2 or all(len(components(adj, {cut})) == 1 for cut in sorted(adj))
 
 
 def spqr(adj: Adjacency) -> SpqrTree:
@@ -142,12 +96,11 @@ def spqr(adj: Adjacency) -> SpqrTree:
     tree; any other non-biconnected input raises ValueError.
     """
     edges = _edge_list(adj)
-    verts = set(adj)
     tree = SpqrTree()
     next_node = itertools.count()
     next_link = itertools.count()
     if len(edges) <= 1:
-        if not _is_connected(verts, edges):
+        if len(components(adj)) > 1:
             raise ValueError("SPQR input must be connected")
         nid = next(next_node)
         tree.nodes[nid] = SpqrNode(nid, Q, list(edges))
@@ -173,32 +126,33 @@ def spqr(adj: Adjacency) -> SpqrTree:
     work: list[list[SkelEdge]] = [edges]
     while work:
         skel = work.pop()
-        vset = {w for e in skel for w in (e.u, e.v)}
-        if len(vset) == 2:
+        nbr = _skel_adjacency(skel)
+        if len(nbr) == 2:
             finalize(P, skel)
             continue
-        deg: dict[int, int] = {v: 0 for v in vset}
+        deg: dict[int, int] = {v: 0 for v in nbr}
         for e in skel:
             deg[e.u] += 1
             deg[e.v] += 1
         if all(d == 2 for d in deg.values()):
             finalize(S, skel)
             continue
+        multiplicity = Counter(e.pair for e in skel)
         split = None
-        for u, v in itertools.combinations(sorted(vset), 2):
-            side_edges = [e for e in skel if {e.u, e.v} != {u, v}]
-            direct = [e for e in skel if {e.u, e.v} == {u, v}]
-            comps = _components_without(vset, side_edges, (u, v))
-            if len(comps) + len(direct) >= 2 and (len(comps) >= 2 or len(direct) >= 2):
-                split = (u, v, direct, comps, side_edges)
+        for u, v in itertools.combinations(sorted(nbr), 2):
+            comps = components(nbr, {u, v})
+            n_direct = multiplicity[frozenset((u, v))]
+            if len(comps) + n_direct >= 2 and (len(comps) >= 2 or n_direct >= 2):
+                split = (u, v, comps)
                 break
         if split is None:
             finalize(R, skel)
             continue
-        u, v, direct, comps, side_edges = split
-        sides: list[list[SkelEdge]] = []
-        for comp in comps:
-            sides.append([e for e in side_edges if e.u in comp or e.v in comp])
+        u, v, comps = split
+        direct = [e for e in skel if e.pair == {u, v}]
+        # Removing u and v dropped every u-v edge, so each other edge has an
+        # endpoint in exactly one component.
+        sides = [[e for e in skel if e.u in comp or e.v in comp] for comp in comps]
         if len(comps) + len(direct) == 2 and len(comps) == 2:
             link = next(next_link)
             virt = SkelEdge(u, v, link)
@@ -274,7 +228,7 @@ def check_spqr_axioms(tree: SpqrTree, adj: Adjacency) -> list[str]:
                 len(node.edges) == len(vset)
                 and len(node.edges) >= 3
                 and all(d == 2 for d in deg.values())
-                and _is_connected(vset, node.edges)
+                and len(components(_skel_adjacency(node.edges))) == 1
             ):
                 problems.append(f"node {node.id}: not a cycle")
         elif node.kind == P:
@@ -285,7 +239,7 @@ def check_spqr_axioms(tree: SpqrTree, adj: Adjacency) -> list[str]:
         elif node.kind == R:
             if has_parallel or len(vset) < 4:
                 problems.append(f"node {node.id}: R skeleton not simple/nontrivial")
-            elif not _is_3_connected(vset, node.edges):
+            elif not _is_3_connected(_skel_adjacency(node.edges)):
                 problems.append(f"node {node.id}: R skeleton not 3-connected")
         elif node.kind == Q:
             if len(tree.nodes) != 1 or len(node.edges) > 1:
@@ -325,10 +279,7 @@ def check_spqr_axioms(tree: SpqrTree, adj: Adjacency) -> list[str]:
     return problems
 
 
-def _is_3_connected(vertices: set[int], edges: list[SkelEdge]) -> bool:
-    if len(vertices) < 4:
-        return False
-    for u, v in itertools.combinations(sorted(vertices), 2):
-        if len(_components_without(vertices, edges, (u, v))) > 1:
-            return False
-    return True
+def _is_3_connected(adj: Adjacency) -> bool:
+    return len(adj) >= 4 and all(
+        len(components(adj, {u, v})) == 1 for u, v in itertools.combinations(sorted(adj), 2)
+    )

@@ -15,6 +15,8 @@ from minorflow.fileio import (
 )
 from minorflow.testkit import GenConfig, gen_instance
 
+from conftest import overflow_tree
+
 
 def test_network_round_trip():
     text = "c comment\np max 3 2\nn 1 s\nn 3 t\na 1 2 4\na 2 3 7\n"
@@ -149,3 +151,13 @@ def test_cli_disconnected_network_exits_one(tmp_path, capsys):
     assert run(tmp_path, "decompose", "--network", net, "--family", "k33", "-o", dec) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not dec.exists()
+
+
+def test_cli_solves_past_the_input_capacity_bound(tmp_path, capsys):
+    tree = overflow_tree()
+    net = tmp_path / "net.max"
+    dec = tmp_path / "dec.json"
+    net.write_text(write_network(tree.reassemble()))
+    dec.write_text(write_decomposition(tree))
+    assert run(tmp_path, "solve", "--network", net, "--decomposition", dec, "--source", 1, "--sink", 4) == 0
+    assert capsys.readouterr().out.startswith("value 9223372036854775808\n")

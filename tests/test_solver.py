@@ -19,6 +19,8 @@ from minorflow.testkit import (
     oracle_max_flow,
 )
 
+from conftest import overflow_tree
+
 
 def two_component_tree():
     left = FlowNetwork.from_edges([(0, 0, 1, 4), (1, 0, 2, 3), (2, 1, 2, 2)])
@@ -223,6 +225,14 @@ def test_solves_on_the_tree_as_given():
     assert stages == ["input", "replace", "final", "reconstruct"]
     assert value == 4 == oracle_max_flow(graph, s, t)
     assert verify_flow(graph, TerminalSet.of(s, t), (value, -value), flow)
+
+
+def test_internal_arcs_may_exceed_the_input_capacity_bound():
+    tree = overflow_tree()
+    graph = tree.reassemble()
+    value, flow = max_flow_decomposed(graph, tree, 1, 4)
+    assert value == 2**63 == max_flow(graph, 1, 4)[0]
+    assert verify_flow(graph, TerminalSet.of(1, 4), (value, -value), flow)
 
 
 def test_source_inside_the_gluing_clique():
