@@ -45,7 +45,25 @@ def _terminals(args, net: FlowNetwork, src, snk) -> tuple[int, int]:
     for v in (s, t):
         if v not in net.vertices:
             raise FormatError(f"terminal {v} not in the network")
+    if s == t:
+        raise FormatError(f"source and sink are both {s}")
     return s, t
+
+
+def _mimic_terminals(text: str, net: FlowNetwork) -> tuple[int, ...]:
+    """Distinct vertices of ``net`` from a comma-separated list of 2..4 ids."""
+    try:
+        terminals = tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise FormatError(f"terminals {text!r} are not comma-separated integers") from None
+    if not 2 <= len(terminals) <= 4:
+        raise FormatError("need 2..4 comma-separated terminals")
+    if len(set(terminals)) != len(terminals):
+        raise FormatError(f"terminals {text!r} repeat a vertex")
+    for v in terminals:
+        if v not in net.vertices:
+            raise FormatError(f"terminal {v} not in the network")
+    return terminals
 
 
 def cmd_solve(args) -> int:
@@ -95,15 +113,13 @@ def cmd_decompose(args) -> int:
 
 def cmd_mimic(args) -> int:
     net, _, _ = parse_network(_read(args.network))
-    terminals = tuple(int(v) for v in args.terminals.split(","))
-    if len(terminals) in (2, 3):
+    terminals = _mimic_terminals(args.terminals, net)
+    if len(terminals) < 4:
         table = cut_table(net, TerminalSet(terminals), FULL)
         mimic = build_full_mimic(table, first_edge_id=1)
-    elif len(terminals) == 4:
+    else:
         table = cut_table(net, TerminalSet(terminals, source_index=0), SINGLE_SOURCE)
         mimic, _ = build_mimic4_single_source(table, first_edge_id=1)
-    else:
-        raise FormatError("need 2..4 comma-separated terminals")
     canon, _, _, _ = canonical_ids(mimic)
     text = write_network(canon)
     if args.output:

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import networkx as nx
 
 from .network import Edge, FlowNetwork, merge_networks
-from .planar import Adjacency, PlanarEmbedding, components, is_planar, planar_embed, to_nx
+from .planar import Adjacency, components, is_planar, planar_embed, to_nx
 from . import spqr as spqr_mod
 from .spqr import SpqrTree, spqr
 
@@ -52,7 +52,6 @@ class Component:
     id: int
     net: FlowNetwork
     label: Label
-    mimic: bool = False  # True once this node holds an installed mimicking network
 
 
 @dataclass
@@ -78,9 +77,9 @@ class DecompositionTree:
     def next_clique_id(self) -> int:
         return max(self.cliques, default=-1) + 1
 
-    def add_component(self, net: FlowNetwork, label: Label, mimic: bool = False) -> int:
+    def add_component(self, net: FlowNetwork, label: Label) -> int:
         cid = self.next_component_id()
-        self.components[cid] = Component(cid, net, label, mimic)
+        self.components[cid] = Component(cid, net, label)
         self.comp_cliques[cid] = set()
         return cid
 
@@ -399,7 +398,6 @@ def _split_at_triangle(
 
 def separating_triangles(
     component: FlowNetwork,
-    embedding: PlanarEmbedding,
     triangles: Sequence[Iterable[int]],
 ) -> list[FlowNetwork]:
     """Split a triconnected planar component at every gluing triangle that is
@@ -410,7 +408,6 @@ def separating_triangles(
     for tri in triangles:
         kid = tree.add_clique(tri)
         tree.attach(cid, kid)
-        # A standalone anchor so clique degree stays meaningful.
     while _triangle_pass(tree):
         pass
     return [tree.components[c].net for c in sorted(tree.components)]

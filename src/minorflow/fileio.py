@@ -113,7 +113,7 @@ def canonical_ids(
         out_tree = DecompositionTree()
         for cid in sorted(tree.components):
             comp = tree.components[cid]
-            out_tree.components[cid] = Component(cid, remap(comp.net), comp.label, comp.mimic)
+            out_tree.components[cid] = Component(cid, remap(comp.net), comp.label)
             out_tree.comp_cliques[cid] = set(tree.comp_cliques[cid])
         for kid in sorted(tree.cliques):
             k = tree.cliques[kid]

@@ -18,18 +18,19 @@ per record, which the audit hook can check step by step.
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+# Imported but unused here (``refine``, ``min_cut_value``, ``merge_mimics``,
+# ``build_mimic4_single_source``): the benchmark's traced run wraps these
+# solver bindings by name.
 from .decomposition import (
-    PLANAR,
     DecompositionTree,
     InvalidDecomposition,
     Node,
     decompose_k33_free,
     decompose_k5_free,
-    refine,  # unused here; the benchmark's traced run wraps solver.refine by name
+    refine,
     validate,
 )
 from .external import cut_table, route_external_flow
@@ -42,11 +43,9 @@ from .mimic import (
 )
 from .network import (
     FULL,
-    SINGLE_SOURCE,
     Edge,
     FlowAssignment,
     FlowNetwork,
-    MimicInputError,
     TerminalSet,
     UnknownVertexError,
     merge_networks,
@@ -138,22 +137,40 @@ def locate_terminal_path(
     return comps, cliques
 
 
-def _small_full_mimic(
-    state: SolveState, net: FlowNetwork, terminals: tuple[int, ...]
-) -> FlowNetwork:
-    """Exact full-table mimic on 1..3 terminals (vertex / edge pair / star)."""
+def _mimic(state: SolveState, net: FlowNetwork, terminals: tuple[int, ...]) -> FlowNetwork:
+    """Exact full-table mimic of ``net`` on 1..4 sorted terminals: a bare
+    vertex, an antiparallel edge pair, a star, or the cut-collapsing network."""
     if len(terminals) == 1:
         return FlowNetwork(frozenset(terminals), ())
+    if len(terminals) == 4:
+        general = build_mimic_general(
+            net,
+            TerminalSet(terminals),
+            first_fresh_vertex=state.next_vertex,
+            first_edge_id=state.next_edge,
+        )
+        state.absorb_ids(general)
+        return general
     table = cut_table(net, TerminalSet(terminals), FULL)
     hub = state.alloc_vertex() if len(terminals) == 3 else None
     first = state.alloc_edges(6 if len(terminals) == 3 else 2)
     return build_full_mimic(table, hub, first)
 
 
+def _replace(state: SolveState, ci_id: int, cj_id: int, terminals: tuple[int, ...]) -> None:
+    """Replace component ci by its mimic on ``terminals`` and glue the mimic
+    into component cj; ci leaves the tree."""
+    tree = state.tree
+    ci, cj = tree.components[ci_id], tree.components[cj_id]
+    mimic_net = _mimic(state, ci.net, terminals)
+    state.push(ci.net, terminals, mimic_net)
+    cj.net = merge_networks(cj.net, mimic_net)
+    tree.remove_component(ci_id)
+
+
 def phase1(state: SolveState, path_comps: list[int], path_cliques: list[int]) -> None:
-    """Replace every component off the terminal path by a <=4-vertex mimic,
-    gluing it into its path-ward neighbor whenever the clique-sum structure
-    allows, merging pendant mimics that share a gluing triangle."""
+    """Replace every component off the terminal path by a <=4-vertex mimic
+    glued into its path-ward neighbor, deepest leaves first."""
     tree = state.tree
     on_path_comps = set(path_comps)
     path_clique_set = set(path_cliques)
@@ -164,12 +181,7 @@ def phase1(state: SolveState, path_comps: list[int], path_cliques: list[int]) ->
     )
 
     def is_leaf(cid: int) -> bool:
-        return (
-            cid in tree.components
-            and cid not in on_path_comps
-            and not tree.components[cid].mimic
-            and len(tree.comp_cliques[cid]) == 1
-        )
+        return cid not in on_path_comps and len(tree.comp_cliques[cid]) == 1
 
     heap: list[tuple[int, int]] = []
     for cid in sorted(tree.components):
@@ -177,12 +189,7 @@ def phase1(state: SolveState, path_comps: list[int], path_cliques: list[int]) ->
             heapq.heappush(heap, (-depth[("c", cid)], cid))
     while heap:
         _, ci_id = heapq.heappop(heap)
-        if not is_leaf(ci_id):
-            continue
-        ci = tree.components[ci_id]
         kid = next(iter(tree.comp_cliques[ci_id]))
-        kverts = tree.cliques[kid].vertices
-        terms = tuple(sorted(kverts))
         # Path-ward neighbor: on a path clique the later path component,
         # otherwise the unique neighbor closer to the path.
         if kid in path_clique_set:
@@ -193,112 +200,12 @@ def phase1(state: SolveState, path_comps: list[int], path_cliques: list[int]) ->
                 for c in tree.clique_comps[kid]
                 if c != ci_id and depth[("c", c)] < depth[("k", kid)]
             )
-        mimic_net = _small_full_mimic(state, ci.net, terms)
-        state.push(ci.net, terms, mimic_net)
-        ci.net = mimic_net
-        ci.label = PLANAR
-        ci.mimic = True
+        _replace(state, ci_id, cj_id, tuple(sorted(tree.cliques[kid].vertices)))
+        if len(tree.clique_comps[kid]) <= 1 and kid not in path_clique_set:
+            tree.remove_clique(kid)
         state.notify("replace")
-        pendant = [
-            c
-            for c in sorted(tree.clique_comps[kid])
-            if c != ci_id and tree.components[c].mimic and c not in on_path_comps
-        ]
-        if pendant:
-            other = tree.components[pendant[0]]
-            union = merge_networks(other.net, ci.net)
-            hub = state.alloc_vertex()
-            merged = merge_mimics(
-                other.net, ci.net, terms, hub, state.alloc_edges(6)
-            )
-            state.push(union, terms, merged)
-            tree.remove_component(other.id)
-            ci.net = merged
-            state.notify("replace")
-        cj = tree.components[cj_id]
-        exclusive = tree.clique_comps[kid] == {ci_id, cj_id}
-        if cj.label.kind == "btw" or len(terms) <= 2 or exclusive:
-            cj.net = merge_networks(cj.net, ci.net)
-            tree.remove_component(ci_id)
-            if len(tree.clique_comps[kid]) <= 1 and kid not in path_clique_set:
-                tree.remove_clique(kid)
-            if is_leaf(cj_id):
-                heapq.heappush(heap, (-depth[("c", cj_id)], cj_id))
-        # Otherwise the mimic stays as the clique's single pendant.
-
-
-def _transit_free(net: FlowNetwork, terminals: Sequence[int]) -> bool:
-    """No capacity between any ordered terminal pair (source excluded)."""
-    for a, b in itertools.permutations(sorted(terminals), 2):
-        if min_cut_value(net, (a,), (b,)) > 0:
-            return False
-    return True
-
-
-def _forced_cuts_match(net: FlowNetwork, terms: TerminalSet, table) -> bool:
-    """True when forcing non-source terminals onto the source side never
-    raises a cut above its free-placement table value.  Cuts of the glued
-    network decompose over terminal-side assignments, so this makes the
-    single-source table determine every composed cut exactly."""
-    s = terms.source
-    others = terms.non_sources
-    for sinks in _proper_splits(others):
-        sources = tuple(q for q in others if q not in sinks)
-        if min_cut_value(net, (s,) + sources, sinks) != table.cut(sinks):
-            return False
-    return True
-
-
-def _proper_splits(items: Sequence[int]):
-    items = tuple(sorted(items))
-    for r in range(1, len(items)):
-        yield from itertools.combinations(items, r)
-
-
-def _phase2_mimic(
-    state: SolveState, net: FlowNetwork, terms: TerminalSet
-) -> tuple[FlowNetwork, bool]:
-    """Replacement network for the current s-side path component.
-
-    k=2 is a single saturating edge and k=3 a full-table star, both exact.
-    For k=4 the 7-edge single-source network is used only when it is provably
-    exact here: the component's source-side-forced cuts must match the free
-    table (composed min cuts are then determined by the 7 values) and the
-    built mimic must carry no terminal-to-terminal flow (restrictions of any
-    feasible flow are then single-source, keeping the replay feasible).
-    Otherwise flow may re-enter the component, single-source cuts do not
-    determine the value, and the full-table collapsing construction is used.
-    """
-    s = terms.source
-    others = terms.non_sources
-    if terms.k == 1:
-        return FlowNetwork(frozenset((s,)), ()), True
-    if terms.k == 2:
-        val = min_cut_value(net, (s,), (others[0],))
-        eid = state.alloc_edges(1)
-        return FlowNetwork(frozenset(terms.order), (Edge(eid, s, others[0], val),)), True
-    if terms.k == 3:
-        table = cut_table(net, TerminalSet(tuple(sorted(terms.order))), FULL)
-        hub = state.alloc_vertex()
-        return build_full_mimic(table, hub, state.alloc_edges(6)), False
-    ss_table = cut_table(net, terms, SINGLE_SOURCE)
-    if _forced_cuts_match(net, terms, ss_table):
-        try:
-            m4, _ = build_mimic4_single_source(
-                ss_table, state.alloc_vertex(), state.alloc_edges(7)
-            )
-        except MimicInputError:
-            m4 = None
-        if m4 is not None and _transit_free(m4, others):
-            return m4, True
-    general = build_mimic_general(
-        net,
-        TerminalSet(tuple(sorted(terms.order))),
-        first_fresh_vertex=state.next_vertex,
-        first_edge_id=state.next_edge,
-    )
-    state.absorb_ids(general)
-    return general, False
+        if is_leaf(cj_id):
+            heapq.heappush(heap, (-depth[("c", cj_id)], cj_id))
 
 
 def phase2(
@@ -306,40 +213,14 @@ def phase2(
 ) -> FlowNetwork:
     """Fold the terminal path from the s side into a single component."""
     tree = state.tree
-    cur = path_comps[0]
     for step, kid in enumerate(path_cliques):
-        nxt = path_comps[step + 1]
-        kverts = tree.cliques[kid].vertices
-        ci = tree.components[cur]
-        if s in kverts:
-            order = (s,) + tuple(v for v in sorted(kverts) if v != s)
-        else:
-            order = (s,) + tuple(sorted(kverts))
-        terms = TerminalSet(order, source_index=0)
-        mimic_net, _ = _phase2_mimic(state, ci.net, terms)
-        state.push(ci.net, terms.order, mimic_net)
-        ci.net = mimic_net
-        ci.mimic = True
-        state.notify("replace")
-        pendants = [
-            c for c in sorted(tree.clique_comps[kid]) if c not in (cur, nxt)
-        ]
-        glued = [mimic_net]
-        for pid in pendants:
-            if not tree.components[pid].mimic:
-                raise InvalidDecomposition(
-                    f"non-mimic component {pid} left on path clique {kid}"
-                )
-            glued.append(tree.components[pid].net)
-            tree.remove_component(pid)
-        target = tree.components[nxt]
-        target.net = merge_networks(target.net, *glued)
-        tree.remove_component(cur)
+        terminals = tuple(sorted(tree.cliques[kid].vertices | {s}))
+        _replace(state, path_comps[step], path_comps[step + 1], terminals)
         tree.remove_clique(kid)
-        cur = nxt
+        state.notify("replace")
     if len(tree.components) != 1:
         raise InvalidDecomposition("phase II finished with more than one component")
-    return tree.components[cur].net
+    return tree.components[path_comps[-1]].net
 
 
 def reconstruct(

@@ -135,6 +135,31 @@ def test_cli_mimic_emits_star(tmp_path, capsys):
     assert len(parsed.vertices) == 4 and len(parsed.edges) == 6
 
 
+@pytest.mark.parametrize(
+    "terminals,fragment",
+    [
+        ("1,x", "not comma-separated integers"),
+        ("1,1", "repeat a vertex"),
+        ("1,99", "terminal 99 not in the network"),
+        ("1", "need 2..4"),
+    ],
+)
+def test_cli_mimic_rejects_bad_terminals(tmp_path, capsys, terminals, fragment):
+    net = tmp_path / "path.max"
+    net.write_text("p max 3 2\na 1 2 2\na 2 3 2\n")
+    assert run(tmp_path, "mimic", "--network", net, "--terminals", terminals) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err
+
+
+def test_cli_rejects_equal_source_and_sink(tmp_path, capsys):
+    net = tmp_path / "net.max"
+    net.write_text("p max 2 1\na 1 2 5\n")
+    for argv in (("oracle",), ("solve", "--family", "k33")):
+        assert run(tmp_path, *argv, "--network", net, "--source", 2, "--sink", 2) == 1
+        assert capsys.readouterr().err.startswith("error: source and sink are both 2")
+
+
 def test_cli_malformed_header_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.max"
     bad.write_text("p max 2 z\n")

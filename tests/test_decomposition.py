@@ -173,8 +173,7 @@ def test_decomposers_require_connected_input():
 
 def test_separating_triangles_leaves_faces_alone():
     octa = dnet(OCTAHEDRON)
-    emb = planar_embed(underlying(octa))
-    pieces = separating_triangles(octa, emb, [(0, 1, 2)])
+    pieces = separating_triangles(octa, [(0, 1, 2)])
     assert len(pieces) == 1  # a face triangle never splits
 
 
@@ -182,8 +181,7 @@ def test_separating_triangles_splits_stacked_tetrahedra():
     # two tetrahedra sharing the (non-face) triangle 0,1,2
     pairs = [(0, 1), (1, 2), (0, 2), (0, 3), (1, 3), (2, 3), (0, 4), (1, 4), (2, 4)]
     net = dnet(pairs)
-    emb = planar_embed(underlying(net))
-    pieces = separating_triangles(net, emb, [(0, 1, 2)])
+    pieces = separating_triangles(net, [(0, 1, 2)])
     assert len(pieces) == 2
     assert {frozenset(p.vertices) for p in pieces} == {
         frozenset({0, 1, 2, 3}),

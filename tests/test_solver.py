@@ -81,9 +81,10 @@ def test_flow_reentry_through_source_component():
     assert verify_flow(graph, TerminalSet.of(s, t), (value, -value), flow)
 
 
-def test_star_of_leaves_on_one_path_triangle_collapses_to_one_pendant():
+def test_star_of_leaves_on_one_path_triangle_glues_each_leaf_directly():
     # Path component A - triangle - B with five extra leaves on the triangle:
-    # phase I must merge the pendants pairwise, leaving at most one.
+    # phase I glues each leaf's mimic straight into B (five replacements, no
+    # pendant merging), then phase II folds A into B (one more).
     tri = (1, 2, 3)
     edges = [(0, 0, 1, 3), (1, 0, 2, 3), (2, 1, 2, 1), (3, 1, 3, 1), (4, 2, 3, 1)]
     a = FlowNetwork.from_edges(edges, tri)
@@ -107,7 +108,14 @@ def test_star_of_leaves_on_one_path_triangle_collapses_to_one_pendant():
     graph = tree.reassemble()
     assert validate(graph, tree)[0]
     nets, observer = collecting_observer()
-    value, flow = max_flow_decomposed(graph, tree, 0, 9, observer=observer)
+    stages = []
+
+    def recording(stage, net):
+        stages.append(stage)
+        observer(stage, net)
+
+    value, flow = max_flow_decomposed(graph, tree, 0, 9, observer=recording)
+    assert stages.count("replace") == 6
     assert value == oracle_max_flow(graph, 0, 9)
     assert verify_flow(graph, TerminalSet.of(0, 9), (value, -value), flow)
     assert audit_step_values(nets, 0, 9)
@@ -250,21 +258,19 @@ def test_source_inside_the_gluing_clique():
     assert verify_flow(graph, TerminalSet.of(0, 2), (value, -value), flow)
 
 
-def test_single_source_mimic_used_when_provably_exact(monkeypatch):
-    # A star component has no transit capacity and its forced cuts equal the
-    # free ones, so the 7-edge single-source replacement must be chosen and
-    # still give the exact value.
+def test_four_terminal_phase2_step_on_a_star_component(monkeypatch):
+    # The s-side star meets the path triangle {a, b, c}, so its Phase II
+    # replacement has four terminals and takes the general full-table mimic.
     import minorflow.solver as solver_mod
 
-    used = []
-    orig = solver_mod._phase2_mimic
+    sizes = []
+    real = solver_mod._mimic
 
-    def spy(state, net, terms):
-        out, single_source = orig(state, net, terms)
-        used.append((terms.k, single_source))
-        return out, single_source
+    def spy(st, net, terminals):
+        sizes.append(len(terminals))
+        return real(st, net, terminals)
 
-    monkeypatch.setattr(solver_mod, "_phase2_mimic", spy)
+    monkeypatch.setattr(solver_mod, "_mimic", spy)
     s, a, b, c, t = 0, 1, 2, 3, 4
     left = FlowNetwork.from_edges([(0, s, a, 3), (1, s, b, 2), (2, s, c, 1)])
     right = FlowNetwork.from_edges([(3, a, t, 2), (4, b, t, 2), (5, c, t, 2)])
@@ -276,7 +282,7 @@ def test_single_source_mimic_used_when_provably_exact(monkeypatch):
     tree.attach(cr, k)
     graph = tree.reassemble()
     value, flow = max_flow_decomposed(graph, tree, s, t)
-    assert (4, True) in used
+    assert sizes == [4]
     assert value == oracle_max_flow(graph, s, t)
     assert verify_flow(graph, TerminalSet.of(s, t), (value, -value), flow)
 
@@ -295,14 +301,14 @@ def test_corrupted_mimic_capacity_breaks_the_audit(monkeypatch):
     import minorflow.solver as solver_mod
     from minorflow.network import Edge, InfeasibleDemandError
 
-    real = solver_mod._small_full_mimic
+    real = solver_mod._mimic
 
     def corrupt(st, net, terminals):
         out = real(st, net, terminals)
         bumped = tuple(Edge(e.id, e.tail, e.head, e.cap + 5) for e in out.edges)
         return FlowNetwork(out.vertices, bumped)
 
-    monkeypatch.setattr(solver_mod, "_small_full_mimic", corrupt)
+    monkeypatch.setattr(solver_mod, "_mimic", corrupt)
     s, u, v, t = 0, 1, 2, 3
     main = FlowNetwork.from_edges([(0, s, u, 5), (1, v, t, 5)], [u, v])
     leaf = FlowNetwork.from_edges([(2, u, v, 2)])
