@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import networkx as nx
 
 from .network import Edge, FlowNetwork, merge_networks
-from .planar import Adjacency, components, is_planar, planar_embed, to_nx
+from .planar import Adjacency, adjacency, components, is_planar, planar_embed, to_nx
 from . import spqr as spqr_mod
 from .spqr import SpqrTree, spqr
 
@@ -93,10 +93,6 @@ class DecompositionTree:
         self.comp_cliques[comp_id].add(clique_id)
         self.clique_comps[clique_id].add(comp_id)
 
-    def detach(self, comp_id: int, clique_id: int) -> None:
-        self.comp_cliques[comp_id].discard(clique_id)
-        self.clique_comps[clique_id].discard(comp_id)
-
     def remove_component(self, comp_id: int) -> None:
         for kid in sorted(self.comp_cliques.pop(comp_id, ())):
             self.clique_comps[kid].discard(comp_id)
@@ -166,11 +162,9 @@ def torso_adjacency(tree: DecompositionTree, comp_id: int) -> Adjacency:
     return adj
 
 
-def single_component_tree(net: FlowNetwork, label: Label | None = None) -> DecompositionTree:
+def single_component_tree(net: FlowNetwork) -> DecompositionTree:
     tree = DecompositionTree()
-    if label is None:
-        label = PLANAR if is_planar(underlying(net)) else BTW
-    tree.add_component(net, label)
+    tree.add_component(net, PLANAR if is_planar(underlying(net)) else BTW)
     return tree
 
 
@@ -200,36 +194,36 @@ def biconnected_split(
     return blocks, frozenset(nx.articulation_points(g))
 
 
-def _edges_for_pairs(net: FlowNetwork, pairs: frozenset[frozenset[int]]) -> list[Edge]:
-    return [e for e in net.edges if frozenset((e.tail, e.head)) in pairs]
+# A piece of a split component: its vertex set and its torso pairs.
+Piece = tuple[frozenset[int], frozenset[frozenset[int]]]
 
 
-def _piece_label(original: Label, piece_torso: Adjacency) -> Label:
-    if is_planar(piece_torso):
-        return PLANAR
-    return original if original.kind == "btw" else BTW
-
-
-def _replace_component(
+def _split(
     tree: DecompositionTree,
     comp_id: int,
-    pieces: Sequence[tuple[frozenset[int], Sequence[Edge], Label]],
-    internal_cliques: Sequence[tuple[frozenset[int], Sequence[int]]],
-) -> list[int]:
+    pieces: Sequence[Piece],
+    cliques: Sequence[tuple[frozenset[int], Sequence[int]]],
+) -> None:
     """Swap one component for edge-disjoint pieces glued at new cliques.
 
-    ``internal_cliques`` lists (vertex set, piece indexes).  Pre-existing
-    incident cliques are merged with a coinciding internal clique when one
-    exists, otherwise reattached to the first piece containing them.
+    Each edge goes to the first piece whose pairs hold its ends; a piece is
+    labelled planar when its torso is.  ``cliques`` lists (vertex set, piece
+    indexes).  Pre-existing incident cliques are merged with a coinciding
+    new clique when one exists, otherwise reattached to the first piece
+    containing them.
     """
+    owned: list[list[Edge]] = [[] for _ in pieces]
+    for e in sorted(tree.components[comp_id].net.edges, key=lambda e: e.id):
+        pair = frozenset((e.tail, e.head))
+        owned[next(i for i, (_, pairs) in enumerate(pieces) if pair in pairs)].append(e)
     old_cliques = sorted(tree.comp_cliques[comp_id])
     tree.remove_component(comp_id)
     ids: list[int] = []
-    for verts, edges, label in pieces:
-        net = FlowNetwork(frozenset(verts), tuple(sorted(edges, key=lambda e: e.id)))
-        ids.append(tree.add_component(net, label))
+    for (verts, pairs), edges in zip(pieces, owned):
+        label = PLANAR if is_planar(adjacency(verts, pairs)) else BTW
+        ids.append(tree.add_component(FlowNetwork(verts, tuple(edges)), label))
     grouped: dict[frozenset[int], set[int]] = {}
-    for verts, members in internal_cliques:
+    for verts, members in cliques:
         grouped.setdefault(frozenset(verts), set()).update(ids[i] for i in members)
     for kid in old_cliques:
         kverts = tree.cliques[kid].vertices
@@ -247,13 +241,10 @@ def _replace_component(
         kid = tree.add_clique(verts)
         for cid in sorted(grouped[verts]):
             tree.attach(cid, kid)
-    return ids
 
 
-def _block_pass(tree: DecompositionTree) -> bool:
-    changed = False
+def _block_pass(tree: DecompositionTree) -> None:
     for cid in sorted(tree.components):
-        comp = tree.components[cid]
         torso = torso_adjacency(tree, cid)
         if not torso:
             continue
@@ -262,80 +253,48 @@ def _block_pass(tree: DecompositionTree) -> bool:
         blocks, _ = biconnected_split(torso)
         if len(blocks) <= 1:
             continue
-        pieces = []
-        for verts, pairs in blocks:
-            piece_torso = {v: {w for w in torso[v] if frozenset((v, w)) in pairs} for v in verts}
-            pieces.append((verts, _edges_for_pairs(comp.net, pairs), _piece_label(comp.label, piece_torso)))
         arts: dict[frozenset[int], list[int]] = {}
         for v in sorted(set.union(*(set(b[0]) for b in blocks))):
             holders = [i for i, (verts, _) in enumerate(blocks) if v in verts]
             if len(holders) > 1:
                 arts[frozenset((v,))] = holders
-        _replace_component(tree, cid, pieces, sorted(arts.items(), key=lambda kv: sorted(kv[0])))
-        changed = True
-    return changed
+        _split(tree, cid, blocks, sorted(arts.items(), key=lambda kv: sorted(kv[0])))
 
 
-def _spqr_pass(tree: DecompositionTree) -> bool:
-    changed = False
+def _spqr_pass(tree: DecompositionTree) -> None:
     for cid in sorted(tree.components):
-        comp = tree.components[cid]
         torso = torso_adjacency(tree, cid)
         n_pairs = sum(len(s) for s in torso.values()) // 2
         if len(torso) <= 2 or n_pairs <= 1:
             continue
         stree = spqr(torso)
-        if len(stree.nodes) <= 1:
-            continue
-        changed = True
-        _apply_spqr_split(tree, cid, comp, stree)
-    return changed
+        if len(stree.nodes) > 1:
+            _apply_spqr_split(tree, cid, stree)
 
 
-def _apply_spqr_split(
-    tree: DecompositionTree, cid: int, comp: Component, stree: SpqrTree
-) -> None:
+def _apply_spqr_split(tree: DecompositionTree, cid: int, stree: SpqrTree) -> None:
+    """One piece per S or R node, holding all of its skeleton pairs; a P
+    node becomes a clique, and its real edge lands in its lowest attached
+    piece, the first that holds its pair."""
     node_ids = sorted(stree.nodes)
     non_p = [nid for nid in node_ids if stree.nodes[nid].kind != spqr_mod.P]
     piece_index = {nid: i for i, nid in enumerate(non_p)}
-    pair_owner: dict[frozenset[int], int] = {}
-    piece_specs: list[tuple[frozenset[int], frozenset[frozenset[int]]]] = []
-    for nid in non_p:
-        node = stree.nodes[nid]
-        pairs = frozenset(node.real_pairs())
-        piece_specs.append((frozenset(node.vertices), pairs))
-        for p in pairs:
-            pair_owner[p] = piece_index[nid]
+    pieces = [
+        (frozenset(stree.nodes[nid].vertices), frozenset(e.pair for e in stree.nodes[nid].edges))
+        for nid in non_p
+    ]
     cliques: list[tuple[frozenset[int], list[int]]] = []
     for nid in node_ids:
         node = stree.nodes[nid]
-        if node.kind != spqr_mod.P:
-            continue
-        attached = sorted(piece_index[other] for _, other in stree.neighbors(nid))
-        pair = frozenset(node.vertices)
-        cliques.append((pair, attached))
-        for p in node.real_pairs():
-            pair_owner[p] = attached[0]
+        if node.kind == spqr_mod.P:
+            attached = sorted(piece_index[other] for _, other in stree.neighbors(nid))
+            cliques.append((frozenset(node.vertices), attached))
     for link, (a, b) in sorted(stree.tree_edges.items()):
         if stree.nodes[a].kind == spqr_mod.P or stree.nodes[b].kind == spqr_mod.P:
             continue
         virt = next(e for e in stree.nodes[a].edges if e.link == link)
         cliques.append((virt.pair, sorted((piece_index[a], piece_index[b]))))
-    pieces = []
-    for verts, pairs in piece_specs:
-        edges = [
-            e
-            for e in comp.net.edges
-            if pair_owner.get(frozenset((e.tail, e.head))) == len(pieces)
-        ]
-        skel_adj: dict[int, set[int]] = {v: set() for v in verts}
-        for nid in non_p:
-            if piece_index[nid] == len(pieces):
-                for e in stree.nodes[nid].edges:
-                    skel_adj[e.u].add(e.v)
-                    skel_adj[e.v].add(e.u)
-        pieces.append((verts, edges, _piece_label(comp.label, skel_adj)))
-    _replace_component(tree, cid, pieces, cliques)
+    _split(tree, cid, pieces, cliques)
 
 
 def _triangle_pass(tree: DecompositionTree) -> bool:
@@ -359,19 +318,14 @@ def _triangle_pass(tree: DecompositionTree) -> bool:
             tri = tree.cliques[kid].vertices
             if emb.is_triangle_face(tri):
                 continue
-            _split_at_triangle(tree, cid, comp, torso, kid, tri)
+            _split_at_triangle(tree, cid, torso, tri)
             changed = True
             break  # component replaced; revisit the new pieces next sweep
     return changed
 
 
 def _split_at_triangle(
-    tree: DecompositionTree,
-    cid: int,
-    comp: Component,
-    torso: Adjacency,
-    clique_id: int,
-    tri: frozenset[int],
+    tree: DecompositionTree, cid: int, torso: Adjacency, tri: frozenset[int]
 ) -> None:
     parts = components(torso, tri)
     if len(parts) < 2:
@@ -379,21 +333,11 @@ def _split_at_triangle(
             f"gluing triangle {sorted(tri)} of component {cid} is neither a face nor separating"
         )
     pieces = []
-    piece_verts: list[frozenset[int]] = []
     for part in parts:
         verts = frozenset(part | tri)
-        edges = [
-            e
-            for e in comp.net.edges
-            if {e.tail, e.head} <= verts and not {e.tail, e.head} <= tri
-        ]
-        piece_verts.append(verts)
-        pieces.append((verts, edges, comp.label))
-    inner = [e for e in comp.net.edges if {e.tail, e.head} <= tri]
-    if inner:
-        verts, edges, label = pieces[0]
-        pieces[0] = (verts, list(edges) + inner, label)
-    _replace_component(tree, cid, pieces, [(tri, list(range(len(pieces))))])
+        pairs = frozenset(frozenset((u, w)) for u in verts for w in torso[u] if w in verts)
+        pieces.append((verts, pairs))
+    _split(tree, cid, pieces, [(tri, list(range(len(pieces))))])
 
 
 def separating_triangles(
@@ -418,13 +362,15 @@ def refine(tree: DecompositionTree) -> DecompositionTree:
     every gluing triangle of every planar component is one of its faces.
     Reassembly is unchanged; refining twice equals refining once."""
     out = tree.copy()
-    for _ in range(10_000):
-        changed = _block_pass(out)
-        changed |= _spqr_pass(out)
-        changed |= _triangle_pass(out)
-        if not changed:
-            return out
-    raise InvalidDecomposition("refinement did not converge")
+    _block_pass(out)
+    _spqr_pass(out)
+    # One block and one SPQR pass suffice: a block's torso is biconnected,
+    # and an S or R piece's torso is its skeleton (a cycle, or a 3-connected
+    # graph).  Splitting a 3-connected torso at a separating triangle leaves
+    # 3-connected pieces, each strictly smaller, so the triangle loop ends.
+    while _triangle_pass(out):
+        pass
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +397,8 @@ def _structure_tree(net: FlowNetwork) -> DecompositionTree:
     if len(components(adj)) > 1:
         raise InvalidDecomposition("decomposers require a connected input graph")
     tree = single_component_tree(net)
-    while _block_pass(tree) or _spqr_pass(tree):
-        pass
+    _block_pass(tree)
+    _spqr_pass(tree)
     return tree
 
 
@@ -463,13 +409,10 @@ def decompose_k33_free(net: FlowNetwork) -> DecompositionTree:
     """
     tree = _structure_tree(net)
     for cid in sorted(tree.components):
-        comp = tree.components[cid]
-        if comp.label.kind == "planar":
+        if tree.components[cid].label.kind == "planar":
             continue
         torso = torso_adjacency(tree, cid)
-        if _is_k5(torso):
-            comp.label = BTW
-        else:
+        if not _is_k5(torso):
             raise NotK33MinorFree(
                 f"triconnected component on vertices {sorted(torso)} is neither planar nor K5"
             )
@@ -482,12 +425,10 @@ def decompose_k5_free(net: FlowNetwork) -> DecompositionTree:
     tree = _structure_tree(net)
     memo: dict[tuple[frozenset[int], frozenset[frozenset[int]]], object] = {}
     for cid in sorted(tree.components):
-        comp = tree.components[cid]
-        torso = torso_adjacency(tree, cid)
-        if comp.label.kind == "planar":
+        if tree.components[cid].label.kind == "planar":
             continue
+        torso = torso_adjacency(tree, cid)
         if _is_v8(torso):
-            comp.label = BTW
             continue
         verts = frozenset(torso)
         pairs = frozenset(
@@ -498,51 +439,20 @@ def decompose_k5_free(net: FlowNetwork) -> DecompositionTree:
             raise NotK5MinorFree(
                 f"component on vertices {sorted(verts)} is not a 3-sum of planar and Wagner pieces"
             )
-        sub_pieces, sub_cliques = result
-        owner: dict[int, int] = {}
-        for e in comp.net.edges:
-            pair = frozenset((e.tail, e.head))
-            home = min(
-                i for i, (pv, pp) in enumerate(sub_pieces) if pair in pp
-            )
-            owner[e.id] = home
-        final_pieces = []
-        for i, (p_verts, _) in enumerate(sub_pieces):
-            edges = [e for e in comp.net.edges if owner[e.id] == i]
-            adj_piece = {v: set() for v in p_verts}
-            for pr in sub_pieces[i][1]:
-                u, v = sorted(pr)
-                adj_piece[u].add(v)
-                adj_piece[v].add(u)
-            label = PLANAR if is_planar(adj_piece) else BTW
-            final_pieces.append((p_verts, edges, label))
-        _replace_component(tree, cid, final_pieces, sub_cliques)
+        _split(tree, cid, *result)
     return tree
 
 
-def _separating_triples(verts: frozenset[int], pairs: frozenset[frozenset[int]]) -> list[tuple[int, ...]]:
-    adj: dict[int, set[int]] = {v: set() for v in verts}
-    for p in pairs:
-        u, v = sorted(p)
-        adj[u].add(v)
-        adj[v].add(u)
+def _separating_triples(adj: Adjacency) -> list[tuple[int, ...]]:
     triples: set[tuple[int, ...]] = set()
-    for a, b in itertools.combinations(sorted(verts), 2):
-        sub = {v: {w for w in adj[v] if w not in (a, b)} for v in verts if v not in (a, b)}
-        for c in _articulations(sub):
+    for a, b in itertools.combinations(sorted(adj), 2):
+        sub = {v: {w for w in adj[v] if w not in (a, b)} for v in adj if v not in (a, b)}
+        for c in nx.articulation_points(to_nx(sub)):
             triples.add(tuple(sorted((a, b, c))))
     return sorted(triples)
 
 
-def _articulations(adj: Adjacency) -> set[int]:
-    g = to_nx(adj)
-    return set(nx.articulation_points(g))
-
-
-_K5Result = tuple[
-    list[tuple[frozenset[int], frozenset[frozenset[int]]]],
-    list[tuple[frozenset[int], list[int]]],
-]
+_K5Result = tuple[list[Piece], list[tuple[frozenset[int], list[int]]]]
 
 
 def _split_k5(
@@ -560,21 +470,17 @@ def _split_k5(
     key = (verts, pairs)
     if key in memo:
         return memo[key]
-    adj: dict[int, set[int]] = {v: set() for v in verts}
-    for p in pairs:
-        u, v = sorted(p)
-        adj[u].add(v)
-        adj[v].add(u)
+    adj = adjacency(verts, pairs)
     if is_planar(adj) or _is_v8(adj):
         memo[key] = ([(verts, pairs)], [])
         return memo[key]
-    for triple in _separating_triples(verts, pairs):
+    for triple in _separating_triples(adj):
         tri = frozenset(triple)
         parts = components(adj, tri)
         if len(parts) < 2:
             continue
         tri_pairs = {frozenset(p) for p in itertools.combinations(sorted(tri), 2)}
-        all_pieces: list[tuple[frozenset[int], frozenset[frozenset[int]]]] = []
+        all_pieces: list[Piece] = []
         all_cliques: list[tuple[frozenset[int], list[int]]] = []
         attach: list[int] = []
         ok = True
@@ -607,9 +513,11 @@ def _split_k5(
 # Validation
 
 
-def validate(
-    graph: FlowNetwork, tree: DecompositionTree, btw_cap: int = 10
-) -> tuple[bool, list[str]]:
+# Largest component a "btw" label may carry (K5 and the Wagner graph fit).
+_BTW_CAP = 10
+
+
+def validate(graph: FlowNetwork, tree: DecompositionTree) -> tuple[bool, list[str]]:
     """Check every decomposition-tree invariant plus label truthfulness."""
     problems: list[str] = []
     comp_ids = sorted(tree.components)
@@ -690,8 +598,8 @@ def validate(
             problems.append(f"component {cid} torso is disconnected")
         if comp.label.kind == "planar" and not is_planar(torso):
             problems.append(f"component {cid} labeled planar but torso is not")
-        if comp.label.kind == "btw" and len(comp.net.vertices) > btw_cap:
+        if comp.label.kind == "btw" and len(comp.net.vertices) > _BTW_CAP:
             problems.append(
-                f"component {cid} labeled btw exceeds the size cap {btw_cap}"
+                f"component {cid} labeled btw exceeds the size cap {_BTW_CAP}"
             )
     return (not problems, problems)

@@ -235,10 +235,6 @@ class CutTable:
     def cut(self, subset: Iterable[int]) -> int:
         return self.values[frozenset(subset)]
 
-    def entries(self) -> Iterator[tuple[tuple[int, ...], int]]:
-        for key in sorted(self.values, key=lambda s: (len(s), tuple(sorted(s)))):
-            yield tuple(sorted(key)), self.values[key]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CutTable):
             return NotImplemented

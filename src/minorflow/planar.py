@@ -6,6 +6,7 @@
   a non-planar one); faces come from the standard half-edge walk, so
   triangle/face membership queries are cheap.
 - ``components``: connected components, optionally with vertices removed.
+- ``adjacency``: the graph on a vertex set with a given set of vertex pairs.
 """
 
 from __future__ import annotations
@@ -28,6 +29,15 @@ def to_nx(adj: Adjacency) -> nx.Graph:
             if u < v:
                 g.add_edge(u, v)
     return g
+
+
+def adjacency(vertices: Iterable[int], pairs: Iterable[AbstractSet[int]]) -> dict[int, set[int]]:
+    """Adjacency of the simple graph on ``vertices`` whose edges are ``pairs``."""
+    adj: dict[int, set[int]] = {v: set() for v in vertices}
+    for u, v in pairs:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
 
 
 def components(adj: Adjacency, removed: AbstractSet[int] = frozenset()) -> list[set[int]]:

@@ -422,6 +422,7 @@ class _Gen:
         first_special = cfg.family != "planar" and rng.random() < cfg.special_prob
         self.add_component([], first_special)
         if cfg.family != "planar":
+            cliques_of_arity: dict[int, list[int]] = {1: [], 2: [], 3: []}
             while self.next_vertex < cfg.n:
                 special = rng.random() < cfg.special_prob
                 max_arity = 2 if cfg.family == "k33free" else 3
@@ -430,11 +431,7 @@ class _Gen:
                 weights = cfg.arity_weights[:max_arity]
                 arity = rng.choices(range(1, max_arity + 1), weights=weights)[0]
                 # Sometimes pile onto an existing clique of the right size.
-                reuse = [
-                    kid
-                    for kid in sorted(self.tree.cliques)
-                    if len(self.tree.cliques[kid].vertices) == arity
-                ]
+                reuse = cliques_of_arity[arity]
                 if reuse and rng.random() < 0.2:
                     kid = rng.choice(reuse)
                     anchor = tuple(sorted(self.tree.cliques[kid].vertices))
@@ -444,6 +441,7 @@ class _Gen:
                     if anchor is None:
                         continue
                     kid = self.tree.add_clique(anchor)
+                    reuse.append(kid)
                     self.tree.attach(host, kid)
                     self.drop_clique_edges(host, anchor)
                 new_id = self.add_component(list(anchor), special)

@@ -108,6 +108,48 @@ def test_cli_gen_is_deterministic_and_seed_env_overrides(tmp_path, monkeypatch, 
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv,seed_env,fragment",
+    [
+        (("--n", 1), None, "need n >= 2"),
+        (("--n", 10, "--max-cap", 0), None, "need max capacity >= 1"),
+        (("--n", 10), "abc", "MINORFLOW_SEED 'abc' is not an integer"),
+    ],
+    ids=["n-1", "max-cap-0", "seed-abc"],
+)
+def test_cli_gen_rejects_bad_config(tmp_path, monkeypatch, capsys, argv, seed_env, fragment):
+    if seed_env is not None:
+        monkeypatch.setenv("MINORFLOW_SEED", seed_env)
+    out = tmp_path / "g.max"
+    assert run(tmp_path, "gen", "--family", "k5free", *argv, "-o", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err
+    assert not out.exists()
+
+
+def test_cli_solve_rejects_an_invalid_decomposition(tmp_path, capsys):
+    k5 = [(a, b) for a in range(1, 6) for b in range(a + 1, 6)]
+    net = tmp_path / "k5.max"
+    dec = tmp_path / "dec.json"
+    net.write_text(f"p max 5 {len(k5)}\n" + "".join(f"a {a} {b} 1\n" for a, b in k5))
+    doc = {
+        "components": [
+            {
+                "id": 0,
+                "label": "planar",
+                "vertices": [1, 2, 3, 4, 5],
+                "edges": [[i, a, b, 1] for i, (a, b) in enumerate(k5, start=1)],
+            }
+        ],
+        "cliques": [],
+        "tree_edges": [],
+    }
+    dec.write_text(json.dumps(doc))
+    assert run(tmp_path, "solve", "--network", net, "--decomposition", dec, "--source", 1, "--sink", 5) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "labeled planar" in err
+
+
 def test_cli_decompose_matches_solve_and_rejects_k33(tmp_path, capsys):
     net = tmp_path / "net.max"
     dec = tmp_path / "dec.json"

@@ -215,6 +215,21 @@ def test_refine_is_idempotent_and_makes_triangles_faces(rng):
                     assert emb.is_triangle_face(tri), (seed, cid, sorted(tri))
 
 
+def test_refine_splits_nothing_in_a_k33_free_decomposition():
+    # After one block pass and one SPQR pass a second sweep splits nothing,
+    # and a k33 tree has no triangle cliques, so refine keeps every component.
+    def shape(tree):
+        return sorted(
+            (sorted(c.net.vertices), [e.id for e in c.net.edges], c.label.kind)
+            for c in tree.components.values()
+        )
+
+    for n, seed in itertools.product((40, 80, 120), range(3)):
+        graph, _ = gen_instance(GenConfig("k33free", n, seed=seed))
+        tree = decompose_k33_free(graph)
+        assert shape(refine(tree)) == shape(tree), (n, seed)
+
+
 def test_refine_splits_non_biconnected_component():
     # path 0-1-2 with an extra pendant triangle at 2, all in one component
     pairs = [(0, 1), (1, 2), (2, 3), (3, 4), (2, 4)]
