@@ -544,6 +544,7 @@ def validate(graph: FlowNetwork, tree: DecompositionTree) -> tuple[bool, list[st
         for cid in sorted(tree.clique_comps[kid]):
             if not tree.cliques[kid].vertices <= tree.components[cid].net.vertices:
                 problems.append(f"clique {kid} vertices missing from component {cid}")
+    shape_ok = not problems
     # Edge partition and exact reassembly.
     by_id: dict[int, tuple[int, Edge]] = {}
     for cid in comp_ids:
@@ -562,34 +563,21 @@ def validate(graph: FlowNetwork, tree: DecompositionTree) -> tuple[bool, list[st
                 problems.append(f"edge {eid} differs from the input edge")
     if tree.all_vertices() != graph.vertices:
         problems.append("vertex union differs from the input network")
-    # Running intersection: nodes holding any vertex form a subtree.
-    holders: dict[int, list[Node]] = {}
-    for cid in comp_ids:
-        for v in tree.components[cid].net.vertices:
-            holders.setdefault(v, []).append(("c", cid))
-    for v, nodes in sorted(holders.items()):
-        if len(nodes) == 1:
-            continue
-        want = set(nodes)
-        root = nodes[0]
-        reach = {root}
-        queue = deque([root])
-        while queue:
-            kind, nid = queue.popleft()
-            if kind == "c":
-                nbrs = [
-                    ("k", k)
-                    for k in tree.comp_cliques[nid]
-                    if v in tree.cliques[k].vertices
-                ]
-            else:
-                nbrs = [("c", c) for c in tree.clique_comps[nid]]
-            for nb in nbrs:
-                if nb not in reach:
-                    reach.add(nb)
-                    queue.append(nb)
-        if not want <= reach:
-            problems.append(f"vertex {v} is shared outside its cliques")
+    # Running intersection: in a tree whose cliques lie inside their
+    # components, the nodes holding v span as many tree edges as the cliques
+    # holding v have components, so they form one subtree exactly when they
+    # number one more than those edges.
+    if shape_ok:
+        excess: dict[int, int] = {}
+        for cid in comp_ids:
+            for v in tree.components[cid].net.vertices:
+                excess[v] = excess.get(v, 0) + 1
+        for kid in clique_ids:
+            for v in tree.cliques[kid].vertices:
+                excess[v] += 1 - len(tree.clique_comps[kid])
+        for v, count in sorted(excess.items()):
+            if count != 1:
+                problems.append(f"vertex {v} is shared outside its cliques")
     # Torso connectivity and label truthfulness.
     for cid in comp_ids:
         comp = tree.components[cid]

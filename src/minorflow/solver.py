@@ -1,13 +1,16 @@
 """The decomposed max-flow pipeline: on a copy of the validated clique-sum
-tree as given, shrink off-path components (Phase I) and then the terminal
-path (Phase II) with mimicking networks, solve the final small network, and
-replay the replacements in reverse to recover a flow on the original network.
+tree as given, replace every component off the terminal path by a mimicking
+network (Phase I), glue the path components into one network (Phase II),
+solve it, and replay the replacements in reverse to recover a flow on the
+original network.
 
 The tree is not refined first: every installed mimic has the same cut table
 as the component it replaces, which makes the pipeline exact on any valid
 tree whose cliques have at most 3 vertices.  Triconnected pieces and facial
 gluing triangles (``decomposition.refine``) matter only to a planar-specific
-flow engine, which this package does not have.
+flow engine, which this package does not have.  For the same reason the
+path is glued rather than folded into a tiny network by more mimics: with a
+generic max-flow engine the fold costs more than it saves.
 
 Every network mutation happens at a replacement step that pushes a
 ReplacementRecord; gluing only moves edges between components and never
@@ -17,13 +20,12 @@ per record, which the audit hook can check step by step.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 # Imported but unused here (``refine``, ``min_cut_value``, ``merge_mimics``,
-# ``build_mimic4_single_source``): the benchmark's traced run wraps these
-# solver bindings by name.
+# ``build_mimic4_single_source``, ``build_mimic_general``): the benchmark's
+# traced run wraps these solver bindings by name.
 from .decomposition import (
     DecompositionTree,
     InvalidDecomposition,
@@ -87,10 +89,6 @@ class SolveState:
         self.next_edge += count
         return first
 
-    def absorb_ids(self, net: FlowNetwork) -> None:
-        self.next_vertex = max(self.next_vertex, max(net.vertices, default=-1) + 1)
-        self.next_edge = max(self.next_edge, net.next_edge_id())
-
     def push(
         self, snapshot: FlowNetwork, terminals: Sequence[int], installed: FlowNetwork
     ) -> None:
@@ -114,14 +112,15 @@ def locate_terminal_path(
     """Path of components from s's component to t's component, plus the
     cliques between consecutive path components.  The distinguished component
     for a terminal lying in a shared clique is the lowest-id one."""
-
-    def home(v: int) -> int:
-        owners = [cid for cid in sorted(tree.components) if v in tree.components[cid].net.vertices]
-        if not owners:
+    homes: dict[int, int] = {}
+    for cid, comp in tree.components.items():
+        for v in (s, t):
+            if v in comp.net.vertices:
+                homes[v] = min(cid, homes.get(v, cid))
+    for v in (s, t):
+        if v not in homes:
             raise UnknownVertexError(f"vertex {v} not in the decomposition")
-        return owners[0]
-
-    cs, ct = home(s), home(t)
+    cs, ct = homes[s], homes[t]
     if cs == ct:
         return [cs], []
     parent, _ = tree.walk([("c", cs)])
@@ -138,19 +137,10 @@ def locate_terminal_path(
 
 
 def _mimic(state: SolveState, net: FlowNetwork, terminals: tuple[int, ...]) -> FlowNetwork:
-    """Exact full-table mimic of ``net`` on 1..4 sorted terminals: a bare
-    vertex, an antiparallel edge pair, a star, or the cut-collapsing network."""
+    """Exact full-table mimic of ``net`` on 1..3 sorted terminals: a bare
+    vertex, an antiparallel edge pair, or a star."""
     if len(terminals) == 1:
         return FlowNetwork(frozenset(terminals), ())
-    if len(terminals) == 4:
-        general = build_mimic_general(
-            net,
-            TerminalSet(terminals),
-            first_fresh_vertex=state.next_vertex,
-            first_edge_id=state.next_edge,
-        )
-        state.absorb_ids(general)
-        return general
     table = cut_table(net, TerminalSet(terminals), FULL)
     hub = state.alloc_vertex() if len(terminals) == 3 else None
     first = state.alloc_edges(6 if len(terminals) == 3 else 2)
@@ -168,59 +158,29 @@ def _replace(state: SolveState, ci_id: int, cj_id: int, terminals: tuple[int, ..
     tree.remove_component(ci_id)
 
 
-def phase1(state: SolveState, path_comps: list[int], path_cliques: list[int]) -> None:
-    """Replace every component off the terminal path by a <=4-vertex mimic
-    glued into its path-ward neighbor, deepest leaves first."""
+def phase1(state: SolveState, path_comps: list[int]) -> None:
+    """Replace every component off the terminal path by its mimic on the
+    clique above it, deepest first, and glue the mimic into the component
+    above that clique; a clique leaves the tree once at most one component
+    holds it."""
     tree = state.tree
-    on_path_comps = set(path_comps)
-    path_clique_set = set(path_cliques)
-    later_index = {kid: i + 1 for i, kid in enumerate(path_cliques)}
-    # Depth from the path through the 2-colored tree.
-    _, depth = tree.walk(
-        [("c", c) for c in path_comps] + [("k", k) for k in path_cliques]
-    )
-
-    def is_leaf(cid: int) -> bool:
-        return cid not in on_path_comps and len(tree.comp_cliques[cid]) == 1
-
-    heap: list[tuple[int, int]] = []
-    for cid in sorted(tree.components):
-        if is_leaf(cid):
-            heapq.heappush(heap, (-depth[("c", cid)], cid))
-    while heap:
-        _, ci_id = heapq.heappop(heap)
-        kid = next(iter(tree.comp_cliques[ci_id]))
-        # Path-ward neighbor: on a path clique the later path component,
-        # otherwise the unique neighbor closer to the path.
-        if kid in path_clique_set:
-            cj_id = path_comps[later_index[kid]]
-        else:
-            cj_id = min(
-                c
-                for c in tree.clique_comps[kid]
-                if c != ci_id and depth[("c", c)] < depth[("k", kid)]
-            )
-        _replace(state, ci_id, cj_id, tuple(sorted(tree.cliques[kid].vertices)))
-        if len(tree.clique_comps[kid]) <= 1 and kid not in path_clique_set:
+    parent, _ = tree.walk([("c", c) for c in path_comps])
+    for node, up in reversed(parent.items()):
+        if node[0] != "c" or up is None:
+            continue
+        kid, cj_id = up[1], parent[up][1]
+        _replace(state, node[1], cj_id, tuple(sorted(tree.cliques[kid].vertices)))
+        if len(tree.clique_comps[kid]) <= 1:
             tree.remove_clique(kid)
         state.notify("replace")
-        if is_leaf(cj_id):
-            heapq.heappush(heap, (-depth[("c", cj_id)], cj_id))
 
 
-def phase2(
-    state: SolveState, path_comps: list[int], path_cliques: list[int], s: int, t: int
-) -> FlowNetwork:
-    """Fold the terminal path from the s side into a single component."""
+def phase2(state: SolveState, path_comps: list[int]) -> FlowNetwork:
+    """Glue the terminal path, all that Phase I leaves, into one network."""
     tree = state.tree
-    for step, kid in enumerate(path_cliques):
-        terminals = tuple(sorted(tree.cliques[kid].vertices | {s}))
-        _replace(state, path_comps[step], path_comps[step + 1], terminals)
-        tree.remove_clique(kid)
-        state.notify("replace")
-    if len(tree.components) != 1:
-        raise InvalidDecomposition("phase II finished with more than one component")
-    return tree.components[path_comps[-1]].net
+    if len(tree.components) != len(path_comps):
+        raise InvalidDecomposition("tree is disconnected")
+    return merge_networks(*(tree.components[c].net for c in path_comps))
 
 
 def reconstruct(
@@ -298,9 +258,9 @@ def max_flow_decomposed(
     )
     if observer is not None:
         observer("input", graph)  # a validated tree reassembles to graph exactly
-    path_comps, path_cliques = locate_terminal_path(work, s, t)
-    phase1(state, path_comps, path_cliques)
-    final_net = phase2(state, path_comps, path_cliques, s, t)
+    path_comps, _ = locate_terminal_path(work, s, t)
+    phase1(state, path_comps)
+    final_net = phase2(state, path_comps)
     value, final_flow = max_flow(final_net, s, t)
     if observer is not None:
         observer("final", final_net)

@@ -294,6 +294,7 @@ class _Gen:
         self.cfg = cfg
         self.rng = random.Random(cfg.seed)
         self.tree = DecompositionTree()
+        self.hosts: list[int] = []  # component ids in ascending order
         self.next_vertex = 0
         self.next_edge = 0
 
@@ -373,7 +374,9 @@ class _Gen:
             pairs = self.planar_pairs(verts, anchor)
             label = PLANAR
         net = FlowNetwork(frozenset(verts), tuple(self.realize(pairs)))
-        return self.tree.add_component(net, label)
+        cid = self.tree.add_component(net, label)
+        self.hosts.append(cid)
+        return cid
 
     def drop_clique_edges(self, comp_id: int, clique: tuple[int, ...]) -> None:
         """Sometimes remove the host's copy of a clique edge (the sum keeps
@@ -436,7 +439,7 @@ class _Gen:
                     kid = rng.choice(reuse)
                     anchor = tuple(sorted(self.tree.cliques[kid].vertices))
                 else:
-                    host = rng.choice(sorted(self.tree.components))
+                    host = rng.choice(self.hosts)
                     anchor = self.anchor_in(host, arity)
                     if anchor is None:
                         continue

@@ -93,6 +93,39 @@ def test_validate_flags_missing_edge():
     assert not ok and any("edge sets differ" in p for p in problems)
 
 
+def two_triangles(clique, attach_second=True):
+    # Triangles 0-1-2 and 1-2-3 (fresh edge ids) glued at ``clique``.
+    tree = DecompositionTree()
+    ca = tree.add_component(dnet([(0, 1), (1, 2), (0, 2)]), PLANAR)
+    cb = tree.add_component(FlowNetwork.from_edges([(3, 1, 3, 1), (4, 2, 3, 1)]), PLANAR)
+    k = tree.add_clique(clique)
+    tree.attach(ca, k)
+    if attach_second:
+        tree.attach(cb, k)
+    return tree, ca, cb
+
+
+def test_validate_flags_vertex_shared_outside_its_clique():
+    tree, _, _ = two_triangles([1])
+    ok, problems = validate(tree.reassemble(), tree)
+    assert not ok and problems == ["vertex 2 is shared outside its cliques"]
+
+
+def test_validate_flags_a_cycle_in_the_tree():
+    tree, ca, cb = two_triangles([1])
+    k = tree.add_clique([2])
+    tree.attach(ca, k)
+    tree.attach(cb, k)
+    ok, problems = validate(tree.reassemble(), tree)
+    assert not ok and any("not a tree" in p for p in problems)
+
+
+def test_validate_flags_a_clique_on_one_component():
+    tree, _, _ = two_triangles([1, 2], attach_second=False)
+    ok, problems = validate(tree.reassemble(), tree)
+    assert not ok and any("attached to fewer than 2 components" in p for p in problems)
+
+
 def test_validate_flags_false_planar_label():
     k5 = dnet(K5_PAIRS)
     tree = DecompositionTree()

@@ -83,8 +83,8 @@ def test_flow_reentry_through_source_component():
 
 def test_star_of_leaves_on_one_path_triangle_glues_each_leaf_directly():
     # Path component A - triangle - B with five extra leaves on the triangle:
-    # phase I glues each leaf's mimic straight into B (five replacements, no
-    # pendant merging), then phase II folds A into B (one more).
+    # phase I glues each leaf's mimic straight into a path component (five
+    # replacements, no pendant merging), and the path A, B is glued as is.
     tri = (1, 2, 3)
     edges = [(0, 0, 1, 3), (1, 0, 2, 3), (2, 1, 2, 1), (3, 1, 3, 1), (4, 2, 3, 1)]
     a = FlowNetwork.from_edges(edges, tri)
@@ -115,7 +115,7 @@ def test_star_of_leaves_on_one_path_triangle_glues_each_leaf_directly():
         observer(stage, net)
 
     value, flow = max_flow_decomposed(graph, tree, 0, 9, observer=recording)
-    assert stages.count("replace") == 6
+    assert stages.count("replace") == 5
     assert value == oracle_max_flow(graph, 0, 9)
     assert verify_flow(graph, TerminalSet.of(0, 9), (value, -value), flow)
     assert audit_step_values(nets, 0, 9)
@@ -178,36 +178,67 @@ def test_step_values_and_reconstruction_conserve(rng):
         assert verify_flow(graph, TerminalSet.of(s, t), (value, -value), flow)
 
 
-def test_chain_of_four_components_makes_three_phase2_records():
-    # Four K4 components 2-summed in a chain: the solver keeps the tree as
-    # given, so Phase II folds the four-component path in three steps.
+def k4_chain(count):
+    """K4 components 2-summed in a chain: component i holds 2i..2i+3, and
+    the clique {2i, 2i+1} edge belongs to the earlier component."""
     import itertools
 
     tree = DecompositionTree()
     eid = 0
     ids = []
-    for i in range(4):
+    for i in range(count):
         verts = [2 * i, 2 * i + 1, 2 * i + 2, 2 * i + 3]
         edges = []
         for u, v in itertools.combinations(verts, 2):
             if i > 0 and (u, v) == (2 * i, 2 * i + 1):
-                continue  # shared clique edge belongs to the previous component
-            edges.append((eid, u, v, 2))
+                continue
+            edges.append((eid, u, v, 2 + (eid % 3)))
             eid += 1
         ids.append(tree.add_component(FlowNetwork.from_edges(edges, verts), PLANAR))
-    for i in range(3):
+    for i in range(count - 1):
         k = tree.add_clique([2 * i + 2, 2 * i + 3])
         tree.attach(ids[i], k)
         tree.attach(ids[i + 1], k)
+    return tree
+
+
+def test_chain_of_four_components_on_the_path_makes_no_records():
+    # The whole chain is the terminal path: it is glued as given, so no
+    # component is replaced and nothing is replayed.
+    tree = k4_chain(4)
     graph = tree.reassemble()
     assert validate(graph, tree)[0]
     stages = []
     value, flow = max_flow_decomposed(
         graph, tree, 0, 9, observer=lambda stage, net: stages.append(stage)
     )
-    assert stages.count("replace") == 3
+    assert stages == ["input", "final"]
     assert value == oracle_max_flow(graph, 0, 9)
     assert verify_flow(graph, TerminalSet.of(0, 9), (value, -value), flow)
+
+
+def test_chain_of_two_hundred_components_solves_whole():
+    tree = k4_chain(200)
+    graph = tree.reassemble()
+    assert validate(graph, tree)[0]
+    for s, t in [(0, 401), (1, 400), (100, 301)]:
+        value, flow = max_flow_decomposed(graph, tree, s, t)
+        assert value == max_flow(graph, s, t)[0] > 0
+        assert verify_flow(graph, TerminalSet.of(s, t), (value, -value), flow)
+
+
+@pytest.mark.parametrize("family", ["k33free", "k5free"])
+def test_only_off_path_components_are_replaced(family, rng):
+    longest = 0
+    for seed in range(6):
+        graph, tree = gen_instance(GenConfig(family, 40, seed=seed))
+        s, t = rng.sample(sorted(graph.vertices), 2)
+        path, _ = locate_terminal_path(tree, s, t)
+        longest = max(longest, len(path))
+        stages = []
+        max_flow_decomposed(graph, tree, s, t, observer=lambda stage, net: stages.append(stage))
+        assert stages.count("replace") == len(tree.components) - len(path)
+    assert longest > 1
 
 
 def test_solves_on_the_tree_as_given():
@@ -256,35 +287,6 @@ def test_source_inside_the_gluing_clique():
     value, flow = max_flow_decomposed(graph, tree, 0, 2)
     assert value == oracle_max_flow(graph, 0, 2)
     assert verify_flow(graph, TerminalSet.of(0, 2), (value, -value), flow)
-
-
-def test_four_terminal_phase2_step_on_a_star_component(monkeypatch):
-    # The s-side star meets the path triangle {a, b, c}, so its Phase II
-    # replacement has four terminals and takes the general full-table mimic.
-    import minorflow.solver as solver_mod
-
-    sizes = []
-    real = solver_mod._mimic
-
-    def spy(st, net, terminals):
-        sizes.append(len(terminals))
-        return real(st, net, terminals)
-
-    monkeypatch.setattr(solver_mod, "_mimic", spy)
-    s, a, b, c, t = 0, 1, 2, 3, 4
-    left = FlowNetwork.from_edges([(0, s, a, 3), (1, s, b, 2), (2, s, c, 1)])
-    right = FlowNetwork.from_edges([(3, a, t, 2), (4, b, t, 2), (5, c, t, 2)])
-    tree = DecompositionTree()
-    cl = tree.add_component(left, PLANAR)
-    cr = tree.add_component(right, PLANAR)
-    k = tree.add_clique([a, b, c])
-    tree.attach(cl, k)
-    tree.attach(cr, k)
-    graph = tree.reassemble()
-    value, flow = max_flow_decomposed(graph, tree, s, t)
-    assert sizes == [4]
-    assert value == oracle_max_flow(graph, s, t)
-    assert verify_flow(graph, TerminalSet.of(s, t), (value, -value), flow)
 
 
 def test_terminal_path_rejects_unknown_vertices():
