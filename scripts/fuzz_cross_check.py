@@ -32,7 +32,11 @@ def main() -> None:
         help="run the family decomposer instead of the ground-truth tree",
     )
     args = ap.parse_args()
-    seed = int(os.environ.get("MINORFLOW_SEED", args.seed))
+    env_seed = os.environ.get("MINORFLOW_SEED")
+    try:
+        seed = args.seed if env_seed is None else int(env_seed)
+    except ValueError:
+        raise SystemExit(f"error: MINORFLOW_SEED {env_seed!r} is not an integer") from None
     rng = random.Random(seed)
     started = time.monotonic()
     positive = 0

@@ -71,21 +71,33 @@ class DecompositionTree:
     comp_cliques: dict[int, set[int]] = field(default_factory=dict)
     clique_comps: dict[int, set[int]] = field(default_factory=dict)
 
+    # One past the largest live id, kept so that adding a node is O(1); -1
+    # when unknown: on a new tree, which parsers and ``copy`` fill directly,
+    # and after the largest id is removed.
+    _next_component: int = field(default=-1, repr=False, compare=False)
+    _next_clique: int = field(default=-1, repr=False, compare=False)
+
     def next_component_id(self) -> int:
-        return max(self.components, default=-1) + 1
+        if self._next_component < 0:
+            self._next_component = max(self.components, default=-1) + 1
+        return self._next_component
 
     def next_clique_id(self) -> int:
-        return max(self.cliques, default=-1) + 1
+        if self._next_clique < 0:
+            self._next_clique = max(self.cliques, default=-1) + 1
+        return self._next_clique
 
     def add_component(self, net: FlowNetwork, label: Label) -> int:
         cid = self.next_component_id()
         self.components[cid] = Component(cid, net, label)
+        self._next_component = cid + 1
         self.comp_cliques[cid] = set()
         return cid
 
     def add_clique(self, vertices: Iterable[int]) -> int:
         kid = self.next_clique_id()
         self.cliques[kid] = Clique(kid, frozenset(vertices))
+        self._next_clique = kid + 1
         self.clique_comps[kid] = set()
         return kid
 
@@ -97,11 +109,15 @@ class DecompositionTree:
         for kid in sorted(self.comp_cliques.pop(comp_id, ())):
             self.clique_comps[kid].discard(comp_id)
         del self.components[comp_id]
+        if comp_id == self._next_component - 1:
+            self._next_component = -1
 
     def remove_clique(self, clique_id: int) -> None:
         for cid in sorted(self.clique_comps.pop(clique_id, ())):
             self.comp_cliques[cid].discard(clique_id)
         del self.cliques[clique_id]
+        if clique_id == self._next_clique - 1:
+            self._next_clique = -1
 
     def copy(self) -> "DecompositionTree":
         # Networks are immutable and shared; incidence maps are copied.
@@ -112,11 +128,10 @@ class DecompositionTree:
         t.clique_comps = {kid: set(s) for kid, s in self.clique_comps.items()}
         return t
 
-    def walk(self, roots: Iterable[Node]) -> tuple[dict[Node, Node | None], dict[Node, int]]:
+    def walk(self, roots: Iterable[Node]) -> dict[Node, Node | None]:
         """Breadth-first walk of the 2-colored tree from ``roots``: the parent
-        (None for a root) and the depth of every reached node."""
+        (None for a root) of every reached node, in the order reached."""
         parent: dict[Node, Node | None] = dict.fromkeys(roots)
-        depth = dict.fromkeys(parent, 0)
         queue = deque(parent)
         while queue:
             node = queue.popleft()
@@ -126,11 +141,10 @@ class DecompositionTree:
             else:
                 nbrs = [("c", c) for c in self.clique_comps[nid]]
             for nb in nbrs:
-                if nb not in depth:
+                if nb not in parent:
                     parent[nb] = node
-                    depth[nb] = depth[node] + 1
                     queue.append(nb)
-        return parent, depth
+        return parent
 
     def reassemble(self) -> FlowNetwork:
         return merge_networks(*(c.net for _, c in sorted(self.components.items())))
@@ -536,7 +550,7 @@ def validate(graph: FlowNetwork, tree: DecompositionTree) -> tuple[bool, list[st
             problems.append(f"clique {kid} attached to fewer than 2 components")
     if n_edges != len(comp_ids) + len(clique_ids) - 1:
         problems.append("tree edge count is not nodes-1 (not a tree)")
-    reached, _ = tree.walk([("c", comp_ids[0])])
+    reached = tree.walk([("c", comp_ids[0])])
     if len(reached) != len(comp_ids) + len(clique_ids):
         problems.append("tree is disconnected")
     # Clique containment.

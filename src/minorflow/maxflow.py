@@ -1,36 +1,26 @@
 """Exact max-flow engine: shortest-augmenting-path with BFS layering (Dinic).
 
-The engine is the single seam every cut computation goes through; a
-specialized backend (planar, bounded-treewidth, ...) can replace it by
-providing the same ``max_flow`` signature.  Antiparallel and parallel edges
-are kept as distinct residual arcs, never merged or canceled.
+``flow_between`` is the single seam every flow, cut and route goes through:
+it compiles a network straight into residual arc arrays, joins a super
+source and a super sink to it by arcs of given capacities, and runs Dinic.
+``max_flow``, ``min_cut_value``, ``min_cut_side`` and
+``external.route_external_flow`` are thin wrappers, so a specialized backend
+(planar, bounded-treewidth, ...) replaces the engine by providing the same
+``flow_between``.  Antiparallel and parallel edges are kept as distinct
+residual arcs, never merged or canceled.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable
+from typing import Iterable, Mapping
 
-from .network import Edge, FlowAssignment, FlowNetwork, UnknownVertexError
-
-
-def _compile(net: FlowNetwork) -> tuple[dict[int, int], list[list[int]], list[int], list[int]]:
-    index = {v: i for i, v in enumerate(sorted(net.vertices))}
-    adj: list[list[int]] = [[] for _ in index]
-    to: list[int] = []
-    cap: list[int] = []
-    for e in net.edges:
-        u, v = index[e.tail], index[e.head]
-        adj[u].append(len(to))
-        to.append(v)
-        cap.append(e.cap)
-        adj[v].append(len(to))
-        to.append(u)
-        cap.append(0)
-    return index, adj, to, cap
+from .network import FlowAssignment, FlowNetwork, UnknownVertexError
 
 
-def _dinic(adj: list[list[int]], to: list[int], cap: list[int], s: int, t: int) -> int:
+def _dinic(adj: list[list[int]], to: list[int], cap: list[int], s: int, t: int) -> tuple[int, list[int]]:
+    """Flow value, plus the BFS levels of the last phase: exactly the
+    vertices that ``s`` still reaches in the residual network are >= 0."""
     n = len(adj)
     value = 0
     while True:
@@ -44,7 +34,7 @@ def _dinic(adj: list[list[int]], to: list[int], cap: list[int], s: int, t: int) 
                     level[to[a]] = level[u] + 1
                     queue.append(to[a])
         if level[t] < 0:
-            return value
+            return value, level
         it = [0] * n
         # Iterative blocking-flow DFS over the level graph.
         path: list[int] = []
@@ -82,6 +72,35 @@ def _dinic(adj: list[list[int]], to: list[int], cap: list[int], s: int, t: int) 
             it[u] += 1
 
 
+def flow_between(
+    net: FlowNetwork, sources: Mapping[int, int], sinks: Mapping[int, int]
+) -> tuple[int, list[int], frozenset[int]]:
+    """Maximum flow from a super source, joined to each vertex v of
+    ``sources`` by an arc of capacity ``sources[v]``, to a super sink joined
+    from each vertex of ``sinks`` likewise.  Vertices must lie in ``net``.
+
+    Returns the value, the residual capacity of every arc (arc 2i is edge i
+    of ``net``, which carries ``e.cap - cap[2i]``), and the vertices of
+    ``net`` that the super source still reaches in the residual network:
+    the source side of the minimal minimum cut.
+    """
+    index = {v: i for i, v in enumerate(net.vertices)}
+    ss, tt = len(index), len(index) + 1
+    edges = net.edges
+    tails = [index[e.tail] for e in edges] + [ss] * len(sources) + [index[v] for v in sinks]
+    heads = [index[e.head] for e in edges] + [index[v] for v in sources] + [tt] * len(sinks)
+    to = [0] * (2 * len(tails))
+    to[0::2] = heads
+    to[1::2] = tails
+    cap = [0] * len(to)
+    cap[0::2] = [e.cap for e in edges] + list(sources.values()) + list(sinks.values())
+    adj: list[list[int]] = [[] for _ in range(tt + 1)]
+    for a, head in enumerate(to):
+        adj[head].append(a ^ 1)  # arc a ^ 1 leaves the head of arc a
+    value, level = _dinic(adj, to, cap, ss, tt)
+    return value, cap, frozenset(v for v, i in index.items() if level[i] >= 0)
+
+
 def max_flow(net: FlowNetwork, s: int, t: int) -> tuple[int, FlowAssignment]:
     """Maximum s-t flow value and an integral flow achieving it."""
     if s not in net.vertices:
@@ -90,19 +109,16 @@ def max_flow(net: FlowNetwork, s: int, t: int) -> tuple[int, FlowAssignment]:
         raise UnknownVertexError(f"sink {t} not in network")
     if s == t:
         raise ValueError("source and sink must differ")
-    index, adj, to, cap = _compile(net)
-    value = _dinic(adj, to, cap, index[s], index[t])
-    flow = {e.id: e.cap - cap[2 * i] for i, e in enumerate(net.edges)}
-    return value, flow
+    inf = net.total_capacity + 1
+    value, cap, _ = flow_between(net, {s: inf}, {t: inf})
+    return value, {e.id: e.cap - cap[2 * i] for i, e in enumerate(net.edges)}
 
 
-def _augmented(
+def _grouped_cut(
     net: FlowNetwork, sources: Iterable[int], sinks: Iterable[int]
-) -> tuple[FlowNetwork, int, int]:
-    """Attach a super source/sink with effectively-infinite edges.
-
-    "Effectively infinite" is 1 + the sum of all capacities, never a sentinel.
-    """
+) -> tuple[int, list[int], frozenset[int]]:
+    """``flow_between`` with effectively-infinite terminal arcs: 1 + the sum
+    of all capacities, never a sentinel."""
     sources = sorted(set(sources))
     sinks = sorted(set(sinks))
     if not sources or not sinks:
@@ -113,25 +129,13 @@ def _augmented(
         if v not in net.vertices:
             raise UnknownVertexError(f"vertex {v} not in network")
     inf = net.total_capacity + 1
-    ss = net.next_vertex_id()
-    tt = ss + 1
-    eid = net.next_edge_id()
-    extra = []
-    for v in sources:
-        extra.append(Edge(eid, ss, v, inf))
-        eid += 1
-    for v in sinks:
-        extra.append(Edge(eid, v, tt, inf))
-        eid += 1
-    return net.with_edges(extra, (ss, tt)), ss, tt
+    return flow_between(net, dict.fromkeys(sources, inf), dict.fromkeys(sinks, inf))
 
 
 def min_cut_value(net: FlowNetwork, sources: Iterable[int], sinks: Iterable[int]) -> int:
     """Minimum cut with every vertex of ``sources`` on the source side and
     every vertex of ``sinks`` on the sink side (other vertices free)."""
-    aug, ss, tt = _augmented(net, sources, sinks)
-    value, _ = max_flow(aug, ss, tt)
-    return value
+    return _grouped_cut(net, sources, sinks)[0]
 
 
 def min_cut_side(
@@ -142,17 +146,5 @@ def min_cut_side(
     The side is the residual-reachable set from the super source, which makes
     it deterministic and minimal among all minimum cuts.
     """
-    aug, ss, tt = _augmented(net, sources, sinks)
-    index, adj, to, cap = _compile(aug)
-    value = _dinic(adj, to, cap, index[ss], index[tt])
-    seen = {index[ss]}
-    queue = deque(seen)
-    while queue:
-        u = queue.popleft()
-        for a in adj[u]:
-            if cap[a] > 0 and to[a] not in seen:
-                seen.add(to[a])
-                queue.append(to[a])
-    back = sorted(aug.vertices)
-    side = frozenset(back[i] for i in seen) & net.vertices
+    value, _, side = _grouped_cut(net, sources, sinks)
     return value, side

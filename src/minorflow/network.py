@@ -87,42 +87,14 @@ class FlowNetwork:
         return {e.id: e for e in self.edges}
 
     @cached_property
-    def out_edges(self) -> Mapping[int, tuple[Edge, ...]]:
-        out: dict[int, list[Edge]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            out[e.tail].append(e)
-        return {v: tuple(es) for v, es in out.items()}
-
-    @cached_property
-    def in_edges(self) -> Mapping[int, tuple[Edge, ...]]:
-        inc: dict[int, list[Edge]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            inc[e.head].append(e)
-        return {v: tuple(es) for v, es in inc.items()}
-
-    @cached_property
     def total_capacity(self) -> int:
         return sum(e.cap for e in self.edges)
-
-    @cached_property
-    def underlying_pairs(self) -> frozenset[frozenset[int]]:
-        """Undirected simple edge set (each pair once, directions collapsed)."""
-        return frozenset(frozenset((e.tail, e.head)) for e in self.edges)
 
     def next_vertex_id(self) -> int:
         return max(self.vertices, default=-1) + 1
 
     def next_edge_id(self) -> int:
         return max((e.id for e in self.edges), default=-1) + 1
-
-    def with_edges(
-        self, new_edges: Iterable[Edge], new_vertices: Iterable[int] = ()
-    ) -> "FlowNetwork":
-        added = tuple(new_edges)
-        return FlowNetwork(
-            self.vertices | set(new_vertices) | {w for e in added for w in (e.tail, e.head)},
-            self.edges + added,
-        )
 
     def without_edges(self, edge_ids: Iterable[int], drop_vertices: Iterable[int] = ()) -> "FlowNetwork":
         gone = set(edge_ids)

@@ -50,6 +50,7 @@ from .network import (
     FlowNetwork,
     TerminalSet,
     UnknownVertexError,
+    imbalances,
     merge_networks,
 )
 
@@ -108,10 +109,11 @@ class SolveState:
 
 def locate_terminal_path(
     tree: DecompositionTree, s: int, t: int
-) -> tuple[list[int], list[int]]:
+) -> tuple[list[int], dict[Node, Node | None]]:
     """Path of components from s's component to t's component, plus the
-    cliques between consecutive path components.  The distinguished component
-    for a terminal lying in a shared clique is the lowest-id one."""
+    parent map of the tree walk from s's component (``DecompositionTree.walk``),
+    which Phase I reuses.  The distinguished component for a terminal lying
+    in a shared clique is the lowest-id one."""
     homes: dict[int, int] = {}
     for cid, comp in tree.components.items():
         for v in (s, t):
@@ -120,20 +122,17 @@ def locate_terminal_path(
     for v in (s, t):
         if v not in homes:
             raise UnknownVertexError(f"vertex {v} not in the decomposition")
-    cs, ct = homes[s], homes[t]
-    if cs == ct:
-        return [cs], []
-    parent, _ = tree.walk([("c", cs)])
-    goal = ("c", ct)
+    parent = tree.walk([("c", homes[s])])
+    goal: Node | None = ("c", homes[t])
     if goal not in parent:
         raise InvalidDecomposition("terminals lie in different tree components")
-    path: list[Node] = [goal]
-    while (up := parent[path[-1]]) is not None:
-        path.append(up)
+    path: list[int] = []
+    while goal is not None:
+        if goal[0] == "c":
+            path.append(goal[1])
+        goal = parent[goal]
     path.reverse()
-    comps = [nid for kind, nid in path if kind == "c"]
-    cliques = [nid for kind, nid in path if kind == "k"]
-    return comps, cliques
+    return path, parent
 
 
 def _mimic(state: SolveState, net: FlowNetwork, terminals: tuple[int, ...]) -> FlowNetwork:
@@ -158,15 +157,19 @@ def _replace(state: SolveState, ci_id: int, cj_id: int, terminals: tuple[int, ..
     tree.remove_component(ci_id)
 
 
-def phase1(state: SolveState, path_comps: list[int]) -> None:
+def phase1(
+    state: SolveState, path_comps: list[int], parent: dict[Node, Node | None]
+) -> None:
     """Replace every component off the terminal path by its mimic on the
     clique above it, deepest first, and glue the mimic into the component
     above that clique; a clique leaves the tree once at most one component
-    holds it."""
+    holds it.  ``parent`` is the walk of ``locate_terminal_path``: an
+    off-path component's way to its root passes through the nearest path
+    component, so its parent is the one a walk from the path would give."""
     tree = state.tree
-    parent, _ = tree.walk([("c", c) for c in path_comps])
+    on_path = set(path_comps)
     for node, up in reversed(parent.items()):
-        if node[0] != "c" or up is None:
+        if node[0] != "c" or node[1] in on_path:
             continue
         kid, cj_id = up[1], parent[up][1]
         _replace(state, node[1], cj_id, tuple(sorted(tree.cliques[kid].vertices)))
@@ -210,24 +213,18 @@ def reconstruct(
         vertices |= set(rec.snapshot.vertices)
         flows.update(routed)
         if state.observer is not None:
-            _assert_conserving(edges, flows)
-            state.observer(
-                "reconstruct",
-                FlowNetwork(frozenset(vertices), tuple(edges[k] for k in sorted(edges))),
-            )
+            net = FlowNetwork(frozenset(vertices), tuple(edges[k] for k in sorted(edges)))
+            _assert_conserving(net, flows)
+            state.observer("reconstruct", net)
     return flows
 
 
-def _assert_conserving(edges: dict[int, Edge], flows: dict[int, int]) -> None:
+def _assert_conserving(net: FlowNetwork, flows: dict[int, int]) -> None:
     """Audit-mode check: after a pop the working flow must balance at every
     vertex except one source and one sink of equal magnitude."""
-    bal: dict[int, int] = {}
-    for eid, e in edges.items():
-        f = flows.get(eid, 0)
-        bal[e.tail] = bal.get(e.tail, 0) + f
-        bal[e.head] = bal.get(e.head, 0) - f
-    pos = [b for b in bal.values() if b > 0]
-    neg = [b for b in bal.values() if b < 0]
+    bal = imbalances(net, flows).values()
+    pos = [b for b in bal if b > 0]
+    neg = [b for b in bal if b < 0]
     if len(pos) > 1 or len(neg) > 1 or sum(pos) + sum(neg) != 0:
         raise AssertionError("conservation violated during reconstruction")
 
@@ -258,8 +255,8 @@ def max_flow_decomposed(
     )
     if observer is not None:
         observer("input", graph)  # a validated tree reassembles to graph exactly
-    path_comps, _ = locate_terminal_path(work, s, t)
-    phase1(state, path_comps)
+    path_comps, parent = locate_terminal_path(work, s, t)
+    phase1(state, path_comps, parent)
     final_net = phase2(state, path_comps)
     value, final_flow = max_flow(final_net, s, t)
     if observer is not None:

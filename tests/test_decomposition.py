@@ -18,6 +18,7 @@ from minorflow.decomposition import (
     underlying,
     validate,
 )
+from minorflow.fileio import canonical_ids, parse_decomposition, write_decomposition
 from minorflow.network import FlowNetwork
 from minorflow.planar import planar_embed
 from minorflow.testkit import GenConfig, gen_instance, minor_free_check
@@ -54,7 +55,7 @@ def test_biconnected_split_covers_all_edges(rng):
         adj = underlying(net)
         blocks, _ = biconnected_split(adj)
         covered = set().union(*(b[1] for b in blocks)) if blocks else set()
-        assert covered == set(net.underlying_pairs)
+        assert covered == {frozenset((e.tail, e.head)) for e in net.edges}
 
 
 def test_tree_operations_and_reassembly():
@@ -271,6 +272,33 @@ def test_refine_splits_non_biconnected_component():
     refined = refine(tree)
     assert len(refined.components) > 1
     assert validate(net, refined)[0]
+
+
+@pytest.mark.parametrize("fill", ["parse_decomposition", "canonical_ids"])
+def test_refine_of_a_directly_filled_tree_reuses_no_live_id(fill):
+    # Parsers fill the id maps directly.  Component 0, a bowtie, splits into
+    # two blocks while component 1 and clique 0 stay live: the new pieces and
+    # the new articulation clique must take ids past every live one.
+    bowtie = dnet([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
+    tri = FlowNetwork.from_edges([(6, 0, 5, 1), (7, 5, 6, 1), (8, 6, 0, 1)])
+    built = DecompositionTree()
+    ca = built.add_component(bowtie, PLANAR)
+    cb = built.add_component(tri, PLANAR)
+    k = built.add_clique([0])
+    built.attach(ca, k)
+    built.attach(cb, k)
+    graph = built.reassemble()
+    if fill == "parse_decomposition":
+        tree = parse_decomposition(write_decomposition(built))
+    else:
+        graph, tree, _, _ = canonical_ids(graph, built)
+    kept = tree.components[1].net
+    refined = refine(tree)
+    assert validate(graph, refined)[0]
+    assert sorted(refined.components) == [1, 2, 3]
+    assert sorted(refined.cliques) == [0, 1]
+    assert refined.components[1].net == kept
+    assert tree.add_component(kept, PLANAR) == 2 and tree.add_clique([1]) == 1
 
 
 def test_family_verdicts_agree_with_minor_oracle(rng):

@@ -1,11 +1,14 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import minorflow.network as network_mod
 from minorflow.maxflow import max_flow, min_cut_side, min_cut_value
-from minorflow.network import FlowNetwork, TerminalSet, UnknownVertexError
-from minorflow.external import verify_flow
-from minorflow.testkit import oracle_max_flow, random_network
+from minorflow.network import FULL, FlowNetwork, TerminalSet, UnknownVertexError, imbalances
+from minorflow.external import cut_table, route_external_flow, verify_flow
+from minorflow.testkit import oracle_cut_table, oracle_max_flow, random_network
 
 
 def test_single_edge():
@@ -93,3 +96,112 @@ def test_flow_is_feasible_and_matches_oracle(case):
     value, flow = max_flow(net, s, t)
     assert value == oracle_max_flow(net, s, t)
     assert verify_flow(net, TerminalSet.of(s, t), (value, -value), flow)
+
+
+@st.composite
+def nets_with_groups(draw):
+    """A small network plus disjoint source and sink groups, 2..4 terminals."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    raw = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, 9)),
+            max_size=16,
+        )
+    )
+    net = FlowNetwork.from_edges(
+        [(i, u, v, c) for i, (u, v, c) in enumerate(raw) if u != v], range(n)
+    )
+    terms = draw(st.permutations(range(n)))[: draw(st.integers(2, min(n, 4)))]
+    split = draw(st.integers(1, len(terms) - 1))
+    return net, list(terms[:split]), list(terms[split:])
+
+
+@given(nets_with_groups())
+@settings(max_examples=100, deadline=None)
+def test_grouped_min_cut_matches_the_enumeration_oracle(case):
+    net, sources, sinks = case
+    table = oracle_cut_table(net, TerminalSet(tuple(sources + sinks)), FULL)
+    assert min_cut_value(net, sources, sinks) == table.cut(sources)
+
+
+def _cut_of(net, side):
+    return sum(e.cap for e in net.edges if e.tail in side and e.head not in side)
+
+
+@given(nets_with_groups())
+@settings(max_examples=100, deadline=None)
+def test_min_cut_side_is_contained_in_every_minimum_cut(case):
+    net, sources, sinks = case
+    value, side = min_cut_side(net, sources, sinks)
+    free = sorted(net.vertices - set(sources) - set(sinks))
+    sides = [
+        frozenset(sources).union(extra)
+        for r in range(len(free) + 1)
+        for extra in itertools.combinations(free, r)
+    ]
+    best = min(_cut_of(net, x) for x in sides)
+    assert value == best == _cut_of(net, side)
+    assert side in sides
+    assert all(side <= x for x in sides if _cut_of(net, x) == best)
+
+
+def _random_feasible_flow(rng, net, terminals):
+    """Sum of random terminal-to-terminal path flows within the capacities:
+    conserving off the terminals by construction, with no engine involved."""
+    flow = {e.id: 0 for e in net.edges}
+    for _ in range(6):
+        start = rng.choice(terminals)
+        seen, stack = {start: None}, [start]
+        while stack:
+            u = stack.pop()
+            arcs = [e for e in net.edges if e.tail == u and e.cap > flow[e.id]]
+            rng.shuffle(arcs)
+            for e in arcs:
+                if e.head not in seen:
+                    seen[e.head] = e
+                    stack.append(e.head)
+        ends = [q for q in terminals if q != start and q in seen]
+        if not ends:
+            continue
+        path, v = [], rng.choice(ends)
+        while seen[v] is not None:
+            path.append(seen[v])
+            v = seen[v].tail
+        push = rng.randint(1, min(e.cap - flow[e.id] for e in path))
+        for e in path:
+            flow[e.id] += push
+    return flow
+
+
+def test_route_external_flow_realizes_demands_of_random_feasible_flows(rng):
+    routed = 0
+    for _ in range(200):
+        n = rng.randint(3, 12)
+        net = random_network(rng, n)
+        terminals = TerminalSet(tuple(rng.sample(sorted(net.vertices), rng.randint(2, min(n, 4)))))
+        flow = _random_feasible_flow(rng, net, list(terminals.order))
+        bal = imbalances(net, flow)
+        x = [bal[q] for q in terminals.order]
+        assert verify_flow(net, terminals, x, flow)
+        got = route_external_flow(net, terminals, x)
+        assert verify_flow(net, terminals, x, got)
+        routed += any(x)
+    assert routed > 150
+
+
+def test_cut_tables_and_routes_build_no_flow_network(monkeypatch, rng):
+    net = random_network(rng, 8)
+    terminals = TerminalSet(tuple(sorted(net.vertices)[:3]))
+    value, flow = max_flow(net, terminals.order[0], terminals.order[1])
+    assert value > 0
+    built = []
+    real = network_mod.FlowNetwork.__post_init__
+
+    def counting(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(network_mod.FlowNetwork, "__post_init__", counting)
+    cut_table(net, terminals, FULL)
+    route_external_flow(net, terminals, (value, -value, 0))
+    assert built == []

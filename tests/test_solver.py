@@ -36,10 +36,10 @@ def two_component_tree():
 
 def test_locate_terminal_path():
     tree = two_component_tree()
-    comps, cliques = locate_terminal_path(tree, 0, 3)
-    assert comps == [0, 1] and len(cliques) == 1
-    same, none = locate_terminal_path(tree, 0, 1)
-    assert same == [0] and none == []
+    comps, parent = locate_terminal_path(tree, 0, 3)
+    assert comps == [0, 1] and parent[("c", 1)] == ("k", 0)
+    same, parent = locate_terminal_path(tree, 0, 1)
+    assert same == [0] and len(parent) == 3
 
 
 def test_single_component_equals_plain_max_flow(rng):
@@ -239,6 +239,30 @@ def test_only_off_path_components_are_replaced(family, rng):
         max_flow_decomposed(graph, tree, s, t, observer=lambda stage, net: stages.append(stage))
         assert stages.count("replace") == len(tree.components) - len(path)
     assert longest > 1
+
+
+def test_one_tree_walk_per_query(monkeypatch, rng):
+    # locate_terminal_path's walk serves Phase I too; validation walks the
+    # input tree once more to check that it is connected.
+    walks = []
+    real = DecompositionTree.walk
+
+    def counting(self, roots):
+        walks.append(self)
+        return real(self, roots)
+
+    monkeypatch.setattr(DecompositionTree, "walk", counting)
+    for seed in range(4):
+        graph, tree = gen_instance(GenConfig("k5free", 40, seed=seed))
+        s, t = rng.sample(sorted(graph.vertices), 2)
+        walks.clear()
+        value, flow = max_flow_decomposed(graph, tree, s, t, validate_input=False)
+        assert len(walks) == 1 and walks[0] is not tree
+        assert value == oracle_max_flow(graph, s, t)
+        assert verify_flow(graph, TerminalSet.of(s, t), (value, -value), flow)
+        walks.clear()
+        max_flow_decomposed(graph, tree, s, t)
+        assert len(walks) == 2 and walks[0] is tree
 
 
 def test_solves_on_the_tree_as_given():
