@@ -30,7 +30,6 @@ from .external import (
 from .mimic import (
     build_full_mimic,
     build_mimic3,
-    build_mimic3_undirected,
     build_mimic4_single_source,
     build_mimic_general,
     check_four_way,
@@ -38,13 +37,10 @@ from .mimic import (
     merge_mimics,
 )
 from .decomposition import (
-    BTW,
-    PLANAR,
     Clique,
     Component,
     DecompositionTree,
     InvalidDecomposition,
-    Label,
     NotK33MinorFree,
     NotK5MinorFree,
     biconnected_split,
@@ -65,9 +61,7 @@ from .spqr import SpqrTree, check_spqr_axioms, spqr
 from .planar import PlanarEmbedding, planar_embed
 
 __all__ = [
-    "BTW",
     "FULL",
-    "PLANAR",
     "SINGLE_SOURCE",
     "Clique",
     "Component",
@@ -78,7 +72,6 @@ __all__ = [
     "FlowNetwork",
     "InfeasibleDemandError",
     "InvalidDecomposition",
-    "Label",
     "MimicInputError",
     "NotK33MinorFree",
     "NotK5MinorFree",
@@ -91,7 +84,6 @@ __all__ = [
     "biconnected_split",
     "build_full_mimic",
     "build_mimic3",
-    "build_mimic3_undirected",
     "build_mimic4_single_source",
     "build_mimic_general",
     "check_external_realizable",

@@ -35,14 +35,6 @@ class InvalidDecomposition(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Label:
-    kind: str  # "planar" | "btw"
-
-
-PLANAR = Label("planar")
-BTW = Label("btw")
-
 # A node of the 2-colored tree: ("c", component id) or ("k", clique id).
 Node = tuple[str, int]
 
@@ -51,7 +43,6 @@ Node = tuple[str, int]
 class Component:
     id: int
     net: FlowNetwork
-    label: Label
 
 
 @dataclass
@@ -87,9 +78,9 @@ class DecompositionTree:
             self._next_clique = max(self.cliques, default=-1) + 1
         return self._next_clique
 
-    def add_component(self, net: FlowNetwork, label: Label) -> int:
+    def add_component(self, net: FlowNetwork) -> int:
         cid = self.next_component_id()
-        self.components[cid] = Component(cid, net, label)
+        self.components[cid] = Component(cid, net)
         self._next_component = cid + 1
         self.comp_cliques[cid] = set()
         return cid
@@ -178,7 +169,7 @@ def torso_adjacency(tree: DecompositionTree, comp_id: int) -> Adjacency:
 
 def single_component_tree(net: FlowNetwork) -> DecompositionTree:
     tree = DecompositionTree()
-    tree.add_component(net, PLANAR if is_planar(underlying(net)) else BTW)
+    tree.add_component(net)
     return tree
 
 
@@ -220,11 +211,10 @@ def _split(
 ) -> None:
     """Swap one component for edge-disjoint pieces glued at new cliques.
 
-    Each edge goes to the first piece whose pairs hold its ends; a piece is
-    labelled planar when its torso is.  ``cliques`` lists (vertex set, piece
-    indexes).  Pre-existing incident cliques are merged with a coinciding
-    new clique when one exists, otherwise reattached to the first piece
-    containing them.
+    Each edge goes to the first piece whose pairs hold its ends.  ``cliques``
+    lists (vertex set, piece indexes).  Pre-existing incident cliques are
+    merged with a coinciding new clique when one exists, otherwise
+    reattached to the first piece containing them.
     """
     owned: list[list[Edge]] = [[] for _ in pieces]
     for e in sorted(tree.components[comp_id].net.edges, key=lambda e: e.id):
@@ -233,9 +223,8 @@ def _split(
     old_cliques = sorted(tree.comp_cliques[comp_id])
     tree.remove_component(comp_id)
     ids: list[int] = []
-    for (verts, pairs), edges in zip(pieces, owned):
-        label = PLANAR if is_planar(adjacency(verts, pairs)) else BTW
-        ids.append(tree.add_component(FlowNetwork(verts, tuple(edges)), label))
+    for (verts, _), edges in zip(pieces, owned):
+        ids.append(tree.add_component(FlowNetwork(verts, tuple(edges))))
     grouped: dict[frozenset[int], set[int]] = {}
     for verts, members in cliques:
         grouped.setdefault(frozenset(verts), set()).update(ids[i] for i in members)
@@ -314,9 +303,6 @@ def _apply_spqr_split(tree: DecompositionTree, cid: int, stree: SpqrTree) -> Non
 def _triangle_pass(tree: DecompositionTree) -> bool:
     changed = False
     for cid in sorted(tree.components):
-        comp = tree.components[cid]
-        if comp.label.kind == "btw":
-            continue
         tri_cliques = [
             kid
             for kid in sorted(tree.comp_cliques[cid])
@@ -362,7 +348,7 @@ def separating_triangles(
     not a face, recursively, until each listed triangle is a face of its
     piece.  Returns the pieces (the input unchanged when nothing splits)."""
     tree = DecompositionTree()
-    cid = tree.add_component(component, PLANAR)
+    cid = tree.add_component(component)
     for tri in triangles:
         kid = tree.add_clique(tri)
         tree.attach(cid, kid)
@@ -423,10 +409,8 @@ def decompose_k33_free(net: FlowNetwork) -> DecompositionTree:
     """
     tree = _structure_tree(net)
     for cid in sorted(tree.components):
-        if tree.components[cid].label.kind == "planar":
-            continue
         torso = torso_adjacency(tree, cid)
-        if not _is_k5(torso):
+        if not (is_planar(torso) or _is_k5(torso)):
             raise NotK33MinorFree(
                 f"triconnected component on vertices {sorted(torso)} is neither planar nor K5"
             )
@@ -439,10 +423,8 @@ def decompose_k5_free(net: FlowNetwork) -> DecompositionTree:
     tree = _structure_tree(net)
     memo: dict[tuple[frozenset[int], frozenset[frozenset[int]]], object] = {}
     for cid in sorted(tree.components):
-        if tree.components[cid].label.kind == "planar":
-            continue
         torso = torso_adjacency(tree, cid)
-        if _is_v8(torso):
+        if is_planar(torso) or _is_v8(torso):
             continue
         verts = frozenset(torso)
         pairs = frozenset(
@@ -527,12 +509,14 @@ def _split_k5(
 # Validation
 
 
-# Largest component a "btw" label may carry (K5 and the Wagner graph fit).
-_BTW_CAP = 10
+# Largest component whose torso need not be planar (K5 and the Wagner graph fit).
+_SMALL_CAP = 10
 
 
 def validate(graph: FlowNetwork, tree: DecompositionTree) -> tuple[bool, list[str]]:
-    """Check every decomposition-tree invariant plus label truthfulness."""
+    """Check every decomposition-tree invariant and the paper's precondition:
+    each component's torso is planar or has at most ``_SMALL_CAP`` vertices.
+    Planarity is tested only on torsos above the cap."""
     problems: list[str] = []
     comp_ids = sorted(tree.components)
     clique_ids = sorted(tree.cliques)
@@ -553,11 +537,13 @@ def validate(graph: FlowNetwork, tree: DecompositionTree) -> tuple[bool, list[st
     reached = tree.walk([("c", comp_ids[0])])
     if len(reached) != len(comp_ids) + len(clique_ids):
         problems.append("tree is disconnected")
-    # Clique containment.
+    # Clique containment; a component that fails it has no torso.
+    no_torso: set[int] = set()
     for kid in clique_ids:
         for cid in sorted(tree.clique_comps[kid]):
             if not tree.cliques[kid].vertices <= tree.components[cid].net.vertices:
                 problems.append(f"clique {kid} vertices missing from component {cid}")
+                no_torso.add(cid)
     shape_ok = not problems
     # Edge partition and exact reassembly.
     by_id: dict[int, tuple[int, Edge]] = {}
@@ -592,16 +578,15 @@ def validate(graph: FlowNetwork, tree: DecompositionTree) -> tuple[bool, list[st
         for v, count in sorted(excess.items()):
             if count != 1:
                 problems.append(f"vertex {v} is shared outside its cliques")
-    # Torso connectivity and label truthfulness.
+    # Torso connectivity, and planar or small.
     for cid in comp_ids:
-        comp = tree.components[cid]
+        if cid in no_torso:
+            continue
         torso = torso_adjacency(tree, cid)
         if len(components(torso)) > 1:
             problems.append(f"component {cid} torso is disconnected")
-        if comp.label.kind == "planar" and not is_planar(torso):
-            problems.append(f"component {cid} labeled planar but torso is not")
-        if comp.label.kind == "btw" and len(comp.net.vertices) > _BTW_CAP:
+        if len(torso) > _SMALL_CAP and not is_planar(torso):
             problems.append(
-                f"component {cid} labeled btw exceeds the size cap {_BTW_CAP}"
+                f"component {cid} torso is not planar and has more than {_SMALL_CAP} vertices"
             )
     return (not problems, problems)

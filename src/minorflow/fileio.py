@@ -9,8 +9,6 @@ import json
 from typing import Mapping
 
 from .decomposition import (
-    BTW,
-    PLANAR,
     Clique,
     Component,
     DecompositionTree,
@@ -113,7 +111,7 @@ def canonical_ids(
         out_tree = DecompositionTree()
         for cid in sorted(tree.components):
             comp = tree.components[cid]
-            out_tree.components[cid] = Component(cid, remap(comp.net), comp.label)
+            out_tree.components[cid] = Component(cid, remap(comp.net))
             out_tree.comp_cliques[cid] = set(tree.comp_cliques[cid])
         for kid in sorted(tree.cliques):
             k = tree.cliques[kid]
@@ -122,18 +120,13 @@ def canonical_ids(
     return remap(net), out_tree, vmap, emap
 
 
-_LABELS = {"planar": PLANAR, "btw": BTW}
-
-
 def write_decomposition(tree: DecompositionTree) -> str:
     components = []
     for cid in sorted(tree.components):
         comp = tree.components[cid]
-        label = "btw" if comp.label.kind == "btw" else "planar"
         components.append(
             {
                 "id": cid,
-                "label": label,
                 "vertices": sorted(comp.net.vertices),
                 "edges": [
                     [e.id, e.tail, e.head, e.cap]
@@ -162,8 +155,6 @@ def parse_decomposition(text: str) -> DecompositionTree:
     tree = DecompositionTree()
     try:
         for comp in doc["components"]:
-            if comp["label"] not in _LABELS:
-                raise FormatError(f"unknown component label {comp['label']!r}")
             net = FlowNetwork.from_edges(
                 [tuple(int(x) for x in e) for e in comp["edges"]],
                 (int(v) for v in comp["vertices"]),
@@ -171,7 +162,7 @@ def parse_decomposition(text: str) -> DecompositionTree:
             cid = int(comp["id"])
             if cid in tree.components:
                 raise FormatError(f"duplicate component id {cid}")
-            tree.components[cid] = Component(cid, net, _LABELS[comp["label"]])
+            tree.components[cid] = Component(cid, net)
             tree.comp_cliques[cid] = set()
         for cl in doc["cliques"]:
             kid = int(cl["id"])

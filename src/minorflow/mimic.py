@@ -217,38 +217,6 @@ def build_mimic_general(
     return FlowNetwork(frozenset(rep.values()), tuple(edges))
 
 
-def build_mimic3_undirected(
-    cut_a: int,
-    cut_b: int,
-    cut_c: int,
-    terminals: tuple[int, int, int],
-    first_edge_id: int = 0,
-) -> tuple[FlowNetwork, int]:
-    """Triangle mimic for an undirected 3-terminal network.
-
-    Inputs are the direction-symmetric values a↛bc, b↛ac, c↛ab.  The triangle
-    capacity between two terminals is half the (in+in-out) combination; to
-    stay integral every capacity is pre-doubled and the network is returned
-    with scale factor 2.  Each undirected edge is an antiparallel pair.
-    """
-    a, b, c = terminals
-    doubled = {
-        (a, b): cut_a + cut_b - cut_c,
-        (a, c): cut_a + cut_c - cut_b,
-        (b, c): cut_b + cut_c - cut_a,
-    }
-    for pair, cap in doubled.items():
-        if cap < 0:
-            raise MimicInputError(f"negative triangle capacity for {pair}")
-    eid = first_edge_id
-    edges = []
-    for (u, v), cap in doubled.items():
-        edges.append(Edge(eid, u, v, cap))
-        edges.append(Edge(eid + 1, v, u, cap))
-        eid += 2
-    return FlowNetwork(frozenset(terminals), tuple(edges)), 2
-
-
 def build_full_mimic(
     table: CutTable,
     hub_vertex: int | None = None,

@@ -192,17 +192,20 @@ class CutTable:
             raise ValueError(f"unknown cut table mode {self.mode!r}")
         if self.mode == SINGLE_SOURCE and self.terminals.source is None:
             raise ValueError("single-source table needs a designated source")
-        expected = self.expected_keys()
-        if set(self.values) != expected:
+        # Distinct keys of the required form, as many as there are required
+        # splits, cover every split.
+        full = self.mode == FULL
+        universe = frozenset(self.terminals.order if full else self.terminals.non_sources)
+        count = 2 ** len(universe) - (2 if full else 1)
+        k = self.terminals.k
+        if len(self.values) != count or not all(
+            isinstance(key, frozenset) and 0 < len(key) < k and key <= universe
+            for key in self.values
+        ):
             raise ValueError("cut table keys do not cover the required splits")
         for key, val in self.values.items():
             if val < 0:
                 raise ValueError(f"negative cut value {val} for {sorted(key)}")
-
-    def expected_keys(self) -> set[frozenset[int]]:
-        if self.mode == FULL:
-            return {frozenset(s) for s in proper_subsets(self.terminals.order)}
-        return {frozenset(s) for s in nonempty_subsets(self.terminals.non_sources)}
 
     def cut(self, subset: Iterable[int]) -> int:
         return self.values[frozenset(subset)]

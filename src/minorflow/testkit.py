@@ -18,7 +18,7 @@ from typing import Sequence
 import networkx as nx
 import numpy as np
 
-from .decomposition import BTW, PLANAR, DecompositionTree
+from .decomposition import DecompositionTree
 from .network import FULL, SINGLE_SOURCE, CutTable, Edge, FlowNetwork, TerminalSet
 
 _ORACLE_VERTEX_LIMIT = 20
@@ -367,14 +367,12 @@ class _Gen:
             size = 5 if cfg.family == "k33free" else 8
             verts = anchor_verts + self.fresh_vertices(size - anchor)
             pairs = self.special_pairs(verts, anchor)
-            label = BTW
         else:
             size = max(rng.randint(*cfg.comp_size), anchor + 1, 3)
             verts = anchor_verts + self.fresh_vertices(size - anchor)
             pairs = self.planar_pairs(verts, anchor)
-            label = PLANAR
         net = FlowNetwork(frozenset(verts), tuple(self.realize(pairs)))
-        cid = self.tree.add_component(net, label)
+        cid = self.tree.add_component(net)
         self.hosts.append(cid)
         return cid
 
@@ -456,7 +454,7 @@ class _Gen:
             verts = self.fresh_vertices(max(cfg.n, 3))
             pairs = self.planar_pairs(verts, 0)
             net = FlowNetwork(frozenset(verts), tuple(self.realize(pairs)))
-            self.tree.add_component(net, PLANAR)
+            self.tree.add_component(net)
         graph = self.tree.reassemble()
         return graph, self.tree
 

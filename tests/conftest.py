@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from minorflow.decomposition import PLANAR, DecompositionTree
+from minorflow.decomposition import DecompositionTree
 from minorflow.network import FlowNetwork
 
 
@@ -21,8 +21,8 @@ def overflow_tree():
     path = FlowNetwork.from_edges([(1, s, u, cap), (2, s, u, cap), (3, v, t, cap), (4, v, t, cap)])
     leaf = FlowNetwork.from_edges([(5, u, x, cap), (6, x, v, cap), (7, u, y, cap), (8, y, v, cap)])
     tree = DecompositionTree()
-    cp = tree.add_component(path, PLANAR)
-    cl = tree.add_component(leaf, PLANAR)
+    cp = tree.add_component(path)
+    cl = tree.add_component(leaf)
     k = tree.add_clique([u, v])
     tree.attach(cp, k)
     tree.attach(cl, k)

@@ -18,7 +18,7 @@ from minorflow.mimic import (
     check_three_way,
 )
 from minorflow.network import FULL, SINGLE_SOURCE, FlowNetwork, TerminalSet
-from minorflow.planar import planar_embed
+from minorflow.planar import is_planar, planar_embed
 from minorflow.solver import max_flow_decomposed, max_flow_family
 from minorflow.spqr import check_spqr_axioms, spqr
 from minorflow.testkit import (
@@ -172,15 +172,18 @@ def test_criterion_7_spqr_and_refinement_soundness():
         assert ok, (seed, problems)
         again = refine(refined)
         shape = lambda t: sorted(
-            (sorted(c.net.vertices), sorted(e.id for e in c.net.edges), c.label.kind)
-            for c in t.components.values()
+            (
+                sorted(c.net.vertices),
+                sorted(e.id for e in c.net.edges),
+                is_planar(torso_adjacency(t, cid)),
+            )
+            for cid, c in t.components.items()
         )
         assert shape(again) == shape(refined), seed
         for cid in sorted(refined.components):
-            comp = refined.components[cid]
-            if comp.label.kind != "planar":
-                continue
             emb = planar_embed(torso_adjacency(refined, cid))
+            if emb is None:
+                continue
             for kid in sorted(refined.comp_cliques[cid]):
                 tri = refined.cliques[kid].vertices
                 if len(tri) == 3:

@@ -55,6 +55,19 @@ def test_decomposition_round_trip():
     assert set(doc) == {"components", "cliques", "tree_edges"}
 
 
+def test_decomposition_label_keys_of_older_files_are_ignored():
+    graph, tree = gen_instance(GenConfig("k5free", 30, seed=4))
+    _, tree, _, _ = canonical_ids(graph, tree)
+    text = write_decomposition(tree)
+    doc = json.loads(text)
+    assert all(set(comp) == {"id", "vertices", "edges"} for comp in doc["components"])
+    for i, comp in enumerate(doc["components"]):
+        comp["label"] = ("planar", "btw")[i % 2]
+    old = parse_decomposition(json.dumps(doc))
+    assert old == parse_decomposition(text)
+    assert write_decomposition(old) == text
+
+
 def test_flow_round_trip():
     flow = {3: 1, 1: 0, 2: 9}
     assert parse_flow(write_flow(flow)) == flow
@@ -128,17 +141,19 @@ def test_cli_gen_rejects_bad_config(tmp_path, monkeypatch, capsys, argv, seed_en
 
 
 def test_cli_solve_rejects_an_invalid_decomposition(tmp_path, capsys):
-    k5 = [(a, b) for a in range(1, 6) for b in range(a + 1, 6)]
-    net = tmp_path / "k5.max"
+    # K5 on 1..5 with a pendant path on to 11: one non-planar component
+    # above the 10-vertex cap.
+    arcs = [(a, b) for a in range(1, 6) for b in range(a + 1, 6)]
+    arcs += [(v, v + 1) for v in range(5, 11)]
+    net = tmp_path / "k5-path.max"
     dec = tmp_path / "dec.json"
-    net.write_text(f"p max 5 {len(k5)}\n" + "".join(f"a {a} {b} 1\n" for a, b in k5))
+    net.write_text(f"p max 11 {len(arcs)}\n" + "".join(f"a {a} {b} 1\n" for a, b in arcs))
     doc = {
         "components": [
             {
                 "id": 0,
-                "label": "planar",
-                "vertices": [1, 2, 3, 4, 5],
-                "edges": [[i, a, b, 1] for i, (a, b) in enumerate(k5, start=1)],
+                "vertices": list(range(1, 12)),
+                "edges": [[i, a, b, 1] for i, (a, b) in enumerate(arcs, start=1)],
             }
         ],
         "cliques": [],
@@ -147,7 +162,7 @@ def test_cli_solve_rejects_an_invalid_decomposition(tmp_path, capsys):
     dec.write_text(json.dumps(doc))
     assert run(tmp_path, "solve", "--network", net, "--decomposition", dec, "--source", 1, "--sink", 5) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "labeled planar" in err
+    assert err.startswith("error: ") and "torso is not planar and has more than 10 vertices" in err
 
 
 def test_cli_decompose_matches_solve_and_rejects_k33(tmp_path, capsys):

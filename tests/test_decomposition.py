@@ -3,7 +3,6 @@ import itertools
 import pytest
 
 from minorflow.decomposition import (
-    PLANAR,
     DecompositionTree,
     InvalidDecomposition,
     NotK33MinorFree,
@@ -20,7 +19,7 @@ from minorflow.decomposition import (
 )
 from minorflow.fileio import canonical_ids, parse_decomposition, write_decomposition
 from minorflow.network import FlowNetwork
-from minorflow.planar import planar_embed
+from minorflow.planar import is_planar, planar_embed
 from minorflow.testkit import GenConfig, gen_instance, minor_free_check
 
 from conftest import dnet
@@ -32,6 +31,15 @@ OCTAHEDRON = [
     (0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
     (0, 3), (0, 4), (1, 4), (1, 5), (2, 5), (2, 3),
 ]
+
+
+def k5_with_path(n):
+    """K5 on 0..4 with a pendant path on to vertex n-1: n vertices, not planar."""
+    return dnet(K5_PAIRS + [(v, v + 1) for v in range(4, n - 1)])
+
+
+def planar_torso(tree, cid):
+    return is_planar(torso_adjacency(tree, cid))
 
 
 def test_biconnected_split_two_triangles_sharing_a_vertex():
@@ -64,8 +72,8 @@ def test_tree_operations_and_reassembly():
     # ids must be disjoint: rebuild b with fresh edge ids
     b = FlowNetwork.from_edges([(10, 2, 3, 1)])
     tree = DecompositionTree()
-    ca = tree.add_component(a, PLANAR)
-    cb = tree.add_component(b, PLANAR)
+    ca = tree.add_component(a)
+    cb = tree.add_component(b)
     k = tree.add_clique([2])
     tree.attach(ca, k)
     tree.attach(cb, k)
@@ -77,8 +85,8 @@ def test_tree_operations_and_reassembly():
 def test_validate_flags_duplicated_edge():
     net = dnet([(0, 1)])
     tree = DecompositionTree()
-    c1 = tree.add_component(net, PLANAR)
-    c2 = tree.add_component(net, PLANAR)  # same edge id in two components
+    c1 = tree.add_component(net)
+    c2 = tree.add_component(net)  # same edge id in two components
     k = tree.add_clique([0, 1])
     tree.attach(c1, k)
     tree.attach(c2, k)
@@ -89,7 +97,7 @@ def test_validate_flags_duplicated_edge():
 def test_validate_flags_missing_edge():
     graph = dnet([(0, 1), (1, 2)])
     tree = DecompositionTree()
-    tree.add_component(dnet([(0, 1)], extra=[2]), PLANAR)
+    tree.add_component(dnet([(0, 1)], extra=[2]))
     ok, problems = validate(graph, tree)
     assert not ok and any("edge sets differ" in p for p in problems)
 
@@ -97,8 +105,8 @@ def test_validate_flags_missing_edge():
 def two_triangles(clique, attach_second=True):
     # Triangles 0-1-2 and 1-2-3 (fresh edge ids) glued at ``clique``.
     tree = DecompositionTree()
-    ca = tree.add_component(dnet([(0, 1), (1, 2), (0, 2)]), PLANAR)
-    cb = tree.add_component(FlowNetwork.from_edges([(3, 1, 3, 1), (4, 2, 3, 1)]), PLANAR)
+    ca = tree.add_component(dnet([(0, 1), (1, 2), (0, 2)]))
+    cb = tree.add_component(FlowNetwork.from_edges([(3, 1, 3, 1), (4, 2, 3, 1)]))
     k = tree.add_clique(clique)
     tree.attach(ca, k)
     if attach_second:
@@ -127,18 +135,39 @@ def test_validate_flags_a_clique_on_one_component():
     assert not ok and any("attached to fewer than 2 components" in p for p in problems)
 
 
-def test_validate_flags_false_planar_label():
-    k5 = dnet(K5_PAIRS)
+def test_validate_flags_a_clique_outside_its_component():
+    # Edges 0-1 and 1-2 glued at clique {1, 2}, which component 0 lacks:
+    # validate must report it rather than build that component's torso.
     tree = DecompositionTree()
-    tree.add_component(k5, PLANAR)
-    ok, problems = validate(k5, tree)
-    assert not ok and any("labeled planar" in p for p in problems)
+    ca = tree.add_component(dnet([(0, 1)]))
+    cb = tree.add_component(FlowNetwork.from_edges([(1, 1, 2, 1)]))
+    k = tree.add_clique([1, 2])
+    tree.attach(ca, k)
+    tree.attach(cb, k)
+    ok, problems = validate(tree.reassemble(), tree)
+    assert not ok and problems == ["clique 0 vertices missing from component 0"]
+
+
+def test_validate_rejects_a_non_planar_component_above_the_size_cap():
+    net = k5_with_path(11)
+    ok, problems = validate(net, single_component_tree(net))
+    assert not ok
+    assert problems == ["component 0 torso is not planar and has more than 10 vertices"]
+
+
+@pytest.mark.parametrize(
+    "net",
+    [dnet(K5_PAIRS), dnet(V8_PAIRS), k5_with_path(10)],
+    ids=["K5", "Wagner", "K5-path-10"],
+)
+def test_validate_accepts_a_non_planar_component_within_the_size_cap(net):
+    assert validate(net, single_component_tree(net)) == (True, [])
 
 
 def test_decompose_planar_input_gives_planar_components():
     k4 = dnet(itertools.combinations(range(4), 2))
     tree = decompose_k33_free(k4)
-    assert all(c.label.kind == "planar" for c in tree.components.values())
+    assert all(planar_torso(tree, cid) for cid in tree.components)
     assert validate(k4, tree)[0]
 
 
@@ -149,9 +178,9 @@ def test_decompose_k33_free_recovers_k5_blocks():
     tree = decompose_k33_free(g)
     assert validate(g, tree)[0]
     kinds = sorted(
-        (c.label.kind, len(c.net.vertices)) for c in tree.components.values()
+        (planar_torso(tree, cid), len(c.net.vertices)) for cid, c in tree.components.items()
     )
-    assert ("btw", 5) in kinds
+    assert (False, 5) in kinds
 
 
 def test_decompose_k33_free_recovers_generated_k5_blocks():
@@ -160,13 +189,13 @@ def test_decompose_k33_free_recovers_generated_k5_blocks():
         graph, truth = gen_instance(
             GenConfig("k33free", 26, seed=seed, special_prob=0.9)
         )
-        truth_k5 = sum(1 for c in truth.components.values() if c.label.kind == "btw")
+        truth_k5 = sum(1 for cid in truth.components if not planar_torso(truth, cid))
         if truth_k5 == 0:
             continue
         tree = decompose_k33_free(graph)
         found = [
-            c for c in tree.components.values()
-            if c.label.kind == "btw" and len(c.net.vertices) == 5
+            c for cid, c in tree.components.items()
+            if not planar_torso(tree, cid) and len(c.net.vertices) == 5
         ]
         assert len(found) >= truth_k5
         return
@@ -181,8 +210,7 @@ def test_decompose_k33_free_rejects_k33():
 def test_decompose_k5_free_accepts_wagner():
     v8 = dnet(V8_PAIRS)
     tree = decompose_k5_free(v8)
-    comps = list(tree.components.values())
-    assert len(comps) == 1 and comps[0].label.kind == "btw"
+    assert list(tree.components) == [0] and not planar_torso(tree, 0)
     assert validate(v8, tree)[0]
 
 
@@ -238,11 +266,9 @@ def test_refine_is_idempotent_and_makes_triangles_faces(rng):
             for c in refined.components.values()
         )
         for cid in sorted(refined.components):
-            comp = refined.components[cid]
-            if comp.label.kind != "planar":
+            emb = planar_embed(torso_adjacency(refined, cid))
+            if emb is None:
                 continue
-            torso = torso_adjacency(refined, cid)
-            emb = planar_embed(torso)
             for kid in sorted(refined.comp_cliques[cid]):
                 tri = refined.cliques[kid].vertices
                 if len(tri) == 3:
@@ -254,8 +280,8 @@ def test_refine_splits_nothing_in_a_k33_free_decomposition():
     # and a k33 tree has no triangle cliques, so refine keeps every component.
     def shape(tree):
         return sorted(
-            (sorted(c.net.vertices), [e.id for e in c.net.edges], c.label.kind)
-            for c in tree.components.values()
+            (sorted(c.net.vertices), [e.id for e in c.net.edges], planar_torso(tree, cid))
+            for cid, c in tree.components.items()
         )
 
     for n, seed in itertools.product((40, 80, 120), range(3)):
@@ -282,8 +308,8 @@ def test_refine_of_a_directly_filled_tree_reuses_no_live_id(fill):
     bowtie = dnet([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
     tri = FlowNetwork.from_edges([(6, 0, 5, 1), (7, 5, 6, 1), (8, 6, 0, 1)])
     built = DecompositionTree()
-    ca = built.add_component(bowtie, PLANAR)
-    cb = built.add_component(tri, PLANAR)
+    ca = built.add_component(bowtie)
+    cb = built.add_component(tri)
     k = built.add_clique([0])
     built.attach(ca, k)
     built.attach(cb, k)
@@ -298,7 +324,7 @@ def test_refine_of_a_directly_filled_tree_reuses_no_live_id(fill):
     assert sorted(refined.components) == [1, 2, 3]
     assert sorted(refined.cliques) == [0, 1]
     assert refined.components[1].net == kept
-    assert tree.add_component(kept, PLANAR) == 2 and tree.add_clique([1]) == 1
+    assert tree.add_component(kept) == 2 and tree.add_clique([1]) == 1
 
 
 def test_family_verdicts_agree_with_minor_oracle(rng):

@@ -4,7 +4,6 @@ from minorflow.external import check_external_realizable, cut_table
 from minorflow.mimic import (
     build_full_mimic,
     build_mimic3,
-    build_mimic3_undirected,
     build_mimic4_single_source,
     build_mimic_general,
     check_four_way,
@@ -205,46 +204,6 @@ def test_realizability_transfers_to_mimic(rng):
             assert check_external_realizable(table, x) == check_external_realizable(
                 mtable, x
             )
-
-
-def test_undirected_triangle_mimic():
-    # undirected unit star: every pairwise formula value is 1/2, stored doubled
-    mimic, scale = build_mimic3_undirected(1, 1, 1, (1, 2, 3))
-    assert scale == 2
-    assert sorted((e.tail, e.head, e.cap) for e in mimic.edges) == [
-        (1, 2, 1), (1, 3, 1), (2, 1, 1), (2, 3, 1), (3, 1, 1), (3, 2, 1),
-    ]
-    zero, _ = build_mimic3_undirected(0, 0, 0, (1, 2, 3))
-    assert all(e.cap == 0 for e in zero.edges)
-    with pytest.raises(MimicInputError):
-        build_mimic3_undirected(5, 1, 1, (1, 2, 3))
-
-
-def test_undirected_triangle_table_matches_rescaled_input(rng):
-    for _ in range(40):
-        # random undirected net: antiparallel pairs with equal caps
-        n = rng.randint(3, 8)
-        pairs = set()
-        verts = list(range(n))
-        for v in verts[1:]:
-            pairs.add((rng.randrange(v), v))
-        for _ in range(n):
-            u, v = rng.sample(verts, 2)
-            pairs.add((min(u, v), max(u, v)))
-        edges = []
-        for i, (u, v) in enumerate(sorted(pairs)):
-            c = rng.randint(1, 5)
-            edges += [(2 * i, u, v, c), (2 * i + 1, v, u, c)]
-        net = FlowNetwork.from_edges(edges, verts)
-        terms = TerminalSet(tuple(rng.sample(verts, 3)))
-        table = oracle_cut_table(net, terms, FULL)
-        a, b, c = terms.order
-        mimic, scale = build_mimic3_undirected(
-            table.cut([a]), table.cut([b]), table.cut([c]), terms.order
-        )
-        mtable = oracle_cut_table(mimic, terms, FULL)
-        for sub in ([a], [b], [c], [a, b], [a, c], [b, c]):
-            assert mtable.cut(sub) == scale * table.cut(sub)
 
 
 def test_merge_mimics_restores_size_bound(rng):

@@ -71,6 +71,34 @@ def test_cut_table_requires_complete_keys():
     assert ss.cut([2]) == 3
 
 
+def required_keys(mode, q):
+    if mode == FULL:
+        return [frozenset(s) for s in proper_subsets(q.order)]
+    return [frozenset(s) for s in nonempty_subsets(q.non_sources)]
+
+
+@pytest.mark.parametrize("mode", [FULL, SINGLE_SOURCE])
+def test_cut_table_accepts_exactly_the_required_keys(mode):
+    source_index = 0 if mode == SINGLE_SOURCE else None
+    for k in range(1, 5):
+        q = TerminalSet(tuple(range(1, k + 1)), source_index)
+        CutTable(mode, q, dict.fromkeys(required_keys(mode, q), 1))
+    q = TerminalSet((1, 2, 3), source_index)
+    keys = required_keys(mode, q)
+    wrong = {
+        "a missing key": keys[1:],
+        "a non-terminal": keys[1:] + [frozenset((2, 9))],
+        "all terminals in place of a key": keys[1:] + [frozenset(q.order)],
+        "all terminals as an extra key": keys + [frozenset(q.order)],
+        "an empty key": keys[1:] + [frozenset()],
+        "a tuple key": keys[1:] + [tuple(keys[0])],
+    }
+    for case, bad in wrong.items():
+        with pytest.raises(ValueError, match="keys do not cover the required splits"):
+            CutTable(mode, q, dict.fromkeys(bad, 1))
+            pytest.fail(case)
+
+
 def test_imbalances():
     net = FlowNetwork.from_edges([(0, 1, 2, 5), (1, 2, 3, 5)])
     bal = imbalances(net, {0: 3, 1: 1})

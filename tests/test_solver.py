@@ -1,8 +1,6 @@
 import pytest
 
 from minorflow.decomposition import (
-    BTW,
-    PLANAR,
     DecompositionTree,
     single_component_tree,
     validate,
@@ -26,8 +24,8 @@ def two_component_tree():
     left = FlowNetwork.from_edges([(0, 0, 1, 4), (1, 0, 2, 3), (2, 1, 2, 2)])
     right = FlowNetwork.from_edges([(3, 1, 3, 2), (4, 2, 3, 5)])
     tree = DecompositionTree()
-    cl = tree.add_component(left, PLANAR)
-    cr = tree.add_component(right, PLANAR)
+    cl = tree.add_component(left)
+    cr = tree.add_component(right)
     k = tree.add_clique([1, 2])
     tree.attach(cl, k)
     tree.attach(cr, k)
@@ -69,8 +67,8 @@ def test_flow_reentry_through_source_component():
     left = FlowNetwork.from_edges([(0, s, a, 1), (1, c, d, 1), (2, d, b, 1)], [a, b, c])
     right = FlowNetwork.from_edges([(3, a, r, 1), (4, r, c, 1), (5, b, t, 1)], [a, b, c])
     tree = DecompositionTree()
-    c1 = tree.add_component(left, PLANAR)
-    c2 = tree.add_component(right, PLANAR)
+    c1 = tree.add_component(left)
+    c2 = tree.add_component(right)
     k = tree.add_clique([a, b, c])
     tree.attach(c1, k)
     tree.attach(c2, k)
@@ -90,8 +88,8 @@ def test_star_of_leaves_on_one_path_triangle_glues_each_leaf_directly():
     a = FlowNetwork.from_edges(edges, tri)
     b = FlowNetwork.from_edges([(5, 1, 9, 2), (6, 2, 9, 2), (7, 3, 9, 2)], tri)
     tree = DecompositionTree()
-    ca = tree.add_component(a, PLANAR)
-    cb = tree.add_component(b, PLANAR)
+    ca = tree.add_component(a)
+    cb = tree.add_component(b)
     k = tree.add_clique(tri)
     tree.attach(ca, k)
     tree.attach(cb, k)
@@ -103,7 +101,7 @@ def test_star_of_leaves_on_one_path_triangle_glues_each_leaf_directly():
             [(eid, 1, w, 1), (eid + 1, w, 2, 1), (eid + 2, w, 3, 1)], tri
         )
         eid += 3
-        cid = tree.add_component(net, PLANAR)
+        cid = tree.add_component(net)
         tree.attach(cid, k)
     graph = tree.reassemble()
     assert validate(graph, tree)[0]
@@ -128,8 +126,8 @@ def test_bounded_treewidth_neighbor_gets_direct_glue():
     hub = FlowNetwork.from_edges(k5_edges)
     leaf = FlowNetwork.from_edges([(10, 0, 9, 3), (11, 9, 1, 3)], [0, 1])
     tree = DecompositionTree()
-    ch = tree.add_component(hub, BTW)
-    cl = tree.add_component(leaf, PLANAR)
+    ch = tree.add_component(hub)
+    cl = tree.add_component(leaf)
     k = tree.add_clique([0, 1])
     tree.attach(ch, k)
     tree.attach(cl, k)
@@ -194,7 +192,7 @@ def k4_chain(count):
                 continue
             edges.append((eid, u, v, 2 + (eid % 3)))
             eid += 1
-        ids.append(tree.add_component(FlowNetwork.from_edges(edges, verts), PLANAR))
+        ids.append(tree.add_component(FlowNetwork.from_edges(edges, verts)))
     for i in range(count - 1):
         k = tree.add_clique([2 * i + 2, 2 * i + 3])
         tree.attach(ids[i], k)
@@ -274,8 +272,8 @@ def test_solves_on_the_tree_as_given():
     path = FlowNetwork.from_edges([(0, s, u, 5), (1, u, v, 1), (2, v, t, 4)])
     leaf = FlowNetwork.from_edges([(3, u, x, 3), (4, x, v, 3), (5, x, y, 2), (6, y, x, 2)])
     tree = DecompositionTree()
-    cp = tree.add_component(path, PLANAR)
-    cl = tree.add_component(leaf, PLANAR)
+    cp = tree.add_component(path)
+    cl = tree.add_component(leaf)
     k = tree.add_clique([u, v])
     tree.attach(cp, k)
     tree.attach(cl, k)
@@ -302,8 +300,8 @@ def test_source_inside_the_gluing_clique():
     left = FlowNetwork.from_edges([(0, 0, 1, 4), (1, 1, 0, 2)])
     right = FlowNetwork.from_edges([(2, 0, 2, 1), (3, 1, 2, 3)])
     tree = DecompositionTree()
-    cl = tree.add_component(left, PLANAR)
-    cr = tree.add_component(right, PLANAR)
+    cl = tree.add_component(left)
+    cr = tree.add_component(right)
     k = tree.add_clique([0, 1])
     tree.attach(cl, k)
     tree.attach(cr, k)
@@ -339,8 +337,8 @@ def test_corrupted_mimic_capacity_breaks_the_audit(monkeypatch):
     main = FlowNetwork.from_edges([(0, s, u, 5), (1, v, t, 5)], [u, v])
     leaf = FlowNetwork.from_edges([(2, u, v, 2)])
     tree = DecompositionTree()
-    cm = tree.add_component(main, PLANAR)
-    cl = tree.add_component(leaf, PLANAR)
+    cm = tree.add_component(main)
+    cl = tree.add_component(leaf)
     k = tree.add_clique([u, v])
     tree.attach(cm, k)
     tree.attach(cl, k)
