@@ -6,9 +6,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-# ``max_flow`` is imported but unused here: the benchmark's traced run wraps
-# this module's binding by name.
-from .maxflow import flow_between, max_flow, min_cut_value
+# ``max_flow`` and ``min_cut_value`` are imported but unused here: the
+# benchmark's traced run wraps this module's bindings by name.
+from .maxflow import flow_between, max_flow, min_cut_value, min_cut_values
 from .network import (
     FULL,
     SINGLE_SOURCE,
@@ -32,21 +32,19 @@ def cut_table(net: FlowNetwork, terminals: TerminalSet, mode: str = FULL) -> Cut
     if not 2 <= terminals.k <= 4:
         raise ValueError(f"cut tables support 2..4 terminals, got {terminals.k}")
     terminals.check_in(net)
-    values: dict[frozenset[int], int] = {}
+    order = terminals.order
     if mode == FULL:
-        order = terminals.order
-        for s_side in proper_subsets(order):
-            t_side = tuple(q for q in order if q not in s_side)
-            values[frozenset(s_side)] = min_cut_value(net, s_side, t_side)
+        keys = [frozenset(s_side) for s_side in proper_subsets(order)]
+        splits = [(s_side, [q for q in order if q not in s_side]) for s_side in keys]
     elif mode == SINGLE_SOURCE:
         src = terminals.source
         if src is None:
             raise ValueError("single-source mode needs a designated source terminal")
-        for sinks in nonempty_subsets(terminals.non_sources):
-            values[frozenset(sinks)] = min_cut_value(net, (src,), sinks)
+        keys = [frozenset(sinks) for sinks in nonempty_subsets(terminals.non_sources)]
+        splits = [((src,), sinks) for sinks in keys]
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return CutTable(mode, terminals, values)
+    return CutTable(mode, terminals, dict(zip(keys, min_cut_values(net, order, splits))))
 
 
 def check_external_realizable(table: CutTable, x: Sequence[int]) -> bool:

@@ -43,6 +43,8 @@ def parse_network(text: str) -> tuple[FlowNetwork, int | None, int | None]:
                 if len(parts) != 4 or parts[1] != "max":
                     raise FormatError("expected 'p max <n> <m>'", lineno)
                 n_vertices, m_arcs = int(parts[2]), int(parts[3])
+                if n_vertices < 0 or m_arcs < 0:
+                    raise FormatError("negative vertex or arc count", lineno)
             elif kind == "n":
                 if len(parts) != 3 or parts[2] not in ("s", "t"):
                     raise FormatError("expected 'n <id> s|t'", lineno)

@@ -1,19 +1,21 @@
 """Exact max-flow engine: shortest-augmenting-path with BFS layering (Dinic).
 
-``flow_between`` is the single seam every flow, cut and route goes through:
-it compiles a network straight into residual arc arrays, joins a super
-source and a super sink to it by arcs of given capacities, and runs Dinic.
-``max_flow``, ``min_cut_value``, ``min_cut_side`` and
-``external.route_external_flow`` are thin wrappers, so a specialized backend
-(planar, bounded-treewidth, ...) replaces the engine by providing the same
-``flow_between``.  Antiparallel and parallel edges are kept as distinct
-residual arcs, never merged or canceled.
+``_compile`` is the single compiler every flow, cut and route goes through:
+it turns a network straight into residual arc arrays and joins a super
+source and a super sink to it by arcs of given capacities.
+``flow_between`` runs Dinic once on that; ``max_flow``, ``min_cut_value``,
+``min_cut_side`` and ``external.route_external_flow`` are thin wrappers over
+it.  ``min_cut_values`` compiles once for a whole cut table and runs Dinic
+per split on a fresh copy of the capacities.  A specialized backend (planar,
+bounded-treewidth, ...) replaces the engine by providing the same two entry
+points.  Antiparallel and parallel edges are kept as distinct residual arcs,
+never merged or canceled.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .network import FlowAssignment, FlowNetwork, UnknownVertexError
 
@@ -72,17 +74,19 @@ def _dinic(adj: list[list[int]], to: list[int], cap: list[int], s: int, t: int) 
             it[u] += 1
 
 
-def flow_between(
+def _compile(
     net: FlowNetwork, sources: Mapping[int, int], sinks: Mapping[int, int]
-) -> tuple[int, list[int], frozenset[int]]:
-    """Maximum flow from a super source, joined to each vertex v of
-    ``sources`` by an arc of capacity ``sources[v]``, to a super sink joined
-    from each vertex of ``sinks`` likewise.  Vertices must lie in ``net``.
+) -> tuple[dict[int, int], list[list[int]], list[int], list[int]]:
+    """Residual arrays of ``net`` plus a super source, joined to each vertex
+    v of ``sources`` by an arc of capacity ``sources[v]``, and a super sink
+    joined from each vertex of ``sinks`` likewise.  Vertices must lie in
+    ``net``.
 
-    Returns the value, the residual capacity of every arc (arc 2i is edge i
-    of ``net``, which carries ``e.cap - cap[2i]``), and the vertices of
-    ``net`` that the super source still reaches in the residual network:
-    the source side of the minimal minimum cut.
+    Returns the vertex index (the super source is ``len(index)``, the super
+    sink one more), the arcs leaving each vertex, each arc's head and each
+    arc's capacity.  Arc 2i is edge i of ``net``, arcs 2(m + j) the source
+    arcs in the order of ``sources``, then the sink arcs; arc a ^ 1 is the
+    reverse of arc a.
     """
     index = {v: i for i, v in enumerate(net.vertices)}
     ss, tt = len(index), len(index) + 1
@@ -97,8 +101,53 @@ def flow_between(
     adj: list[list[int]] = [[] for _ in range(tt + 1)]
     for a, head in enumerate(to):
         adj[head].append(a ^ 1)  # arc a ^ 1 leaves the head of arc a
-    value, level = _dinic(adj, to, cap, ss, tt)
+    return index, adj, to, cap
+
+
+def flow_between(
+    net: FlowNetwork, sources: Mapping[int, int], sinks: Mapping[int, int]
+) -> tuple[int, list[int], frozenset[int]]:
+    """Maximum flow from a super source, joined to each vertex v of
+    ``sources`` by an arc of capacity ``sources[v]``, to a super sink joined
+    from each vertex of ``sinks`` likewise.  Vertices must lie in ``net``.
+
+    Returns the value, the residual capacity of every arc (arc 2i is edge i
+    of ``net``, which carries ``e.cap - cap[2i]``), and the vertices of
+    ``net`` that the super source still reaches in the residual network:
+    the source side of the minimal minimum cut.
+    """
+    index, adj, to, cap = _compile(net, sources, sinks)
+    value, level = _dinic(adj, to, cap, len(index), len(index) + 1)
     return value, cap, frozenset(v for v, i in index.items() if level[i] >= 0)
+
+
+def min_cut_values(
+    net: FlowNetwork,
+    terminals: Sequence[int],
+    splits: Iterable[tuple[Iterable[int], Iterable[int]]],
+) -> list[int]:
+    """``min_cut_value(net, sources, sinks)`` for each split of the distinct
+    vertices ``terminals`` of ``net``, from one compile.
+
+    Every terminal gets a super-source arc and a super-sink arc; each split
+    sets those of its sources and sinks to 1 + the sum of all capacities and
+    leaves the others at 0, on a fresh copy of the compiled capacities.
+    """
+    zero = dict.fromkeys(terminals, 0)
+    index, adj, to, base = _compile(net, zero, zero)
+    source_arc = {q: 2 * (len(net.edges) + j) for j, q in enumerate(zero)}
+    to_sink = 2 * len(zero)  # from a terminal's source arc to its sink arc
+    inf = net.total_capacity + 1
+    ss = len(index)
+    values = []
+    for sources, sinks in splits:
+        cap = base.copy()
+        for q in sources:
+            cap[source_arc[q]] = inf
+        for q in sinks:
+            cap[source_arc[q] + to_sink] = inf
+        values.append(_dinic(adj, to, cap, ss, ss + 1)[0])
+    return values
 
 
 def max_flow(net: FlowNetwork, s: int, t: int) -> tuple[int, FlowAssignment]:

@@ -1,10 +1,11 @@
 """Undirected-graph questions for the structure layer, one way to answer each.
 
-- ``is_planar``: networkx's left-right planarity test (Brandes 2009), yes/no
-  only; it builds no embedding, face walk or Kuratowski witness.
+- ``is_planar``: the testing phase of the left-right planarity test
+  (Brandes 2009), run on the adjacency mapping itself; yes/no only, with no
+  networkx object, embedding or Kuratowski witness built.
 - ``planar_embed``: a clockwise rotation system for a planar graph (None for
-  a non-planar one); faces come from the standard half-edge walk, so
-  triangle/face membership queries are cheap.
+  a non-planar one) from networkx's ``check_planarity``; faces come from the
+  standard half-edge walk, so triangle/face membership queries are cheap.
 - ``components``: connected components, optionally with vertices removed.
 - ``adjacency``: the graph on a vertex set with a given set of vertex pairs.
 """
@@ -119,4 +120,182 @@ def planar_embed(adj: Adjacency) -> PlanarEmbedding | None:
 
 
 def is_planar(adj: Adjacency) -> bool:
-    return nx.check_planarity(to_nx(adj))[0]
+    """Whether the simple undirected graph ``adj`` is planar.
+
+    The testing phase of the left-right planarity test (Brandes, "The
+    left-right planarity test", 2009): an orientation DFS computes heights,
+    lowpoints and nesting depths, and a testing DFS over adjacency lists
+    sorted by nesting depth keeps a stack of conflict pairs.  Both passes are
+    iterative, and no sign or embedding phase runs.
+    """
+    n = len(adj)
+    m = sum(map(len, adj.values())) // 2
+    if n > 2 and m > 3 * n - 6:
+        return False
+    index = {v: i for i, v in enumerate(adj)}
+    nbrs = [[index[w] for w in adj[v]] for v in adj]
+
+    # Orientation: edges are numbered as they are oriented, tail -> head, and
+    # a tree edge is the parent edge of its head.
+    height = [-1] * n
+    parent = [-1] * n
+    tail = [0] * m
+    head = [0] * m
+    lowpt = [0] * m
+    lowpt2 = [0] * m
+    nesting = [0] * m
+    out: list[list[int]] = [[] for _ in range(n)]
+    roots: list[int] = []
+    pos = [0] * n
+    edges = 0
+
+    def finish(e: int) -> None:
+        """Nesting depth of ``e``, then the lowpoints of its tail's parent edge."""
+        v = tail[e]
+        low, low2 = lowpt[e], lowpt2[e]
+        nesting[e] = 2 * low + (low2 < height[v])
+        p = parent[v]
+        if p >= 0:
+            if low < lowpt[p]:
+                lowpt2[p] = min(lowpt[p], low2)
+                lowpt[p] = low
+            elif low > lowpt[p]:
+                lowpt2[p] = min(lowpt2[p], low)
+            else:
+                lowpt2[p] = min(lowpt2[p], low2)
+
+    for root in range(n):
+        if height[root] >= 0:
+            continue
+        height[root] = 0
+        roots.append(root)
+        stack = [root]
+        while stack:
+            v = stack[-1]
+            hv = height[v]
+            nv = nbrs[v]
+            i = pos[v]
+            while i < len(nv):
+                w = nv[i]
+                i += 1
+                hw = height[w]
+                if hw >= 0 and hw >= hv - 1:  # the parent or a descendant: already oriented
+                    continue
+                e = edges
+                edges += 1
+                tail[e], head[e] = v, w
+                lowpt[e] = lowpt2[e] = hv
+                out[v].append(e)
+                if hw < 0:  # tree edge; finished when w is
+                    parent[w] = e
+                    height[w] = hv + 1
+                    pos[v] = i
+                    stack.append(w)
+                    break
+                lowpt[e] = hw  # back edge
+                finish(e)
+            else:
+                stack.pop()
+                if parent[v] >= 0:
+                    finish(parent[v])
+
+    # Testing.  A conflict pair is [L.low, L.high, R.low, R.high]; an
+    # interval is a chain of return edges linked by ``ref`` from high to low.
+    for nv in out:
+        nv.sort(key=nesting.__getitem__)
+    ref: list[int | None] = [None] * m
+    bottom = [0] * m
+    pairs: list[list] = []
+
+    def conflicting(high: int | None, b: int) -> bool:
+        return high is not None and lowpt[high] > lowpt[b]
+
+    def add_constraints(ei: int, e: int) -> bool:
+        p = [None, None, None, None]
+        # Merge the return edges of ei into P.R.
+        while True:
+            q = pairs.pop()
+            if q[0] is not None or q[1] is not None:
+                q = [q[2], q[3], q[0], q[1]]
+                if q[0] is not None or q[1] is not None:
+                    return False
+            if lowpt[q[2]] > lowpt[e]:
+                if p[2] is None and p[3] is None:
+                    p[3] = q[3]
+                else:
+                    ref[p[2]] = q[3]
+                p[2] = q[2]
+            if len(pairs) == bottom[ei]:
+                break
+        # Merge the conflicting return edges of earlier siblings into P.L.
+        while conflicting(pairs[-1][1], ei) or conflicting(pairs[-1][3], ei):
+            q = pairs.pop()
+            if conflicting(q[3], ei):
+                q = [q[2], q[3], q[0], q[1]]
+                if conflicting(q[3], ei):
+                    return False
+            if p[2] is not None:
+                ref[p[2]] = q[3]
+            if q[2] is not None:
+                p[2] = q[2]
+            if p[0] is None and p[1] is None:
+                p[1] = q[1]
+            else:
+                ref[p[0]] = q[1]
+            p[0] = q[0]
+        if any(x is not None for x in p):
+            pairs.append(p)
+        return True
+
+    def lowest(p: list) -> int:
+        if p[0] is None and p[1] is None:
+            return lowpt[p[2]]
+        if p[2] is None and p[3] is None:
+            return lowpt[p[0]]
+        return min(lowpt[p[0]], lowpt[p[2]])
+
+    def remove_back_edges(e: int) -> None:
+        u = tail[e]
+        while pairs and lowest(pairs[-1]) == height[u]:
+            pairs.pop()
+        if pairs:  # trim the top pair's intervals of edges returning to u
+            p = pairs[-1]
+            for h, lo in ((1, 0), (3, 2)):
+                while p[h] is not None and head[p[h]] == u:
+                    p[h] = ref[p[h]]
+                if p[h] is None:
+                    p[lo] = None
+
+    def integrate(ei: int) -> bool:
+        """Take in the return edges of ``ei`` at its tail; the first edge
+        out of a vertex has no earlier sibling to conflict with."""
+        v = tail[ei]
+        return lowpt[ei] >= height[v] or ei == out[v][0] or add_constraints(ei, parent[v])
+
+    pos = [0] * n
+    for root in roots:
+        stack = [root]
+        while stack:
+            v = stack[-1]
+            ov = out[v]
+            i = pos[v]
+            while i < len(ov):
+                ei = ov[i]
+                i += 1
+                bottom[ei] = len(pairs)
+                w = head[ei]
+                if parent[w] == ei:  # tree edge; integrated when w is done
+                    pos[v] = i
+                    stack.append(w)
+                    break
+                pairs.append([None, None, ei, ei])
+                if not integrate(ei):
+                    return False
+            else:
+                stack.pop()
+                e = parent[v]
+                if e >= 0:
+                    remove_back_edges(e)
+                    if not integrate(e):
+                        return False
+    return True

@@ -37,6 +37,7 @@ def test_network_round_trip():
         ("p max 2 1\na 1 2 -3\n", "negative"),
         ("p max 2 1\na 1 2 9223372036854775808\n", "line 2: capacity"),
         ("p max 2 1\na 1 1 3\n", "line 2: self-loop"),
+        ("p max -3 0\n", "line 1: negative vertex or arc count"),
     ],
 )
 def test_network_parse_errors(text, fragment):

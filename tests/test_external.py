@@ -8,7 +8,7 @@ from minorflow.external import (
     route_external_flow,
     verify_flow,
 )
-from minorflow.maxflow import max_flow
+from minorflow.maxflow import max_flow, min_cut_value
 from minorflow.network import (
     FULL,
     SINGLE_SOURCE,
@@ -51,6 +51,29 @@ def test_cut_table_matches_enumeration(rng):
         assert cut_table(net, ss_terms, SINGLE_SOURCE) == oracle_cut_table(
             net, ss_terms, SINGLE_SOURCE
         )
+
+
+@st.composite
+def nets_with_terminals(draw):
+    """A random network with antiparallel arcs, 2..4 terminals, and which
+    terminal is the source of a single-source table."""
+    net = random_network(draw(st.randoms(use_true_random=False)), draw(st.integers(2, 9)))
+    k = draw(st.integers(2, min(4, len(net.vertices))))
+    order = tuple(draw(st.permutations(sorted(net.vertices)))[:k])
+    return net, order, draw(st.integers(0, k - 1))
+
+
+@given(nets_with_terminals())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_cut_tables_match_the_oracle_and_per_cut_min_cuts(case):
+    net, order, source_index = case
+    terms = TerminalSet(order)
+    assert cut_table(net, terms, FULL) == oracle_cut_table(net, terms, FULL)
+    ss_terms = TerminalSet(order, source_index=source_index)
+    table = cut_table(net, ss_terms, SINGLE_SOURCE)
+    assert len(table.values) == 2 ** (len(order) - 1) - 1
+    for sinks, value in table.values.items():
+        assert value == min_cut_value(net, [ss_terms.source], sinks)
 
 
 def test_cut_monotonicity_on_enumerated_tables(rng):

@@ -4,9 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import minorflow.maxflow as maxflow_mod
 import minorflow.network as network_mod
 from minorflow.maxflow import max_flow, min_cut_side, min_cut_value
-from minorflow.network import FULL, FlowNetwork, TerminalSet, UnknownVertexError, imbalances
+from minorflow.network import (
+    FULL,
+    SINGLE_SOURCE,
+    FlowNetwork,
+    TerminalSet,
+    UnknownVertexError,
+    imbalances,
+)
 from minorflow.external import cut_table, route_external_flow, verify_flow
 from minorflow.testkit import oracle_cut_table, oracle_max_flow, random_network
 
@@ -205,3 +213,23 @@ def test_cut_tables_and_routes_build_no_flow_network(monkeypatch, rng):
     cut_table(net, terminals, FULL)
     route_external_flow(net, terminals, (value, -value, 0))
     assert built == []
+
+
+def test_a_cut_table_compiles_its_network_once(monkeypatch, rng):
+    net = random_network(rng, 8)
+    compiled = []
+    real = maxflow_mod._compile
+
+    def counting(*args):
+        compiled.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(maxflow_mod, "_compile", counting)
+    order = tuple(sorted(net.vertices)[:4])
+    for k in (2, 3, 4):
+        compiled.clear()
+        table = cut_table(net, TerminalSet(order[:k]), FULL)
+        assert len(table.values) == 2**k - 2 and compiled == [net]
+    compiled.clear()
+    table = cut_table(net, TerminalSet(order, source_index=0), SINGLE_SOURCE)
+    assert len(table.values) == 7 and compiled == [net]

@@ -1,8 +1,13 @@
 import itertools
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from minorflow.planar import PlanarEmbedding, components, is_planar, planar_embed
+from minorflow.decomposition import torso_adjacency, underlying, validate
+from minorflow.planar import PlanarEmbedding, components, is_planar, planar_embed, to_nx
+from minorflow.testkit import GenConfig, gen_instance
 
 
 def adj_of(pairs):
@@ -71,3 +76,100 @@ def test_components_with_removed_vertices_drop_their_edges():
     assert components(adj, frozenset((1, 3))) == [{0}, {2, 5}, {4}]
     assert components(adj, set(adj)) == []
     assert components(adj) == [set(range(6))]
+
+
+def _stacked_triangulation(rng, n):
+    """Edges of a random stacked triangulation of 0..n-1: planar, with
+    3n - 6 edges for n >= 3."""
+    if n < 3:
+        return [(0, 1)] if n == 2 else []
+    edges = [(0, 1), (1, 2), (0, 2)]
+    faces = [(0, 1, 2), (0, 1, 2)]
+    for v in range(3, n):
+        a, b, c = faces.pop(rng.randrange(len(faces)))
+        edges += [(v, a), (v, b), (v, c)]
+        faces += [(a, b, v), (b, c, v), (a, c, v)]
+    return edges
+
+
+def _planted(rng, n, target):
+    """A planar graph on 0..n-1 plus a subdivided K5 or K3,3 whose branch
+    vertices are graph vertices and whose paths run through new vertices."""
+    edges = [e for e in _stacked_triangulation(rng, n) if rng.random() < 0.7]
+    if target == "K5":
+        branch = rng.sample(range(n), 5)
+        links = list(itertools.combinations(branch, 2))
+    else:
+        branch = rng.sample(range(n), 6)
+        links = [(a, b) for a in branch[:3] for b in branch[3:]]
+    fresh = n
+    for a, b in links:
+        path = [a] + list(range(fresh, fresh + rng.randint(0, 2))) + [b]
+        fresh += len(path) - 2
+        edges += zip(path, path[1:])
+    return fresh, edges
+
+
+@st.composite
+def graphs(draw):
+    """(adjacency, known answer or None): random graphs over a range of
+    densities, random graphs with 3n - 6 or 3n - 5 edges, planar graphs and
+    planted K5 / K3,3 subdivisions, with isolated vertices and relabelled."""
+    rng = draw(st.randoms(use_true_random=False))
+    shape = draw(st.sampled_from(("random", "euler", "planar", "K5", "K33")))
+    n = draw(st.integers(0, 40) if shape in ("random", "euler") else st.integers(6, 34))
+    known = None
+    if shape == "random":
+        p = draw(st.sampled_from((0.02, 0.1, 0.2, 0.35, 0.6, 1.0)))
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+    elif shape == "euler":
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = rng.sample(pairs, min(len(pairs), max(0, 3 * n - 6 + draw(st.integers(0, 1)))))
+    elif shape == "planar":
+        edges = [e for e in _stacked_triangulation(rng, n) if rng.random() < 0.8]
+        known = True
+    else:
+        n, edges = _planted(rng, n, shape)
+        known = False
+    total = n + draw(st.integers(0, 2))  # isolated vertices
+    labels = rng.sample(range(10 * total + 10), total)
+    adj = {labels[v]: set() for v in rng.sample(range(total), total)}
+    for u, v in edges:
+        adj[labels[u]].add(labels[v])
+        adj[labels[v]].add(labels[u])
+    return adj, known
+
+
+@given(graphs())
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_is_planar_agrees_with_networkx(case):
+    adj, known = case
+    planar = nx.check_planarity(to_nx(adj))[0]
+    assert is_planar(adj) is planar
+    assert known is None or known is planar
+
+
+@pytest.mark.parametrize("family", ["k33free", "k5free", "planar"])
+@pytest.mark.parametrize("n", [40, 2000])
+def test_is_planar_agrees_with_networkx_on_generated_torsos(family, n):
+    graph, tree = gen_instance(GenConfig(family, n, seed=1))
+    torsos = [torso_adjacency(tree, cid) for cid in sorted(tree.components)]
+    for torso in torsos + [underlying(graph)]:
+        assert is_planar(torso) is nx.check_planarity(to_nx(torso))[0]
+
+
+def test_validate_does_not_call_networkx_planarity(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("networkx.check_planarity called")
+
+    monkeypatch.setattr(nx, "check_planarity", refuse)
+    graph, tree = gen_instance(GenConfig("k5free", 400, seed=3))
+    assert validate(graph, tree) == (True, [])
+
+
+def test_is_planar_has_no_recursion_limit_on_deep_searches():
+    cycle = adj_of((i, (i + 1) % 20_000) for i in range(20_000))
+    assert is_planar(cycle)
+    graph, tree = gen_instance(GenConfig("planar", 10_000, seed=3))
+    (cid,) = tree.components
+    assert is_planar(torso_adjacency(tree, cid))
