@@ -103,13 +103,6 @@ class DecompositionTree:
         if comp_id == self._next_component - 1:
             self._next_component = -1
 
-    def remove_clique(self, clique_id: int) -> None:
-        for cid in sorted(self.clique_comps.pop(clique_id, ())):
-            self.comp_cliques[cid].discard(clique_id)
-        del self.cliques[clique_id]
-        if clique_id == self._next_clique - 1:
-            self._next_clique = -1
-
     def copy(self) -> "DecompositionTree":
         # Networks are immutable and shared; incidence maps are copied.
         t = DecompositionTree()
@@ -157,11 +150,9 @@ def underlying(net: FlowNetwork) -> Adjacency:
 
 def torso_adjacency(tree: DecompositionTree, comp_id: int) -> Adjacency:
     """Component underlying graph plus phantom clique-completion edges."""
-    comp = tree.components[comp_id]
-    adj = {v: set(nbrs) for v, nbrs in underlying(comp.net).items()}
-    for kid in sorted(tree.comp_cliques[comp_id]):
-        verts = sorted(tree.cliques[kid].vertices)
-        for u, v in itertools.combinations(verts, 2):
+    adj = underlying(tree.components[comp_id].net)
+    for kid in tree.comp_cliques[comp_id]:
+        for u, v in itertools.combinations(tree.cliques[kid].vertices, 2):
             adj[u].add(v)
             adj[v].add(u)
     return adj

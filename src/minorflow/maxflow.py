@@ -1,26 +1,30 @@
 """Exact max-flow engine: shortest-augmenting-path with BFS layering (Dinic).
 
 ``_compile`` is the single compiler every flow, cut and route goes through:
-it turns a network straight into residual arc arrays and joins a super
-source and a super sink to it by arcs of given capacities.
-``flow_between`` runs Dinic once on that; ``max_flow``, ``min_cut_value``,
-``min_cut_side`` and ``external.route_external_flow`` are thin wrappers over
-it.  ``min_cut_values`` compiles once for a whole cut table and runs Dinic
-per split on a fresh copy of the capacities.  A specialized backend (planar,
-bounded-treewidth, ...) replaces the engine by providing the same two entry
-points.  Antiparallel and parallel edges are kept as distinct residual arcs,
-never merged or canceled.
+it turns a network, plus any extra arcs glued onto it, straight into
+residual arc arrays and joins a super source and a super sink to it by arcs
+of given capacities.  ``flow_between`` runs Dinic once on that; ``max_flow``,
+``min_cut_value``, ``min_cut_side`` and ``external.route_external_flow`` are
+thin wrappers over it.  A ``TerminalKernel`` compiles once with a source arc
+and a sink arc at each of a few terminals and answers any number of cuts and
+routes between them, each on a fresh copy of the capacities:
+``min_cut_values`` runs a whole cut table on one, and the solver's Phase I
+keeps one per replaced component for its reconstruction.  A specialized
+backend (planar, bounded-treewidth, ...) replaces the engine by providing
+the same entry points.  Antiparallel and parallel edges are kept as distinct
+residual arcs, never merged or canceled.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Mapping, Sequence
 
-from .network import FlowAssignment, FlowNetwork, UnknownVertexError
+from .network import Edge, FlowAssignment, FlowNetwork, UnknownVertexError
 
 
-def _dinic(adj: list[list[int]], to: list[int], cap: list[int], s: int, t: int) -> tuple[int, list[int]]:
+def _dinic(
+    adj: Sequence[Sequence[int]], to: Sequence[int], cap: list[int], s: int, t: int
+) -> tuple[int, list[int]]:
     """Flow value, plus the BFS levels of the last phase: exactly the
     vertices that ``s`` still reaches in the residual network are >= 0."""
     n = len(adj)
@@ -28,22 +32,23 @@ def _dinic(adj: list[list[int]], to: list[int], cap: list[int], s: int, t: int) 
     while True:
         level = [-1] * n
         level[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
+        queue = [s]
+        for u in queue:  # a list grown while it is read is a FIFO queue
+            nxt = level[u] + 1
             for a in adj[u]:
                 if cap[a] > 0 and level[to[a]] < 0:
-                    level[to[a]] = level[u] + 1
+                    level[to[a]] = nxt
                     queue.append(to[a])
         if level[t] < 0:
             return value, level
         it = [0] * n
-        # Iterative blocking-flow DFS over the level graph.
+        # Iterative blocking-flow DFS over the level graph; it[u] is the
+        # first arc of u not yet known to be useless.
         path: list[int] = []
         u = s
         while True:
             if u == t:
-                pushed = min(cap[a] for a in path)
+                pushed = min([cap[a] for a in path])
                 for a in path:
                     cap[a] -= pushed
                     cap[a ^ 1] += pushed
@@ -55,42 +60,47 @@ def _dinic(adj: list[list[int]], to: list[int], cap: list[int], s: int, t: int) 
                         break
                 u = to[path[-1]] if path else s
                 continue
-            advanced = False
-            while it[u] < len(adj[u]):
-                a = adj[u][it[u]]
-                if cap[a] > 0 and level[to[a]] == level[u] + 1:
+            arcs, nxt = adj[u], level[u] + 1
+            for i in range(it[u], len(arcs)):
+                a = arcs[i]
+                if cap[a] > 0 and level[to[a]] == nxt:
+                    it[u] = i
                     path.append(a)
                     u = to[a]
-                    advanced = True
                     break
+            else:  # u is a dead end: drop it from the level graph
+                level[u] = -1
+                if not path:
+                    break
+                a = path.pop()
+                u = to[a ^ 1]
                 it[u] += 1
-            if advanced:
-                continue
-            level[u] = -1
-            if not path:
-                break
-            a = path.pop()
-            u = to[a ^ 1]
-            it[u] += 1
 
 
 def _compile(
-    net: FlowNetwork, sources: Mapping[int, int], sinks: Mapping[int, int]
+    net: FlowNetwork,
+    sources: Mapping[int, int],
+    sinks: Mapping[int, int],
+    extra: Sequence[Edge] = (),
 ) -> tuple[dict[int, int], list[list[int]], list[int], list[int]]:
-    """Residual arrays of ``net`` plus a super source, joined to each vertex
-    v of ``sources`` by an arc of capacity ``sources[v]``, and a super sink
-    joined from each vertex of ``sinks`` likewise.  Vertices must lie in
-    ``net``.
+    """Residual arrays of ``net`` with the ``extra`` arcs glued on (their
+    ends outside ``net`` become vertices too), plus a super source, joined
+    to each vertex v of ``sources`` by an arc of capacity ``sources[v]``,
+    and a super sink joined from each vertex of ``sinks`` likewise.  Those
+    vertices must lie in ``net``.
 
     Returns the vertex index (the super source is ``len(index)``, the super
     sink one more), the arcs leaving each vertex, each arc's head and each
-    arc's capacity.  Arc 2i is edge i of ``net``, arcs 2(m + j) the source
-    arcs in the order of ``sources``, then the sink arcs; arc a ^ 1 is the
-    reverse of arc a.
+    arc's capacity.  Arc 2i is edge i of ``net.edges + extra``, arcs
+    2(m + j) the source arcs in the order of ``sources``, then the sink
+    arcs; arc a ^ 1 is the reverse of arc a.
     """
     index = {v: i for i, v in enumerate(net.vertices)}
+    for e in extra:
+        index.setdefault(e.tail, len(index))
+        index.setdefault(e.head, len(index))
     ss, tt = len(index), len(index) + 1
-    edges = net.edges
+    edges = net.edges + tuple(extra)
     tails = [index[e.tail] for e in edges] + [ss] * len(sources) + [index[v] for v in sinks]
     heads = [index[e.head] for e in edges] + [index[v] for v in sources] + [tt] * len(sinks)
     to = [0] * (2 * len(tails))
@@ -121,33 +131,55 @@ def flow_between(
     return value, cap, frozenset(v for v, i in index.items() if level[i] >= 0)
 
 
+class TerminalKernel:
+    """``net`` with the ``extra`` arcs glued on, compiled once with a
+    super-source arc and a super-sink arc of capacity 0 at each of the
+    distinct ``terminals`` (vertices of ``net``).  Every ``flow`` or ``cut``
+    sets some of those arcs and runs Dinic on a fresh copy of the compiled
+    capacities, so the kernel can be queried any number of times."""
+
+    __slots__ = ("_adj", "_to", "_base", "_source_arc", "_to_sink", "_inf")
+
+    def __init__(self, net: FlowNetwork, terminals: Sequence[int], extra: Sequence[Edge] = ()):
+        zero = dict.fromkeys(terminals, 0)
+        _, adj, to, base = _compile(net, zero, zero, extra)
+        # Tuples of ints drop out of the cyclic collector's lists, so kept
+        # kernels do not lengthen every full collection.
+        self._adj, self._to, self._base = tuple(map(tuple, adj)), tuple(to), tuple(base)
+        m = len(net.edges) + len(extra)
+        self._source_arc = {q: 2 * (m + j) for j, q in enumerate(zero)}
+        self._to_sink = 2 * len(zero)  # from a terminal's source arc to its sink arc
+        self._inf = sum(self._base[0 : 2 * m : 2]) + 1
+
+    def flow(self, sources: Mapping[int, int], sinks: Mapping[int, int]) -> tuple[int, list[int]]:
+        """Maximum flow from terminals ``sources`` (at most ``sources[q]``
+        out of q) to terminals ``sinks`` (at most ``sinks[q]`` into q): the
+        value, and every arc's residual capacity, so that arc 2i (edge i of
+        ``net.edges + extra``) carries ``e.cap - cap[2i]``."""
+        cap = list(self._base)
+        for q, c in sources.items():
+            cap[self._source_arc[q]] = c
+        for q, c in sinks.items():
+            cap[self._source_arc[q] + self._to_sink] = c
+        ss = len(self._adj) - 2
+        return _dinic(self._adj, self._to, cap, ss, ss + 1)[0], cap
+
+    def cut(self, sources: Iterable[int], sinks: Iterable[int]) -> int:
+        """Minimum cut with terminals ``sources`` on the source side and
+        terminals ``sinks`` on the sink side (other terminals free)."""
+        inf = self._inf
+        return self.flow(dict.fromkeys(sources, inf), dict.fromkeys(sinks, inf))[0]
+
+
 def min_cut_values(
     net: FlowNetwork,
     terminals: Sequence[int],
     splits: Iterable[tuple[Iterable[int], Iterable[int]]],
 ) -> list[int]:
     """``min_cut_value(net, sources, sinks)`` for each split of the distinct
-    vertices ``terminals`` of ``net``, from one compile.
-
-    Every terminal gets a super-source arc and a super-sink arc; each split
-    sets those of its sources and sinks to 1 + the sum of all capacities and
-    leaves the others at 0, on a fresh copy of the compiled capacities.
-    """
-    zero = dict.fromkeys(terminals, 0)
-    index, adj, to, base = _compile(net, zero, zero)
-    source_arc = {q: 2 * (len(net.edges) + j) for j, q in enumerate(zero)}
-    to_sink = 2 * len(zero)  # from a terminal's source arc to its sink arc
-    inf = net.total_capacity + 1
-    ss = len(index)
-    values = []
-    for sources, sinks in splits:
-        cap = base.copy()
-        for q in sources:
-            cap[source_arc[q]] = inf
-        for q in sinks:
-            cap[source_arc[q] + to_sink] = inf
-        values.append(_dinic(adj, to, cap, ss, ss + 1)[0])
-    return values
+    vertices ``terminals`` of ``net``, from one ``TerminalKernel``."""
+    kernel = TerminalKernel(net, terminals)
+    return [kernel.cut(sources, sinks) for sources, sinks in splits]
 
 
 def max_flow(net: FlowNetwork, s: int, t: int) -> tuple[int, FlowAssignment]:

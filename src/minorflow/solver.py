@@ -1,8 +1,15 @@
-"""The decomposed max-flow pipeline: on a copy of the validated clique-sum
-tree as given, replace every component off the terminal path by a mimicking
-network (Phase I), glue the path components into one network (Phase II),
-solve it, and replay the replacements in reverse to recover a flow on the
-original network.
+"""The decomposed max-flow pipeline: replace every component off the
+terminal path of the validated clique-sum tree by a mimicking network
+(Phase I), glue the path components into one network (Phase II), solve it,
+and replay the replacements in reverse to recover a flow on the original
+network.  The tree is only read, never copied or changed.
+
+Phase I compiles each off-path component once (``maxflow.TerminalKernel``):
+its own edges, the mimic arcs its children left, and a super-source and a
+super-sink arc at each vertex of the clique above it.  That compile gives
+every cut of the full table, and the mimic built from them waits as arcs in
+the component above.  The replay routes a non-zero demand on the same
+compile and gives a zero demand zero flow without running it.
 
 The tree is not refined first: every installed mimic has the same cut table
 as the component it replaces, which makes the pipeline exact on any valid
@@ -10,20 +17,18 @@ tree whose cliques have at most 3 vertices.  Triconnected pieces and facial
 gluing triangles (``decomposition.refine``) matter only to a planar-specific
 flow engine, which this package does not have.  For the same reason the
 path is glued rather than folded into a tiny network by more mimics: with a
-generic max-flow engine the fold costs more than it saves.
-
-Every network mutation happens at a replacement step that pushes a
-ReplacementRecord; gluing only moves edges between components and never
-changes the reassembled network, so the working max-flow value is invariant
-per record, which the audit hook can check step by step.
+generic max-flow engine the fold costs more than it saves.  The network
+reassembled from the components not yet replaced plus the waiting arcs keeps
+its max-flow value at every step, which the audit hook can check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable
 
-# Imported but unused here (``refine``, ``min_cut_value``, ``merge_mimics``,
+# Imported but unused here (``refine``, ``cut_table``, ``route_external_flow``,
+# ``min_cut_value``, ``build_full_mimic``, ``merge_mimics``,
 # ``build_mimic4_single_source``, ``build_mimic_general``): the benchmark's
 # traced run wraps these solver bindings by name.
 from .decomposition import (
@@ -36,7 +41,7 @@ from .decomposition import (
     validate,
 )
 from .external import cut_table, route_external_flow
-from .maxflow import max_flow, min_cut_value
+from .maxflow import TerminalKernel, max_flow, min_cut_value
 from .mimic import (
     build_full_mimic,
     build_mimic4_single_source,
@@ -44,11 +49,10 @@ from .mimic import (
     merge_mimics,
 )
 from .network import (
-    FULL,
     Edge,
     FlowAssignment,
     FlowNetwork,
-    TerminalSet,
+    InfeasibleDemandError,
     UnknownVertexError,
     imbalances,
     merge_networks,
@@ -57,19 +61,27 @@ from .network import (
 Observer = Callable[[str, FlowNetwork], None]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReplacementRecord:
-    """One simplification step, replayable in reverse.
+    """One Phase I replacement, replayable in reverse.
 
-    ``snapshot`` is the network the installed mimic replaced; its edges may
-    themselves be mimics from earlier records, which the stack order
-    resolves.  ``terminals`` aligns imbalance extraction with routing.
+    Component ``net`` of the input tree, with the ``children`` arcs (mimics
+    that components below it left) glued on, was replaced by the ``mimic``
+    arcs on its sorted clique ``terminals``: none for one terminal, an
+    antiparallel pair for two, a star around a fresh hub for three.
+    ``kernel`` is the compile of ``net`` plus ``children`` with a source
+    and sink arc per terminal, None for one terminal.
     """
 
-    snapshot: FlowNetwork
+    net: FlowNetwork
+    children: tuple[Edge, ...]
     terminals: tuple[int, ...]
-    installed_edge_ids: frozenset[int]
-    fresh_vertices: frozenset[int]
+    mimic: tuple[Edge, ...]
+    kernel: TerminalKernel | None
+
+    def snapshot(self) -> FlowNetwork:
+        """The network the mimic replaced."""
+        return _glue([self.net], self.children)
 
 
 @dataclass
@@ -78,6 +90,8 @@ class SolveState:
     next_vertex: int
     next_edge: int
     records: list[ReplacementRecord] = field(default_factory=list)
+    # Mimic arcs waiting in each component not yet replaced.
+    pending: dict[int, list[Edge]] = field(default_factory=dict)
     observer: Observer | None = None
 
     def alloc_vertex(self) -> int:
@@ -90,21 +104,12 @@ class SolveState:
         self.next_edge += count
         return first
 
-    def push(
-        self, snapshot: FlowNetwork, terminals: Sequence[int], installed: FlowNetwork
-    ) -> None:
-        self.records.append(
-            ReplacementRecord(
-                snapshot=snapshot,
-                terminals=tuple(terminals),
-                installed_edge_ids=frozenset(e.id for e in installed.edges),
-                fresh_vertices=frozenset(installed.vertices - set(terminals)),
-            )
-        )
 
-    def notify(self, stage: str) -> None:
-        if self.observer is not None:
-            self.observer(stage, self.tree.reassemble())
+def _glue(nets: Iterable[FlowNetwork], arcs: Iterable[Edge]) -> FlowNetwork:
+    """Union of ``nets`` with the mimic ``arcs`` glued on."""
+    arcs = tuple(arcs)
+    ends = frozenset(v for e in arcs for v in (e.tail, e.head))
+    return merge_networks(*nets, FlowNetwork(ends, arcs))
 
 
 def locate_terminal_path(
@@ -135,84 +140,113 @@ def locate_terminal_path(
     return path, parent
 
 
-def _mimic(state: SolveState, net: FlowNetwork, terminals: tuple[int, ...]) -> FlowNetwork:
-    """Exact full-table mimic of ``net`` on 1..3 sorted terminals: a bare
-    vertex, an antiparallel edge pair, or a star."""
-    if len(terminals) == 1:
-        return FlowNetwork(frozenset(terminals), ())
-    table = cut_table(net, TerminalSet(terminals), FULL)
-    hub = state.alloc_vertex() if len(terminals) == 3 else None
-    first = state.alloc_edges(6 if len(terminals) == 3 else 2)
-    return build_full_mimic(table, hub, first)
-
-
-def _replace(state: SolveState, ci_id: int, cj_id: int, terminals: tuple[int, ...]) -> None:
-    """Replace component ci by its mimic on ``terminals`` and glue the mimic
-    into component cj; ci leaves the tree."""
-    tree = state.tree
-    ci, cj = tree.components[ci_id], tree.components[cj_id]
-    mimic_net = _mimic(state, ci.net, terminals)
-    state.push(ci.net, terminals, mimic_net)
-    cj.net = merge_networks(cj.net, mimic_net)
-    tree.remove_component(ci_id)
+def _mimic(state: SolveState, kernel: TerminalKernel, terminals: tuple[int, ...]) -> tuple[Edge, ...]:
+    """Arcs of the exact full-table mimic on 2 or 3 sorted terminals, in the
+    order of ``mimic.build_full_mimic``: an antiparallel pair carrying the
+    two cuts, or a star whose arc q->hub carries q↛(rest) and hub->q carries
+    (rest)↛q."""
+    if len(terminals) == 2:
+        u, v = terminals
+        first = state.alloc_edges(2)
+        return (
+            Edge(first, u, v, kernel.cut((u,), (v,))),
+            Edge(first + 1, v, u, kernel.cut((v,), (u,))),
+        )
+    hub = state.alloc_vertex()
+    first = state.alloc_edges(6)
+    arcs = []
+    for i, q in enumerate(terminals):
+        rest = [w for w in terminals if w != q]
+        arcs.append(Edge(first + 2 * i, q, hub, kernel.cut((q,), rest)))
+        arcs.append(Edge(first + 2 * i + 1, hub, q, kernel.cut(rest, (q,))))
+    return tuple(arcs)
 
 
 def phase1(
     state: SolveState, path_comps: list[int], parent: dict[Node, Node | None]
 ) -> None:
     """Replace every component off the terminal path by its mimic on the
-    clique above it, deepest first, and glue the mimic into the component
-    above that clique; a clique leaves the tree once at most one component
-    holds it.  ``parent`` is the walk of ``locate_terminal_path``: an
-    off-path component's way to its root passes through the nearest path
-    component, so its parent is the one a walk from the path would give."""
-    tree = state.tree
+    clique above it, deepest first, and leave the mimic's arcs pending in
+    the component above that clique.  ``parent`` is the walk of
+    ``locate_terminal_path``: an off-path component's way to its root
+    passes through the nearest path component, so its parent is the one a
+    walk from the path would give."""
+    tree, pending = state.tree, state.pending
     on_path = set(path_comps)
+    replaced: set[int] = set()
     for node, up in reversed(parent.items()):
         if node[0] != "c" or node[1] in on_path:
             continue
-        kid, cj_id = up[1], parent[up][1]
-        _replace(state, node[1], cj_id, tuple(sorted(tree.cliques[kid].vertices)))
-        if len(tree.clique_comps[kid]) <= 1:
-            tree.remove_clique(kid)
-        state.notify("replace")
+        cid = node[1]
+        net = tree.components[cid].net
+        terminals = tuple(sorted(tree.cliques[up[1]].vertices))
+        children = tuple(pending.pop(cid, ()))
+        kernel, mimic = None, ()
+        if len(terminals) > 1:
+            kernel = TerminalKernel(net, terminals, children)
+            mimic = _mimic(state, kernel, terminals)
+            pending.setdefault(parent[up][1], []).extend(mimic)
+        state.records.append(ReplacementRecord(net, children, terminals, mimic, kernel))
+        if state.observer is not None:
+            replaced.add(cid)
+            alive = [c.net for k, c in tree.components.items() if k not in replaced]
+            state.observer("replace", _glue(alive, (e for arcs in pending.values() for e in arcs)))
 
 
 def phase2(state: SolveState, path_comps: list[int]) -> FlowNetwork:
     """Glue the terminal path, all that Phase I leaves, into one network."""
     tree = state.tree
-    if len(tree.components) != len(path_comps):
+    if len(path_comps) + len(state.records) != len(tree.components):
         raise InvalidDecomposition("tree is disconnected")
-    return merge_networks(*(tree.components[c].net for c in path_comps))
+    return _glue(
+        (tree.components[c].net for c in path_comps),
+        (e for c in path_comps for e in state.pending.get(c, ())),
+    )
 
 
 def reconstruct(
     state: SolveState, final_net: FlowNetwork, final_flow: FlowAssignment
 ) -> FlowAssignment:
     """Pop the replacement stack, converting the flow on each mimic into a
-    routed flow on the network it replaced.  Feasibility of every pop is
-    guaranteed by the cut-table equality of the installed mimic; a failure
-    here means a mimicking bug, not bad input."""
+    routed flow on the component and child mimic arcs it replaced.  A zero
+    demand gives the component zero flow; any other is routed on the
+    record's kernel.  Feasibility of every pop is guaranteed by the
+    cut-table equality of the installed mimic; a failure here means a
+    mimicking bug, not bad input."""
     flows: dict[int, int] = dict(final_flow)
-    edges: dict[int, Edge] = dict(final_net.edge_by_id)
-    vertices: set[int] = set(final_net.vertices)
-    for rec in reversed(state.records):
-        x = [0] * len(rec.terminals)
-        pos = {q: i for i, q in enumerate(rec.terminals)}
-        for eid in sorted(rec.installed_edge_ids):
-            e = edges.pop(eid)
-            f = flows.pop(eid, 0)
-            if e.tail in pos:
-                x[pos[e.tail]] += f
-            if e.head in pos:
-                x[pos[e.head]] -= f
-        vertices -= set(rec.fresh_vertices)
-        routed = route_external_flow(rec.snapshot, TerminalSet(rec.terminals), x)
-        for e in rec.snapshot.edges:
-            edges[e.id] = e
-        vertices |= set(rec.snapshot.vertices)
-        flows.update(routed)
-        if state.observer is not None:
+    audit = state.observer is not None
+    if audit:
+        edges: dict[int, Edge] = dict(final_net.edge_by_id)
+        vertices: set[int] = set(final_net.vertices)
+    while state.records:
+        rec = state.records.pop()
+        x = dict.fromkeys(rec.terminals, 0)
+        for e in rec.mimic:
+            f = flows.pop(e.id, 0)
+            if e.tail in x:
+                x[e.tail] += f
+            if e.head in x:
+                x[e.head] -= f
+        supply = {q: xq for q, xq in x.items() if xq > 0}
+        if supply:
+            demand = {q: -xq for q, xq in x.items() if xq < 0}
+            value, cap = rec.kernel.flow(supply, demand)
+            if value != sum(supply.values()):
+                raise InfeasibleDemandError(
+                    f"demand {tuple(x.values())} not realizable (routed {value})"
+                )
+            for i, e in enumerate(rec.net.edges + rec.children):
+                flows[e.id] = e.cap - cap[2 * i]
+        else:
+            for e in rec.net.edges:
+                flows[e.id] = 0
+        if audit:
+            for e in rec.mimic:
+                del edges[e.id]
+            vertices -= {w for e in rec.mimic for w in (e.tail, e.head)} - set(rec.terminals)
+            snapshot = rec.snapshot()
+            edges.update(snapshot.edge_by_id)
+            vertices |= snapshot.vertices
             net = FlowNetwork(frozenset(vertices), tuple(edges[k] for k in sorted(edges)))
             _assert_conserving(net, flows)
             state.observer("reconstruct", net)
@@ -246,23 +280,22 @@ def max_flow_decomposed(
         ok, problems = validate(graph, tree)
         if not ok:
             raise InvalidDecomposition("; ".join(problems[:5]))
-    work = tree.copy()
     state = SolveState(
-        tree=work,
+        tree=tree,
         next_vertex=graph.next_vertex_id(),
         next_edge=graph.next_edge_id(),
         observer=observer,
     )
     if observer is not None:
         observer("input", graph)  # a validated tree reassembles to graph exactly
-    path_comps, parent = locate_terminal_path(work, s, t)
+    path_comps, parent = locate_terminal_path(tree, s, t)
     phase1(state, path_comps, parent)
     final_net = phase2(state, path_comps)
     value, final_flow = max_flow(final_net, s, t)
     if observer is not None:
         observer("final", final_net)
     flows = reconstruct(state, final_net, final_flow)
-    if set(flows) != {e.id for e in graph.edges}:
+    if len(flows) != len(graph.edges) or not all(e.id in flows for e in graph.edges):
         raise AssertionError("reconstruction did not restore the original edge set")
     return value, flows
 

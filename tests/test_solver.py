@@ -241,7 +241,8 @@ def test_only_off_path_components_are_replaced(family, rng):
 
 def test_one_tree_walk_per_query(monkeypatch, rng):
     # locate_terminal_path's walk serves Phase I too; validation walks the
-    # input tree once more to check that it is connected.
+    # input tree once more to check that it is connected.  The solver only
+    # reads the input tree: it walks it in place and leaves it unchanged.
     walks = []
     real = DecompositionTree.walk
 
@@ -253,9 +254,10 @@ def test_one_tree_walk_per_query(monkeypatch, rng):
     for seed in range(4):
         graph, tree = gen_instance(GenConfig("k5free", 40, seed=seed))
         s, t = rng.sample(sorted(graph.vertices), 2)
+        before = tree.copy()
         walks.clear()
         value, flow = max_flow_decomposed(graph, tree, s, t, validate_input=False)
-        assert len(walks) == 1 and walks[0] is not tree
+        assert len(walks) == 1 and walks[0] is tree and tree == before
         assert value == oracle_max_flow(graph, s, t)
         assert verify_flow(graph, TerminalSet.of(s, t), (value, -value), flow)
         walks.clear()
@@ -327,10 +329,8 @@ def test_corrupted_mimic_capacity_breaks_the_audit(monkeypatch):
 
     real = solver_mod._mimic
 
-    def corrupt(st, net, terminals):
-        out = real(st, net, terminals)
-        bumped = tuple(Edge(e.id, e.tail, e.head, e.cap + 5) for e in out.edges)
-        return FlowNetwork(out.vertices, bumped)
+    def corrupt(st, kernel, terminals):
+        return tuple(Edge(e.id, e.tail, e.head, e.cap + 5) for e in real(st, kernel, terminals))
 
     monkeypatch.setattr(solver_mod, "_mimic", corrupt)
     s, u, v, t = 0, 1, 2, 3
@@ -347,3 +347,150 @@ def test_corrupted_mimic_capacity_breaks_the_audit(monkeypatch):
     with pytest.raises(InfeasibleDemandError):
         max_flow_decomposed(graph, tree, s, t, observer=observer)
     assert not audit_step_values(nets, s, t)
+
+
+def capture_records(monkeypatch):
+    """Replacement records of every solve, caught on their way into
+    reconstruct."""
+    import minorflow.solver as solver_mod
+
+    seen = []
+    real = solver_mod.reconstruct
+
+    def capture(state, final_net, final_flow):
+        seen.append(list(state.records))
+        return real(state, final_net, final_flow)
+
+    monkeypatch.setattr(solver_mod, "reconstruct", capture)
+    return seen
+
+
+def expected_mimic(rec):
+    """The full-table mimic of the record's snapshot, built by the library."""
+    from minorflow.external import cut_table
+    from minorflow.mimic import build_full_mimic
+
+    if len(rec.terminals) == 1:
+        return ()
+    table = cut_table(rec.snapshot(), TerminalSet(rec.terminals))
+    hub = rec.mimic[0].head if len(rec.terminals) == 3 else None
+    return build_full_mimic(table, hub, rec.mimic[0].id).edges
+
+
+@pytest.mark.parametrize("family", ["k33free", "k5free"])
+def test_installed_mimics_equal_the_full_table_mimic(family, monkeypatch, rng):
+    seen = capture_records(monkeypatch)
+    kinds = set()
+    for seed in range(6):
+        graph, tree = gen_instance(GenConfig(family, 40, seed=seed))
+        s, t = rng.sample(sorted(graph.vertices), 2)
+        value, flow = max_flow_decomposed(graph, tree, s, t)
+        assert value == oracle_max_flow(graph, s, t)
+        for rec in seen[-1]:
+            assert rec.mimic == expected_mimic(rec)
+            kinds.add(len(rec.terminals))
+    assert kinds >= ({2} if family == "k33free" else {2, 3})
+
+
+def test_star_arcs_follow_their_cuts(monkeypatch):
+    # A leaf on the triangle {1, 2, 3} whose six cuts are pairwise distinct,
+    # so a star arc that reads the wrong cut changes a capacity: q->hub must
+    # carry q↛(rest) and hub->q must carry (rest)↛q.
+    leaf = FlowNetwork.from_edges(
+        [(10, 1, 2, 1), (11, 2, 1, 2), (12, 1, 3, 4), (13, 3, 1, 8), (14, 2, 3, 16), (15, 3, 2, 32)]
+    )
+    path = FlowNetwork.from_edges([(0, 0, 1, 50), (1, 0, 2, 7), (2, 2, 4, 3), (3, 3, 4, 50)])
+    tree = DecompositionTree()
+    cp = tree.add_component(path)
+    cl = tree.add_component(leaf)
+    k = tree.add_clique([1, 2, 3])
+    tree.attach(cp, k)
+    tree.attach(cl, k)
+    graph = tree.reassemble()
+    assert validate(graph, tree)[0]
+    seen = capture_records(monkeypatch)
+    value, flow = max_flow_decomposed(graph, tree, 0, 4)
+    (rec,) = seen[0]
+    hub = rec.mimic[0].head
+    out_cuts = {1: 1 + 4, 2: 2 + 16, 3: 8 + 32}  # q↛(rest)
+    in_cuts = {1: 2 + 8, 2: 1 + 32, 3: 4 + 16}  # (rest)↛q
+    assert len(set(out_cuts.values()) | set(in_cuts.values())) == 6
+    assert [(e.tail, e.head, e.cap) for e in rec.mimic] == [
+        step for q in (1, 2, 3) for step in ((q, hub, out_cuts[q]), (hub, q, in_cuts[q]))
+    ]
+    assert rec.mimic == expected_mimic(rec)
+    assert value == oracle_max_flow(graph, 0, 4) > 0
+    assert verify_flow(graph, TerminalSet.of(0, 4), (value, -value), flow)
+
+
+def subtree_demands(records, flow):
+    """The external demand each record's mimic carried, read back from the
+    final flow: the imbalance at its terminals of the flow on the original
+    edges below it."""
+    owner = {e.id: i for i, rec in enumerate(records) for e in rec.mimic}
+    below = []
+    for rec in records:  # children come before their parents
+        edges = list(rec.net.edges)
+        for i in sorted({owner[e.id] for e in rec.children}):
+            edges.extend(below[i])
+        below.append(edges)
+    demands = []
+    for rec, edges in zip(records, below):
+        bal = dict.fromkeys(rec.terminals, 0)
+        for e in edges:
+            for v, sign in ((e.tail, 1), (e.head, -1)):
+                if v in bal:
+                    bal[v] += sign * flow[e.id]
+        demands.append(bal)
+    return demands
+
+
+def test_each_component_compiles_once_and_zero_demands_skip_the_kernel(monkeypatch, rng):
+    import minorflow.maxflow as maxflow_mod
+    import minorflow.solver as solver_mod
+
+    calls = {"compile": 0, "dinic": 0}
+    real_compile, real_dinic = maxflow_mod._compile, maxflow_mod._dinic
+
+    def counting_compile(*args):
+        calls["compile"] += 1
+        return real_compile(*args)
+
+    def counting_dinic(*args):
+        calls["dinic"] += 1
+        return real_dinic(*args)
+
+    monkeypatch.setattr(maxflow_mod, "_compile", counting_compile)
+    monkeypatch.setattr(maxflow_mod, "_dinic", counting_dinic)
+    seen = []
+    real_reconstruct = solver_mod.reconstruct
+
+    def reconstruct(state, final_net, final_flow):
+        records, before = list(state.records), dict(calls)
+        flows = real_reconstruct(state, final_net, final_flow)
+        seen.append((records, before, dict(calls), flows))
+        return flows
+
+    monkeypatch.setattr(solver_mod, "reconstruct", reconstruct)
+    routed = skipped = 0
+    for family in ("k33free", "k5free"):
+        for seed in range(4):
+            graph, tree = gen_instance(GenConfig(family, 60, seed=seed))
+            s, t = rng.sample(sorted(graph.vertices), 2)
+            path, parent = locate_terminal_path(tree, s, t)
+            off_path = sum(
+                1
+                for node, up in parent.items()
+                if node[0] == "c" and node[1] not in path and len(tree.cliques[up[1]].vertices) > 1
+            )
+            calls.update(compile=0, dinic=0)
+            value, flow = max_flow_decomposed(graph, tree, s, t, validate_input=False)
+            records, before, after, flows = seen[-1]
+            assert calls["compile"] == before["compile"] == off_path + 1
+            nonzero = sum(1 for d in subtree_demands(records, flows) if any(d.values()))
+            assert after["dinic"] - before["dinic"] == nonzero
+            routed += nonzero
+            skipped += len(records) - nonzero
+            assert value == oracle_max_flow(graph, s, t)
+            assert verify_flow(graph, TerminalSet.of(s, t), (value, -value), flow)
+    assert routed > 0 and skipped > 0
