@@ -3,9 +3,12 @@
 end to end, reporting where the time goes.  The s-t pair is the
 highest-value one of 8 seeded candidates, ranked by direct Dinic; direct
 Dinic is timed beside the pipeline, and the script exits 1 when the two
-values differ or the pipeline's flow fails verification.
+values differ or the pipeline's flow fails verification.  With
+--decomposer, the pipeline solves on the family decomposer's tree instead of
+the generated one, and the decompose time is printed.
 
     python scripts/scale_smoke.py --n 100000 --family k5free --seed 11
+    python scripts/scale_smoke.py --n 10000 --family k5free --seed 0 --decomposer k5
 """
 
 import argparse
@@ -15,7 +18,7 @@ import time
 from minorflow.external import verify_flow
 from minorflow.maxflow import max_flow
 from minorflow.network import TerminalSet
-from minorflow.solver import max_flow_decomposed
+from minorflow.solver import decompose, max_flow_decomposed
 from minorflow.testkit import GenConfig, gen_instance
 
 
@@ -25,6 +28,11 @@ def main() -> None:
     ap.add_argument("--family", default="k5free", choices=("planar", "k33free", "k5free"))
     ap.add_argument("--seed", type=int, default=11)
     ap.add_argument("--skip-validate", action="store_true")
+    ap.add_argument(
+        "--decomposer",
+        choices=("k33", "k5"),
+        help="solve on this family decomposer's tree instead of the generated one",
+    )
     args = ap.parse_args()
 
     t0 = time.monotonic()
@@ -34,6 +42,14 @@ def main() -> None:
         f"generated n={len(graph.vertices)} m={len(graph.edges)} "
         f"components={len(tree.components)} in {t1 - t0:.1f}s"
     )
+    if args.decomposer:
+        tree = decompose(graph, args.decomposer)
+        decomposed = time.monotonic()
+        print(
+            f"decompose ({args.decomposer}): components={len(tree.components)} "
+            f"in {decomposed - t1:.2f}s"
+        )
+        t1 = decomposed
 
     rng = random.Random(args.seed)
     vertices = sorted(graph.vertices)

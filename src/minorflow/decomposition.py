@@ -18,7 +18,15 @@ from typing import Iterable, Sequence
 import networkx as nx
 
 from .network import Edge, FlowNetwork, merge_networks
-from .planar import Adjacency, adjacency, components, is_planar, planar_embed, to_nx
+from .planar import (
+    Adjacency,
+    adjacency,
+    articulation_points,
+    components,
+    is_planar,
+    planar_embed,
+    to_nx,
+)
 from . import spqr as spqr_mod
 from .spqr import SpqrTree, spqr
 
@@ -207,10 +215,16 @@ def _split(
     merged with a coinciding new clique when one exists, otherwise
     reattached to the first piece containing them.
     """
+    first_holder: dict[frozenset[int], int] = {}
+    holders: dict[int, list[int]] = {}
+    for i, (verts, pairs) in enumerate(pieces):
+        for pair in pairs:
+            first_holder.setdefault(pair, i)
+        for v in verts:
+            holders.setdefault(v, []).append(i)
     owned: list[list[Edge]] = [[] for _ in pieces]
     for e in sorted(tree.components[comp_id].net.edges, key=lambda e: e.id):
-        pair = frozenset((e.tail, e.head))
-        owned[next(i for i, (_, pairs) in enumerate(pieces) if pair in pairs)].append(e)
+        owned[first_holder[frozenset((e.tail, e.head))]].append(e)
     old_cliques = sorted(tree.comp_cliques[comp_id])
     tree.remove_component(comp_id)
     ids: list[int] = []
@@ -225,12 +239,12 @@ def _split(
             for cid in sorted(grouped.pop(kverts)):
                 tree.attach(cid, kid)
             continue
-        homes = [cid for cid in ids if kverts <= tree.components[cid].net.vertices]
-        if not homes:
+        home = next((i for i in holders.get(min(kverts), ()) if kverts <= pieces[i][0]), None)
+        if home is None:
             raise InvalidDecomposition(
                 f"no piece contains clique {sorted(kverts)} after splitting"
             )
-        tree.attach(homes[0], kid)
+        tree.attach(ids[home], kid)
     for verts in sorted(grouped, key=sorted):
         kid = tree.add_clique(verts)
         for cid in sorted(grouped[verts]):
@@ -247,12 +261,12 @@ def _block_pass(tree: DecompositionTree) -> None:
         blocks, _ = biconnected_split(torso)
         if len(blocks) <= 1:
             continue
-        arts: dict[frozenset[int], list[int]] = {}
-        for v in sorted(set.union(*(set(b[0]) for b in blocks))):
-            holders = [i for i, (verts, _) in enumerate(blocks) if v in verts]
-            if len(holders) > 1:
-                arts[frozenset((v,))] = holders
-        _split(tree, cid, blocks, sorted(arts.items(), key=lambda kv: sorted(kv[0])))
+        holders: dict[int, list[int]] = {}
+        for i, (verts, _) in enumerate(blocks):
+            for v in verts:
+                holders.setdefault(v, []).append(i)
+        arts = [(frozenset((v,)), holders[v]) for v in sorted(holders) if len(holders[v]) > 1]
+        _split(tree, cid, blocks, arts)
 
 
 def _spqr_pass(tree: DecompositionTree) -> None:
@@ -269,12 +283,21 @@ def _spqr_pass(tree: DecompositionTree) -> None:
 def _apply_spqr_split(tree: DecompositionTree, cid: int, stree: SpqrTree) -> None:
     """One piece per S or R node, holding all of its skeleton pairs; a P
     node becomes a clique, and its real edge lands in its lowest attached
-    piece, the first that holds its pair."""
+    piece, the first that holds its pair.
+
+    Pieces are ordered by their sorted vertex lists, not by SPQR node id:
+    two S or R nodes share at most two vertices, so the order is total, and
+    the split (which piece keeps an old clique, which holds a P node's
+    edge) depends only on the tree, not on how ``spqr`` numbers it."""
     node_ids = sorted(stree.nodes)
-    non_p = [nid for nid in node_ids if stree.nodes[nid].kind != spqr_mod.P]
+    verts = {nid: stree.nodes[nid].vertices for nid in node_ids}
+    non_p = sorted(
+        (nid for nid in node_ids if stree.nodes[nid].kind != spqr_mod.P),
+        key=lambda nid: sorted(verts[nid]),
+    )
     piece_index = {nid: i for i, nid in enumerate(non_p)}
     pieces = [
-        (frozenset(stree.nodes[nid].vertices), frozenset(e.pair for e in stree.nodes[nid].edges))
+        (frozenset(verts[nid]), frozenset(e.pair for e in stree.nodes[nid].edges))
         for nid in non_p
     ]
     cliques: list[tuple[frozenset[int], list[int]]] = []
@@ -282,7 +305,7 @@ def _apply_spqr_split(tree: DecompositionTree, cid: int, stree: SpqrTree) -> Non
         node = stree.nodes[nid]
         if node.kind == spqr_mod.P:
             attached = sorted(piece_index[other] for _, other in stree.neighbors(nid))
-            cliques.append((frozenset(node.vertices), attached))
+            cliques.append((frozenset(verts[nid]), attached))
     for link, (a, b) in sorted(stree.tree_edges.items()):
         if stree.nodes[a].kind == spqr_mod.P or stree.nodes[b].kind == spqr_mod.P:
             continue
@@ -431,11 +454,15 @@ def decompose_k5_free(net: FlowNetwork) -> DecompositionTree:
 
 
 def _separating_triples(adj: Adjacency) -> list[tuple[int, ...]]:
+    """Every sorted triple {a, b, c} with c a cut vertex of ``adj`` minus a
+    and b, in lexicographic order."""
+    order = sorted(adj)
+    index = {v: i for i, v in enumerate(order)}
+    nbrs = [[index[w] for w in adj[v]] for v in order]
     triples: set[tuple[int, ...]] = set()
-    for a, b in itertools.combinations(sorted(adj), 2):
-        sub = {v: {w for w in adj[v] if w not in (a, b)} for v in adj if v not in (a, b)}
-        for c in nx.articulation_points(to_nx(sub)):
-            triples.add(tuple(sorted((a, b, c))))
+    for a, b in itertools.combinations(range(len(order)), 2):
+        for c in articulation_points(nbrs, {a, b}):
+            triples.add(tuple(sorted((order[a], order[b], order[c]))))
     return sorted(triples)
 
 
@@ -549,8 +576,11 @@ def validate(graph: FlowNetwork, tree: DecompositionTree) -> tuple[bool, list[st
         extra = sorted(set(by_id) - set(graph_edges))[:5]
         problems.append(f"edge sets differ (missing {missing}, extra {extra})")
     else:
+        # Generated trees share the input's Edge objects; parsed ones hold
+        # their own, so only those are compared field by field.
         for eid, (cid, e) in by_id.items():
-            if e != graph_edges[eid]:
+            g = graph_edges[eid]
+            if e is not g and (e.tail != g.tail or e.head != g.head or e.cap != g.cap):
                 problems.append(f"edge {eid} differs from the input edge")
     if tree.all_vertices() != graph.vertices:
         problems.append("vertex union differs from the input network")

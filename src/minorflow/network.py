@@ -34,7 +34,7 @@ class MimicInputError(FlowError):
     """A cut table fed to a mimicking-network builder is inconsistent."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     id: int
     tail: int

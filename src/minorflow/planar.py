@@ -7,6 +7,9 @@
   a non-planar one) from networkx's ``check_planarity``; faces come from the
   standard half-edge walk, so triangle/face membership queries are cheap.
 - ``components``: connected components, optionally with vertices removed.
+- ``lowpoint_dfs``: an iterative palm-tree DFS (preorder numbers, parents,
+  lowpt1, lowpt2, subtree sizes) on index adjacency lists; SPQR's
+  triconnectivity pass and ``articulation_points`` both start from it.
 - ``adjacency``: the graph on a vertex set with a given set of vertex pairs.
 """
 
@@ -15,7 +18,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import AbstractSet, Iterable, Mapping
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 import networkx as nx
 
@@ -59,6 +62,95 @@ def components(adj: Adjacency, removed: AbstractSet[int] = frozenset()) -> list[
                     comp.add(v)
                     queue.append(v)
         out.append(comp)
+    return out
+
+
+def lowpoint_dfs(
+    nbrs: Sequence[Sequence[int]], removed: AbstractSet[int] = frozenset()
+) -> tuple[list[int], list[int], list[int], list[int], list[int]]:
+    """Iterative depth-first search of the simple graph on vertices 0..n-1
+    with adjacency lists ``nbrs``, minus ``removed``; each component's tree
+    is rooted at its smallest vertex.
+
+    Returns (number, parent, lowpt1, lowpt2, nd): 1-based preorder numbers
+    (0 for removed vertices), tree parents (-1 at roots), the lowest and
+    second-lowest numbers reachable from a vertex's subtree by one frond
+    (the vertex's own number when there is none), and subtree sizes.
+    """
+    n = len(nbrs)
+    number = [0] * n
+    parent = [-1] * n
+    low1 = [0] * n
+    low2 = [0] * n
+    nd = [1] * n
+    pos = [0] * n
+    count = 0
+    for root in range(n):
+        if number[root] or root in removed:
+            continue
+        count += 1
+        number[root] = low1[root] = low2[root] = count
+        stack = [root]
+        while stack:
+            v = stack[-1]
+            nv = nbrs[v]
+            i = pos[v]
+            while i < len(nv):
+                w = nv[i]
+                i += 1
+                nw = number[w]
+                if nw == 0:
+                    if w in removed:
+                        continue
+                    parent[w] = v
+                    count += 1
+                    number[w] = low1[w] = low2[w] = count
+                    pos[v] = i
+                    stack.append(w)
+                    break
+                # A numbered neighbour is an ancestor (a frond from v) or a
+                # finished descendant (its frond to v was seen from there).
+                if nw < number[v] and w != parent[v]:
+                    if nw < low1[v]:
+                        low2[v] = low1[v]
+                        low1[v] = nw
+                    elif low1[v] < nw < low2[v]:
+                        low2[v] = nw
+            else:
+                stack.pop()
+                p = parent[v]
+                if p >= 0:
+                    l1, l2 = low1[v], low2[v]
+                    if l1 < low1[p]:
+                        low2[p] = min(low1[p], l2)
+                        low1[p] = l1
+                    elif l1 == low1[p]:
+                        low2[p] = min(low2[p], l2)
+                    else:
+                        low2[p] = min(low2[p], l1)
+                    nd[p] += nd[v]
+    return number, parent, low1, low2, nd
+
+
+def articulation_points(
+    nbrs: Sequence[Sequence[int]], removed: AbstractSet[int] = frozenset()
+) -> set[int]:
+    """Cut vertices of the graph of ``lowpoint_dfs`` (same arguments), found
+    by its lowpoints: a root with two tree children, or a parent that no
+    child's subtree climbs above."""
+    number, parent, low1, _, _ = lowpoint_dfs(nbrs, removed)
+    out: set[int] = set()
+    root_children: set[int] = set()
+    for w, p in enumerate(parent):
+        if p < 0:
+            continue
+        if parent[p] >= 0:
+            if low1[w] >= number[p]:
+                out.add(p)
+        elif p in root_children:
+            out.add(p)
+        else:
+            root_children.add(p)
     return out
 
 

@@ -1,24 +1,36 @@
 """SPQR trees: decomposition of a biconnected graph into a 2-sum of
 triconnected components (cycle, bond, and 3-connected skeletons).
 
-Construction is by recursive splitting at split pairs followed by merging
-adjacent same-type S/P nodes, which yields the canonical tree.  A skeleton's
-split pairs are found by asking ``planar.components`` for the components of
-its adjacency with each vertex pair removed (superlinear split-pair search;
-desk-scale by design); the same helper answers the biconnectivity and
-3-connectivity checks.  Virtual edges come in linked pairs,
-one per tree edge; 2-summing every pair reproduces the input graph.
+``spqr`` runs in O(n + m).  It is the triconnected-components algorithm of
+Hopcroft & Tarjan ("Dividing a graph into triconnected components", SICOMP
+1973) with the corrections of Gutwenger & Mutzel ("A linear time
+implementation of SPQR-trees", GD 2000):
+
+- a palm-tree DFS (``planar.lowpoint_dfs``) computes lowpt1, lowpt2 and ND,
+  and the same pass checks biconnectivity;
+- every adjacency list is bucket-sorted by phi, so that a second DFS finds
+  the paths in the order the separation-pair tests need, renumbering the
+  vertices and marking where each path starts;
+- a path-search DFS splits off type-2 and type-1 separation pairs with the
+  triple stack TSTACK and the edge stack ESTACK;
+- the split components (triangles, triple bonds and 3-connected graphs) are
+  2-summed into maximal cycles and bonds, which gives the canonical tree.
+
+Every DFS is iterative.  Virtual edges come in linked pairs, one per tree
+edge; 2-summing every pair reproduces the input graph.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 
-from .planar import Adjacency, components
+from .planar import Adjacency, components, lowpoint_dfs
 
 S, P, R, Q = "S", "P", "R", "Q"
+
+_EOS = (0, -1, 0)  # end-of-segment mark on the path search's triple stack
 
 
 @dataclass(frozen=True)
@@ -55,15 +67,21 @@ class SpqrTree:
     nodes: dict[int, SpqrNode] = field(default_factory=dict)
     # link id -> (node id, node id)
     tree_edges: dict[int, tuple[int, int]] = field(default_factory=dict)
+    # node id -> its (link, neighbour) pairs, built on the first ``neighbors``
+    _incidence: dict[int, list[tuple[int, int]]] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     def neighbors(self, nid: int) -> list[tuple[int, int]]:
-        out = []
-        for link, (a, b) in sorted(self.tree_edges.items()):
-            if a == nid:
-                out.append((link, b))
-            elif b == nid:
-                out.append((link, a))
-        return out
+        """(link, neighbour) pairs of node ``nid`` in link order.  The
+        incidence map is built once, so the tree must not change after the
+        first call."""
+        if self._incidence is None:
+            self._incidence = {}
+            for link, (a, b) in sorted(self.tree_edges.items()):
+                self._incidence.setdefault(a, []).append((link, b))
+                self._incidence.setdefault(b, []).append((link, a))
+        return list(self._incidence.get(nid, ()))
 
 
 def _edge_list(adj: Adjacency) -> list[SkelEdge]:
@@ -83,118 +101,393 @@ def _skel_adjacency(edges: list[SkelEdge]) -> dict[int, set[int]]:
     return adj
 
 
-def is_biconnected(adj: Adjacency) -> bool:
-    if len(components(adj)) > 1:
-        return False
-    return len(adj) <= 2 or all(len(components(adj, {cut})) == 1 for cut in sorted(adj))
-
-
 def spqr(adj: Adjacency) -> SpqrTree:
-    """Canonical SPQR tree of a biconnected simple graph.
+    """Canonical SPQR tree of a biconnected simple graph, in linear time.
 
     Single-vertex and single-edge inputs yield the degenerate one-Q-node
     tree; any other non-biconnected input raises ValueError.
     """
-    edges = _edge_list(adj)
-    tree = SpqrTree()
-    next_node = itertools.count()
-    next_link = itertools.count()
-    if len(edges) <= 1:
+    order = sorted(adj)
+    index = {v: i for i, v in enumerate(order)}
+    nbrs = [[index[w] for w in sorted(adj[v]) if w != v] for v in order]
+    if sum(map(len, nbrs)) <= 2:
         if len(components(adj)) > 1:
             raise ValueError("SPQR input must be connected")
-        nid = next(next_node)
-        tree.nodes[nid] = SpqrNode(nid, Q, list(edges))
-        return tree
-    if not is_biconnected(adj):
+        return SpqrTree({0: SpqrNode(0, Q, _edge_list(adj))})
+    comps, src, tgt, n_real = _split_components(nbrs)
+    pieces: list[tuple[str, list[SkelEdge]]] = []
+    for comp in comps:
+        edges = []
+        verts: set[int] = set()
+        for e in comp:
+            a, b = sorted((src[e], tgt[e]))
+            verts.add(a)
+            verts.add(b)
+            edges.append(SkelEdge(order[a], order[b], e if e >= n_real else None))
+        kind = P if len(verts) == 2 else S if len(edges) == len(verts) else R
+        pieces.append((kind, edges))
+    return _canonical_tree(pieces)
+
+
+def _split_components(
+    nbrs: list[list[int]],
+) -> tuple[list[list[int]], list[int], list[int], int]:
+    """Hopcroft-Tarjan split components of the simple graph on vertices
+    0..n-1 with adjacency lists ``nbrs``; raises ValueError unless it is
+    biconnected.
+
+    Returns (components, src, tgt, m): each component lists edge ids, edge e
+    joins src[e] and tgt[e], and the ids from m (the input edge count) up
+    are virtual edges, each in exactly two components.
+    """
+    n = len(nbrs)
+    number, father, low1, low2, nd = lowpoint_dfs(nbrs)
+    root_children = 0
+    for w in range(1, n):
+        p = father[w]
+        if p < 0 or (p > 0 and low1[w] >= number[p]):
+            raise ValueError("SPQR input must be biconnected")
+        root_children += p == 0
+    if root_children != 1:
         raise ValueError("SPQR input must be biconnected")
 
-    # link id -> first finalized (node id) waiting for its partner
-    half_links: dict[int, int] = {}
+    # The palm tree: tree arcs point from parent to child, fronds from a
+    # descendant up to an ancestor.
+    src: list[int] = []
+    tgt: list[int] = []
+    arc: list[bool] = []
+    tree_arc = [-1] * n
+    for v in range(n):
+        for w in nbrs[v]:
+            if father[w] == v:
+                tree_arc[w] = len(src)
+                arc.append(True)
+            elif number[w] < number[v] and father[v] != w:
+                arc.append(False)
+            else:
+                continue
+            src.append(v)
+            tgt.append(w)
+    m = len(src)
 
-    def finalize(kind: str, skel: list[SkelEdge]) -> int:
-        nid = next(next_node)
-        tree.nodes[nid] = SpqrNode(nid, kind, skel)
-        for e in skel:
-            if e.virtual:
-                if e.link in half_links:
-                    other = half_links.pop(e.link)
-                    tree.tree_edges[e.link] = (other, nid)
-                else:
-                    half_links[e.link] = nid
-        return nid
-
-    work: list[list[SkelEdge]] = [edges]
-    while work:
-        skel = work.pop()
-        nbr = _skel_adjacency(skel)
-        if len(nbr) == 2:
-            finalize(P, skel)
-            continue
-        deg: dict[int, int] = {v: 0 for v in nbr}
-        for e in skel:
-            deg[e.u] += 1
-            deg[e.v] += 1
-        if all(d == 2 for d in deg.values()):
-            finalize(S, skel)
-            continue
-        multiplicity = Counter(e.pair for e in skel)
-        split = None
-        for u, v in itertools.combinations(sorted(nbr), 2):
-            comps = components(nbr, {u, v})
-            n_direct = multiplicity[frozenset((u, v))]
-            if len(comps) + n_direct >= 2 and (len(comps) >= 2 or n_direct >= 2):
-                split = (u, v, comps)
-                break
-        if split is None:
-            finalize(R, skel)
-            continue
-        u, v, comps = split
-        direct = [e for e in skel if e.pair == {u, v}]
-        # Removing u and v dropped every u-v edge, so each other edge has an
-        # endpoint in exactly one component.
-        sides = [[e for e in skel if e.u in comp or e.v in comp] for comp in comps]
-        if len(comps) + len(direct) == 2 and len(comps) == 2:
-            link = next(next_link)
-            virt = SkelEdge(u, v, link)
-            work.append(sides[0] + [virt])
-            work.append(sides[1] + [virt])
+    # Acceptable adjacency lists: out-edges bucket-sorted by phi.
+    buckets: list[list[int]] = [[] for _ in range(3 * n + 3)]
+    for e in range(m):
+        w = tgt[e]
+        if not arc[e]:
+            buckets[3 * number[w] + 1].append(e)
+        elif low2[w] < number[src[e]]:
+            buckets[3 * low1[w]].append(e)
         else:
-            hub: list[SkelEdge] = list(direct)
-            for side in sides:
-                link = next(next_link)
-                virt = SkelEdge(u, v, link)
-                hub.append(virt)
-                work.append(side + [virt])
-            finalize(P, hub)
-    assert not half_links, "unpaired virtual edge"
-    _merge_same_kind(tree)
+            buckets[3 * low1[w] + 2].append(e)
+    out: list[list[int]] = [[] for _ in range(n)]
+    for bucket in buckets:
+        for e in bucket:
+            out[src[e]].append(e)
+
+    # Pathfinder: number each vertex so that the first child visited gets
+    # the highest numbers, mark the first edge of every path, and list the
+    # fronds into each vertex in visiting order (its highpt list).
+    num = [0] * n
+    start = [False] * m
+    high_at: list[deque[int]] = [deque() for _ in range(n)]
+    high_value: list[int] = []
+    high_dead: list[bool] = []
+    in_high = [-1] * m
+    count = n
+    new_path = True
+    num[0] = 1
+    pos = [0] * n
+    stack = [0]
+    while stack:
+        v = stack[-1]
+        ov = out[v]
+        i = pos[v]
+        while i < len(ov):
+            e = ov[i]
+            i += 1
+            if new_path:
+                new_path = False
+                start[e] = True
+            w = tgt[e]
+            if arc[e]:
+                pos[v] = i
+                num[w] = count - nd[w] + 1
+                stack.append(w)
+                break
+            in_high[e] = len(high_value)
+            high_at[w].append(len(high_value))
+            high_value.append(num[v])
+            high_dead.append(False)
+            new_path = True
+        else:
+            stack.pop()
+            count -= 1
+    renumber = [0] * (n + 1)
+    node_at = [0] * (n + 1)
+    for v in range(n):
+        renumber[number[v]] = num[v]
+        node_at[num[v]] = v
+    low1 = [renumber[x] for x in low1]
+    low2 = [renumber[x] for x in low2]
+
+    # Where each edge sits in its source's list (-1 once taken out).
+    slot_v = src[:]
+    slot_i = [0] * m
+    for ov in out:
+        for i, e in enumerate(ov):
+            slot_i[e] = i
+
+    def new_edge(a: int, b: int, is_arc: bool = False) -> int:
+        src.append(a)
+        tgt.append(b)
+        arc.append(is_arc)
+        in_high.append(-1)
+        slot_v.append(-1)
+        slot_i.append(0)
+        return len(src) - 1
+
+    def put(e: int, v: int, i: int) -> None:
+        old = out[v][i]
+        if old >= 0:
+            slot_v[old] = -1
+        out[v][i] = e
+        slot_v[e], slot_i[e] = v, i
+
+    def drop(e: int) -> None:
+        if slot_v[e] >= 0:
+            out[slot_v[e]][slot_i[e]] = -1
+            slot_v[e] = -1
+
+    def high(v: int) -> int:
+        q = high_at[v]
+        while q and high_dead[q[0]]:
+            q.popleft()
+        return high_value[q[0]] if q else 0
+
+    def del_high(e: int) -> None:
+        if in_high[e] >= 0:
+            high_dead[in_high[e]] = True
+            in_high[e] = -1
+
+    first = [0] * n
+
+    def first_target(w: int) -> int:
+        """Number of the head of w's first remaining out-edge (0 if none)."""
+        ow = out[w]
+        k = first[w]
+        while k < len(ow) and ow[k] < 0:
+            k += 1
+        first[w] = k
+        return num[tgt[ow[k]]] if k < len(ow) else 0
+
+    # Path search.  TSTACK holds triples (h, a, b), a == -1 marking the end
+    # of a path's segment; ESTACK holds the edges not yet split off.
+    tstack = [_EOS]
+    estack: list[int] = []
+    comps: list[list[int]] = []
+    degree = [len(x) for x in nbrs]
+    outv = [len(x) for x in out]
+
+    def open_path(a: int, h: int, b: int) -> None:
+        """Triple of a path whose lowest return is ``a``; it absorbs every
+        triple above it with a larger a."""
+        while tstack[-1][1] > a:
+            top, _, b = tstack.pop()
+            h = max(h, top)
+        tstack.append((h, a, b))
+
+    def finish_arc(v: int, i: int, opened: bool) -> None:
+        """Split off what the tree arc in slot i of v's list closes, once
+        the search below it is done."""
+        vnum = num[v]
+        w = tgt[out[v][i]]
+        wnum = num[w]
+        estack.append(tree_arc[w])
+        # Type-2 pairs (v, b).
+        while vnum != 1 and (
+            tstack[-1][1] == vnum or (degree[w] == 2 and first_target(w) > wnum)
+        ):
+            h, a, b = tstack[-1]
+            if a == vnum and father[node_at[b]] == v:
+                tstack.pop()
+                continue
+            e_ab = -1
+            if degree[w] == 2 and first_target(w) > wnum:
+                e1 = estack.pop()
+                e2 = estack.pop()
+                drop(e2)
+                x = tgt[e2]
+                virt = new_edge(v, x)
+                degree[x] -= 1
+                degree[v] -= 1
+                comps.append([e1, e2, virt])
+                if estack and src[estack[-1]] == x and tgt[estack[-1]] == v:
+                    e_ab = estack.pop()
+                    drop(e_ab)
+                    del_high(e_ab)
+            else:
+                tstack.pop()
+                comp = []
+                while estack:
+                    xy = estack[-1]
+                    sx, sy = num[src[xy]], num[tgt[xy]]
+                    if not (a <= sx <= h and a <= sy <= h):
+                        break
+                    estack.pop()
+                    drop(xy)
+                    del_high(xy)
+                    if (sx == a and sy == b) or (sx == b and sy == a):
+                        e_ab = xy
+                    else:
+                        comp.append(xy)
+                        degree[src[xy]] -= 1
+                        degree[tgt[xy]] -= 1
+                x = node_at[b]
+                virt = new_edge(v, x)
+                comp.append(virt)
+                comps.append(comp)
+            if e_ab >= 0:
+                bond_virt = new_edge(v, x)
+                comps.append([e_ab, virt, bond_virt])
+                virt = bond_virt
+                degree[x] -= 1
+                degree[v] -= 1
+            estack.append(virt)
+            put(virt, v, i)
+            arc[virt] = True
+            degree[x] += 1
+            degree[v] += 1
+            father[x] = v
+            tree_arc[x] = virt
+            w, wnum = x, num[x]
+        # Type-1 pair (lowpt1(w), v).
+        lw = low1[w]
+        if low2[w] >= vnum and lw < vnum and (father[v] != 0 or outv[v] >= 2):
+            comp = []
+            end = wnum + nd[w]
+            sx = sy = 0
+            while estack:
+                xy = estack[-1]
+                sx, sy = num[src[xy]], num[tgt[xy]]
+                if not (wnum <= sx < end or wnum <= sy < end):
+                    break
+                estack.pop()
+                comp.append(xy)
+                del_high(xy)
+                degree[src[xy]] -= 1
+                degree[tgt[xy]] -= 1
+            low_v = node_at[lw]
+            virt = new_edge(v, low_v)
+            comp.append(virt)
+            comps.append(comp)
+            if (sx == vnum and sy == lw) or (sx == lw and sy == vnum):
+                eh = estack.pop()
+                drop(eh)
+                bond_virt = new_edge(v, low_v)
+                comps.append([eh, virt, bond_virt])
+                in_high[bond_virt], in_high[eh] = in_high[eh], -1
+                virt = bond_virt
+                degree[v] -= 1
+                degree[low_v] -= 1
+            if low_v != father[v]:
+                estack.append(virt)
+                put(virt, v, i)
+                if in_high[virt] < 0 and high(low_v) < vnum:
+                    in_high[virt] = len(high_value)
+                    high_at[low_v].appendleft(len(high_value))
+                    high_value.append(vnum)
+                    high_dead.append(False)
+                degree[v] += 1
+                degree[low_v] += 1
+            else:
+                # The pair is v and its parent: the new virtual edge joins
+                # the tree arc into v in a bond, whose third edge replaces it.
+                drop(out[v][i])
+                eh = tree_arc[v]
+                arc_virt = new_edge(low_v, v, True)
+                comps.append([virt, arc_virt, eh])
+                tree_arc[v] = arc_virt
+                put(arc_virt, slot_v[eh], slot_i[eh])
+        if opened:
+            while tstack.pop() is not _EOS:
+                pass
+        while tstack[-1] is not _EOS and tstack[-1][2] != vnum and high(v) > tstack[-1][0]:
+            tstack.pop()
+        outv[v] -= 1
+
+    # pos[v] is the next slot of v's list to visit, or ~i while the search
+    # runs below the tree arc in slot i.
+    pos = [0] * n
+    opened = [False] * n  # whether that tree arc opened a path
+    stack = [0]
+    while stack:
+        v = stack[-1]
+        ov = out[v]
+        i = pos[v]
+        if i < 0:
+            i = ~i
+            finish_arc(v, i, opened[v])
+            i += 1
+        while i < len(ov):
+            e = ov[i]
+            w = tgt[e]
+            if arc[e]:
+                if start[e]:
+                    open_path(low1[w], num[w] + nd[w] - 1, num[v])
+                    tstack.append(_EOS)
+                pos[v] = ~i
+                opened[v] = start[e]
+                stack.append(w)
+                break
+            if start[e]:
+                open_path(num[w], num[v], num[v])
+            estack.append(e)
+            i += 1
+        else:
+            stack.pop()
+    comps.append(estack)
+    return comps, src, tgt, m
+
+
+def _canonical_tree(pieces: list[tuple[str, list[SkelEdge]]]) -> SpqrTree:
+    """The SPQR tree of split components ``pieces`` (kind, skeleton), whose
+    virtual edges each appear in exactly two: linked cycles are 2-summed
+    into one cycle and linked bonds into one bond, so that no S-S or P-P
+    adjacency is left.  Nodes are numbered by their first piece."""
+    owners: dict[int, list[int]] = {}
+    for i, (_, edges) in enumerate(pieces):
+        for e in edges:
+            if e.link is not None:
+                owners.setdefault(e.link, []).append(i)
+    group = list(range(len(pieces)))
+
+    def find(i: int) -> int:
+        while group[i] != i:
+            group[i] = group[group[i]]
+            i = group[i]
+        return i
+
+    inner: set[int] = set()
+    for link, (a, b) in owners.items():
+        if pieces[a][0] == pieces[b][0] in (S, P):
+            group[find(b)] = find(a)
+            inner.add(link)
+    members: dict[int, list[int]] = {}
+    for i in range(len(pieces)):
+        members.setdefault(find(i), []).append(i)
+    tree = SpqrTree()
+    node_of = [0] * len(pieces)
+    for nid, group_members in enumerate(members.values()):
+        edges = []
+        for i in group_members:
+            node_of[i] = nid
+            edges.extend(e for e in pieces[i][1] if e.link not in inner)
+        tree.nodes[nid] = SpqrNode(nid, pieces[group_members[0]][0], edges)
+    for link, (a, b) in owners.items():
+        if link not in inner:
+            tree.tree_edges[link] = (node_of[a], node_of[b])
     return tree
-
-
-def _merge_same_kind(tree: SpqrTree) -> None:
-    """2-sum away every S-S and P-P adjacency (canonical form)."""
-    pending = deque(sorted(tree.tree_edges))
-    while pending:
-        link = pending.popleft()
-        if link not in tree.tree_edges:
-            continue
-        a, b = tree.tree_edges[link]
-        na, nb = tree.nodes[a], tree.nodes[b]
-        if na.kind != nb.kind or na.kind not in (S, P):
-            continue
-        merged = [e for e in na.edges if e.link != link] + [
-            e for e in nb.edges if e.link != link
-        ]
-        na.edges = merged
-        del tree.nodes[b]
-        del tree.tree_edges[link]
-        for other, (x, y) in list(tree.tree_edges.items()):
-            if x == b:
-                tree.tree_edges[other] = (a, y)
-                pending.append(other)
-            elif y == b:
-                tree.tree_edges[other] = (x, a)
-                pending.append(other)
 
 
 def reassemble(tree: SpqrTree) -> set[frozenset[int]]:

@@ -3,15 +3,16 @@ is validated against.
 
 The oracles deliberately share no code path with the main engine:
 ``oracle_max_flow`` is a plain BFS augmenting-path loop over a dict residual
-(no layering), and ``oracle_cut_table`` enumerates every vertex bipartition
-with numpy.
+(no layering), ``oracle_cut_table`` enumerates every vertex bipartition
+with numpy, and ``oracle_spqr`` finds split pairs by removing every vertex
+pair.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from collections import defaultdict, deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -20,6 +21,8 @@ import numpy as np
 
 from .decomposition import DecompositionTree
 from .network import FULL, SINGLE_SOURCE, CutTable, Edge, FlowNetwork, TerminalSet
+from .planar import Adjacency, components
+from .spqr import P, Q, R, S, SkelEdge, SpqrNode, SpqrTree
 
 _ORACLE_VERTEX_LIMIT = 20
 
@@ -249,6 +252,107 @@ def _has_minor(pairs: frozenset[frozenset[int]], target: str, memo: dict) -> boo
                 break
     memo[key] = result
     return result
+
+
+# ---------------------------------------------------------------------------
+# SPQR oracle (pairwise split-pair search; small graphs)
+
+
+def oracle_spqr(adj: Adjacency) -> SpqrTree:
+    """Canonical SPQR tree by recursive splitting at split pairs, each found
+    by removing every vertex pair of a skeleton and counting what is left,
+    then by 2-summing adjacent S-S and P-P nodes one link at a time.
+    O(n^2 m) per skeleton: a differential oracle for ``spqr.spqr``."""
+    edges = [SkelEdge(u, v) for u in sorted(adj) for v in sorted(adj[u]) if u < v]
+    tree = SpqrTree()
+    next_node = itertools.count()
+    next_link = itertools.count()
+    if len(edges) <= 1:
+        if len(components(adj)) > 1:
+            raise ValueError("SPQR input must be connected")
+        nid = next(next_node)
+        tree.nodes[nid] = SpqrNode(nid, Q, list(edges))
+        return tree
+    if len(components(adj)) > 1 or (
+        len(adj) > 2 and any(len(components(adj, {cut})) > 1 for cut in sorted(adj))
+    ):
+        raise ValueError("SPQR input must be biconnected")
+
+    # link id -> first finalized (node id) waiting for its partner
+    half_links: dict[int, int] = {}
+
+    def finalize(kind: str, skel: list[SkelEdge]) -> None:
+        nid = next(next_node)
+        tree.nodes[nid] = SpqrNode(nid, kind, skel)
+        for e in skel:
+            if e.virtual:
+                if e.link in half_links:
+                    tree.tree_edges[e.link] = (half_links.pop(e.link), nid)
+                else:
+                    half_links[e.link] = nid
+
+    work: list[list[SkelEdge]] = [edges]
+    while work:
+        skel = work.pop()
+        nbr: dict[int, set[int]] = {}
+        for e in skel:
+            nbr.setdefault(e.u, set()).add(e.v)
+            nbr.setdefault(e.v, set()).add(e.u)
+        if len(nbr) == 2:
+            finalize(P, skel)
+            continue
+        if len(skel) == len(nbr) and all(len(nb) == 2 for nb in nbr.values()):
+            finalize(S, skel)
+            continue
+        multiplicity = Counter(e.pair for e in skel)
+        split = None
+        for u, v in itertools.combinations(sorted(nbr), 2):
+            comps = components(nbr, {u, v})
+            n_direct = multiplicity[frozenset((u, v))]
+            if len(comps) + n_direct >= 2 and (len(comps) >= 2 or n_direct >= 2):
+                split = (u, v, comps)
+                break
+        if split is None:
+            finalize(R, skel)
+            continue
+        u, v, comps = split
+        direct = [e for e in skel if e.pair == {u, v}]
+        # Removing u and v dropped every u-v edge, so each other edge has an
+        # endpoint in exactly one component.
+        sides = [[e for e in skel if e.u in comp or e.v in comp] for comp in comps]
+        if len(comps) == 2 and not direct:
+            virt = SkelEdge(u, v, next(next_link))
+            work.append(sides[0] + [virt])
+            work.append(sides[1] + [virt])
+        else:
+            hub: list[SkelEdge] = list(direct)
+            for side in sides:
+                virt = SkelEdge(u, v, next(next_link))
+                hub.append(virt)
+                work.append(side + [virt])
+            finalize(P, hub)
+    assert not half_links, "unpaired virtual edge"
+
+    # 2-sum away every S-S and P-P adjacency, rescanning after each merge.
+    pending = deque(sorted(tree.tree_edges))
+    while pending:
+        link = pending.popleft()
+        if link not in tree.tree_edges:
+            continue
+        a, b = tree.tree_edges[link]
+        na, nb = tree.nodes[a], tree.nodes[b]
+        if na.kind != nb.kind or na.kind not in (S, P):
+            continue
+        na.edges = [e for e in na.edges if e.link != link] + [
+            e for e in nb.edges if e.link != link
+        ]
+        del tree.nodes[b]
+        del tree.tree_edges[link]
+        for other, (x, y) in list(tree.tree_edges.items()):
+            if b in (x, y):
+                tree.tree_edges[other] = (a if x == b else x, a if y == b else y)
+                pending.append(other)
+    return tree
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from minorflow import decomposition
 from minorflow.decomposition import (
     DecompositionTree,
     InvalidDecomposition,
@@ -20,7 +21,7 @@ from minorflow.decomposition import (
 from minorflow.fileio import canonical_ids, parse_decomposition, write_decomposition
 from minorflow.network import FlowNetwork
 from minorflow.planar import is_planar, planar_embed
-from minorflow.testkit import GenConfig, gen_instance, minor_free_check
+from minorflow.testkit import GenConfig, gen_instance, minor_free_check, oracle_spqr
 
 from conftest import dnet
 
@@ -100,6 +101,15 @@ def test_validate_flags_missing_edge():
     tree.add_component(dnet([(0, 1)], extra=[2]))
     ok, problems = validate(graph, tree)
     assert not ok and any("edge sets differ" in p for p in problems)
+
+
+@pytest.mark.parametrize("edge", [(1, 2, 1, 1), (1, 0, 2, 1), (1, 1, 2, 5)])
+def test_validate_flags_an_edge_that_differs_from_the_input(edge):
+    # Same id, other tail, head or capacity; an equal copy passes.
+    graph = dnet([(0, 1), (1, 2)])
+    for other, want in ((edge, ["edge 1 differs from the input edge"]), ((1, 1, 2, 1), [])):
+        tree = single_component_tree(FlowNetwork.from_edges([(0, 0, 1, 1), other]))
+        assert validate(graph, tree) == (not want, want)
 
 
 def two_triangles(clique, attach_second=True):
@@ -288,6 +298,27 @@ def test_refine_splits_nothing_in_a_k33_free_decomposition():
         graph, _ = gen_instance(GenConfig("k33free", n, seed=seed))
         tree = decompose_k33_free(graph)
         assert shape(refine(tree)) == shape(tree), (n, seed)
+
+
+PARITY_INPUTS = [
+    (family, n, seed, key)
+    for family, key in (("k33free", "k33"), ("k5free", "k5"))
+    for n in (40, 80, 120)
+    for seed in (0, 1)
+] + [("planar", 50, seed, key) for seed in (0, 1) for key in ("k33", "k5")]
+
+
+@pytest.mark.parametrize("family,n,seed,key", PARITY_INPUTS)
+def test_decomposers_give_the_same_tree_with_the_pairwise_spqr_oracle(
+    monkeypatch, family, n, seed, key
+):
+    # SPQR pieces are ordered by vertex list, not node id, so the trees are
+    # equal outright: ids, clique homes and the holders of 2-clique edges.
+    graph, _ = gen_instance(GenConfig(family, n, seed=seed))
+    decomposer = decompose_k33_free if key == "k33" else decompose_k5_free
+    tree = decomposer(graph)
+    monkeypatch.setattr(decomposition, "spqr", oracle_spqr)
+    assert write_decomposition(decomposer(graph)) == write_decomposition(tree)
 
 
 def test_refine_splits_non_biconnected_component():

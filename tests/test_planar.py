@@ -6,7 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minorflow.decomposition import torso_adjacency, underlying, validate
-from minorflow.planar import PlanarEmbedding, components, is_planar, planar_embed, to_nx
+from minorflow.planar import (
+    PlanarEmbedding,
+    articulation_points,
+    components,
+    is_planar,
+    lowpoint_dfs,
+    planar_embed,
+    to_nx,
+)
 from minorflow.testkit import GenConfig, gen_instance
 
 
@@ -173,3 +181,28 @@ def test_is_planar_has_no_recursion_limit_on_deep_searches():
     graph, tree = gen_instance(GenConfig("planar", 10_000, seed=3))
     (cid,) = tree.components
     assert is_planar(torso_adjacency(tree, cid))
+
+
+@given(graphs(), st.integers(0, 2), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_articulation_points_agree_with_networkx(case, k, rnd):
+    adj, _ = case
+    order = sorted(adj)
+    index = {v: i for i, v in enumerate(order)}
+    nbrs = [[index[w] for w in adj[v]] for v in order]
+    removed = set(rnd.sample(range(len(order)), min(k, len(order))))
+    sub = to_nx(adj)
+    sub.remove_nodes_from(order[i] for i in removed)
+    want = set(nx.articulation_points(sub))
+    assert {order[i] for i in articulation_points(nbrs, removed)} == want
+
+
+def test_lowpoints_of_a_cycle_with_a_chord():
+    # 0-1-2-3-4-0 plus 1-3; DFS from 0 runs down the path 0-1-2-3-4.
+    nbrs = [[1, 4], [0, 2, 3], [1, 3], [1, 2, 4], [0, 3]]
+    number, parent, low1, low2, nd = lowpoint_dfs(nbrs)
+    assert number == [1, 2, 3, 4, 5]
+    assert parent == [-1, 0, 1, 2, 3]
+    assert low1 == [1, 1, 1, 1, 1]
+    assert low2 == [1, 2, 2, 2, 5]
+    assert nd == [5, 4, 3, 2, 1]
