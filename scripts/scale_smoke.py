@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
 """Scale experiment: generate a large clique-sum instance and solve it
 end to end, reporting where the time goes.  The s-t pair is the
-highest-value one of 8 seeded candidates, ranked by direct Dinic; direct
-Dinic is timed beside the pipeline, and the script exits 1 when the two
-values differ or the pipeline's flow fails verification.  With
---decomposer, the pipeline solves on the family decomposer's tree instead of
-the generated one, and the decompose time is printed.
+highest-value one of 8 seeded candidates, ranked by the direct max flow,
+which is timed beside the pipeline.  ``validate`` is timed on its own and
+the pipeline then solves with ``validate_input=False``, so its line holds
+only the solve.  The script exits 1, printing the first problems, when the
+tree is invalid, and exits 1 when the two values differ or the pipeline's
+flow fails verification.  With --decomposer, the pipeline solves on the
+family decomposer's tree instead of the generated one, and the decompose
+time is printed.
 
     python scripts/scale_smoke.py --n 100000 --family k5free --seed 11
     python scripts/scale_smoke.py --n 10000 --family k5free --seed 0 --decomposer k5
@@ -15,6 +18,7 @@ import argparse
 import random
 import time
 
+from minorflow.decomposition import validate
 from minorflow.external import verify_flow
 from minorflow.maxflow import max_flow
 from minorflow.network import TerminalSet
@@ -27,7 +31,6 @@ def main() -> None:
     ap.add_argument("--n", type=int, default=100_000)
     ap.add_argument("--family", default="k5free", choices=("planar", "k33free", "k5free"))
     ap.add_argument("--seed", type=int, default=11)
-    ap.add_argument("--skip-validate", action="store_true")
     ap.add_argument(
         "--decomposer",
         choices=("k33", "k5"),
@@ -61,20 +64,26 @@ def main() -> None:
 
     direct, _ = max_flow(graph, s, t)
     t3 = time.monotonic()
-    print(f"direct Dinic: value={direct} in {t3 - t2:.2f}s")
+    print(f"direct max_flow: value={direct} in {t3 - t2:.2f}s")
 
-    value, flow = max_flow_decomposed(
-        graph, tree, s, t, validate_input=not args.skip_validate
-    )
+    ok, problems = validate(graph, tree)
+    validated = time.monotonic()
+    print(f"validate: {'ok' if ok else 'INVALID'} in {validated - t3:.2f}s")
+    if not ok:
+        for problem in problems[:5]:
+            print(f"  {problem}")
+        raise SystemExit(1)
+
+    value, flow = max_flow_decomposed(graph, tree, s, t, validate_input=False)
     t4 = time.monotonic()
-    print(f"pipeline: value={value} in {t4 - t3:.2f}s")
+    print(f"pipeline (validate_input=False): value={value} in {t4 - validated:.2f}s")
 
     result = verify_flow(graph, TerminalSet.of(s, t), (value, -value), flow)
     t5 = time.monotonic()
     print(f"verify: {'ok' if result.ok else 'FAILED'} in {t5 - t4:.1f}s")
     print(f"total {t5 - t0:.1f}s")
     if value != direct:
-        print(f"MISMATCH: pipeline {value}, direct Dinic {direct}")
+        print(f"MISMATCH: pipeline {value}, direct max_flow {direct}")
     if value != direct or not result.ok:
         raise SystemExit(1)
 

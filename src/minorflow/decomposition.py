@@ -24,6 +24,7 @@ from .planar import (
     articulation_points,
     components,
     is_planar,
+    lowpoint_dfs,
     planar_embed,
     to_nx,
 )
@@ -179,23 +180,41 @@ def single_component_tree(net: FlowNetwork) -> DecompositionTree:
 def biconnected_split(
     adj: Adjacency,
 ) -> tuple[list[tuple[frozenset[int], frozenset[frozenset[int]]]], frozenset[int]]:
-    """Standard block-cut decomposition of a connected undirected graph.
+    """Standard block-cut decomposition of an undirected graph.
 
-    Returns edge-disjoint blocks as (vertices, pairs) plus the articulation
-    vertices; isolated vertices become single-vertex blocks.
+    Returns edge-disjoint blocks as (vertices, pairs), ordered by their
+    sorted vertex lists, plus the articulation vertices (those in two or
+    more blocks); isolated vertices become single-vertex blocks.  One
+    ``lowpoint_dfs`` finds them: a tree vertex w heads a block when no frond
+    from its subtree climbs above its parent (lowpt1[w] >= number[parent[w]]),
+    every other vertex joins the block of its parent, and each edge lies in
+    the block of its deeper end.
     """
-    g = to_nx(adj)
-    blocks: list[tuple[frozenset[int], frozenset[frozenset[int]]]] = []
-    covered: set[int] = set()
-    for comp_edges in nx.biconnected_component_edges(g):
-        pairs = frozenset(frozenset(e) for e in comp_edges)
-        verts = frozenset(w for p in pairs for w in p)
-        blocks.append((verts, pairs))
-        covered |= verts
-    for v in sorted(set(adj) - covered):
-        blocks.append((frozenset((v,)), frozenset()))
+    order = sorted(adj)
+    idx = {v: i for i, v in enumerate(order)}
+    nbrs = [[idx[w] for w in adj[v]] for v in order]
+    number, parent, low1, _, _ = lowpoint_dfs(nbrs)
+    head = list(range(len(order)))
+    verts: dict[int, set[int]] = {}  # block head -> block vertices
+    for v in sorted(range(len(order)), key=number.__getitem__):  # preorder
+        p = parent[v]
+        if p >= 0:
+            if low1[v] < number[p]:
+                head[v] = head[p]
+            verts.setdefault(head[v], {order[p]}).add(order[v])
+    pairs: dict[int, set[frozenset[int]]] = {w: set() for w in verts}
+    for u, nu in enumerate(nbrs):
+        for v in nu:
+            if number[u] < number[v]:
+                pairs[head[v]].add(frozenset((order[u], order[v])))
+    blocks = [(frozenset(verts[w]), frozenset(pairs[w])) for w in verts]
+    held: dict[int, int] = {}
+    for vs, _ in blocks:
+        for v in vs:
+            held[v] = held.get(v, 0) + 1
+    blocks += [(frozenset((v,)), frozenset()) for v in order if v not in held]
     blocks.sort(key=lambda b: sorted(b[0]))
-    return blocks, frozenset(nx.articulation_points(g))
+    return blocks, frozenset(v for v, count in held.items() if count > 1)
 
 
 # A piece of a split component: its vertex set and its torso pairs.

@@ -1,18 +1,19 @@
-"""Exact max-flow engine: shortest-augmenting-path with BFS layering (Dinic).
+"""Exact max-flow engine: shortest augmenting paths, one BFS path per
+distance until a distance repeats, then Dinic's blocking flows (``_dinic``).
 
 ``_compile`` is the single compiler every flow, cut and route goes through:
 it turns a network, plus any extra arcs glued onto it, straight into
 residual arc arrays and joins a super source and a super sink to it by arcs
-of given capacities.  ``flow_between`` runs Dinic once on that; ``max_flow``,
-``min_cut_value``, ``min_cut_side`` and ``external.route_external_flow`` are
-thin wrappers over it.  A ``TerminalKernel`` compiles once with a source arc
-and a sink arc at each of a few terminals and answers any number of cuts and
-routes between them, each on a fresh copy of the capacities:
-``min_cut_values`` runs a whole cut table on one, and the solver's Phase I
-keeps one per replaced component for its reconstruction.  A specialized
-backend (planar, bounded-treewidth, ...) replaces the engine by providing
-the same entry points.  Antiparallel and parallel edges are kept as distinct
-residual arcs, never merged or canceled.
+of given capacities.  ``flow_between`` runs the engine once on that;
+``max_flow``, ``min_cut_value``, ``min_cut_side`` and
+``external.route_external_flow`` are thin wrappers over it.  A
+``TerminalKernel`` compiles once with a source arc and a sink arc at each of
+a few terminals and answers any number of cuts and routes between them, each
+on a fresh copy of the capacities: ``min_cut_values`` runs a whole cut table
+on one, and the solver's Phase I keeps one per replaced component for its
+reconstruction.  A specialized backend (planar, bounded-treewidth, ...)
+replaces the engine by providing the same entry points.  Antiparallel and
+parallel edges are kept as distinct residual arcs, never merged or canceled.
 """
 
 from __future__ import annotations
@@ -25,10 +26,32 @@ from .network import Edge, FlowAssignment, FlowNetwork, UnknownVertexError
 def _dinic(
     adj: Sequence[Sequence[int]], to: Sequence[int], cap: list[int], s: int, t: int
 ) -> tuple[int, list[int]]:
-    """Flow value, plus the BFS levels of the last phase: exactly the
-    vertices that ``s`` still reaches in the residual network are >= 0."""
+    """Maximum flow by shortest augmenting paths: the flow value, plus the
+    BFS levels of the last phase, in which exactly the vertices that ``s``
+    still reaches in the residual network are >= 0.
+
+    Each phase is a BFS from ``s`` that records the arc each vertex was
+    labelled by and stops as soon as ``t`` is labelled.  While every BFS
+    finds ``t`` farther away than the one before, the phase augments along
+    that one predecessor path (Edmonds-Karp) and searches no further.  From
+    the first BFS that finds ``t`` at the previous distance on, every phase
+    runs Dinic's blocking-flow DFS over its BFS levels, which saturates
+    every shortest path at once.  A single-path step needs no DFS, which is
+    the common case on small cut kernels; blocking phases keep many
+    equal-length paths from costing one BFS each.
+
+    Bound: the s-t distance never decreases under shortest-path
+    augmentation.  Single-path steps run only at a distance not seen
+    before, so there are at most n - 1 of them; each blocking phase raises
+    the distance, so there are at most n - 1 of those, each O(V E).  The
+    run is O(V^2 E), Dinic's bound.  The BFS that does not reach ``t``
+    labels everything ``s`` reaches, so the returned levels are complete.
+    """
     n = len(adj)
     value = 0
+    pred = [0] * n  # pred[v]: the arc that labelled v in the current BFS
+    distance = 0  # s-t distance of the previous BFS; 0 before the first
+    blocking = False
     while True:
         level = [-1] * n
         level[s] = 0
@@ -36,15 +59,34 @@ def _dinic(
         for u in queue:  # a list grown while it is read is a FIFO queue
             nxt = level[u] + 1
             for a in adj[u]:
-                if cap[a] > 0 and level[to[a]] < 0:
-                    level[to[a]] = nxt
-                    queue.append(to[a])
+                v = to[a]
+                if cap[a] > 0 and level[v] < 0:
+                    level[v] = nxt
+                    pred[v] = a
+                    queue.append(v)
+            if level[t] >= 0:
+                break
         if level[t] < 0:
             return value, level
+        if not blocking and level[t] > distance:
+            distance = level[t]
+            path: list[int] = []
+            v = t
+            while v != s:
+                a = pred[v]
+                path.append(a)
+                v = to[a ^ 1]
+            pushed = min([cap[a] for a in path])
+            for a in path:
+                cap[a] -= pushed
+                cap[a ^ 1] += pushed
+            value += pushed
+            continue
+        blocking = True
         it = [0] * n
         # Iterative blocking-flow DFS over the level graph; it[u] is the
         # first arc of u not yet known to be useless.
-        path: list[int] = []
+        path = []
         u = s
         while True:
             if u == t:
@@ -135,8 +177,8 @@ class TerminalKernel:
     """``net`` with the ``extra`` arcs glued on, compiled once with a
     super-source arc and a super-sink arc of capacity 0 at each of the
     distinct ``terminals`` (vertices of ``net``).  Every ``flow`` or ``cut``
-    sets some of those arcs and runs Dinic on a fresh copy of the compiled
-    capacities, so the kernel can be queried any number of times."""
+    sets some of those arcs and runs ``_dinic`` on a fresh copy of the
+    compiled capacities, so the kernel can be queried any number of times."""
 
     __slots__ = ("_adj", "_to", "_base", "_source_arc", "_to_sink", "_inf")
 

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,8 @@ from minorflow.network import (
 )
 from minorflow.external import cut_table, route_external_flow, verify_flow
 from minorflow.testkit import oracle_cut_table, oracle_max_flow, random_network
+
+from conftest import dnet
 
 
 def test_single_edge():
@@ -151,6 +154,66 @@ def test_min_cut_side_is_contained_in_every_minimum_cut(case):
     assert value == best == _cut_of(net, side)
     assert side in sides
     assert all(side <= x for x in sides if _cut_of(net, x) == best)
+
+
+def _residual_reach(net, flow, s):
+    """Vertices that ``s`` reaches in the residual network of ``flow``."""
+    reach, stack = {s}, [s]
+    while stack:
+        u = stack.pop()
+        for e in net.edges:
+            if e.tail == u and flow[e.id] < e.cap and e.head not in reach:
+                reach.add(e.head)
+                stack.append(e.head)
+            elif e.head == u and flow[e.id] > 0 and e.tail not in reach:
+                reach.add(e.tail)
+                stack.append(e.tail)
+    return frozenset(reach)
+
+
+def _check_engine(net, s, t):
+    """Value against the oracle, a verified flow, and the minimal minimum
+    cut side, which is what ``s`` reaches in the residual of any max flow."""
+    value, flow = max_flow(net, s, t)
+    assert value == oracle_max_flow(net, s, t)
+    assert verify_flow(net, TerminalSet.of(s, t), (value, -value), flow)
+    cut, side = min_cut_side(net, [s], [t])
+    assert cut == value == _cut_of(net, side)
+    assert side == _residual_reach(net, flow, s)
+    return value
+
+
+def test_augmenting_paths_of_increasing_length():
+    # Each BFS finds t farther away than the one before, so every phase is a
+    # single-path step: s-x-y-t (3 arcs), then s-p-q-y-x-r-u-t (7 arcs, back
+    # over x-y), then the disjoint paths of 9 and 12 arcs.
+    s, x, y, t, p, q, r, u = range(8)
+    pairs = [(s, x), (x, y), (y, t), (s, p), (p, q), (q, y), (x, r), (r, u), (u, t)]
+    for length, first in ((9, 10), (12, 20)):
+        chain = [s] + list(range(first, first + length - 1)) + [t]
+        pairs += list(zip(chain, chain[1:]))
+    assert _check_engine(dnet(pairs), s, t) == 4
+
+
+def test_unit_bipartite_matching():
+    # Every augmenting path of the first BFS has 3 arcs, so the second BFS
+    # repeats that distance and blocking phases finish the run.
+    rng = random.Random(12)
+    left, right = range(200), range(200, 400)
+    s, t = 400, 401
+    pairs = [(s, a) for a in left] + [(b, t) for b in right]
+    pairs += [(a, b) for a in left for b in rng.sample(right, 3)]
+    assert 150 < _check_engine(dnet(pairs), s, t) < 200
+
+
+def test_capacities_near_two_to_the_62(rng):
+    for _ in range(20):
+        base = random_network(rng, rng.randint(2, 14))
+        net = FlowNetwork.from_edges(
+            [(e.id, e.tail, e.head, 2**62 - e.cap) for e in base.edges], base.vertices
+        )
+        s, t = rng.sample(sorted(net.vertices), 2)
+        _check_engine(net, s, t)
 
 
 def _random_feasible_flow(rng, net, terminals):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minorflow.decomposition import torso_adjacency, underlying, validate
+from minorflow.decomposition import biconnected_split, torso_adjacency, underlying, validate
 from minorflow.planar import (
     PlanarEmbedding,
     articulation_points,
@@ -195,6 +195,21 @@ def test_articulation_points_agree_with_networkx(case, k, rnd):
     sub.remove_nodes_from(order[i] for i in removed)
     want = set(nx.articulation_points(sub))
     assert {order[i] for i in articulation_points(nbrs, removed)} == want
+
+
+@given(graphs())
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_biconnected_split_agrees_with_networkx(case):
+    adj, _ = case
+    g = to_nx(adj)
+    want = []
+    for edges in nx.biconnected_component_edges(g):
+        pairs = frozenset(frozenset(e) for e in edges)
+        want.append((frozenset(w for p in pairs for w in p), pairs))
+    covered = set().union(*(vs for vs, _ in want))
+    want += [(frozenset((v,)), frozenset()) for v in adj if v not in covered]
+    want.sort(key=lambda b: sorted(b[0]))
+    assert biconnected_split(adj) == (want, frozenset(nx.articulation_points(g)))
 
 
 def test_lowpoints_of_a_cycle_with_a_chord():
