@@ -8,7 +8,8 @@ only the solve.  The script exits 1, printing the first problems, when the
 tree is invalid, and exits 1 when the two values differ or the pipeline's
 flow fails verification.  With --decomposer, the pipeline solves on the
 family decomposer's tree instead of the generated one, and the decompose
-time is printed.
+time is printed.  The peak RSS of the process so far (``getrusage``) is
+printed after the pipeline line.
 
     python scripts/scale_smoke.py --n 100000 --family k5free --seed 11
     python scripts/scale_smoke.py --n 10000 --family k5free --seed 0 --decomposer k5
@@ -16,6 +17,7 @@ time is printed.
 
 import argparse
 import random
+import resource
 import time
 
 from minorflow.decomposition import validate
@@ -77,6 +79,8 @@ def main() -> None:
     value, flow = max_flow_decomposed(graph, tree, s, t, validate_input=False)
     t4 = time.monotonic()
     print(f"pipeline (validate_input=False): value={value} in {t4 - validated:.2f}s")
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+    print(f"peak RSS so far: {peak_mb:.1f} MB")
 
     result = verify_flow(graph, TerminalSet.of(s, t), (value, -value), flow)
     t5 = time.monotonic()

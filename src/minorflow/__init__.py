@@ -47,7 +47,6 @@ from .decomposition import (
     decompose_k33_free,
     decompose_k5_free,
     refine,
-    separating_triangles,
     single_component_tree,
     validate,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "planar_embed",
     "refine",
     "route_external_flow",
-    "separating_triangles",
     "single_component_tree",
     "spqr",
     "validate",

@@ -150,11 +150,7 @@ class DecompositionTree:
 
 
 def underlying(net: FlowNetwork) -> Adjacency:
-    adj: dict[int, set[int]] = {v: set() for v in net.vertices}
-    for e in net.edges:
-        adj[e.tail].add(e.head)
-        adj[e.head].add(e.tail)
-    return adj
+    return adjacency(net.vertices, ((e.tail, e.head) for e in net.edges))
 
 
 def torso_adjacency(tree: DecompositionTree, comp_id: int) -> Adjacency:
@@ -371,23 +367,6 @@ def _split_at_triangle(
         pairs = frozenset(frozenset((u, w)) for u in verts for w in torso[u] if w in verts)
         pieces.append((verts, pairs))
     _split(tree, cid, pieces, [(tri, list(range(len(pieces))))])
-
-
-def separating_triangles(
-    component: FlowNetwork,
-    triangles: Sequence[Iterable[int]],
-) -> list[FlowNetwork]:
-    """Split a triconnected planar component at every gluing triangle that is
-    not a face, recursively, until each listed triangle is a face of its
-    piece.  Returns the pieces (the input unchanged when nothing splits)."""
-    tree = DecompositionTree()
-    cid = tree.add_component(component)
-    for tri in triangles:
-        kid = tree.add_clique(tri)
-        tree.attach(cid, kid)
-    while _triangle_pass(tree):
-        pass
-    return [tree.components[c].net for c in sorted(tree.components)]
 
 
 def refine(tree: DecompositionTree) -> DecompositionTree:

@@ -8,7 +8,7 @@ from typing import Mapping, Sequence
 
 # ``max_flow`` and ``min_cut_value`` are imported but unused here: the
 # benchmark's traced run wraps this module's bindings by name.
-from .maxflow import flow_between, max_flow, min_cut_value, min_cut_values
+from .maxflow import TerminalKernel, max_flow, min_cut_value
 from .network import (
     FULL,
     SINGLE_SOURCE,
@@ -44,7 +44,8 @@ def cut_table(net: FlowNetwork, terminals: TerminalSet, mode: str = FULL) -> Cut
         splits = [((src,), sinks) for sinks in keys]
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return CutTable(mode, terminals, dict(zip(keys, min_cut_values(net, order, splits))))
+    kernel = TerminalKernel(net, order)
+    return CutTable(mode, terminals, {key: kernel.cut(*split) for key, split in zip(keys, splits)})
 
 
 def check_external_realizable(table: CutTable, x: Sequence[int]) -> bool:
@@ -90,7 +91,7 @@ def route_external_flow(
     if need == 0:
         return {e.id: 0 for e in net.edges}
     demand = {q: -xi for q, xi in zip(terminals.order, x) if xi < 0}
-    value, cap, _ = flow_between(net, supply, demand)
+    value, cap = TerminalKernel(net, terminals.order).flow(supply, demand)
     if value != need:
         raise InfeasibleDemandError(f"demand {tuple(x)} not realizable (routed {value} of {need})")
     return {e.id: e.cap - cap[2 * i] for i, e in enumerate(net.edges)}

@@ -1,19 +1,17 @@
 """Exact max-flow engine: shortest augmenting paths, one BFS path per
 distance until a distance repeats, then Dinic's blocking flows (``_dinic``).
 
-``_compile`` is the single compiler every flow, cut and route goes through:
-it turns a network, plus any extra arcs glued onto it, straight into
-residual arc arrays and joins a super source and a super sink to it by arcs
-of given capacities.  ``flow_between`` runs the engine once on that;
-``max_flow``, ``min_cut_value``, ``min_cut_side`` and
-``external.route_external_flow`` are thin wrappers over it.  A
-``TerminalKernel`` compiles once with a source arc and a sink arc at each of
-a few terminals and answers any number of cuts and routes between them, each
-on a fresh copy of the capacities: ``min_cut_values`` runs a whole cut table
-on one, and the solver's Phase I keeps one per replaced component for its
-reconstruction.  A specialized backend (planar, bounded-treewidth, ...)
-replaces the engine by providing the same entry points.  Antiparallel and
-parallel edges are kept as distinct residual arcs, never merged or canceled.
+``TerminalKernel`` is the only code that compiles a network (``_compile``)
+or runs the engine.  It turns a network, plus any extra arcs glued onto it,
+into residual arc arrays with a super-source arc and a super-sink arc at
+each of a few terminals, and answers any number of flows and cuts between
+those terminals, each on a fresh copy of the capacities.  Every other flow
+question is a query on a kernel built where it is asked: ``max_flow``,
+``min_cut_value`` and ``min_cut_side`` here, ``external.cut_table`` and
+``external.route_external_flow``, and the solver's Phase I cuts and replay
+routes.  A specialized backend (planar, bounded-treewidth, ...) replaces
+the engine by providing the same entry points.  Antiparallel and parallel
+edges are kept as distinct residual arcs, never merged or canceled.
 """
 
 from __future__ import annotations
@@ -120,21 +118,17 @@ def _dinic(
 
 
 def _compile(
-    net: FlowNetwork,
-    sources: Mapping[int, int],
-    sinks: Mapping[int, int],
-    extra: Sequence[Edge] = (),
+    net: FlowNetwork, terminals: Sequence[int], extra: Sequence[Edge] = ()
 ) -> tuple[dict[int, int], list[list[int]], list[int], list[int]]:
     """Residual arrays of ``net`` with the ``extra`` arcs glued on (their
-    ends outside ``net`` become vertices too), plus a super source, joined
-    to each vertex v of ``sources`` by an arc of capacity ``sources[v]``,
-    and a super sink joined from each vertex of ``sinks`` likewise.  Those
-    vertices must lie in ``net``.
+    ends outside ``net`` become vertices too), plus a super source joined to
+    each of the distinct ``terminals`` (vertices of ``net``) and a super
+    sink joined from each, all by arcs of capacity 0.
 
     Returns the vertex index (the super source is ``len(index)``, the super
     sink one more), the arcs leaving each vertex, each arc's head and each
     arc's capacity.  Arc 2i is edge i of ``net.edges + extra``, arcs
-    2(m + j) the source arcs in the order of ``sources``, then the sink
+    2(m + j) the source arcs in the order of ``terminals``, then the sink
     arcs; arc a ^ 1 is the reverse of arc a.
     """
     index = {v: i for i, v in enumerate(net.vertices)}
@@ -143,122 +137,105 @@ def _compile(
         index.setdefault(e.head, len(index))
     ss, tt = len(index), len(index) + 1
     edges = net.edges + tuple(extra)
-    tails = [index[e.tail] for e in edges] + [ss] * len(sources) + [index[v] for v in sinks]
-    heads = [index[e.head] for e in edges] + [index[v] for v in sources] + [tt] * len(sinks)
+    ends = [index[q] for q in terminals]
+    tails = [index[e.tail] for e in edges] + [ss] * len(ends) + ends
+    heads = [index[e.head] for e in edges] + ends + [tt] * len(ends)
     to = [0] * (2 * len(tails))
     to[0::2] = heads
     to[1::2] = tails
     cap = [0] * len(to)
-    cap[0::2] = [e.cap for e in edges] + list(sources.values()) + list(sinks.values())
+    cap[0 : 2 * len(edges) : 2] = [e.cap for e in edges]
     adj: list[list[int]] = [[] for _ in range(tt + 1)]
     for a, head in enumerate(to):
         adj[head].append(a ^ 1)  # arc a ^ 1 leaves the head of arc a
     return index, adj, to, cap
 
 
-def flow_between(
-    net: FlowNetwork, sources: Mapping[int, int], sinks: Mapping[int, int]
-) -> tuple[int, list[int], frozenset[int]]:
-    """Maximum flow from a super source, joined to each vertex v of
-    ``sources`` by an arc of capacity ``sources[v]``, to a super sink joined
-    from each vertex of ``sinks`` likewise.  Vertices must lie in ``net``.
-
-    Returns the value, the residual capacity of every arc (arc 2i is edge i
-    of ``net``, which carries ``e.cap - cap[2i]``), and the vertices of
-    ``net`` that the super source still reaches in the residual network:
-    the source side of the minimal minimum cut.
-    """
-    index, adj, to, cap = _compile(net, sources, sinks)
-    value, level = _dinic(adj, to, cap, len(index), len(index) + 1)
-    return value, cap, frozenset(v for v, i in index.items() if level[i] >= 0)
-
-
 class TerminalKernel:
     """``net`` with the ``extra`` arcs glued on, compiled once with a
     super-source arc and a super-sink arc of capacity 0 at each of the
-    distinct ``terminals`` (vertices of ``net``).  Every ``flow`` or ``cut``
-    sets some of those arcs and runs ``_dinic`` on a fresh copy of the
-    compiled capacities, so the kernel can be queried any number of times."""
+    distinct ``terminals`` (vertices of ``net``).  Every query sets some of
+    those arcs and runs ``_dinic`` on a fresh copy of the compiled
+    capacities, so the kernel can be queried any number of times."""
 
-    __slots__ = ("_adj", "_to", "_base", "_source_arc", "_to_sink", "_inf")
+    __slots__ = ("_index", "_adj", "_to", "_base", "_source_arc", "_to_sink", "_inf")
 
     def __init__(self, net: FlowNetwork, terminals: Sequence[int], extra: Sequence[Edge] = ()):
-        zero = dict.fromkeys(terminals, 0)
-        _, adj, to, base = _compile(net, zero, zero, extra)
-        # Tuples of ints drop out of the cyclic collector's lists, so kept
-        # kernels do not lengthen every full collection.
-        self._adj, self._to, self._base = tuple(map(tuple, adj)), tuple(to), tuple(base)
+        self._index, self._adj, self._to, self._base = _compile(net, terminals, extra)
         m = len(net.edges) + len(extra)
-        self._source_arc = {q: 2 * (m + j) for j, q in enumerate(zero)}
-        self._to_sink = 2 * len(zero)  # from a terminal's source arc to its sink arc
+        self._source_arc = {q: 2 * (m + j) for j, q in enumerate(terminals)}
+        self._to_sink = 2 * len(terminals)  # from a terminal's source arc to its sink arc
         self._inf = sum(self._base[0 : 2 * m : 2]) + 1
 
-    def flow(self, sources: Mapping[int, int], sinks: Mapping[int, int]) -> tuple[int, list[int]]:
-        """Maximum flow from terminals ``sources`` (at most ``sources[q]``
-        out of q) to terminals ``sinks`` (at most ``sinks[q]`` into q): the
-        value, and every arc's residual capacity, so that arc 2i (edge i of
-        ``net.edges + extra``) carries ``e.cap - cap[2i]``."""
+    def _run(
+        self, sources: Mapping[int, int], sinks: Mapping[int, int]
+    ) -> tuple[int, list[int], list[int]]:
+        """``_dinic`` with the given terminal arcs: value, residual
+        capacities and BFS levels."""
         cap = list(self._base)
         for q, c in sources.items():
             cap[self._source_arc[q]] = c
         for q, c in sinks.items():
             cap[self._source_arc[q] + self._to_sink] = c
         ss = len(self._adj) - 2
-        return _dinic(self._adj, self._to, cap, ss, ss + 1)[0], cap
+        value, level = _dinic(self._adj, self._to, cap, ss, ss + 1)
+        return value, cap, level
+
+    def flow(self, sources: Mapping[int, int], sinks: Mapping[int, int]) -> tuple[int, list[int]]:
+        """Maximum flow from terminals ``sources`` (at most ``sources[q]``
+        out of q) to terminals ``sinks`` (at most ``sinks[q]`` into q): the
+        value, and every arc's residual capacity, so that arc 2i (edge i of
+        ``net.edges + extra``) carries ``e.cap - cap[2i]``."""
+        value, cap, _ = self._run(sources, sinks)
+        return value, cap
 
     def cut(self, sources: Iterable[int], sinks: Iterable[int]) -> int:
         """Minimum cut with terminals ``sources`` on the source side and
         terminals ``sinks`` on the sink side (other terminals free)."""
         inf = self._inf
-        return self.flow(dict.fromkeys(sources, inf), dict.fromkeys(sinks, inf))[0]
+        return self._run(dict.fromkeys(sources, inf), dict.fromkeys(sinks, inf))[0]
+
+    def cut_side(
+        self, sources: Iterable[int], sinks: Iterable[int]
+    ) -> tuple[int, frozenset[int]]:
+        """``cut`` plus the vertices the super source still reaches in the
+        residual network: the source side of the minimal minimum cut."""
+        inf = self._inf
+        value, _, level = self._run(dict.fromkeys(sources, inf), dict.fromkeys(sinks, inf))
+        return value, frozenset(v for v, i in self._index.items() if level[i] >= 0)
 
 
-def min_cut_values(
-    net: FlowNetwork,
-    terminals: Sequence[int],
-    splits: Iterable[tuple[Iterable[int], Iterable[int]]],
-) -> list[int]:
-    """``min_cut_value(net, sources, sinks)`` for each split of the distinct
-    vertices ``terminals`` of ``net``, from one ``TerminalKernel``."""
-    kernel = TerminalKernel(net, terminals)
-    return [kernel.cut(sources, sinks) for sources, sinks in splits]
+def _checked(
+    net: FlowNetwork, sources: Iterable[int], sinks: Iterable[int]
+) -> tuple[list[int], list[int]]:
+    """``sources`` and ``sinks`` sorted and distinct, after checking that
+    both are nonempty, lie in ``net`` and are disjoint."""
+    sources, sinks = sorted(set(sources)), sorted(set(sinks))
+    if not sources or not sinks:
+        raise ValueError("sources and sinks must be nonempty")
+    for role, group in (("source", sources), ("sink", sinks)):
+        for v in group:
+            if v not in net.vertices:
+                raise UnknownVertexError(f"{role} {v} not in network")
+    if set(sources) & set(sinks):
+        raise ValueError("source and sink must differ")
+    return sources, sinks
 
 
 def max_flow(net: FlowNetwork, s: int, t: int) -> tuple[int, FlowAssignment]:
     """Maximum s-t flow value and an integral flow achieving it."""
-    if s not in net.vertices:
-        raise UnknownVertexError(f"source {s} not in network")
-    if t not in net.vertices:
-        raise UnknownVertexError(f"sink {t} not in network")
-    if s == t:
-        raise ValueError("source and sink must differ")
+    _checked(net, (s,), (t,))
     inf = net.total_capacity + 1
-    value, cap, _ = flow_between(net, {s: inf}, {t: inf})
+    # The kernel is a temporary, so it is freed before the flow dict is built.
+    value, cap = TerminalKernel(net, (s, t)).flow({s: inf}, {t: inf})
     return value, {e.id: e.cap - cap[2 * i] for i, e in enumerate(net.edges)}
-
-
-def _grouped_cut(
-    net: FlowNetwork, sources: Iterable[int], sinks: Iterable[int]
-) -> tuple[int, list[int], frozenset[int]]:
-    """``flow_between`` with effectively-infinite terminal arcs: 1 + the sum
-    of all capacities, never a sentinel."""
-    sources = sorted(set(sources))
-    sinks = sorted(set(sinks))
-    if not sources or not sinks:
-        raise ValueError("sources and sinks must be nonempty")
-    if set(sources) & set(sinks):
-        raise ValueError("sources and sinks overlap")
-    for v in sources + sinks:
-        if v not in net.vertices:
-            raise UnknownVertexError(f"vertex {v} not in network")
-    inf = net.total_capacity + 1
-    return flow_between(net, dict.fromkeys(sources, inf), dict.fromkeys(sinks, inf))
 
 
 def min_cut_value(net: FlowNetwork, sources: Iterable[int], sinks: Iterable[int]) -> int:
     """Minimum cut with every vertex of ``sources`` on the source side and
     every vertex of ``sinks`` on the sink side (other vertices free)."""
-    return _grouped_cut(net, sources, sinks)[0]
+    sources, sinks = _checked(net, sources, sinks)
+    return TerminalKernel(net, sources + sinks).cut(sources, sinks)
 
 
 def min_cut_side(
@@ -269,5 +246,5 @@ def min_cut_side(
     The side is the residual-reachable set from the super source, which makes
     it deterministic and minimal among all minimum cuts.
     """
-    value, _, side = _grouped_cut(net, sources, sinks)
-    return value, side
+    sources, sinks = _checked(net, sources, sinks)
+    return TerminalKernel(net, sources + sinks).cut_side(sources, sinks)

@@ -10,7 +10,7 @@ everything up to four terminals collapses via minimum-cut signatures.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .external import cut_table
 from .maxflow import min_cut_side
@@ -81,8 +81,32 @@ def check_four_way(table: CutTable) -> bool:
     return True
 
 
-def _fresh_ids(first: int, count: int) -> list[int]:
-    return list(range(first, first + count))
+def full_mimic_arcs(
+    cut: Callable[[Sequence[int], Sequence[int]], int],
+    terminals: Sequence[int],
+    hub: int | None,
+    first_edge_id: int,
+) -> tuple[Edge, ...]:
+    """Arcs of the exact full-table mimic on 2 or 3 ``terminals``, numbered
+    from ``first_edge_id``, where ``cut(sources, sinks)`` is the minimum cut
+    with ``sources`` on the source side and ``sinks`` on the sink side.
+
+    Two terminals get an antiparallel pair carrying the two cuts; three get
+    a star around ``hub`` whose arc q->hub carries q↛(rest) and hub->q
+    carries (rest)↛q.
+    """
+    if len(terminals) == 2:
+        u, v = terminals
+        return (
+            Edge(first_edge_id, u, v, cut((u,), (v,))),
+            Edge(first_edge_id + 1, v, u, cut((v,), (u,))),
+        )
+    arcs = []
+    for i, q in enumerate(terminals):
+        rest = [w for w in terminals if w != q]
+        arcs.append(Edge(first_edge_id + 2 * i, q, hub, cut((q,), rest)))
+        arcs.append(Edge(first_edge_id + 2 * i + 1, hub, q, cut(rest, (q,))))
+    return tuple(arcs)
 
 
 def build_mimic3(
@@ -101,17 +125,8 @@ def build_mimic3(
     hub = max(terms) + 1 if hub_vertex is None else hub_vertex
     if hub in terms:
         raise ValueError("hub vertex collides with a terminal")
-    eids = _fresh_ids(first_edge_id, 6)
-    edges = []
-    for i, q in enumerate(terms):
-        rest = tuple(w for w in terms if w != q)
-        out_cap = table.cut([q])
-        in_cap = table.cut(rest)
-        if out_cap < 0 or in_cap < 0:
-            raise MimicInputError("negative cut value")
-        edges.append(Edge(eids[2 * i], q, hub, out_cap))
-        edges.append(Edge(eids[2 * i + 1], hub, q, in_cap))
-    return FlowNetwork(frozenset(terms) | {hub}, tuple(edges))
+    edges = full_mimic_arcs(lambda sources, _: table.cut(sources), terms, hub, first_edge_id)
+    return FlowNetwork(frozenset(terms) | {hub}, edges)
 
 
 def build_mimic4_single_source(
@@ -158,9 +173,10 @@ def build_mimic4_single_source(
     hub = max(table.terminals.order) + 1 if hub_vertex is None else hub_vertex
     if hub in table.terminals.order:
         raise ValueError("hub vertex collides with a terminal")
-    eids = _fresh_ids(first_edge_id, 7)
     ends = ((s, a), (s, b), (s, c), (a, hub), (b, hub), (hub, b), (hub, c))
-    edges = tuple(Edge(eid, u, v, cap) for eid, (u, v), cap in zip(eids, ends, caps))
+    edges = tuple(
+        Edge(first_edge_id + i, u, v, cap) for i, ((u, v), cap) in enumerate(zip(ends, caps))
+    )
     return FlowNetwork(frozenset(table.terminals.order) | {hub}, edges), (a, b, c)
 
 
@@ -233,12 +249,9 @@ def build_full_mimic(
         return build_mimic3(table, hub_vertex, first_edge_id)
     if table.terminals.k != 2:
         raise ValueError("build_full_mimic handles 2 or 3 terminals")
-    u, v = table.terminals.order
-    edges = (
-        Edge(first_edge_id, u, v, table.cut([u])),
-        Edge(first_edge_id + 1, v, u, table.cut([v])),
-    )
-    return FlowNetwork(frozenset((u, v)), edges)
+    terms = table.terminals.order
+    edges = full_mimic_arcs(lambda sources, _: table.cut(sources), terms, None, first_edge_id)
+    return FlowNetwork(frozenset(terms), edges)
 
 
 def merge_mimics(

@@ -35,7 +35,7 @@ def to_nx(adj: Adjacency) -> nx.Graph:
     return g
 
 
-def adjacency(vertices: Iterable[int], pairs: Iterable[AbstractSet[int]]) -> dict[int, set[int]]:
+def adjacency(vertices: Iterable[int], pairs: Iterable[Iterable[int]]) -> dict[int, set[int]]:
     """Adjacency of the simple graph on ``vertices`` whose edges are ``pairs``."""
     adj: dict[int, set[int]] = {v: set() for v in vertices}
     for u, v in pairs:

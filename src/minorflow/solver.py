@@ -7,9 +7,11 @@ network.  The tree is only read, never copied or changed.
 Phase I compiles each off-path component once (``maxflow.TerminalKernel``):
 its own edges, the mimic arcs its children left, and a super-source and a
 super-sink arc at each vertex of the clique above it.  That compile gives
-every cut of the full table, and the mimic built from them waits as arcs in
-the component above.  The replay routes a non-zero demand on the same
-compile and gives a zero demand zero flow without running it.
+every cut of the full table, the mimic built from them
+(``mimic.full_mimic_arcs``) waits as arcs in the component above, and the
+compile is dropped.  The replay compiles a component again only when its
+mimic carries a non-zero demand, and routes that demand on it; a zero
+demand gives the component zero flow without compiling anything.
 
 The tree is not refined first: every installed mimic has the same cut table
 as the component it replaces, which makes the pipeline exact on any valid
@@ -38,6 +40,7 @@ from .decomposition import (
     decompose_k33_free,
     decompose_k5_free,
     refine,
+    underlying,
     validate,
 )
 from .external import cut_table, route_external_flow
@@ -46,6 +49,7 @@ from .mimic import (
     build_full_mimic,
     build_mimic4_single_source,
     build_mimic_general,
+    full_mimic_arcs,
     merge_mimics,
 )
 from .network import (
@@ -57,6 +61,7 @@ from .network import (
     imbalances,
     merge_networks,
 )
+from .planar import components
 
 Observer = Callable[[str, FlowNetwork], None]
 
@@ -69,15 +74,12 @@ class ReplacementRecord:
     that components below it left) glued on, was replaced by the ``mimic``
     arcs on its sorted clique ``terminals``: none for one terminal, an
     antiparallel pair for two, a star around a fresh hub for three.
-    ``kernel`` is the compile of ``net`` plus ``children`` with a source
-    and sink arc per terminal, None for one terminal.
     """
 
     net: FlowNetwork
     children: tuple[Edge, ...]
     terminals: tuple[int, ...]
     mimic: tuple[Edge, ...]
-    kernel: TerminalKernel | None
 
     def snapshot(self) -> FlowNetwork:
         """The network the mimic replaced."""
@@ -98,11 +100,6 @@ class SolveState:
         v = self.next_vertex
         self.next_vertex += 1
         return v
-
-    def alloc_edges(self, count: int) -> int:
-        first = self.next_edge
-        self.next_edge += count
-        return first
 
 
 def _glue(nets: Iterable[FlowNetwork], arcs: Iterable[Edge]) -> FlowNetwork:
@@ -140,28 +137,6 @@ def locate_terminal_path(
     return path, parent
 
 
-def _mimic(state: SolveState, kernel: TerminalKernel, terminals: tuple[int, ...]) -> tuple[Edge, ...]:
-    """Arcs of the exact full-table mimic on 2 or 3 sorted terminals, in the
-    order of ``mimic.build_full_mimic``: an antiparallel pair carrying the
-    two cuts, or a star whose arc q->hub carries q↛(rest) and hub->q carries
-    (rest)↛q."""
-    if len(terminals) == 2:
-        u, v = terminals
-        first = state.alloc_edges(2)
-        return (
-            Edge(first, u, v, kernel.cut((u,), (v,))),
-            Edge(first + 1, v, u, kernel.cut((v,), (u,))),
-        )
-    hub = state.alloc_vertex()
-    first = state.alloc_edges(6)
-    arcs = []
-    for i, q in enumerate(terminals):
-        rest = [w for w in terminals if w != q]
-        arcs.append(Edge(first + 2 * i, q, hub, kernel.cut((q,), rest)))
-        arcs.append(Edge(first + 2 * i + 1, hub, q, kernel.cut(rest, (q,))))
-    return tuple(arcs)
-
-
 def phase1(
     state: SolveState, path_comps: list[int], parent: dict[Node, Node | None]
 ) -> None:
@@ -181,12 +156,14 @@ def phase1(
         net = tree.components[cid].net
         terminals = tuple(sorted(tree.cliques[up[1]].vertices))
         children = tuple(pending.pop(cid, ()))
-        kernel, mimic = None, ()
+        mimic: tuple[Edge, ...] = ()
         if len(terminals) > 1:
-            kernel = TerminalKernel(net, terminals, children)
-            mimic = _mimic(state, kernel, terminals)
+            hub = state.alloc_vertex() if len(terminals) == 3 else None
+            cut = TerminalKernel(net, terminals, children).cut
+            mimic = full_mimic_arcs(cut, terminals, hub, state.next_edge)
+            state.next_edge += len(mimic)
             pending.setdefault(parent[up][1], []).extend(mimic)
-        state.records.append(ReplacementRecord(net, children, terminals, mimic, kernel))
+        state.records.append(ReplacementRecord(net, children, terminals, mimic))
         if state.observer is not None:
             replaced.add(cid)
             alive = [c.net for k, c in tree.components.items() if k not in replaced]
@@ -209,8 +186,8 @@ def reconstruct(
 ) -> FlowAssignment:
     """Pop the replacement stack, converting the flow on each mimic into a
     routed flow on the component and child mimic arcs it replaced.  A zero
-    demand gives the component zero flow; any other is routed on the
-    record's kernel.  Feasibility of every pop is guaranteed by the
+    demand gives the component zero flow; any other is routed on a kernel
+    compiled for it.  Feasibility of every pop is guaranteed by the
     cut-table equality of the installed mimic; a failure here means a
     mimicking bug, not bad input."""
     flows: dict[int, int] = dict(final_flow)
@@ -230,7 +207,7 @@ def reconstruct(
         supply = {q: xq for q, xq in x.items() if xq > 0}
         if supply:
             demand = {q: -xq for q, xq in x.items() if xq < 0}
-            value, cap = rec.kernel.flow(supply, demand)
+            value, cap = TerminalKernel(rec.net, rec.terminals, rec.children).flow(supply, demand)
             if value != sum(supply.values()):
                 raise InfeasibleDemandError(
                     f"demand {tuple(x.values())} not realizable (routed {value})"
@@ -320,6 +297,20 @@ def max_flow_family(
     t: int,
     observer: Observer | None = None,
 ) -> tuple[int, FlowAssignment]:
-    """Decompose by family (see ``decompose``) and solve."""
+    """Decompose by family (see ``decompose``) and solve, on the connected
+    component of ``graph`` that holds s.  Every edge outside that component
+    carries 0, and the value is 0 when t lies outside it."""
+    if s not in graph.vertices or t not in graph.vertices:
+        raise UnknownVertexError("terminal missing from the input network")
+    part = next(c for c in components(underlying(graph)) if s in c)
+    flow = {e.id: 0 for e in graph.edges}
+    if t not in part:
+        return 0, flow
+    if len(part) < len(graph.vertices):
+        graph = FlowNetwork(frozenset(part), tuple(e for e in graph.edges if e.tail in part))
     tree = decompose(graph, family)
-    return max_flow_decomposed(graph, tree, s, t, validate_input=False, observer=observer)
+    value, part_flow = max_flow_decomposed(
+        graph, tree, s, t, validate_input=False, observer=observer
+    )
+    flow.update(part_flow)
+    return value, flow

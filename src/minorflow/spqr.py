@@ -26,7 +26,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass, field
 
-from .planar import Adjacency, components, lowpoint_dfs
+from .planar import Adjacency, adjacency, components, lowpoint_dfs
 
 S, P, R, Q = "S", "P", "R", "Q"
 
@@ -94,11 +94,7 @@ def _edge_list(adj: Adjacency) -> list[SkelEdge]:
 
 
 def _skel_adjacency(edges: list[SkelEdge]) -> dict[int, set[int]]:
-    adj: dict[int, set[int]] = {}
-    for e in edges:
-        adj.setdefault(e.u, set()).add(e.v)
-        adj.setdefault(e.v, set()).add(e.u)
-    return adj
+    return adjacency({v for e in edges for v in (e.u, e.v)}, ((e.u, e.v) for e in edges))
 
 
 def spqr(adj: Adjacency) -> SpqrTree:

@@ -13,7 +13,7 @@ from minorflow.fileio import (
     write_flow,
     write_network,
 )
-from minorflow.testkit import GenConfig, gen_instance
+from minorflow.testkit import GenConfig, gen_instance, oracle_max_flow
 
 from conftest import overflow_tree
 
@@ -225,12 +225,15 @@ def test_cli_malformed_header_exits_one(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
-def test_cli_disconnected_network_exits_one(tmp_path, capsys):
+def test_cli_disconnected_network_solves_but_does_not_decompose(tmp_path, capsys):
     net = tmp_path / "iso.max"
     dec = tmp_path / "dec.json"
-    net.write_text("p max 4 2\na 1 2 3\na 2 3 4\n")  # vertex 4 is isolated
-    assert run(tmp_path, "solve", "--network", net, "--family", "k5", "--source", 1, "--sink", 3) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    text = "p max 4 2\na 1 2 3\na 2 3 4\n"  # vertex 4 is isolated
+    net.write_text(text)
+    want = oracle_max_flow(parse_network(text)[0], 1, 3)
+    args = ("solve", "--network", net, "--family", "k5", "--source", 1, "--sink", 3, "--audit")
+    assert run(tmp_path, *args) == 0
+    assert capsys.readouterr().out.startswith(f"value {want}\naudit flow ok\n")
     assert run(tmp_path, "decompose", "--network", net, "--family", "k33", "-o", dec) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not dec.exists()

@@ -12,7 +12,6 @@ from minorflow.decomposition import (
     decompose_k33_free,
     decompose_k5_free,
     refine,
-    separating_triangles,
     single_component_tree,
     torso_adjacency,
     underlying,
@@ -243,21 +242,39 @@ def test_decomposers_require_connected_input():
         decompose_k33_free(g)
 
 
-def test_separating_triangles_leaves_faces_alone():
-    octa = dnet(OCTAHEDRON)
-    pieces = separating_triangles(octa, [(0, 1, 2)])
-    assert len(pieces) == 1  # a face triangle never splits
+def glued_at_triangle(pairs):
+    """Tree of the network on ``pairs`` and a vertex 9 joined to 0, 1 and 2,
+    the two components glued at the triangle {0, 1, 2}."""
+    net = dnet(pairs)
+    tree = DecompositionTree()
+    main = tree.add_component(net)
+    apex = tree.add_component(
+        FlowNetwork.from_edges([(100 + q, 9, q, 1) for q in (0, 1, 2)])
+    )
+    k = tree.add_clique([0, 1, 2])
+    tree.attach(main, k)
+    tree.attach(apex, k)
+    return tree
 
 
-def test_separating_triangles_splits_stacked_tetrahedra():
+def refined_vertex_sets(tree):
+    refined = refine(tree)
+    assert validate(tree.reassemble(), refined)[0]
+    return {frozenset(c.net.vertices) for c in refined.components.values()}
+
+
+def test_refine_leaves_a_face_triangle_alone():
+    tree = glued_at_triangle(OCTAHEDRON)
+    assert refined_vertex_sets(tree) == {frozenset(range(6)), frozenset({0, 1, 2, 9})}
+
+
+def test_refine_splits_stacked_tetrahedra_at_their_triangle():
     # two tetrahedra sharing the (non-face) triangle 0,1,2
     pairs = [(0, 1), (1, 2), (0, 2), (0, 3), (1, 3), (2, 3), (0, 4), (1, 4), (2, 4)]
-    net = dnet(pairs)
-    pieces = separating_triangles(net, [(0, 1, 2)])
-    assert len(pieces) == 2
-    assert {frozenset(p.vertices) for p in pieces} == {
+    assert refined_vertex_sets(glued_at_triangle(pairs)) == {
         frozenset({0, 1, 2, 3}),
         frozenset({0, 1, 2, 4}),
+        frozenset({0, 1, 2, 9}),
     }
 
 

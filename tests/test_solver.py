@@ -158,6 +158,32 @@ def test_family_decomposer_solves_exactly(family, key, rng):
         assert verify_flow(graph, TerminalSet.of(s, t), (value, -value), flow)
 
 
+def test_family_solve_runs_on_the_source_component(rng):
+    # Two k5free instances side by side plus an isolated vertex: a pair
+    # inside one instance solves there, and a pair across them has value 0.
+    a, _ = gen_instance(GenConfig("k5free", 24, seed=1))
+    b, _ = gen_instance(GenConfig("k5free", 24, seed=2))
+    dv, de = a.next_vertex_id(), a.next_edge_id()
+    moved = [(e.id + de, e.tail + dv, e.head + dv, e.cap) for e in b.edges]
+    graph = FlowNetwork.from_edges([(e.id, e.tail, e.head, e.cap) for e in a.edges] + moved, [999])
+    inside = max(
+        (rng.sample(sorted(b.vertices), 2) for _ in range(4)),
+        key=lambda pair: oracle_max_flow(b, *pair),
+    )
+    pairs = [
+        (inside[0] + dv, inside[1] + dv),
+        (min(a.vertices), min(b.vertices) + dv),
+        (999, min(a.vertices)),
+    ]
+    for s, t in pairs:
+        value, flow = max_flow_family(graph, "k5", s, t)
+        assert value == oracle_max_flow(graph, s, t)
+        assert set(flow) == {e.id for e in graph.edges}
+        assert verify_flow(graph, TerminalSet.of(s, t), (value, -value), flow)
+    assert max_flow_family(graph, "k5", *pairs[0])[0] > 0
+    assert not any(flow.values())
+
+
 def test_planar_graph_solves_under_both_families(rng):
     graph, _ = gen_instance(GenConfig("planar", 14, seed=4))
     s, t = rng.sample(sorted(graph.vertices), 2)
@@ -327,12 +353,12 @@ def test_corrupted_mimic_capacity_breaks_the_audit(monkeypatch):
     import minorflow.solver as solver_mod
     from minorflow.network import Edge, InfeasibleDemandError
 
-    real = solver_mod._mimic
+    real = solver_mod.full_mimic_arcs
 
-    def corrupt(st, kernel, terminals):
-        return tuple(Edge(e.id, e.tail, e.head, e.cap + 5) for e in real(st, kernel, terminals))
+    def corrupt(*args):
+        return tuple(Edge(e.id, e.tail, e.head, e.cap + 5) for e in real(*args))
 
-    monkeypatch.setattr(solver_mod, "_mimic", corrupt)
+    monkeypatch.setattr(solver_mod, "full_mimic_arcs", corrupt)
     s, u, v, t = 0, 1, 2, 3
     main = FlowNetwork.from_edges([(0, s, u, 5), (1, v, t, 5)], [u, v])
     leaf = FlowNetwork.from_edges([(2, u, v, 2)])
@@ -486,8 +512,12 @@ def test_each_component_compiles_once_and_zero_demands_skip_the_kernel(monkeypat
             calls.update(compile=0, dinic=0)
             value, flow = max_flow_decomposed(graph, tree, s, t, validate_input=False)
             records, before, after, flows = seen[-1]
-            assert calls["compile"] == before["compile"] == off_path + 1
+            # Phase I compiles each off-path component on a 2- or 3-clique
+            # once, and the final solve once; the replay compiles and runs
+            # the engine once per non-zero demand and never for a zero one.
+            assert before["compile"] == off_path + 1
             nonzero = sum(1 for d in subtree_demands(records, flows) if any(d.values()))
+            assert after["compile"] - before["compile"] == nonzero
             assert after["dinic"] - before["dinic"] == nonzero
             routed += nonzero
             skipped += len(records) - nonzero
