@@ -2,30 +2,53 @@
 """Scale experiment: generate a large clique-sum instance and solve it
 end to end, reporting where the time goes.  The s-t pair is the
 highest-value one of 8 seeded candidates, ranked by the direct max flow,
-which is timed beside the pipeline.  ``validate`` is timed on its own and
-the pipeline then solves with ``validate_input=False``, so its line holds
-only the solve.  The script exits 1, printing the first problems, when the
-tree is invalid, and exits 1 when the two values differ or the pipeline's
-flow fails verification.  With --decomposer, the pipeline solves on the
-family decomposer's tree instead of the generated one, and the decompose
-time is printed.  The peak RSS of the process so far (``getrusage``) is
-printed after the pipeline line.
+which is timed beside the pipeline.  The tree is written with
+``write_decomposition`` and parsed back, so that, as for the CLI and the
+benchmark, its edges are other objects than the network's and ``validate``
+compares them field by field.  ``validate`` is timed on its own and the
+pipeline then solves with ``validate_input=False``, so its line holds only
+the solve.  Both lines give the cyclic-GC collections per generation made
+inside them (``gc.callbacks``).  The script exits 1, printing the first
+problems, when the tree is invalid, and exits 1 when the two values differ
+or the pipeline's flow fails verification.  With --decomposer, the
+pipeline solves on the family decomposer's tree instead of the generated
+one, and the decompose time is printed.  The peak RSS of the process so far
+(``getrusage``) is printed after the pipeline line.
 
     python scripts/scale_smoke.py --n 100000 --family k5free --seed 11
     python scripts/scale_smoke.py --n 10000 --family k5free --seed 0 --decomposer k5
 """
 
 import argparse
+import contextlib
+import gc
 import random
 import resource
 import time
 
 from minorflow.decomposition import validate
 from minorflow.external import verify_flow
+from minorflow.fileio import parse_decomposition, write_decomposition
 from minorflow.maxflow import max_flow
 from minorflow.network import TerminalSet
 from minorflow.solver import decompose, max_flow_decomposed
 from minorflow.testkit import GenConfig, gen_instance
+
+
+@contextlib.contextmanager
+def gc_collections():
+    """Cyclic-GC collections per generation (0, 1, 2) made inside the block."""
+    counts = [0, 0, 0]
+
+    def count(phase, info):
+        if phase == "start":
+            counts[info["generation"]] += 1
+
+    gc.callbacks.append(count)
+    try:
+        yield counts
+    finally:
+        gc.callbacks.remove(count)
 
 
 def main() -> None:
@@ -68,17 +91,27 @@ def main() -> None:
     t3 = time.monotonic()
     print(f"direct max_flow: value={direct} in {t3 - t2:.2f}s")
 
-    ok, problems = validate(graph, tree)
+    tree = parse_decomposition(write_decomposition(tree))
+    t3 = time.monotonic()
+    with gc_collections() as collected:
+        ok, problems = validate(graph, tree)
     validated = time.monotonic()
-    print(f"validate: {'ok' if ok else 'INVALID'} in {validated - t3:.2f}s")
+    print(
+        f"validate (tree parsed back from text): {'ok' if ok else 'INVALID'} "
+        f"in {validated - t3:.2f}s, gc collections {collected}"
+    )
     if not ok:
         for problem in problems[:5]:
             print(f"  {problem}")
         raise SystemExit(1)
 
-    value, flow = max_flow_decomposed(graph, tree, s, t, validate_input=False)
+    with gc_collections() as collected:
+        value, flow = max_flow_decomposed(graph, tree, s, t, validate_input=False)
     t4 = time.monotonic()
-    print(f"pipeline (validate_input=False): value={value} in {t4 - validated:.2f}s")
+    print(
+        f"pipeline (validate_input=False): value={value} in {t4 - validated:.2f}s, "
+        f"gc collections {collected}"
+    )
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
     print(f"peak RSS so far: {peak_mb:.1f} MB")
 

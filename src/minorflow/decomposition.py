@@ -44,6 +44,10 @@ class InvalidDecomposition(Exception):
     pass
 
 
+class DisconnectedInput(InvalidDecomposition):
+    """A family decomposer was given a disconnected network."""
+
+
 # A node of the 2-colored tree: ("c", component id) or ("k", clique id).
 Node = tuple[str, int]
 
@@ -141,13 +145,6 @@ class DecompositionTree:
 
     def reassemble(self) -> FlowNetwork:
         return merge_networks(*(c.net for _, c in sorted(self.components.items())))
-
-    def all_vertices(self) -> frozenset[int]:
-        out: set[int] = set()
-        for c in self.components.values():
-            out |= c.net.vertices
-        return frozenset(out)
-
 
 def underlying(net: FlowNetwork) -> Adjacency:
     return adjacency(net.vertices, ((e.tail, e.head) for e in net.edges))
@@ -269,19 +266,21 @@ def _split(
 def _block_pass(tree: DecompositionTree) -> None:
     for cid in sorted(tree.components):
         torso = torso_adjacency(tree, cid)
-        if not torso:
-            continue
         if len(components(torso)) > 1:
             raise InvalidDecomposition(f"component {cid} has a disconnected torso")
-        blocks, _ = biconnected_split(torso)
-        if len(blocks) <= 1:
-            continue
-        holders: dict[int, list[int]] = {}
-        for i, (verts, _) in enumerate(blocks):
-            for v in verts:
-                holders.setdefault(v, []).append(i)
-        arts = [(frozenset((v,)), holders[v]) for v in sorted(holders) if len(holders[v]) > 1]
-        _split(tree, cid, blocks, arts)
+        _split_blocks(tree, cid, torso)
+
+
+def _split_blocks(tree: DecompositionTree, cid: int, torso: Adjacency) -> None:
+    blocks, _ = biconnected_split(torso)
+    if len(blocks) <= 1:
+        return
+    holders: dict[int, list[int]] = {}
+    for i, (verts, _) in enumerate(blocks):
+        for v in verts:
+            holders.setdefault(v, []).append(i)
+    arts = [(frozenset((v,)), holders[v]) for v in sorted(holders) if len(holders[v]) > 1]
+    _split(tree, cid, blocks, arts)
 
 
 def _spqr_pass(tree: DecompositionTree) -> None:
@@ -407,9 +406,9 @@ def _structure_tree(net: FlowNetwork) -> DecompositionTree:
     """Blocks plus SPQR splits of every component (1- and 2-sums only)."""
     adj = underlying(net)
     if len(components(adj)) > 1:
-        raise InvalidDecomposition("decomposers require a connected input graph")
-    tree = single_component_tree(net)
-    _block_pass(tree)
+        raise DisconnectedInput("decomposers require a connected input graph")
+    tree = DecompositionTree()
+    _split_blocks(tree, tree.add_component(net), adj)
     _spqr_pass(tree)
     return tree
 
@@ -532,7 +531,8 @@ _SMALL_CAP = 10
 def validate(graph: FlowNetwork, tree: DecompositionTree) -> tuple[bool, list[str]]:
     """Check every decomposition-tree invariant and the paper's precondition:
     each component's torso is planar or has at most ``_SMALL_CAP`` vertices.
-    Planarity is tested only on torsos above the cap."""
+    Planarity is tested only on torsos above the cap.  One sweep over the
+    components gathers what the other checks need and builds each torso once."""
     problems: list[str] = []
     comp_ids = sorted(tree.components)
     clique_ids = sorted(tree.cliques)
@@ -553,59 +553,64 @@ def validate(graph: FlowNetwork, tree: DecompositionTree) -> tuple[bool, list[st
     reached = tree.walk([("c", comp_ids[0])])
     if len(reached) != len(comp_ids) + len(clique_ids):
         problems.append("tree is disconnected")
-    # Clique containment; a component that fails it has no torso.
-    no_torso: set[int] = set()
-    for kid in clique_ids:
-        for cid in sorted(tree.clique_comps[kid]):
-            if not tree.cliques[kid].vertices <= tree.components[cid].net.vertices:
-                problems.append(f"clique {kid} vertices missing from component {cid}")
-                no_torso.add(cid)
-    shape_ok = not problems
-    # Edge partition and exact reassembly.
-    by_id: dict[int, tuple[int, Edge]] = {}
-    for cid in comp_ids:
-        for e in tree.components[cid].net.edges:
-            if e.id in by_id:
-                problems.append(f"edge {e.id} appears in components {by_id[e.id][0]} and {cid}")
-            by_id[e.id] = (cid, e)
+    # The sweep: vertex counts, edge owners and fields, clique containment,
+    # and the torso checks of every component whose cliques lie inside it.
     graph_edges = {e.id: e for e in graph.edges}
-    if set(by_id) != set(graph_edges):
-        missing = sorted(set(graph_edges) - set(by_id))[:5]
-        extra = sorted(set(by_id) - set(graph_edges))[:5]
-        problems.append(f"edge sets differ (missing {missing}, extra {extra})")
-    else:
-        # Generated trees share the input's Edge objects; parsed ones hold
-        # their own, so only those are compared field by field.
-        for eid, (cid, e) in by_id.items():
-            g = graph_edges[eid]
+    holders: dict[int, int] = {}  # vertex -> number of components holding it
+    owner: dict[int, int] = {}  # edge id -> the last component holding it
+    outside: list[tuple[int, int]] = []  # (clique, component) lacking some of its vertices
+    edge_problems: list[str] = []
+    torso_problems: list[str] = []
+    for cid in comp_ids:
+        net = tree.components[cid].net
+        torso: dict[int, set[int]] = {}
+        for v in net.vertices:
+            holders[v] = holders.get(v, 0) + 1
+            torso[v] = set()
+        for e in net.edges:
+            if e.id in owner:
+                edge_problems.append(f"edge {e.id} appears in components {owner[e.id]} and {cid}")
+            owner[e.id] = cid
+            # Generated trees share the input's Edge objects; parsed ones
+            # hold their own, so only those are compared field by field.
+            g = graph_edges.get(e.id, e)
             if e is not g and (e.tail != g.tail or e.head != g.head or e.cap != g.cap):
-                problems.append(f"edge {eid} differs from the input edge")
-    if tree.all_vertices() != graph.vertices:
+                edge_problems.append(f"edge {e.id} differs from the input edge")
+            torso[e.tail].add(e.head)
+            torso[e.head].add(e.tail)
+        cliques = [tree.cliques[kid] for kid in tree.comp_cliques[cid] if kid in tree.cliques]
+        lacking = [(k.id, cid) for k in cliques if not k.vertices <= net.vertices]
+        if lacking or len(cliques) < len(tree.comp_cliques[cid]):
+            outside += lacking  # a missing clique, or one not inside: no torso
+            continue
+        for k in cliques:
+            for u, v in itertools.combinations(k.vertices, 2):
+                torso[u].add(v)
+                torso[v].add(u)
+        if len(components(torso)) > 1:
+            torso_problems.append(f"component {cid} torso is disconnected")
+        if len(torso) > _SMALL_CAP and not is_planar(torso):
+            torso_problems.append(
+                f"component {cid} torso is not planar and has more than {_SMALL_CAP} vertices"
+            )
+    problems += [f"clique {k} vertices missing from component {c}" for k, c in sorted(outside)]
+    shape_ok = not problems
+    problems += edge_problems
+    if owner.keys() != graph_edges.keys():
+        missing = sorted(graph_edges.keys() - owner.keys())[:5]
+        extra = sorted(owner.keys() - graph_edges.keys())[:5]
+        problems.append(f"edge sets differ (missing {missing}, extra {extra})")
+    if holders.keys() != graph.vertices:
         problems.append("vertex union differs from the input network")
     # Running intersection: in a tree whose cliques lie inside their
     # components, the nodes holding v span as many tree edges as the cliques
     # holding v have components, so they form one subtree exactly when they
     # number one more than those edges.
     if shape_ok:
-        excess: dict[int, int] = {}
-        for cid in comp_ids:
-            for v in tree.components[cid].net.vertices:
-                excess[v] = excess.get(v, 0) + 1
         for kid in clique_ids:
             for v in tree.cliques[kid].vertices:
-                excess[v] += 1 - len(tree.clique_comps[kid])
-        for v, count in sorted(excess.items()):
-            if count != 1:
-                problems.append(f"vertex {v} is shared outside its cliques")
-    # Torso connectivity, and planar or small.
-    for cid in comp_ids:
-        if cid in no_torso:
-            continue
-        torso = torso_adjacency(tree, cid)
-        if len(components(torso)) > 1:
-            problems.append(f"component {cid} torso is disconnected")
-        if len(torso) > _SMALL_CAP and not is_planar(torso):
-            problems.append(
-                f"component {cid} torso is not planar and has more than {_SMALL_CAP} vertices"
-            )
+                holders[v] += 1 - len(tree.clique_comps[kid])
+        for v in sorted(v for v, count in holders.items() if count != 1):
+            problems.append(f"vertex {v} is shared outside its cliques")
+    problems += torso_problems
     return (not problems, problems)

@@ -5,9 +5,11 @@ distance until a distance repeats, then Dinic's blocking flows (``_dinic``).
 or runs the engine.  It turns a network, plus any extra arcs glued onto it,
 into residual arc arrays with a super-source arc and a super-sink arc at
 each of a few terminals, and answers any number of flows and cuts between
-those terminals, each on a fresh copy of the capacities.  Every other flow
-question is a query on a kernel built where it is asked: ``max_flow``,
-``min_cut_value`` and ``min_cut_side`` here, ``external.cut_table`` and
+those terminals, each on a fresh copy of the capacities.  A cut runs from
+and into terminal vertices: a super-source or super-sink arc opens only on
+a side with several terminals.  Every other flow question is a query on a
+kernel built where it is asked: ``max_flow``, ``min_cut_value`` and
+``min_cut_side`` here, ``external.cut_table`` and
 ``external.route_external_flow``, and the solver's Phase I cuts and replay
 routes.  A specialized backend (planar, bounded-treewidth, ...) replaces
 the engine by providing the same entry points.  Antiparallel and parallel
@@ -136,27 +138,31 @@ def _compile(
         index.setdefault(e.tail, len(index))
         index.setdefault(e.head, len(index))
     ss, tt = len(index), len(index) + 1
-    edges = net.edges + tuple(extra)
-    ends = [index[q] for q in terminals]
-    tails = [index[e.tail] for e in edges] + [ss] * len(ends) + ends
-    heads = [index[e.head] for e in edges] + ends + [tt] * len(ends)
-    to = [0] * (2 * len(tails))
-    to[0::2] = heads
-    to[1::2] = tails
+    edges = (*net.edges, *extra)
+    to = [0] * (2 * (len(edges) + 2 * len(terminals)))
     cap = [0] * len(to)
-    cap[0 : 2 * len(edges) : 2] = [e.cap for e in edges]
     adj: list[list[int]] = [[] for _ in range(tt + 1)]
-    for a, head in enumerate(to):
-        adj[head].append(a ^ 1)  # arc a ^ 1 leaves the head of arc a
+    a = 0
+    for e in edges:
+        u, v = index[e.tail], index[e.head]
+        adj[u].append(a)
+        adj[v].append(a + 1)
+        to[a], to[a + 1], cap[a] = v, u, e.cap
+        a += 2
+    ends = [index[q] for q in terminals]
+    to[a::2] = ends + [tt] * len(ends)
+    to[a + 1 :: 2] = [ss] * len(ends) + ends
+    for b in range(a, len(to)):
+        adj[to[b ^ 1]].append(b)  # arc b leaves the head of arc b ^ 1
     return index, adj, to, cap
 
 
 class TerminalKernel:
     """``net`` with the ``extra`` arcs glued on, compiled once with a
     super-source arc and a super-sink arc of capacity 0 at each of the
-    distinct ``terminals`` (vertices of ``net``).  Every query sets some of
-    those arcs and runs ``_dinic`` on a fresh copy of the compiled
-    capacities, so the kernel can be queried any number of times."""
+    distinct ``terminals`` (vertices of ``net``).  Every query opens the
+    terminal arcs it needs on a fresh copy of the compiled capacities and
+    runs ``_dinic``, so the kernel can be queried any number of times."""
 
     __slots__ = ("_index", "_adj", "_to", "_base", "_source_arc", "_to_sink", "_inf")
 
@@ -167,41 +173,46 @@ class TerminalKernel:
         self._to_sink = 2 * len(terminals)  # from a terminal's source arc to its sink arc
         self._inf = sum(self._base[0 : 2 * m : 2]) + 1
 
-    def _run(
-        self, sources: Mapping[int, int], sinks: Mapping[int, int]
-    ) -> tuple[int, list[int], list[int]]:
-        """``_dinic`` with the given terminal arcs: value, residual
-        capacities and BFS levels."""
+    def flow(self, sources: Mapping[int, int], sinks: Mapping[int, int]) -> tuple[int, list[int]]:
+        """Maximum flow from terminals ``sources`` (at most ``sources[q]``
+        out of q) to terminals ``sinks`` (at most ``sinks[q]`` into q): the
+        value, and every arc's residual capacity, so that arc 2i (edge i of
+        ``net.edges + extra``) carries ``e.cap - cap[2i]``."""
         cap = list(self._base)
         for q, c in sources.items():
             cap[self._source_arc[q]] = c
         for q, c in sinks.items():
             cap[self._source_arc[q] + self._to_sink] = c
         ss = len(self._adj) - 2
-        value, level = _dinic(self._adj, self._to, cap, ss, ss + 1)
-        return value, cap, level
+        return _dinic(self._adj, self._to, cap, ss, ss + 1)[0], cap
 
-    def flow(self, sources: Mapping[int, int], sinks: Mapping[int, int]) -> tuple[int, list[int]]:
-        """Maximum flow from terminals ``sources`` (at most ``sources[q]``
-        out of q) to terminals ``sinks`` (at most ``sinks[q]`` into q): the
-        value, and every arc's residual capacity, so that arc 2i (edge i of
-        ``net.edges + extra``) carries ``e.cap - cap[2i]``."""
-        value, cap, _ = self._run(sources, sinks)
-        return value, cap
+    def _cut(self, sources: Iterable[int], sinks: Iterable[int]) -> tuple[int, list[int]]:
+        """``_dinic`` for ``cut``: its value and BFS levels.  A lone source
+        (sink) terminal is the run's own source (sink) vertex; only a side
+        with several terminals opens their arcs, at capacity ``_inf``."""
+        cap = list(self._base)
+        out = [self._source_arc[q] for q in sources]
+        into = [self._source_arc[q] + self._to_sink for q in sinks]
+        for arcs in (out, into):
+            if len(arcs) > 1:
+                for a in arcs:
+                    cap[a] = self._inf
+        ss = len(self._adj) - 2
+        s = self._to[out[0]] if len(out) == 1 else ss  # the head of a source arc is its terminal
+        t = self._to[into[0] ^ 1] if len(into) == 1 else ss + 1  # and the tail of a sink arc
+        return _dinic(self._adj, self._to, cap, s, t)
 
     def cut(self, sources: Iterable[int], sinks: Iterable[int]) -> int:
         """Minimum cut with terminals ``sources`` on the source side and
         terminals ``sinks`` on the sink side (other terminals free)."""
-        inf = self._inf
-        return self._run(dict.fromkeys(sources, inf), dict.fromkeys(sinks, inf))[0]
+        return self._cut(sources, sinks)[0]
 
     def cut_side(
         self, sources: Iterable[int], sinks: Iterable[int]
     ) -> tuple[int, frozenset[int]]:
-        """``cut`` plus the vertices the super source still reaches in the
+        """``cut`` plus the vertices the source side still reaches in the
         residual network: the source side of the minimal minimum cut."""
-        inf = self._inf
-        value, _, level = self._run(dict.fromkeys(sources, inf), dict.fromkeys(sinks, inf))
+        value, level = self._cut(sources, sinks)
         return value, frozenset(v for v, i in self._index.items() if level[i] >= 0)
 
 

@@ -35,6 +35,7 @@ from typing import Callable, Iterable
 # traced run wraps these solver bindings by name.
 from .decomposition import (
     DecompositionTree,
+    DisconnectedInput,
     InvalidDecomposition,
     Node,
     decompose_k33_free,
@@ -302,13 +303,15 @@ def max_flow_family(
     carries 0, and the value is 0 when t lies outside it."""
     if s not in graph.vertices or t not in graph.vertices:
         raise UnknownVertexError("terminal missing from the input network")
-    part = next(c for c in components(underlying(graph)) if s in c)
     flow = {e.id: 0 for e in graph.edges}
-    if t not in part:
-        return 0, flow
-    if len(part) < len(graph.vertices):
+    try:
+        tree = decompose(graph, family)
+    except DisconnectedInput:
+        part = next(c for c in components(underlying(graph)) if s in c)
+        if t not in part:
+            return 0, flow
         graph = FlowNetwork(frozenset(part), tuple(e for e in graph.edges if e.tail in part))
-    tree = decompose(graph, family)
+        tree = decompose(graph, family)
     value, part_flow = max_flow_decomposed(
         graph, tree, s, t, validate_input=False, observer=observer
     )

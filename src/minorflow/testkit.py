@@ -64,15 +64,15 @@ def oracle_max_flow(net: FlowNetwork, s: int, t: int) -> int:
 
 
 def _cut_values_by_mask(net: FlowNetwork, vertex_order: list[int]) -> np.ndarray:
-    """Capacity of every directed bipartition cut, indexed by source-side mask."""
+    """Capacity of every directed bipartition cut, indexed by source-side
+    mask, in exact ints (an object array): an int64 sum of them can wrap."""
     n = len(vertex_order)
     idx = {v: i for i, v in enumerate(vertex_order)}
     masks = np.arange(1 << n, dtype=np.int64)
-    cut = np.zeros(1 << n, dtype=np.int64)
+    cut = np.zeros(1 << n, dtype=object)
     for e in net.edges:
-        tail_in = (masks >> idx[e.tail]) & 1
-        head_out = 1 - ((masks >> idx[e.head]) & 1)
-        cut += e.cap * (tail_in & head_out)
+        crossing = (((masks >> idx[e.tail]) & 1) == 1) & (((masks >> idx[e.head]) & 1) == 0)
+        cut[crossing] += e.cap
     return cut
 
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 
@@ -173,6 +174,135 @@ def test_validate_accepts_a_non_planar_component_within_the_size_cap(net):
     assert validate(net, single_component_tree(net)) == (True, [])
 
 
+def corpus_base():
+    """Input edges and tree of the single-fault corpus: triangle 0-1-2
+    (component 0), 1->3->2 with 2->1 (component 1) and 3->4 (component 2),
+    glued at clique 0 = {1, 2} and clique 1 = {3}."""
+    edges = {
+        0: [(0, 0, 1, 1), (1, 1, 2, 1), (2, 2, 0, 1)],
+        1: [(3, 1, 3, 1), (4, 3, 2, 1), (5, 2, 1, 1)],
+        2: [(6, 3, 4, 1)],
+    }
+    tree = DecompositionTree()
+    for cid in edges:
+        tree.add_component(FlowNetwork.from_edges(edges[cid]))
+    for kid, (verts, comps) in enumerate((([1, 2], [0, 1]), ([3], [1, 2]))):
+        tree.add_clique(verts)
+        for cid in comps:
+            tree.attach(cid, kid)
+    return [e for cid in edges for e in edges[cid]], json.loads(write_decomposition(tree))
+
+
+def add_component(doc, cid, vertices, edges, cliques):
+    doc["components"].append({"id": cid, "vertices": vertices, "edges": edges})
+    doc["tree_edges"] += [[cid, kid] for kid in cliques]
+
+
+def add_clique(doc, kid, vertices, comps):
+    doc["cliques"].append({"id": kid, "vertices": vertices})
+    doc["tree_edges"] += [[cid, kid] for cid in comps]
+
+
+def fault_duplicate_edge(edges, doc):
+    doc["components"][0]["edges"].append([5, 2, 1, 1])
+
+
+def fault_changed_capacity(edges, doc):
+    doc["components"][2]["edges"][0][3] = 7
+
+
+def fault_reversed_edge(edges, doc):
+    doc["components"][2]["edges"][0][1:3] = [4, 3]
+
+
+def fault_missing_edge(edges, doc):
+    del doc["components"][0]["edges"][0]
+
+
+def fault_clique_outside_its_component(edges, doc):
+    doc["cliques"][1]["vertices"] = [3, 4]
+
+
+def fault_disconnected_torso(edges, doc):
+    doc["components"][2]["vertices"].append(5)
+
+
+def fault_vertex_shared_outside_its_cliques(edges, doc):
+    edges.append((7, 4, 0, 1))
+    doc["components"][2]["vertices"].append(0)
+    doc["components"][2]["edges"].append([7, 4, 0, 1])
+
+
+def fault_non_planar_torso(edges, doc):
+    # K5 on 4, 10..13 with the path 13-14-...-19: 11 vertices, glued at {4}.
+    pairs = list(itertools.combinations([4, 10, 11, 12, 13], 2))
+    pairs += [(v, v + 1) for v in range(13, 19)]
+    arcs = [(10 + i, u, v, 1) for i, (u, v) in enumerate(pairs)]
+    edges.extend(arcs)
+    add_component(doc, 3, [4] + list(range(10, 20)), [list(a) for a in arcs], [2])
+    add_clique(doc, 2, [4], [2])
+
+
+def fault_cycle_in_the_tree(edges, doc):
+    add_clique(doc, 2, [2], [0, 1])
+
+
+def fault_disconnected_tree(edges, doc):
+    # Clique 1 goes and clique {2} closes a cycle, so the edge count still
+    # matches while component 2 hangs free.
+    del doc["cliques"][1]
+    doc["tree_edges"] = [te for te in doc["tree_edges"] if te[1] != 1]
+    add_clique(doc, 2, [2], [0, 1])
+
+
+def fault_empty_component_on_a_clique(edges, doc):
+    add_component(doc, 3, [], [], [1])
+
+
+def fault_empty_component_off_the_tree(edges, doc):
+    add_component(doc, 3, [], [], [])
+    add_clique(doc, 2, [2], [0, 1])
+
+
+SINGLE_FAULTS = [
+    (fault_duplicate_edge, "edge 5 appears in components 0 and 1"),
+    (fault_changed_capacity, "edge 6 differs from the input edge"),
+    (fault_reversed_edge, "edge 6 differs from the input edge"),
+    (fault_missing_edge, "edge sets differ (missing [0], extra [])"),
+    (fault_clique_outside_its_component, "clique 1 vertices missing from component 1"),
+    (fault_disconnected_torso, "component 2 torso is disconnected"),
+    (fault_vertex_shared_outside_its_cliques, "vertex 0 is shared outside its cliques"),
+    (fault_non_planar_torso, "component 3 torso is not planar and has more than 10 vertices"),
+    (fault_cycle_in_the_tree, "tree edge count is not nodes-1 (not a tree)"),
+    (fault_disconnected_tree, "tree is disconnected"),
+    (fault_empty_component_on_a_clique, "clique 1 vertices missing from component 3"),
+    (fault_empty_component_off_the_tree, "tree is disconnected"),
+]
+
+
+@pytest.mark.parametrize(
+    "fault, problem", SINGLE_FAULTS, ids=[fault.__name__[6:] for fault, _ in SINGLE_FAULTS]
+)
+def test_validate_reports_exactly_the_one_fault_of_a_parsed_tree(fault, problem):
+    # The tree is parsed from text, as the CLI and the benchmark take it, so
+    # its edges are other objects than the input's and are compared by field.
+    edges, doc = corpus_base()
+    graph = FlowNetwork.from_edges(edges)
+    tree = parse_decomposition(json.dumps(doc))
+    assert validate(graph, tree) == (True, [])
+    fault(edges, doc)
+    vertices = {v for c in doc["components"] for v in c["vertices"]}
+    graph = FlowNetwork.from_edges(edges, vertices)
+    tree = parse_decomposition(json.dumps(doc))
+    assert validate(graph, tree) == (False, [problem])
+
+
+def test_validate_accepts_one_empty_component_of_an_empty_network():
+    doc = {"components": [{"id": 0, "vertices": [], "edges": []}], "cliques": [], "tree_edges": []}
+    tree = parse_decomposition(json.dumps(doc))
+    assert validate(FlowNetwork(frozenset(), ()), tree) == (True, [])
+
+
 def test_decompose_planar_input_gives_planar_components():
     k4 = dnet(itertools.combinations(range(4), 2))
     tree = decompose_k33_free(k4)
@@ -236,10 +366,11 @@ def test_decompose_k5_free_splits_generated_three_sums(rng):
         assert ok, problems
 
 
-def test_decomposers_require_connected_input():
+@pytest.mark.parametrize("decomposer", [decompose_k33_free, decompose_k5_free])
+def test_decomposers_require_connected_input(decomposer):
     g = FlowNetwork.from_edges([(0, 0, 1, 1), (1, 5, 6, 1)])
-    with pytest.raises(InvalidDecomposition):
-        decompose_k33_free(g)
+    with pytest.raises(InvalidDecomposition, match="decomposers require a connected input graph"):
+        decomposer(g)
 
 
 def glued_at_triangle(pairs):

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 import minorflow.maxflow as maxflow_mod
 import minorflow.network as network_mod
-from minorflow.maxflow import max_flow, min_cut_side, min_cut_value
+from minorflow.maxflow import TerminalKernel, max_flow, min_cut_side, min_cut_value
 from minorflow.network import (
     FULL,
     SINGLE_SOURCE,
+    Edge,
     FlowNetwork,
     TerminalSet,
     UnknownVertexError,
@@ -133,6 +134,61 @@ def test_grouped_min_cut_matches_the_enumeration_oracle(case):
     net, sources, sinks = case
     table = oracle_cut_table(net, TerminalSet(tuple(sources + sinks)), FULL)
     assert min_cut_value(net, sources, sinks) == table.cut(sources)
+
+
+# Capacities that are zero, small, or near 2^63-1, whose sums overflow int64.
+CAPS = st.one_of(st.just(0), st.integers(1, 9), st.integers(2**63 - 3, 2**63 - 1))
+
+
+@st.composite
+def kernels_with_terminals(draw):
+    """A small multigraph on 0..n-1 with 2..4 terminals: each drawn arc may
+    get a parallel or an antiparallel twin, and may be glued on as an
+    ``extra`` arc instead of lying in the network; an arc at vertex n (a hub
+    outside the network, like a mimic's) is always glued.  Terminals that
+    no arc touches stay isolated.  Returns the network, the extra arcs, the
+    terminals, and the whole network for the oracle."""
+    n = draw(st.integers(2, 6))
+    arcs = []
+    for u, v, cap, twin, cap2 in draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, n),
+                st.integers(0, n),
+                CAPS,
+                st.sampled_from((None, "parallel", "antiparallel")),
+                CAPS,
+            ),
+            max_size=10,
+        )
+    ):
+        if u != v:
+            arcs.append((u, v, cap))
+            if twin is not None:
+                arcs.append((u, v, cap2) if twin == "parallel" else (v, u, cap2))
+    glued = [n in (u, v) or draw(st.booleans()) for u, v, _ in arcs]
+    edges = [Edge(i, u, v, cap) for i, (u, v, cap) in enumerate(arcs)]
+    net = FlowNetwork(frozenset(range(n)), tuple(e for e, g in zip(edges, glued) if not g))
+    extra = tuple(e for e, g in zip(edges, glued) if g)
+    terms = tuple(draw(st.permutations(range(n)))[: draw(st.integers(2, min(n, 4)))])
+    whole = FlowNetwork.from_edges([(e.id, e.tail, e.head, e.cap) for e in edges], range(n))
+    return net, extra, terms, whole
+
+
+@given(kernels_with_terminals())
+@settings(max_examples=150, deadline=None)
+def test_kernel_cuts_match_the_enumeration_oracle(case):
+    # Full splits S -> (Q - S) give 1->1, 1->many, many->1 and many->many;
+    # single-source splits q -> T leave the other terminals free.
+    net, extra, terms, whole = case
+    kernel = TerminalKernel(net, terms, extra)
+    full = oracle_cut_table(whole, TerminalSet(terms), FULL)
+    for side, value in full.values.items():
+        assert kernel.cut(sorted(side), [q for q in terms if q not in side]) == value
+    for i, q in enumerate(terms):
+        single = oracle_cut_table(whole, TerminalSet(terms, source_index=i), SINGLE_SOURCE)
+        for sinks, value in single.values.items():
+            assert kernel.cut([q], sorted(sinks)) == value
 
 
 def _cut_of(net, side):

@@ -1,5 +1,6 @@
 import pytest
 
+from minorflow import decomposition, solver
 from minorflow.decomposition import (
     DecompositionTree,
     single_component_tree,
@@ -182,6 +183,24 @@ def test_family_solve_runs_on_the_source_component(rng):
         assert verify_flow(graph, TerminalSet.of(s, t), (value, -value), flow)
     assert max_flow_family(graph, "k5", *pairs[0])[0] > 0
     assert not any(flow.values())
+
+
+def test_a_connected_family_solve_finds_its_components_once(monkeypatch, rng):
+    # The decomposer's connectivity check and its first block split share one
+    # adjacency, and the solver runs no check of its own on a connected graph.
+    graph, _ = gen_instance(GenConfig("k5free", 40, seed=3))
+    whole = []
+    for mod in (decomposition, solver):
+
+        def counting(adj, removed=frozenset(), real=mod.components):
+            if len(adj) == len(graph.vertices) and not removed:
+                whole.append(adj)
+            return real(adj, removed)
+
+        monkeypatch.setattr(mod, "components", counting)
+    s, t = rng.sample(sorted(graph.vertices), 2)
+    assert max_flow_family(graph, "k5", s, t)[0] == oracle_max_flow(graph, s, t)
+    assert len(whole) == 1
 
 
 def test_planar_graph_solves_under_both_families(rng):

@@ -44,6 +44,17 @@ def test_oracle_cut_table_empty_network_is_all_zero():
     assert set(table.values.values()) == {0}
 
 
+@pytest.mark.parametrize("copies", [2, 3])
+def test_oracle_cut_table_sums_exactly_past_int64(copies):
+    # Two parallel arcs of 2^63-1 wrapped an int64 sum to -2; three wrapped
+    # silently to 2^63-3.
+    cap = 2**63 - 1
+    net = FlowNetwork.from_edges([(i, 0, 1, cap) for i in range(copies)], [2])
+    table = oracle_cut_table(net, TerminalSet((0, 1, 2)), FULL)
+    assert table.cut([0]) == table.cut([0, 2]) == copies * cap
+    assert table.cut([1]) == table.cut([2]) == 0
+
+
 def test_oracle_cut_table_rejects_large_networks():
     net = FlowNetwork(frozenset(range(25)), ())
     with pytest.raises(ValueError):
