@@ -12,8 +12,12 @@ inside them (``gc.callbacks``).  The script exits 1, printing the first
 problems, when the tree is invalid, and exits 1 when the two values differ
 or the pipeline's flow fails verification.  With --decomposer, the
 pipeline solves on the family decomposer's tree instead of the generated
-one, and the decompose time is printed.  The peak RSS of the process so far
-(``getrusage``) is printed after the pipeline line.
+one, and the decompose time is printed.  After the pipeline line come Phase
+I's time (``solver.phase1`` timed through its module binding) and its work
+split, taken from the located path by the solver's own rule
+(``cut_off_components``): the off-path components, how many of them a
+one-vertex clique cuts off, and how many kernels remain.  The peak RSS of the
+process so far (``getrusage``) follows them.
 
     python scripts/scale_smoke.py --n 100000 --family k5free --seed 11
     python scripts/scale_smoke.py --n 10000 --family k5free --seed 0 --decomposer k5
@@ -31,7 +35,8 @@ from minorflow.external import verify_flow
 from minorflow.fileio import parse_decomposition, write_decomposition
 from minorflow.maxflow import max_flow
 from minorflow.network import TerminalSet
-from minorflow.solver import decompose, max_flow_decomposed
+from minorflow import solver
+from minorflow.solver import cut_off_components, decompose, max_flow_decomposed
 from minorflow.testkit import GenConfig, gen_instance
 
 
@@ -49,6 +54,24 @@ def gc_collections():
         yield counts
     finally:
         gc.callbacks.remove(count)
+
+
+@contextlib.contextmanager
+def timed_phase1():
+    """Time ``solver.phase1`` and keep the path and walk it was given."""
+    seen = {}
+    real = solver.phase1
+
+    def phase1(state, path_comps, parent):
+        start = time.perf_counter()
+        real(state, path_comps, parent)
+        seen.update(seconds=time.perf_counter() - start, path=path_comps, parent=parent)
+
+    solver.phase1 = phase1
+    try:
+        yield seen
+    finally:
+        solver.phase1 = real
 
 
 def main() -> None:
@@ -105,12 +128,18 @@ def main() -> None:
             print(f"  {problem}")
         raise SystemExit(1)
 
-    with gc_collections() as collected:
+    with gc_collections() as collected, timed_phase1() as phase1:
         value, flow = max_flow_decomposed(graph, tree, s, t, validate_input=False)
     t4 = time.monotonic()
     print(
         f"pipeline (validate_input=False): value={value} in {t4 - validated:.2f}s, "
         f"gc collections {collected}"
+    )
+    off_path = len(tree.components) - len(phase1["path"])
+    cut_off = len(cut_off_components(tree, phase1["path"], phase1["parent"]))
+    print(
+        f"phase I: {phase1['seconds']:.2f}s, off-path components {off_path}, "
+        f"cut off {cut_off}, kernels {off_path - cut_off}"
     )
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
     print(f"peak RSS so far: {peak_mb:.1f} MB")

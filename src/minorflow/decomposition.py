@@ -546,13 +546,18 @@ def validate(graph: FlowNetwork, tree: DecompositionTree) -> tuple[bool, list[st
                 problems.append(f"component {cid} attached to missing clique {kid}")
             n_edges += 1
     for kid in clique_ids:
+        for cid in sorted(tree.clique_comps[kid] - tree.components.keys()):
+            problems.append(f"clique {kid} attached to missing component {cid}")
+    dangling = bool(problems)  # the walk can only cross nodes that exist
+    for kid in clique_ids:
         if len(tree.clique_comps[kid]) < 2:
             problems.append(f"clique {kid} attached to fewer than 2 components")
     if n_edges != len(comp_ids) + len(clique_ids) - 1:
         problems.append("tree edge count is not nodes-1 (not a tree)")
-    reached = tree.walk([("c", comp_ids[0])])
-    if len(reached) != len(comp_ids) + len(clique_ids):
-        problems.append("tree is disconnected")
+    if not dangling:
+        reached = tree.walk([("c", comp_ids[0])])
+        if len(reached) != len(comp_ids) + len(clique_ids):
+            problems.append("tree is disconnected")
     # The sweep: vertex counts, edge owners and fields, clique containment,
     # and the torso checks of every component whose cliques lie inside it.
     graph_edges = {e.id: e for e in graph.edges}

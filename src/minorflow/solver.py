@@ -13,6 +13,13 @@ compile is dropped.  The replay compiles a component again only when its
 mimic carries a non-zero demand, and routes that demand on it; a zero
 demand gives the component zero flow without compiling anything.
 
+A component whose way up to the path crosses a one-vertex clique is not
+compiled at all: its mimic is empty, as is the one-terminal mimic of the
+part that hangs at that clique (Hagerup, Katajainen, Nishimura & Ragde,
+JCSS 1998).  No s-t flow can cross a part that touches the rest at one
+vertex, so an acyclic max flow is zero on all of it, also when that vertex
+is s or t; s and t lie on the path, never strictly inside such a part.
+
 The tree is not refined first: every installed mimic has the same cut table
 as the component it replaces, which makes the pipeline exact on any valid
 tree whose cliques have at most 3 vertices.  Triconnected pieces and facial
@@ -74,7 +81,10 @@ class ReplacementRecord:
     Component ``net`` of the input tree, with the ``children`` arcs (mimics
     that components below it left) glued on, was replaced by the ``mimic``
     arcs on its sorted clique ``terminals``: none for one terminal, an
-    antiparallel pair for two, a star around a fresh hub for three.
+    antiparallel pair for two, a star around a fresh hub for three.  A
+    component cut off from the terminal path by a one-vertex clique has an
+    empty ``mimic`` and empty ``children`` whatever its terminals: it and
+    everything below it carry zero flow.
     """
 
     net: FlowNetwork
@@ -138,6 +148,22 @@ def locate_terminal_path(
     return path, parent
 
 
+def cut_off_components(
+    tree: DecompositionTree, path_comps: list[int], parent: dict[Node, Node | None]
+) -> set[int]:
+    """Off-path components whose way up to the terminal path crosses a
+    one-vertex clique: one forward pass over the breadth-first ``parent``
+    map of ``locate_terminal_path``, which reaches each clique before the
+    components below it."""
+    on_path = set(path_comps)
+    cut: set[int] = set()
+    for node, up in parent.items():
+        if node[0] == "c" and node[1] not in on_path:
+            if len(tree.cliques[up[1]].vertices) == 1 or parent[up][1] in cut:
+                cut.add(node[1])
+    return cut
+
+
 def phase1(
     state: SolveState, path_comps: list[int], parent: dict[Node, Node | None]
 ) -> None:
@@ -146,9 +172,17 @@ def phase1(
     the component above that clique.  ``parent`` is the walk of
     ``locate_terminal_path``: an off-path component's way to its root
     passes through the nearest path component, so its parent is the one a
-    walk from the path would give."""
+    walk from the path would give.
+
+    A component cut off from the path by a one-vertex clique
+    (``cut_off_components``) is replaced by nothing: no kernel, no cut, an
+    empty mimic and no children, since the components below it are cut off
+    too.  That is exact, because the part of the network that hangs at that
+    one vertex carries zero in every acyclic s-t max flow, also when the
+    vertex is s or t."""
     tree, pending = state.tree, state.pending
     on_path = set(path_comps)
+    cut_off = cut_off_components(tree, path_comps, parent)
     replaced: set[int] = set()
     for node, up in reversed(parent.items()):
         if node[0] != "c" or node[1] in on_path:
@@ -158,7 +192,7 @@ def phase1(
         terminals = tuple(sorted(tree.cliques[up[1]].vertices))
         children = tuple(pending.pop(cid, ()))
         mimic: tuple[Edge, ...] = ()
-        if len(terminals) > 1:
+        if cid not in cut_off:
             hub = state.alloc_vertex() if len(terminals) == 3 else None
             cut = TerminalKernel(net, terminals, children).cut
             mimic = full_mimic_arcs(cut, terminals, hub, state.next_edge)

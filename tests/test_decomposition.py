@@ -158,6 +158,32 @@ def test_validate_flags_a_clique_outside_its_component():
     assert not ok and problems == ["clique 0 vertices missing from component 0"]
 
 
+def test_validate_reports_a_component_attached_to_a_missing_clique():
+    # The tree walk cannot cross a clique the tree lacks: validate must
+    # report it, and the solver refuse the tree, rather than raise KeyError.
+    from minorflow.solver import max_flow_decomposed
+
+    graph = FlowNetwork.from_edges([(0, 0, 1, 1)])
+    tree = DecompositionTree()
+    c = tree.add_component(FlowNetwork.from_edges([(0, 0, 1, 1)]))
+    tree.comp_cliques[c].add(7)
+    assert validate(graph, tree) == (
+        False,
+        ["component 0 attached to missing clique 7", "tree edge count is not nodes-1 (not a tree)"],
+    )
+    with pytest.raises(InvalidDecomposition, match="component 0 attached to missing clique 7"):
+        max_flow_decomposed(graph, tree, 0, 1)
+    # The same for a clique that names a missing component.
+    tree = DecompositionTree()
+    c = tree.add_component(FlowNetwork.from_edges([(0, 0, 1, 1)]))
+    k = tree.add_clique([1])
+    tree.attach(c, k)
+    tree.clique_comps[k].add(9)
+    assert validate(graph, tree) == (False, ["clique 0 attached to missing component 9"])
+    with pytest.raises(InvalidDecomposition, match="clique 0 attached to missing component 9"):
+        max_flow_decomposed(graph, tree, 0, 1)
+
+
 def test_validate_rejects_a_non_planar_component_above_the_size_cap():
     net = k5_with_path(11)
     ok, problems = validate(net, single_component_tree(net))

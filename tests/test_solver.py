@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minorflow import decomposition, solver
 from minorflow.decomposition import (
@@ -9,7 +13,12 @@ from minorflow.decomposition import (
 from minorflow.external import verify_flow
 from minorflow.maxflow import max_flow
 from minorflow.network import FlowNetwork, TerminalSet
-from minorflow.solver import locate_terminal_path, max_flow_decomposed, max_flow_family
+from minorflow.solver import (
+    cut_off_components,
+    locate_terminal_path,
+    max_flow_decomposed,
+    max_flow_family,
+)
 from minorflow.testkit import (
     GenConfig,
     audit_step_values,
@@ -424,16 +433,24 @@ def expected_mimic(rec):
 
 @pytest.mark.parametrize("family", ["k33free", "k5free"])
 def test_installed_mimics_equal_the_full_table_mimic(family, monkeypatch, rng):
+    # A record cut off from the path by a one-vertex clique has no mimic and
+    # no children; every other record holds the full-table mimic.
     seen = capture_records(monkeypatch)
     kinds = set()
     for seed in range(6):
         graph, tree = gen_instance(GenConfig(family, 40, seed=seed))
         s, t = rng.sample(sorted(graph.vertices), 2)
+        path, parent = locate_terminal_path(tree, s, t)
+        cut_off = {id(tree.components[c].net) for c in cut_off_components(tree, path, parent)}
         value, flow = max_flow_decomposed(graph, tree, s, t)
         assert value == oracle_max_flow(graph, s, t)
+        assert len(seen[-1]) == len(tree.components) - len(path)
         for rec in seen[-1]:
-            assert rec.mimic == expected_mimic(rec)
-            kinds.add(len(rec.terminals))
+            if id(rec.net) in cut_off:
+                assert rec.mimic == () and rec.children == ()
+            else:
+                assert rec.mimic == expected_mimic(rec)
+                kinds.add(len(rec.terminals))
     assert kinds >= ({2} if family == "k33free" else {2, 3})
 
 
@@ -523,18 +540,21 @@ def test_each_component_compiles_once_and_zero_demands_skip_the_kernel(monkeypat
             graph, tree = gen_instance(GenConfig(family, 60, seed=seed))
             s, t = rng.sample(sorted(graph.vertices), 2)
             path, parent = locate_terminal_path(tree, s, t)
-            off_path = sum(
-                1
+            cut_off = cut_off_components(tree, path, parent)
+            kernel_cliques = [
+                up
                 for node, up in parent.items()
-                if node[0] == "c" and node[1] not in path and len(tree.cliques[up[1]].vertices) > 1
-            )
+                if node[0] == "c" and node[1] not in path and node[1] not in cut_off
+            ]
+            assert all(len(tree.cliques[up[1]].vertices) > 1 for up in kernel_cliques)
             calls.update(compile=0, dinic=0)
             value, flow = max_flow_decomposed(graph, tree, s, t, validate_input=False)
             records, before, after, flows = seen[-1]
-            # Phase I compiles each off-path component on a 2- or 3-clique
-            # once, and the final solve once; the replay compiles and runs
-            # the engine once per non-zero demand and never for a zero one.
-            assert before["compile"] == off_path + 1
+            # Phase I compiles once each off-path component on a 2- or
+            # 3-clique that no one-vertex clique cuts off, and the final
+            # solve once; the replay compiles and runs the engine once per
+            # non-zero demand and never for a zero one.
+            assert before["compile"] == len(kernel_cliques) + 1
             nonzero = sum(1 for d in subtree_demands(records, flows) if any(d.values()))
             assert after["compile"] - before["compile"] == nonzero
             assert after["dinic"] - before["dinic"] == nonzero
@@ -543,3 +563,77 @@ def test_each_component_compiles_once_and_zero_demands_skip_the_kernel(monkeypat
             assert value == oracle_max_flow(graph, s, t)
             assert verify_flow(graph, TerminalSet.of(s, t), (value, -value), flow)
     assert routed > 0 and skipped > 0
+
+
+def hanging_tree(x):
+    """A path component on s=0, 2 and t=1, and below the one-vertex clique
+    {x} a triangle component on x, a, b whose edge clique {a, b} and
+    triangle clique {x, a, b} each lead to a component with positive cuts."""
+    s, t, a, b, c, d = 0, 1, 10, 11, 12, 13
+    tree = DecompositionTree()
+    cp = tree.add_component(FlowNetwork.from_edges([(0, s, 2, 4), (1, 2, t, 3), (2, s, t, 2)]))
+    ca = tree.add_component(FlowNetwork.from_edges([(10, x, a, 7), (11, a, b, 6), (12, b, x, 5)]))
+    cb = tree.add_component(FlowNetwork.from_edges([(20, a, c, 4), (21, c, b, 4), (22, b, a, 3)]))
+    cc = tree.add_component(
+        FlowNetwork.from_edges(
+            [(30, x, d, 9), (31, d, a, 2), (32, a, d, 8), (33, d, b, 6), (34, b, d, 1), (35, d, x, 3)]
+        )
+    )
+    for host, comp, clique in ((cp, ca, [x]), (ca, cb, [a, b]), (ca, cc, [x, a, b])):
+        k = tree.add_clique(clique)
+        tree.attach(host, k)
+        tree.attach(comp, k)
+    return tree, {ca, cb, cc}
+
+
+@pytest.mark.parametrize("x", [0, 1, 2], ids=["x-is-s", "x-is-t", "x-inside-the-path"])
+def test_components_below_a_one_vertex_clique_get_no_kernel(x, monkeypatch):
+    import minorflow.maxflow as maxflow_mod
+
+    tree, hanging = hanging_tree(x)
+    graph = tree.reassemble()
+    assert validate(graph, tree) == (True, [])
+    path, parent = locate_terminal_path(tree, 0, 1)
+    assert cut_off_components(tree, path, parent) == hanging
+    dead = {e.id for c in hanging for e in tree.components[c].net.edges}
+    compiled, runs = [], []
+    real_compile, real_dinic = maxflow_mod._compile, maxflow_mod._dinic
+
+    def recording_compile(net, *args):
+        compiled.append({e.id for e in net.edges})
+        return real_compile(net, *args)
+
+    def counting_dinic(*args):
+        runs.append(args)
+        return real_dinic(*args)
+
+    monkeypatch.setattr(maxflow_mod, "_compile", recording_compile)
+    monkeypatch.setattr(maxflow_mod, "_dinic", counting_dinic)
+    nets, observer = collecting_observer()
+    value, flow = max_flow_decomposed(graph, tree, 0, 1, observer=observer)
+    # Only the final solve compiles and runs the engine, on the path alone.
+    assert len(compiled) == len(runs) == 1 and not compiled[0] & dead
+    monkeypatch.undo()
+    assert all(flow[i] == 0 for i in dead)
+    assert value == oracle_max_flow(graph, 0, 1) > 0
+    assert verify_flow(graph, TerminalSet.of(0, 1), (value, -value), flow)
+    assert audit_step_values(nets, 0, 1)
+
+
+@given(
+    st.sampled_from(("k33free", "k5free", "planar")),
+    st.integers(20, 80),
+    st.integers(0, 2**16),
+)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_cut_off_components_carry_zero_and_values_stay_exact(family, n, seed):
+    graph, tree = gen_instance(GenConfig(family, n, seed=seed))
+    vertices = sorted(graph.vertices)
+    pairs = random.Random(seed).sample([(s, t) for s in vertices for t in vertices if s != t], 4)
+    for s, t in pairs:
+        path, parent = locate_terminal_path(tree, s, t)
+        cut_off = cut_off_components(tree, path, parent)
+        value, flow = max_flow_decomposed(graph, tree, s, t, validate_input=False)
+        assert value == oracle_max_flow(graph, s, t)
+        assert verify_flow(graph, TerminalSet.of(s, t), (value, -value), flow)
+        assert all(flow[e.id] == 0 for c in cut_off for e in tree.components[c].net.edges)
