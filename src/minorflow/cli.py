@@ -22,13 +22,9 @@ from .fileio import (
 from .mimic import build_full_mimic, build_mimic4_single_source
 from .network import FULL, SINGLE_SOURCE, FlowNetwork, TerminalSet, imbalances
 from .solver import FAMILIES, decompose, max_flow_decomposed, max_flow_family
-from .testkit import (
-    GenConfig,
-    audit_step_values,
-    collecting_observer,
-    gen_instance,
-    oracle_max_flow,
-)
+
+# ``testkit`` (numpy, networkx) is imported only by the handlers that need it:
+# gen, oracle and ``solve --audit``, so a plain solve loads neither.
 
 _AUDIT_LIMIT = 120  # step-value audits re-run the oracle; keep them small
 
@@ -72,6 +68,8 @@ def cmd_solve(args) -> int:
     observer = None
     nets = None
     if args.audit and len(net.vertices) <= _AUDIT_LIMIT:
+        from .testkit import collecting_observer
+
         nets, observer = collecting_observer()
     if args.decomposition:
         tree = parse_decomposition(_read(args.decomposition))
@@ -87,6 +85,8 @@ def cmd_solve(args) -> int:
                 print(f"audit problem {p}")
             return 1
         if nets is not None:
+            from .testkit import audit_step_values
+
             steady = audit_step_values(nets, s, t)
             print(f"audit steps {'ok' if steady else 'FAILED'} ({len(nets)} networks)")
             if not steady:
@@ -125,6 +125,8 @@ def cmd_mimic(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from .testkit import GenConfig, gen_instance
+
     env_seed = os.environ.get("MINORFLOW_SEED")
     try:
         seed = args.seed if env_seed is None else int(env_seed)
@@ -160,6 +162,8 @@ def cmd_verify(args) -> int:
 def cmd_oracle(args) -> int:
     net, fsrc, fsnk = parse_network(_read(args.network))
     s, t = _terminals(args, net, fsrc, fsnk)
+    from .testkit import oracle_max_flow
+
     print(f"value {oracle_max_flow(net, s, t)}")
     return 0
 

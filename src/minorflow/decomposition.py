@@ -13,9 +13,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
-
-import networkx as nx
+from typing import Iterable, Iterator, Sequence
 
 from .network import Edge, FlowNetwork, merge_networks
 from .planar import (
@@ -26,7 +24,6 @@ from .planar import (
     is_planar,
     lowpoint_dfs,
     planar_embed,
-    to_nx,
 )
 from . import spqr as spqr_mod
 from .spqr import SpqrTree, spqr
@@ -387,19 +384,36 @@ def refine(tree: DecompositionTree) -> DecompositionTree:
 # ---------------------------------------------------------------------------
 # Family decomposers
 
-_V8 = nx.Graph(
-    [(i, (i + 1) % 8) for i in range(8)] + [(i, i + 4) for i in range(4)]
-)
-
-
 def _is_k5(adj: Adjacency) -> bool:
     return len(adj) == 5 and all(len(adj[v]) == 4 for v in adj)
 
 
 def _is_v8(adj: Adjacency) -> bool:
+    """Whether ``adj`` is the Wagner graph V8.
+
+    A cubic graph on 8 vertices is V8 exactly when it has a Hamiltonian cycle
+    v0..v7 whose other four edges are the chords v_i v_{i+4}.  A depth-first
+    search from the smallest vertex extends the cycle (at most two choices a
+    step once v1 is placed) and places each v_i with i >= 4 only beside
+    v_{i-4}, so a full cycle that closes at v0 has every chord.
+    """
     if len(adj) != 8 or any(len(adj[v]) != 3 for v in adj):
         return False
-    return nx.is_isomorphic(to_nx(adj), _V8)
+    cycle = [min(adj)]
+
+    def extend() -> bool:
+        i = len(cycle)
+        if i == 8:
+            return cycle[0] in adj[cycle[7]]
+        for w in adj[cycle[-1]]:
+            if w not in cycle and (i < 4 or w in adj[cycle[i - 4]]):
+                cycle.append(w)
+                if extend():
+                    return True
+                cycle.pop()
+        return False
+
+    return extend()
 
 
 def _structure_tree(net: FlowNetwork) -> DecompositionTree:
@@ -450,17 +464,22 @@ def decompose_k5_free(net: FlowNetwork) -> DecompositionTree:
     return tree
 
 
-def _separating_triples(adj: Adjacency) -> list[tuple[int, ...]]:
-    """Every sorted triple {a, b, c} with c a cut vertex of ``adj`` minus a
-    and b, in lexicographic order."""
+def _separating_triples(adj: Adjacency) -> Iterator[tuple[int, int, int]]:
+    """The separating triples a < b < c of the 3-connected graph ``adj``,
+    lazily and in lexicographic order.
+
+    In a 3-connected graph, G - {a, b} is connected, so {a, b, c} separates
+    G exactly when c cuts G - {a, b}, whichever vertex plays c.  So each pair
+    a < b, in sorted order, costs one articulation DFS of G - {a, b} and
+    yields the cut vertices c > b in increasing order; a caller that stops
+    at the first triple that splits runs no DFS for the later pairs.
+    """
     order = sorted(adj)
     index = {v: i for i, v in enumerate(order)}
     nbrs = [[index[w] for w in adj[v]] for v in order]
-    triples: set[tuple[int, ...]] = set()
     for a, b in itertools.combinations(range(len(order)), 2):
-        for c in articulation_points(nbrs, {a, b}):
-            triples.add(tuple(sorted((order[a], order[b], order[c]))))
-    return sorted(triples)
+        for c in sorted(c for c in articulation_points(nbrs, {a, b}) if c > b):
+            yield order[a], order[b], order[c]
 
 
 _K5Result = tuple[list[Piece], list[tuple[frozenset[int], list[int]]]]
@@ -473,10 +492,14 @@ def _split_k5(
 ) -> _K5Result | None:
     """Recursive 3-cut refinement of a 3-connected nonplanar torso.
 
-    Sides carry the completed cut triangle.  Tries separating triples in
-    lexicographic order with full backtracking: a K5-free graph can have
-    3-cuts whose completed sides are not K5-free, so greedy choice is not
-    complete.  Returns (pieces, cliques) with clique piece indexes, or None.
+    Sides carry the completed cut triangle, so each is 3-connected again.
+    Draws separating triples lazily in lexicographic order and keeps the
+    first whose sides all split, with full backtracking: a K5-free graph can
+    have 3-cuts whose completed sides are not K5-free, so greedy choice is
+    not complete.  On generated inputs the first triple always splits, and
+    the scan stops there.  ``memo`` maps each (vertices, pairs) already
+    tried to its result.  Returns (pieces, cliques) with clique piece
+    indexes, or None.
     """
     key = (verts, pairs)
     if key in memo:
@@ -546,7 +569,7 @@ def validate(graph: FlowNetwork, tree: DecompositionTree) -> tuple[bool, list[st
                 problems.append(f"component {cid} attached to missing clique {kid}")
             n_edges += 1
     for kid in clique_ids:
-        for cid in sorted(tree.clique_comps[kid] - tree.components.keys()):
+        for cid in sorted(c for c in tree.clique_comps[kid] if c not in tree.components):
             problems.append(f"clique {kid} attached to missing component {cid}")
     dangling = bool(problems)  # the walk can only cross nodes that exist
     for kid in clique_ids:

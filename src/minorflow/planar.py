@@ -6,6 +6,8 @@
 - ``planar_embed``: a clockwise rotation system for a planar graph (None for
   a non-planar one) from networkx's ``check_planarity``; faces come from the
   standard half-edge walk, so triangle/face membership queries are cheap.
+  networkx is imported there and in ``to_nx`` only, so the solve path,
+  which never embeds, does not load it.
 - ``components``: connected components, optionally with vertices removed.
 - ``lowpoint_dfs``: an iterative palm-tree DFS (preorder numbers, parents,
   lowpt1, lowpt2, subtree sizes) on index adjacency lists; SPQR's
@@ -18,14 +20,17 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import AbstractSet, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, AbstractSet, Iterable, Mapping, Sequence
 
-import networkx as nx
+if TYPE_CHECKING:
+    import networkx as nx
 
 Adjacency = Mapping[int, set[int]]
 
 
 def to_nx(adj: Adjacency) -> nx.Graph:
+    import networkx as nx
+
     g = nx.Graph()
     g.add_nodes_from(sorted(adj))
     for u in sorted(adj):
@@ -193,6 +198,8 @@ class PlanarEmbedding:
 
 def planar_embed(adj: Adjacency) -> PlanarEmbedding | None:
     """Embed a simple undirected graph; None when it is not planar."""
+    import networkx as nx
+
     g = to_nx(adj)
     ok, cert = nx.check_planarity(g)
     if not ok:

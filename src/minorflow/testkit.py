@@ -5,7 +5,9 @@ The oracles deliberately share no code path with the main engine:
 ``oracle_max_flow`` is a plain BFS augmenting-path loop over a dict residual
 (no layering), ``oracle_cut_table`` enumerates every vertex bipartition
 with numpy, and ``oracle_spqr`` finds split pairs by removing every vertex
-pair.
+pair.  ``oracle_separating_triples`` is the eager scan that the K5-free
+decomposer's lazy one replaced: it shares ``articulation_points`` with the
+engine, but lets any vertex of a triple play the cut vertex.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .decomposition import DecompositionTree
 from .network import FULL, SINGLE_SOURCE, CutTable, Edge, FlowNetwork, TerminalSet
-from .planar import Adjacency, components
+from .planar import Adjacency, articulation_points, components
 from .spqr import P, Q, R, S, SkelEdge, SpqrNode, SpqrTree
 
 _ORACLE_VERTEX_LIMIT = 20
@@ -353,6 +355,26 @@ def oracle_spqr(adj: Adjacency) -> SpqrTree:
                 tree.tree_edges[other] = (a if x == b else x, a if y == b else y)
                 pending.append(other)
     return tree
+
+
+# ---------------------------------------------------------------------------
+# Separating-triple oracle (one articulation DFS per vertex pair)
+
+
+def oracle_separating_triples(adj: Adjacency) -> list[tuple[int, ...]]:
+    """Every sorted triple {a, b, c} with c a cut vertex of ``adj`` minus a
+    and b, for every pair a, b and in any order of the three, listed
+    lexicographically: the eager scan that the lazy
+    ``decomposition._separating_triples`` must reproduce on 3-connected
+    graphs."""
+    order = sorted(adj)
+    index = {v: i for i, v in enumerate(order)}
+    nbrs = [[index[w] for w in adj[v]] for v in order]
+    triples: set[tuple[int, ...]] = set()
+    for a, b in itertools.combinations(range(len(order)), 2):
+        for c in articulation_points(nbrs, {a, b}):
+            triples.add(tuple(sorted((order[a], order[b], order[c]))))
+    return sorted(triples)
 
 
 # ---------------------------------------------------------------------------

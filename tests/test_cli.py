@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import minorflow
 from minorflow.cli import main
 from minorflow.fileio import (
     FormatError,
@@ -247,3 +252,17 @@ def test_cli_solves_past_the_input_capacity_bound(tmp_path, capsys):
     dec.write_text(write_decomposition(tree))
     assert run(tmp_path, "solve", "--network", net, "--decomposition", dec, "--source", 1, "--sink", 4) == 0
     assert capsys.readouterr().out.startswith("value 9223372036854775808\n")
+
+
+def test_importing_the_cli_loads_neither_networkx_nor_numpy():
+    # A solve's fixed cost is mostly imports: networkx is loaded only to
+    # embed, and testkit (numpy) only by gen, oracle and solve --audit.
+    src = str(Path(minorflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, minorflow, minorflow.cli; "
+        "print(sorted(m for m in ('networkx', 'numpy') if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -184,6 +184,39 @@ def test_validate_reports_a_component_attached_to_a_missing_clique():
         max_flow_decomposed(graph, tree, 0, 1)
 
 
+class ScanCountingDict(dict):
+    """A dict that counts the calls that can walk all of its keys."""
+
+    scans = 0
+
+    def __iter__(self):
+        self.scans += 1
+        return super().__iter__()
+
+    def keys(self):
+        self.scans += 1
+        return super().keys()
+
+
+def test_validate_scans_the_component_map_a_fixed_number_of_times():
+    # A chain of 40 triangles glued at single vertices: 39 cliques.  Checking
+    # each clique's components must not walk every component id.
+    tree = DecompositionTree()
+    comps = []
+    for i in range(40):
+        a, b, c = 2 * i, 2 * i + 1, 2 * i + 2
+        net = FlowNetwork.from_edges([(3 * i, a, b, 1), (3 * i + 1, b, c, 1), (3 * i + 2, c, a, 1)])
+        comps.append(tree.add_component(net))
+    for i in range(39):
+        k = tree.add_clique([2 * i + 2])
+        tree.attach(comps[i], k)
+        tree.attach(comps[i + 1], k)
+    graph = tree.reassemble()
+    tree.components = ScanCountingDict(tree.components)
+    assert validate(graph, tree) == (True, [])
+    assert tree.components.scans <= 2
+
+
 def test_validate_rejects_a_non_planar_component_above_the_size_cap():
     net = k5_with_path(11)
     ok, problems = validate(net, single_component_tree(net))
