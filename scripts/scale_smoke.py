@@ -62,10 +62,10 @@ def timed_phase1():
     seen = {}
     real = solver.phase1
 
-    def phase1(state, path_comps, parent):
+    def phase1(state, path_comps, up, above):
         start = time.perf_counter()
-        real(state, path_comps, parent)
-        seen.update(seconds=time.perf_counter() - start, path=path_comps, parent=parent)
+        real(state, path_comps, up, above)
+        seen.update(seconds=time.perf_counter() - start, walk=(path_comps, up, above))
 
     solver.phase1 = phase1
     try:
@@ -135,8 +135,9 @@ def main() -> None:
         f"pipeline (validate_input=False): value={value} in {t4 - validated:.2f}s, "
         f"gc collections {collected}"
     )
-    off_path = len(tree.components) - len(phase1["path"])
-    cut_off = len(cut_off_components(tree, phase1["path"], phase1["parent"]))
+    path, up, above = phase1["walk"]
+    off_path = len(tree.components) - len(path)
+    cut_off = len(cut_off_components(tree, path, up, above))
     print(
         f"phase I: {phase1['seconds']:.2f}s, off-path components {off_path}, "
         f"cut off {cut_off}, kernels {off_path - cut_off}"

@@ -45,10 +45,6 @@ class DisconnectedInput(InvalidDecomposition):
     """A family decomposer was given a disconnected network."""
 
 
-# A node of the 2-colored tree: ("c", component id) or ("k", clique id).
-Node = tuple[str, int]
-
-
 @dataclass
 class Component:
     id: int
@@ -122,23 +118,24 @@ class DecompositionTree:
         t.clique_comps = {kid: set(s) for kid, s in self.clique_comps.items()}
         return t
 
-    def walk(self, roots: Iterable[Node]) -> dict[Node, Node | None]:
-        """Breadth-first walk of the 2-colored tree from ``roots``: the parent
-        (None for a root) of every reached node, in the order reached."""
-        parent: dict[Node, Node | None] = dict.fromkeys(roots)
-        queue = deque(parent)
+    def walk(self, root: int) -> tuple[dict[int, int], dict[int, int]]:
+        """Breadth-first walk of the 2-colored tree from component ``root``:
+        ``up`` maps each component reached to the clique above it (-1 at the
+        root) and ``above`` each clique reached to the component above it,
+        both in the order reached, so a node comes after the one above it."""
+        up = {root: -1}
+        above: dict[int, int] = {}
+        queue = deque(up)
         while queue:
-            node = queue.popleft()
-            kind, nid = node
-            if kind == "c":
-                nbrs = [("k", k) for k in self.comp_cliques[nid]]
-            else:
-                nbrs = [("c", c) for c in self.clique_comps[nid]]
-            for nb in nbrs:
-                if nb not in parent:
-                    parent[nb] = node
-                    queue.append(nb)
-        return parent
+            cid = queue.popleft()
+            for kid in self.comp_cliques[cid]:
+                if kid not in above:
+                    above[kid] = cid
+                    for c in self.clique_comps[kid]:
+                        if c not in up:
+                            up[c] = kid
+                            queue.append(c)
+        return up, above
 
     def reassemble(self) -> FlowNetwork:
         return merge_networks(*(c.net for _, c in sorted(self.components.items())))
@@ -578,8 +575,8 @@ def validate(graph: FlowNetwork, tree: DecompositionTree) -> tuple[bool, list[st
     if n_edges != len(comp_ids) + len(clique_ids) - 1:
         problems.append("tree edge count is not nodes-1 (not a tree)")
     if not dangling:
-        reached = tree.walk([("c", comp_ids[0])])
-        if len(reached) != len(comp_ids) + len(clique_ids):
+        up, above = tree.walk(comp_ids[0])
+        if len(up) + len(above) != len(comp_ids) + len(clique_ids):
             problems.append("tree is disconnected")
     # The sweep: vertex counts, edge owners and fields, clique containment,
     # and the torso checks of every component whose cliques lie inside it.

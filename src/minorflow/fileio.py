@@ -149,6 +149,13 @@ def write_decomposition(tree: DecompositionTree) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _int(x: object, field: str) -> int:
+    """``x`` if it is a JSON integer; a float, bool or string is not coerced."""
+    if type(x) is not int:
+        raise FormatError(f"{field} must be an integer, got {json.dumps(x)}")
+    return x
+
+
 def parse_decomposition(text: str) -> DecompositionTree:
     try:
         doc = json.loads(text)
@@ -158,22 +165,22 @@ def parse_decomposition(text: str) -> DecompositionTree:
     try:
         for comp in doc["components"]:
             net = FlowNetwork.from_edges(
-                [tuple(int(x) for x in e) for e in comp["edges"]],
-                (int(v) for v in comp["vertices"]),
+                [tuple(_int(x, "component edge field") for x in e) for e in comp["edges"]],
+                (_int(v, "component vertex") for v in comp["vertices"]),
             )
-            cid = int(comp["id"])
+            cid = _int(comp["id"], "component id")
             if cid in tree.components:
                 raise FormatError(f"duplicate component id {cid}")
             tree.components[cid] = Component(cid, net)
             tree.comp_cliques[cid] = set()
         for cl in doc["cliques"]:
-            kid = int(cl["id"])
+            kid = _int(cl["id"], "clique id")
             if kid in tree.cliques:
                 raise FormatError(f"duplicate clique id {kid}")
-            tree.cliques[kid] = Clique(kid, frozenset(int(v) for v in cl["vertices"]))
+            tree.cliques[kid] = Clique(kid, frozenset(_int(v, "clique vertex") for v in cl["vertices"]))
             tree.clique_comps[kid] = set()
         for cid, kid in doc["tree_edges"]:
-            cid, kid = int(cid), int(kid)
+            cid, kid = _int(cid, "tree edge component"), _int(kid, "tree edge clique")
             if cid not in tree.components or kid not in tree.cliques:
                 raise FormatError(f"tree edge references missing node [{cid}, {kid}]")
             tree.attach(cid, kid)

@@ -96,11 +96,9 @@ class FlowNetwork:
     def next_edge_id(self) -> int:
         return max((e.id for e in self.edges), default=-1) + 1
 
-    def without_edges(self, edge_ids: Iterable[int], drop_vertices: Iterable[int] = ()) -> "FlowNetwork":
+    def without_edges(self, edge_ids: Iterable[int]) -> "FlowNetwork":
         gone = set(edge_ids)
-        dropped = set(drop_vertices)
-        kept = tuple(e for e in self.edges if e.id not in gone)
-        return FlowNetwork(frozenset(self.vertices - dropped), kept)
+        return FlowNetwork(self.vertices, tuple(e for e in self.edges if e.id not in gone))
 
 
 def merge_networks(*nets: FlowNetwork) -> FlowNetwork:

@@ -2,7 +2,10 @@
 terminal path of the validated clique-sum tree by a mimicking network
 (Phase I), glue the path components into one network (Phase II), solve it,
 and replay the replacements in reverse to recover a flow on the original
-network.  The tree is only read, never copied or changed.
+network.  The tree is only read, never copied or changed, and walked once
+per query, from s's component (``DecompositionTree.walk``): the walk gives
+the terminal path, and read in reverse it gives the off-path components
+deepest first.
 
 Phase I compiles each off-path component once (``maxflow.TerminalKernel``):
 its own edges, the mimic arcs its children left, and a super-source and a
@@ -44,7 +47,6 @@ from .decomposition import (
     DecompositionTree,
     DisconnectedInput,
     InvalidDecomposition,
-    Node,
     decompose_k33_free,
     decompose_k5_free,
     refine,
@@ -106,6 +108,9 @@ class SolveState:
     # Mimic arcs waiting in each component not yet replaced.
     pending: dict[int, list[Edge]] = field(default_factory=dict)
     observer: Observer | None = None
+    # With an observer only: the input network, then the network after each
+    # Phase I replacement; the replay pops them to audit its own steps.
+    steps: list[FlowNetwork] = field(default_factory=list)
 
     def alloc_vertex(self) -> int:
         v = self.next_vertex
@@ -122,11 +127,13 @@ def _glue(nets: Iterable[FlowNetwork], arcs: Iterable[Edge]) -> FlowNetwork:
 
 def locate_terminal_path(
     tree: DecompositionTree, s: int, t: int
-) -> tuple[list[int], dict[Node, Node | None]]:
+) -> tuple[list[int], dict[int, int], dict[int, int]]:
     """Path of components from s's component to t's component, plus the
-    parent map of the tree walk from s's component (``DecompositionTree.walk``),
-    which Phase I reuses.  The distinguished component for a terminal lying
-    in a shared clique is the lowest-id one."""
+    ``up`` and ``above`` maps of the tree walk from s's component
+    (``DecompositionTree.walk``), which Phase I reuses.  The distinguished
+    component for a terminal lying in a shared clique is the lowest-id one.
+    A tree that the walk does not span is rejected here, before any kernel
+    is compiled."""
     homes: dict[int, int] = {}
     for cid, comp in tree.components.items():
         for v in (s, t):
@@ -135,44 +142,42 @@ def locate_terminal_path(
     for v in (s, t):
         if v not in homes:
             raise UnknownVertexError(f"vertex {v} not in the decomposition")
-    parent = tree.walk([("c", homes[s])])
-    goal: Node | None = ("c", homes[t])
-    if goal not in parent:
+    up, above = tree.walk(homes[s])
+    if homes[t] not in up:
         raise InvalidDecomposition("terminals lie in different tree components")
-    path: list[int] = []
-    while goal is not None:
-        if goal[0] == "c":
-            path.append(goal[1])
-        goal = parent[goal]
+    if len(up) != len(tree.components):
+        raise InvalidDecomposition("tree is disconnected")
+    path = [homes[t]]
+    while path[-1] != homes[s]:
+        path.append(above[up[path[-1]]])
     path.reverse()
-    return path, parent
+    return path, up, above
 
 
 def cut_off_components(
-    tree: DecompositionTree, path_comps: list[int], parent: dict[Node, Node | None]
+    tree: DecompositionTree, path_comps: list[int], up: dict[int, int], above: dict[int, int]
 ) -> set[int]:
     """Off-path components whose way up to the terminal path crosses a
-    one-vertex clique: one forward pass over the breadth-first ``parent``
-    map of ``locate_terminal_path``, which reaches each clique before the
-    components below it."""
+    one-vertex clique: one forward pass over the breadth-first ``up`` map of
+    ``locate_terminal_path``, which reaches each component after the one
+    above it."""
     on_path = set(path_comps)
     cut: set[int] = set()
-    for node, up in parent.items():
-        if node[0] == "c" and node[1] not in on_path:
-            if len(tree.cliques[up[1]].vertices) == 1 or parent[up][1] in cut:
-                cut.add(node[1])
+    for cid, kid in up.items():
+        if cid not in on_path and (len(tree.cliques[kid].vertices) == 1 or above[kid] in cut):
+            cut.add(cid)
     return cut
 
 
 def phase1(
-    state: SolveState, path_comps: list[int], parent: dict[Node, Node | None]
+    state: SolveState, path_comps: list[int], up: dict[int, int], above: dict[int, int]
 ) -> None:
     """Replace every component off the terminal path by its mimic on the
     clique above it, deepest first, and leave the mimic's arcs pending in
-    the component above that clique.  ``parent`` is the walk of
+    the component above that clique.  ``up`` and ``above`` are the walk of
     ``locate_terminal_path``: an off-path component's way to its root
-    passes through the nearest path component, so its parent is the one a
-    walk from the path would give.
+    passes through the nearest path component, so the clique and component
+    above it are the ones a walk from the path would give.
 
     A component cut off from the path by a one-vertex clique
     (``cut_off_components``) is replaced by nothing: no kernel, no cut, an
@@ -182,14 +187,13 @@ def phase1(
     vertex is s or t."""
     tree, pending = state.tree, state.pending
     on_path = set(path_comps)
-    cut_off = cut_off_components(tree, path_comps, parent)
+    cut_off = cut_off_components(tree, path_comps, up, above)
     replaced: set[int] = set()
-    for node, up in reversed(parent.items()):
-        if node[0] != "c" or node[1] in on_path:
+    for cid, kid in reversed(up.items()):
+        if cid in on_path:
             continue
-        cid = node[1]
         net = tree.components[cid].net
-        terminals = tuple(sorted(tree.cliques[up[1]].vertices))
+        terminals = tuple(sorted(tree.cliques[kid].vertices))
         children = tuple(pending.pop(cid, ()))
         mimic: tuple[Edge, ...] = ()
         if cid not in cut_off:
@@ -197,28 +201,25 @@ def phase1(
             cut = TerminalKernel(net, terminals, children).cut
             mimic = full_mimic_arcs(cut, terminals, hub, state.next_edge)
             state.next_edge += len(mimic)
-            pending.setdefault(parent[up][1], []).extend(mimic)
+            pending.setdefault(above[kid], []).extend(mimic)
         state.records.append(ReplacementRecord(net, children, terminals, mimic))
         if state.observer is not None:
             replaced.add(cid)
             alive = [c.net for k, c in tree.components.items() if k not in replaced]
-            state.observer("replace", _glue(alive, (e for arcs in pending.values() for e in arcs)))
+            step = _glue(alive, (e for arcs in pending.values() for e in arcs))
+            state.steps.append(step)
+            state.observer("replace", step)
 
 
 def phase2(state: SolveState, path_comps: list[int]) -> FlowNetwork:
     """Glue the terminal path, all that Phase I leaves, into one network."""
-    tree = state.tree
-    if len(path_comps) + len(state.records) != len(tree.components):
-        raise InvalidDecomposition("tree is disconnected")
     return _glue(
-        (tree.components[c].net for c in path_comps),
+        (state.tree.components[c].net for c in path_comps),
         (e for c in path_comps for e in state.pending.get(c, ())),
     )
 
 
-def reconstruct(
-    state: SolveState, final_net: FlowNetwork, final_flow: FlowAssignment
-) -> FlowAssignment:
+def reconstruct(state: SolveState, final_flow: FlowAssignment) -> FlowAssignment:
     """Pop the replacement stack, converting the flow on each mimic into a
     routed flow on the component and child mimic arcs it replaced.  A zero
     demand gives the component zero flow; any other is routed on a kernel
@@ -228,8 +229,7 @@ def reconstruct(
     flows: dict[int, int] = dict(final_flow)
     audit = state.observer is not None
     if audit:
-        edges: dict[int, Edge] = dict(final_net.edge_by_id)
-        vertices: set[int] = set(final_net.vertices)
+        state.steps.pop()  # the network after the last replacement, glued by phase2
     while state.records:
         rec = state.records.pop()
         x = dict.fromkeys(rec.terminals, 0)
@@ -253,13 +253,7 @@ def reconstruct(
             for e in rec.net.edges:
                 flows[e.id] = 0
         if audit:
-            for e in rec.mimic:
-                del edges[e.id]
-            vertices -= {w for e in rec.mimic for w in (e.tail, e.head)} - set(rec.terminals)
-            snapshot = rec.snapshot()
-            edges.update(snapshot.edge_by_id)
-            vertices |= snapshot.vertices
-            net = FlowNetwork(frozenset(vertices), tuple(edges[k] for k in sorted(edges)))
+            net = state.steps.pop()  # the network before this replacement
             _assert_conserving(net, flows)
             state.observer("reconstruct", net)
     return flows
@@ -300,13 +294,14 @@ def max_flow_decomposed(
     )
     if observer is not None:
         observer("input", graph)  # a validated tree reassembles to graph exactly
-    path_comps, parent = locate_terminal_path(tree, s, t)
-    phase1(state, path_comps, parent)
+        state.steps.append(graph)
+    path_comps, up, above = locate_terminal_path(tree, s, t)
+    phase1(state, path_comps, up, above)
     final_net = phase2(state, path_comps)
     value, final_flow = max_flow(final_net, s, t)
     if observer is not None:
         observer("final", final_net)
-    flows = reconstruct(state, final_net, final_flow)
+    flows = reconstruct(state, final_flow)
     if len(flows) != len(graph.edges) or not all(e.id in flows for e in graph.edges):
         raise AssertionError("reconstruction did not restore the original edge set")
     return value, flows

@@ -171,6 +171,47 @@ def test_cli_solve_rejects_an_invalid_decomposition(tmp_path, capsys):
     assert err.startswith("error: ") and "torso is not planar and has more than 10 vertices" in err
 
 
+def _float_vertex(doc):
+    doc["components"][0]["vertices"][0] += 0.7
+
+
+def _float_capacity(doc):
+    doc["components"][0]["edges"][0][3] += 0.9
+
+
+def _bool_component_id(doc):
+    assert doc["components"][1]["id"] == 1
+    doc["components"][1]["id"] = True
+
+
+def _string_clique_vertex(doc):
+    doc["cliques"][0]["vertices"][0] = str(doc["cliques"][0]["vertices"][0])
+
+
+@pytest.mark.parametrize(
+    "corrupt,fragment",
+    [
+        (_float_vertex, "component vertex must be an integer, got 1.7"),
+        (_float_capacity, "component edge field must be an integer, got 7.9"),
+        (_bool_component_id, "component id must be an integer, got true"),
+        (_string_clique_vertex, 'clique vertex must be an integer, got "4"'),
+    ],
+    ids=["vertex-float", "capacity-float", "component-id-bool", "vertex-string"],
+)
+def test_cli_solve_rejects_non_integer_decomposition_values(tmp_path, capsys, corrupt, fragment):
+    # Each of these values was once coerced by int() into a valid tree.
+    net = tmp_path / "net.max"
+    dec = tmp_path / "tree.json"
+    assert run(tmp_path, "gen", "--family", "k5free", "--n", 30, "--seed", 3, "-o", net, "--tree", dec) == 0
+    doc = json.loads(dec.read_text())
+    corrupt(doc)
+    dec.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(tmp_path, "solve", "--network", net, "--decomposition", dec, "--source", 1, "--sink", 5) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err
+
+
 def test_cli_decompose_matches_solve_and_rejects_k33(tmp_path, capsys):
     net = tmp_path / "net.max"
     dec = tmp_path / "dec.json"

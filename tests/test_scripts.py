@@ -1,0 +1,34 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import minorflow
+
+SRC = Path(minorflow.__file__).resolve().parents[1]
+SCRIPTS = SRC.parent / "scripts"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scale_smoke.py", "--n", "300", "--family", "k5free", "--seed", "11"],
+        ["fuzz_cross_check.py", "--rounds", "3", "--max-n", "30", "--decomposer"],
+    ],
+    ids=["scale_smoke", "fuzz_cross_check"],
+)
+def test_script_runs_and_exits_zero(argv):
+    # The scripts reach into the solver (scale_smoke wraps solver.phase1 by
+    # its signature), so a change to those functions must keep them running.
+    env = {k: v for k, v in os.environ.items() if k != "MINORFLOW_SEED"}
+    env["PYTHONPATH"] = str(SRC)
+    out = subprocess.run(
+        [sys.executable, str(SCRIPTS / argv[0]), *argv[1:]],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert out.returncode == 0, out.stdout + out.stderr

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -44,10 +45,10 @@ def two_component_tree():
 
 def test_locate_terminal_path():
     tree = two_component_tree()
-    comps, parent = locate_terminal_path(tree, 0, 3)
-    assert comps == [0, 1] and parent[("c", 1)] == ("k", 0)
-    same, parent = locate_terminal_path(tree, 0, 1)
-    assert same == [0] and len(parent) == 3
+    comps, up, above = locate_terminal_path(tree, 0, 3)
+    assert comps == [0, 1] and up[1] == 0 and above[0] == 0
+    same, up, above = locate_terminal_path(tree, 0, 1)
+    assert same == [0] and len(up) + len(above) == 3
 
 
 def test_single_component_equals_plain_max_flow(rng):
@@ -233,8 +234,6 @@ def test_step_values_and_reconstruction_conserve(rng):
 def k4_chain(count):
     """K4 components 2-summed in a chain: component i holds 2i..2i+3, and
     the clique {2i, 2i+1} edge belongs to the earlier component."""
-    import itertools
-
     tree = DecompositionTree()
     eid = 0
     ids = []
@@ -285,7 +284,7 @@ def test_only_off_path_components_are_replaced(family, rng):
     for seed in range(6):
         graph, tree = gen_instance(GenConfig(family, 40, seed=seed))
         s, t = rng.sample(sorted(graph.vertices), 2)
-        path, _ = locate_terminal_path(tree, s, t)
+        path, _, _ = locate_terminal_path(tree, s, t)
         longest = max(longest, len(path))
         stages = []
         max_flow_decomposed(graph, tree, s, t, observer=lambda stage, net: stages.append(stage))
@@ -300,9 +299,9 @@ def test_one_tree_walk_per_query(monkeypatch, rng):
     walks = []
     real = DecompositionTree.walk
 
-    def counting(self, roots):
+    def counting(self, root):
         walks.append(self)
-        return real(self, roots)
+        return real(self, root)
 
     monkeypatch.setattr(DecompositionTree, "walk", counting)
     for seed in range(4):
@@ -375,6 +374,34 @@ def test_terminal_path_rejects_unknown_vertices():
         locate_terminal_path(tree, 0, 99)
 
 
+@pytest.mark.parametrize(
+    "t,message",
+    [(1, "tree is disconnected"), (8, "terminals lie in different tree components")],
+    ids=["same-part", "different-parts"],
+)
+def test_disconnected_tree_fails_before_any_kernel_is_compiled(t, message, monkeypatch):
+    # Without validation, a tree that the walk from s's component does not
+    # span is rejected where the path is located, before Phase I compiles
+    # the off-path component on the clique {1, 2}.
+    import minorflow.maxflow as maxflow_mod
+    from minorflow.decomposition import InvalidDecomposition
+
+    tree = two_component_tree()
+    tree.add_component(FlowNetwork.from_edges([(5, 7, 8, 1)]))
+    graph = tree.reassemble()
+    compiled = []
+    real_compile = maxflow_mod._compile
+
+    def counting_compile(*args):
+        compiled.append(args)
+        return real_compile(*args)
+
+    monkeypatch.setattr(maxflow_mod, "_compile", counting_compile)
+    with pytest.raises(InvalidDecomposition, match=message):
+        max_flow_decomposed(graph, tree, 0, t, validate_input=False)
+    assert compiled == []
+
+
 def test_corrupted_mimic_capacity_breaks_the_audit(monkeypatch):
     # Mutation check: inflate one mimic capacity and the per-step value audit
     # must flag it (and reconstruction becomes infeasible).
@@ -411,12 +438,56 @@ def capture_records(monkeypatch):
     seen = []
     real = solver_mod.reconstruct
 
-    def capture(state, final_net, final_flow):
+    def capture(state, final_flow):
         seen.append(list(state.records))
-        return real(state, final_net, final_flow)
+        return real(state, final_flow)
 
     monkeypatch.setattr(solver_mod, "reconstruct", capture)
     return seen
+
+
+def rebuilt_replay_networks(records, final_net):
+    """Vertex and edge sets of the network after each pop of the replay,
+    rebuilt from the records alone: the final network, less each popped
+    record's mimic arcs and hub, plus the network the mimic replaced."""
+    edges = dict(final_net.edge_by_id)
+    vertices = set(final_net.vertices)
+    rebuilt = []
+    for rec in reversed(records):
+        for e in rec.mimic:
+            del edges[e.id]
+        vertices -= {w for e in rec.mimic for w in (e.tail, e.head)} - set(rec.terminals)
+        snapshot = rec.snapshot()
+        edges.update(snapshot.edge_by_id)
+        vertices |= snapshot.vertices
+        rebuilt.append((frozenset(vertices), frozenset(edges.values())))
+    return rebuilt
+
+
+def test_replay_audits_the_networks_rebuilt_from_the_records(monkeypatch):
+    # The replay audits Phase I's own step networks in reverse; rebuilding
+    # them from the records and the final network is the reference.
+    seen = capture_records(monkeypatch)
+    pops = 0
+    for family, seed in itertools.product(("planar", "k33free", "k5free"), range(15)):
+        graph, tree = gen_instance(GenConfig(family, 40, seed=seed))
+        s, t = random.Random(seed).sample(sorted(graph.vertices), 2)
+        stages = []
+        value, flow = max_flow_decomposed(
+            graph, tree, s, t, observer=lambda stage, net: stages.append((stage, net))
+        )
+        records = seen[-1]
+        names = [stage for stage, _ in stages]
+        k = len(records)
+        assert names == ["input"] + ["replace"] * k + ["final"] + ["reconstruct"] * k
+        (final_net,) = [net for stage, net in stages if stage == "final"]
+        replayed = [
+            (net.vertices, frozenset(net.edges)) for stage, net in stages if stage == "reconstruct"
+        ]
+        assert replayed == rebuilt_replay_networks(records, final_net)
+        assert verify_flow(graph, TerminalSet.of(s, t), (value, -value), flow)
+        pops += k
+    assert pops > 0
 
 
 def expected_mimic(rec):
@@ -440,8 +511,8 @@ def test_installed_mimics_equal_the_full_table_mimic(family, monkeypatch, rng):
     for seed in range(6):
         graph, tree = gen_instance(GenConfig(family, 40, seed=seed))
         s, t = rng.sample(sorted(graph.vertices), 2)
-        path, parent = locate_terminal_path(tree, s, t)
-        cut_off = {id(tree.components[c].net) for c in cut_off_components(tree, path, parent)}
+        path, up, above = locate_terminal_path(tree, s, t)
+        cut_off = {id(tree.components[c].net) for c in cut_off_components(tree, path, up, above)}
         value, flow = max_flow_decomposed(graph, tree, s, t)
         assert value == oracle_max_flow(graph, s, t)
         assert len(seen[-1]) == len(tree.components) - len(path)
@@ -527,9 +598,9 @@ def test_each_component_compiles_once_and_zero_demands_skip_the_kernel(monkeypat
     seen = []
     real_reconstruct = solver_mod.reconstruct
 
-    def reconstruct(state, final_net, final_flow):
+    def reconstruct(state, final_flow):
         records, before = list(state.records), dict(calls)
-        flows = real_reconstruct(state, final_net, final_flow)
+        flows = real_reconstruct(state, final_flow)
         seen.append((records, before, dict(calls), flows))
         return flows
 
@@ -539,14 +610,10 @@ def test_each_component_compiles_once_and_zero_demands_skip_the_kernel(monkeypat
         for seed in range(4):
             graph, tree = gen_instance(GenConfig(family, 60, seed=seed))
             s, t = rng.sample(sorted(graph.vertices), 2)
-            path, parent = locate_terminal_path(tree, s, t)
-            cut_off = cut_off_components(tree, path, parent)
-            kernel_cliques = [
-                up
-                for node, up in parent.items()
-                if node[0] == "c" and node[1] not in path and node[1] not in cut_off
-            ]
-            assert all(len(tree.cliques[up[1]].vertices) > 1 for up in kernel_cliques)
+            path, up, above = locate_terminal_path(tree, s, t)
+            cut_off = cut_off_components(tree, path, up, above)
+            kernel_cliques = [kid for cid, kid in up.items() if cid not in path and cid not in cut_off]
+            assert all(len(tree.cliques[kid].vertices) > 1 for kid in kernel_cliques)
             calls.update(compile=0, dinic=0)
             value, flow = max_flow_decomposed(graph, tree, s, t, validate_input=False)
             records, before, after, flows = seen[-1]
@@ -593,8 +660,8 @@ def test_components_below_a_one_vertex_clique_get_no_kernel(x, monkeypatch):
     tree, hanging = hanging_tree(x)
     graph = tree.reassemble()
     assert validate(graph, tree) == (True, [])
-    path, parent = locate_terminal_path(tree, 0, 1)
-    assert cut_off_components(tree, path, parent) == hanging
+    path, up, above = locate_terminal_path(tree, 0, 1)
+    assert cut_off_components(tree, path, up, above) == hanging
     dead = {e.id for c in hanging for e in tree.components[c].net.edges}
     compiled, runs = [], []
     real_compile, real_dinic = maxflow_mod._compile, maxflow_mod._dinic
@@ -631,8 +698,8 @@ def test_cut_off_components_carry_zero_and_values_stay_exact(family, n, seed):
     vertices = sorted(graph.vertices)
     pairs = random.Random(seed).sample([(s, t) for s in vertices for t in vertices if s != t], 4)
     for s, t in pairs:
-        path, parent = locate_terminal_path(tree, s, t)
-        cut_off = cut_off_components(tree, path, parent)
+        path, up, above = locate_terminal_path(tree, s, t)
+        cut_off = cut_off_components(tree, path, up, above)
         value, flow = max_flow_decomposed(graph, tree, s, t, validate_input=False)
         assert value == oracle_max_flow(graph, s, t)
         assert verify_flow(graph, TerminalSet.of(s, t), (value, -value), flow)
