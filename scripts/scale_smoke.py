@@ -13,11 +13,13 @@ problems, when the tree is invalid, and exits 1 when the two values differ
 or the pipeline's flow fails verification.  With --decomposer, the
 pipeline solves on the family decomposer's tree instead of the generated
 one, and the decompose time is printed.  After the pipeline line come Phase
-I's time (``solver.phase1`` timed through its module binding) and its work
-split, taken from the located path by the solver's own rule
-(``cut_off_components``): the off-path components, how many of them a
-one-vertex clique cuts off, and how many kernels remain.  The peak RSS of the
-process so far (``getrusage``) follows them.
+I's time and its work, all taken by wrapping the solver's module bindings:
+``solver.phase1`` is timed; the records reaching ``solver.reconstruct``
+give the off-path components, how many got a mimic (built) and how many
+never did; the ``solver.TerminalKernel`` constructions until
+``solver.phase1`` returns are the component kernels compiled; and the
+``solver.phase2`` calls are the solve rounds.  The peak RSS of the process
+so far (``getrusage``) follows them.
 
     python scripts/scale_smoke.py --n 100000 --family k5free --seed 11
     python scripts/scale_smoke.py --n 10000 --family k5free --seed 0 --decomposer k5
@@ -36,7 +38,7 @@ from minorflow.fileio import parse_decomposition, write_decomposition
 from minorflow.maxflow import max_flow
 from minorflow.network import TerminalSet
 from minorflow import solver
-from minorflow.solver import cut_off_components, decompose, max_flow_decomposed
+from minorflow.solver import decompose, max_flow_decomposed
 from minorflow.testkit import GenConfig, gen_instance
 
 
@@ -57,21 +59,45 @@ def gc_collections():
 
 
 @contextlib.contextmanager
-def timed_phase1():
-    """Time ``solver.phase1`` and keep the path and walk it was given."""
-    seen = {}
-    real = solver.phase1
+def phase1_work():
+    """Time ``solver.phase1`` and count its work through the solver's module
+    bindings: solve rounds (``phase2`` calls), component kernels
+    (``TerminalKernel`` constructions until ``phase1`` returns), and
+    the components built and never built (the records ``reconstruct``
+    receives, with and without a mimic)."""
+    seen = {"seconds": 0.0, "rounds": 0, "kernels": 0, "built": 0, "unbuilt": 0}
+    kernels = [0]
+    names = ("phase1", "phase2", "TerminalKernel", "reconstruct")
+    real = {name: getattr(solver, name) for name in names}
 
-    def phase1(state, path_comps, up, above):
+    def phase1(*args):
         start = time.perf_counter()
-        real(state, path_comps, up, above)
-        seen.update(seconds=time.perf_counter() - start, walk=(path_comps, up, above))
+        try:
+            return real["phase1"](*args)
+        finally:
+            seen["seconds"] = time.perf_counter() - start
+            seen["kernels"] = kernels[0]
 
-    solver.phase1 = phase1
+    def phase2(*args):
+        seen["rounds"] += 1
+        return real["phase2"](*args)
+
+    def kernel(*args):
+        kernels[0] += 1
+        return real["TerminalKernel"](*args)
+
+    def reconstruct(state, final_flow):
+        seen["built"] = sum(1 for rec in state.records if rec.mimic)
+        seen["unbuilt"] = len(state.records) - seen["built"]
+        return real["reconstruct"](state, final_flow)
+
+    for name, wrapper in zip(names, (phase1, phase2, kernel, reconstruct)):
+        setattr(solver, name, wrapper)
     try:
         yield seen
     finally:
-        solver.phase1 = real
+        for name, fn in real.items():
+            setattr(solver, name, fn)
 
 
 def main() -> None:
@@ -128,19 +154,17 @@ def main() -> None:
             print(f"  {problem}")
         raise SystemExit(1)
 
-    with gc_collections() as collected, timed_phase1() as phase1:
+    with gc_collections() as collected, phase1_work() as work:
         value, flow = max_flow_decomposed(graph, tree, s, t, validate_input=False)
     t4 = time.monotonic()
     print(
         f"pipeline (validate_input=False): value={value} in {t4 - validated:.2f}s, "
         f"gc collections {collected}"
     )
-    path, up, above = phase1["walk"]
-    off_path = len(tree.components) - len(path)
-    cut_off = len(cut_off_components(tree, path, up, above))
     print(
-        f"phase I: {phase1['seconds']:.2f}s, off-path components {off_path}, "
-        f"cut off {cut_off}, kernels {off_path - cut_off}"
+        f"phase I: {work['seconds']:.2f}s, off-path components {work['built'] + work['unbuilt']}, "
+        f"built {work['built']}, never built {work['unbuilt']}, "
+        f"kernels compiled {work['kernels']}, solve rounds {work['rounds']}"
     )
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
     print(f"peak RSS so far: {peak_mb:.1f} MB")

@@ -22,6 +22,7 @@ from .network import (
 from .maxflow import max_flow, min_cut_side, min_cut_value
 from .external import (
     VerifyResult,
+    certify_max_flow,
     check_external_realizable,
     cut_table,
     route_external_flow,
@@ -85,6 +86,7 @@ __all__ = [
     "build_mimic3",
     "build_mimic4_single_source",
     "build_mimic_general",
+    "certify_max_flow",
     "check_external_realizable",
     "check_four_way",
     "check_spqr_axioms",

@@ -135,3 +135,44 @@ def verify_flow(
         elif bal != 0:
             problems.append(f"conservation violated at vertex {v} (imbalance {bal})")
     return VerifyResult(not problems, tuple(problems))
+
+
+def certify_max_flow(net: FlowNetwork, s: int, t: int, flow: Mapping[int, int]) -> VerifyResult:
+    """Check the min-cut certificate that ``flow`` is a maximum s-t flow
+    (McConnell, Mehlhorn, Näher & Schweitzer, "Certifying algorithms",
+    2011): the set S that s reaches in the flow's residual network must not
+    hold t, the capacity of the edges out of S must equal the flow's value
+    (its net outflow at s), and no edge into S may carry flow.  Together
+    with the feasibility ``verify_flow`` checks, that proves the value
+    maximum without running a max-flow engine.  Never raises; returns
+    diagnostics."""
+    for role, v in (("source", s), ("sink", t)):
+        if v not in net.vertices:
+            return VerifyResult(False, (f"{role} {v} not in network",))
+    residual: dict[int, list[int]] = {v: [] for v in net.vertices}
+    for e in net.edges:
+        f = flow.get(e.id, 0)
+        if f < e.cap:
+            residual[e.tail].append(e.head)
+        if f > 0:
+            residual[e.head].append(e.tail)
+    side = {s}
+    stack = [s]
+    while stack:
+        for w in residual[stack.pop()]:
+            if w not in side:
+                side.add(w)
+                stack.append(w)
+    problems: list[str] = []
+    if t in side:
+        problems.append(f"sink {t} is reachable from source {s} in the residual network")
+    value = imbalances(net, flow)[s]
+    cut = sum(e.cap for e in net.edges if e.tail in side and e.head not in side)
+    if cut != value:
+        problems.append(
+            f"capacity {cut} out of the residual source side differs from value {value}"
+        )
+    for e in net.edges:
+        if e.tail not in side and e.head in side and flow.get(e.id, 0):
+            problems.append(f"flow {flow[e.id]} enters the residual source side on edge {e.id}")
+    return VerifyResult(not problems, tuple(problems))

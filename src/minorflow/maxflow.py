@@ -8,8 +8,8 @@ each of a few terminals, and answers any number of flows and cuts between
 those terminals, each on a fresh copy of the capacities.  A cut runs from
 and into terminal vertices: a super-source or super-sink arc opens only on
 a side with several terminals.  Every other flow question is a query on a
-kernel built where it is asked: ``max_flow``, ``min_cut_value`` and
-``min_cut_side`` here, ``external.cut_table`` and
+kernel built where it is asked: ``max_flow``, ``max_flow_side``,
+``min_cut_value`` and ``min_cut_side`` here, ``external.cut_table`` and
 ``external.route_external_flow``, and the solver's Phase I cuts and replay
 routes.  A specialized backend (planar, bounded-treewidth, ...) replaces
 the engine by providing the same entry points.  Antiparallel and parallel
@@ -173,18 +173,39 @@ class TerminalKernel:
         self._to_sink = 2 * len(terminals)  # from a terminal's source arc to its sink arc
         self._inf = sum(self._base[0 : 2 * m : 2]) + 1
 
-    def flow(self, sources: Mapping[int, int], sinks: Mapping[int, int]) -> tuple[int, list[int]]:
-        """Maximum flow from terminals ``sources`` (at most ``sources[q]``
-        out of q) to terminals ``sinks`` (at most ``sinks[q]`` into q): the
-        value, and every arc's residual capacity, so that arc 2i (edge i of
-        ``net.edges + extra``) carries ``e.cap - cap[2i]``."""
+    def _flow(
+        self, sources: Mapping[int, int], sinks: Mapping[int, int]
+    ) -> tuple[int, list[int], list[int]]:
+        """``_dinic`` for ``flow``: its value, the residual capacities and
+        the BFS levels."""
         cap = list(self._base)
         for q, c in sources.items():
             cap[self._source_arc[q]] = c
         for q, c in sinks.items():
             cap[self._source_arc[q] + self._to_sink] = c
         ss = len(self._adj) - 2
-        return _dinic(self._adj, self._to, cap, ss, ss + 1)[0], cap
+        value, level = _dinic(self._adj, self._to, cap, ss, ss + 1)
+        return value, cap, level
+
+    def _side(self, level: list[int]) -> frozenset[int]:
+        """The vertices with a BFS level: those the run's source still
+        reaches in the residual network."""
+        return frozenset(v for v, i in self._index.items() if level[i] >= 0)
+
+    def flow(self, sources: Mapping[int, int], sinks: Mapping[int, int]) -> tuple[int, list[int]]:
+        """Maximum flow from terminals ``sources`` (at most ``sources[q]``
+        out of q) to terminals ``sinks`` (at most ``sinks[q]`` into q): the
+        value, and every arc's residual capacity, so that arc 2i (edge i of
+        ``net.edges + extra``) carries ``e.cap - cap[2i]``."""
+        return self._flow(sources, sinks)[:2]
+
+    def flow_side(
+        self, sources: Mapping[int, int], sinks: Mapping[int, int]
+    ) -> tuple[int, list[int], frozenset[int]]:
+        """``flow`` plus the vertices the super source still reaches in the
+        residual network of that flow."""
+        value, cap, level = self._flow(sources, sinks)
+        return value, cap, self._side(level)
 
     def _cut(self, sources: Iterable[int], sinks: Iterable[int]) -> tuple[int, list[int]]:
         """``_dinic`` for ``cut``: its value and BFS levels.  A lone source
@@ -213,7 +234,7 @@ class TerminalKernel:
         """``cut`` plus the vertices the source side still reaches in the
         residual network: the source side of the minimal minimum cut."""
         value, level = self._cut(sources, sinks)
-        return value, frozenset(v for v, i in self._index.items() if level[i] >= 0)
+        return value, self._side(level)
 
 
 def _checked(
@@ -235,11 +256,19 @@ def _checked(
 
 def max_flow(net: FlowNetwork, s: int, t: int) -> tuple[int, FlowAssignment]:
     """Maximum s-t flow value and an integral flow achieving it."""
+    value, flow, _ = max_flow_side(net, s, t)
+    return value, flow
+
+
+def max_flow_side(net: FlowNetwork, s: int, t: int) -> tuple[int, FlowAssignment, frozenset[int]]:
+    """``max_flow`` plus the vertices that s still reaches in the residual
+    network of the flow: the source side of the minimal minimum cut, whose
+    capacity is the value."""
     _checked(net, (s,), (t,))
     inf = net.total_capacity + 1
     # The kernel is a temporary, so it is freed before the flow dict is built.
-    value, cap = TerminalKernel(net, (s, t)).flow({s: inf}, {t: inf})
-    return value, {e.id: e.cap - cap[2 * i] for i, e in enumerate(net.edges)}
+    value, cap, side = TerminalKernel(net, (s, t)).flow_side({s: inf}, {t: inf})
+    return value, {e.id: e.cap - cap[2 * i] for i, e in enumerate(net.edges)}, side
 
 
 def min_cut_value(net: FlowNetwork, sources: Iterable[int], sinks: Iterable[int]) -> int:

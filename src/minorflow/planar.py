@@ -226,10 +226,16 @@ def is_planar(adj: Adjacency) -> bool:
     lowpoints and nesting depths, and a testing DFS over adjacency lists
     sorted by nesting depth keeps a stack of conflict pairs.  Both passes are
     iterative, and no sign or embedding phase runs.
+
+    A graph with at most 4 vertices or at most 8 edges is planar without
+    the test (Kuratowski): a subdivision of K5 has at least 5 vertices and
+    10 edges, one of K3,3 at least 6 vertices and 9 edges.
     """
     n = len(adj)
     m = sum(map(len, adj.values())) // 2
-    if n > 2 and m > 3 * n - 6:
+    if n <= 4 or m <= 8:
+        return True
+    if m > 3 * n - 6:
         return False
     index = {v: i for i, v in enumerate(adj)}
     nbrs = [[index[w] for w in adj[v]] for v in adj]

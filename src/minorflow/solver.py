@@ -1,46 +1,67 @@
-"""The decomposed max-flow pipeline: replace every component off the
-terminal path of the validated clique-sum tree by a mimicking network
-(Phase I), glue the path components into one network (Phase II), solve it,
-and replay the replacements in reverse to recover a flow on the original
-network.  The tree is only read, never copied or changed, and walked once
-per query, from s's component (``DecompositionTree.walk``): the walk gives
-the terminal path, and read in reverse it gives the off-path components
-deepest first.
+"""The decomposed max-flow pipeline: solve the terminal path of the
+validated clique-sum tree with exact mimicking networks (Hagerup,
+Katajainen, Nishimura & Ragde, JCSS 1998) in place of the off-path
+components that a minimum cut needs (Phase I), gluing the path into one
+network for each solve (Phase II), then replay the replacements in reverse
+to recover a flow on the original network.  The tree is only read, never
+copied or changed, and walked once per query, from s's component
+(``DecompositionTree.walk``).
 
-Phase I compiles each off-path component once (``maxflow.TerminalKernel``):
-its own edges, the mimic arcs its children left, and a super-source and a
-super-sink arc at each vertex of the clique above it.  That compile gives
-every cut of the full table, the mimic built from them
-(``mimic.full_mimic_arcs``) waits as arcs in the component above, and the
-compile is dropped.  The replay compiles a component again only when its
-mimic carries a non-zero demand, and routes that demand on it; a zero
-demand gives the component zero flow without compiling anything.
+Every flow question is answered on demand: the s-t solve on the path, and
+each cut of an off-path component's full table, which gives the component's
+mimic on the clique above it (``mimic.full_mimic_arcs``: an antiparallel
+pair for two terminals, a star around a fresh hub for three).  A question
+is asked first with the mimics of the children built so far, compiled with
+the component into one ``maxflow.TerminalKernel``, and the same Dinic run
+gives the residual source side S.  The children whose clique has vertices
+on both sides of S are built, by the same rule one level down, and the
+question is asked again.  When no child is split, the answer is exact:
 
-A component whose way up to the path crosses a one-vertex clique is not
-compiled at all: its mimic is empty, as is the one-terminal mimic of the
-part that hangs at that clique (Hagerup, Katajainen, Nishimura & Ragde,
-JCSS 1998).  No s-t flow can cross a part that touches the rest at one
-vertex, so an acyclic max flow is zero on all of it, also when that vertex
-is s or t; s and t lie on the path, never strictly inside such a part.
+- the network without the unbuilt children is a subnetwork of the true one,
+  in which every child is replaced by its exact mimic, so its min cut is at
+  most the true one;
+- an unbuilt child's mimic has no arc across S: an antiparallel pair joins
+  two vertices on one side, and a star's hub can be put on its terminals'
+  side; a one-vertex clique has an empty mimic and is never split;
+- so S is a cut of the same capacity in the true network.
+
+A cut value stays exact as more children are built, since building only
+adds arcs to a network that is still a subnetwork of the true one.  So a
+built component's mimic is the full-table mimic of the component with its
+built children's arcs, and every child never built carries zero flow.
+
+The replay compiles a component again only when its mimic carries a
+non-zero demand, and routes that demand on it; a zero demand, and every
+component never built, gets zero flow without compiling anything.
+
+With an observer, the network after each replacement (the components not
+yet replaced plus the mimic arcs waiting in them) keeps the max-flow value
+of the input, which the audit checks.  A max flow of the input that is zero
+on every unbuilt component (the replayed one) stays feasible at each step,
+so no step has a smaller value.  No step has a larger one either: replacing
+a component by its exact mimic keeps the value, and an unbuilt component
+left after its parent was replaced dangles at one vertex at most.  Every cut
+of a 2- or 3-terminal table separates some two of its terminals, and its S
+splits no unbuilt child, so a chain of unbuilt children can join no two
+vertices of their parent's clique.
 
 The tree is not refined first: every installed mimic has the same cut table
-as the component it replaces, which makes the pipeline exact on any valid
-tree whose cliques have at most 3 vertices.  Triconnected pieces and facial
-gluing triangles (``decomposition.refine``) matter only to a planar-specific
-flow engine, which this package does not have.  For the same reason the
-path is glued rather than folded into a tiny network by more mimics: with a
-generic max-flow engine the fold costs more than it saves.  The network
-reassembled from the components not yet replaced plus the waiting arcs keeps
-its max-flow value at every step, which the audit hook can check.
+as the subtree it replaces, which makes the pipeline exact on any valid tree
+whose cliques have at most 3 vertices.  Triconnected pieces and facial
+gluing triangles (``decomposition.refine``) matter only to a
+planar-specific flow engine, which this package does not have.  For the
+same reason the path is glued rather than folded into a tiny network by
+more mimics: with a generic max-flow engine the fold costs more than it
+saves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Generator, Iterable, Iterator
 
 # Imported but unused here (``refine``, ``cut_table``, ``route_external_flow``,
-# ``min_cut_value``, ``build_full_mimic``, ``merge_mimics``,
+# ``max_flow``, ``min_cut_value``, ``build_full_mimic``, ``merge_mimics``,
 # ``build_mimic4_single_source``, ``build_mimic_general``): the benchmark's
 # traced run wraps these solver bindings by name.
 from .decomposition import (
@@ -54,7 +75,7 @@ from .decomposition import (
     validate,
 )
 from .external import cut_table, route_external_flow
-from .maxflow import TerminalKernel, max_flow, min_cut_value
+from .maxflow import TerminalKernel, max_flow, max_flow_side, min_cut_value
 from .mimic import (
     build_full_mimic,
     build_mimic4_single_source,
@@ -70,6 +91,7 @@ from .network import (
     UnknownVertexError,
     imbalances,
     merge_networks,
+    proper_subsets,
 )
 from .planar import components
 
@@ -81,12 +103,17 @@ class ReplacementRecord:
     """One Phase I replacement, replayable in reverse.
 
     Component ``net`` of the input tree, with the ``children`` arcs (mimics
-    that components below it left) glued on, was replaced by the ``mimic``
-    arcs on its sorted clique ``terminals``: none for one terminal, an
-    antiparallel pair for two, a star around a fresh hub for three.  A
-    component cut off from the terminal path by a one-vertex clique has an
-    empty ``mimic`` and empty ``children`` whatever its terminals: it and
-    everything below it carry zero flow.
+    that the built components below it left) glued on, was replaced by the
+    ``mimic`` arcs on its sorted clique ``terminals``: an antiparallel pair
+    for two, a star around a fresh hub for three.  The mimic is the
+    full-table mimic of that snapshot, and also of the component's whole
+    subtree, since every cut was asked until it split no unbuilt child.  A
+    built component's record comes after its children's.
+
+    A component that no minimum cut needed, which includes every one below
+    a one-vertex clique, was never built: its record has an empty ``mimic``
+    and empty ``children`` whatever its terminals, and it carries zero flow.
+    Removing it keeps the audit's step values (see the module docstring).
     """
 
     net: FlowNetwork
@@ -154,61 +181,109 @@ def locate_terminal_path(
     return path, up, above
 
 
-def cut_off_components(
-    tree: DecompositionTree, path_comps: list[int], up: dict[int, int], above: dict[int, int]
-) -> set[int]:
-    """Off-path components whose way up to the terminal path crosses a
-    one-vertex clique: one forward pass over the breadth-first ``up`` map of
-    ``locate_terminal_path``, which reaches each component after the one
-    above it."""
-    on_path = set(path_comps)
-    cut: set[int] = set()
-    for cid, kid in up.items():
-        if cid not in on_path and (len(tree.cliques[kid].vertices) == 1 or above[kid] in cut):
-            cut.add(cid)
-    return cut
+def _split_off(
+    tree: DecompositionTree, up: dict[int, int], children: list[int], side: frozenset[int]
+) -> list[int]:
+    """Take out of ``children`` and return the components whose clique above
+    has vertices both in ``side`` and outside it."""
+    keep: list[int] = []
+    split: list[int] = []
+    for cid in children:
+        clique = tree.cliques[up[cid]].vertices
+        (split if 0 < len(clique & side) < len(clique) else keep).append(cid)
+    children[:] = keep
+    return split
 
 
 def phase1(
-    state: SolveState, path_comps: list[int], up: dict[int, int], above: dict[int, int]
-) -> None:
-    """Replace every component off the terminal path by its mimic on the
-    clique above it, deepest first, and leave the mimic's arcs pending in
-    the component above that clique.  ``up`` and ``above`` are the walk of
-    ``locate_terminal_path``: an off-path component's way to its root
-    passes through the nearest path component, so the clique and component
-    above it are the ones a walk from the path would give.
+    state: SolveState,
+    path_comps: list[int],
+    up: dict[int, int],
+    above: dict[int, int],
+    s: int,
+    t: int,
+) -> tuple[FlowNetwork, int, FlowAssignment]:
+    """Solve the terminal path on demand (see the module docstring) and
+    return the final network (``phase2``'s glue of the last round), its
+    max-flow value and a max flow on it.
 
-    A component cut off from the path by a one-vertex clique
-    (``cut_off_components``) is replaced by nothing: no kernel, no cut, an
-    empty mimic and no children, since the components below it are cut off
-    too.  That is exact, because the part of the network that hangs at that
-    one vertex carries zero in every acyclic s-t max flow, also when the
-    vertex is s or t."""
+    The s-t solve and each component's mimic are generators that yield
+    the children whose clique a residual source side split, and resume
+    once those are built; one explicit stack runs them, so a deep off-path
+    chain uses no Python recursion.  A component is compiled again only
+    after it gains children's arcs, so at most 1 + (its children) times.
+    ``up`` and ``above`` are the walk of ``locate_terminal_path``: an
+    off-path component's way to its root passes through the nearest path
+    component, so the clique and component above it are the ones a walk
+    from the path would give.  Every off-path component never built gets
+    its empty record after the last round."""
     tree, pending = state.tree, state.pending
     on_path = set(path_comps)
-    cut_off = cut_off_components(tree, path_comps, up, above)
+    # Each component's off-path children not built yet; a one-vertex clique
+    # is never split, so a child below one never waits.
+    waiting: dict[int, list[int]] = {}
+    for cid, kid in up.items():
+        if cid not in on_path and len(tree.cliques[kid].vertices) > 1:
+            waiting.setdefault(above[kid], []).append(cid)
+    path_waiting = [c for p in path_comps for c in waiting.pop(p, ())]
     replaced: set[int] = set()
-    for cid, kid in reversed(up.items()):
-        if cid in on_path:
-            continue
-        net = tree.components[cid].net
-        terminals = tuple(sorted(tree.cliques[kid].vertices))
-        children = tuple(pending.pop(cid, ()))
-        mimic: tuple[Edge, ...] = ()
-        if cid not in cut_off:
-            hub = state.alloc_vertex() if len(terminals) == 3 else None
-            cut = TerminalKernel(net, terminals, children).cut
-            mimic = full_mimic_arcs(cut, terminals, hub, state.next_edge)
-            state.next_edge += len(mimic)
-            pending.setdefault(above[kid], []).extend(mimic)
-        state.records.append(ReplacementRecord(net, children, terminals, mimic))
+
+    def install(cid: int, record: ReplacementRecord) -> None:
+        state.records.append(record)
+        replaced.add(cid)
         if state.observer is not None:
-            replaced.add(cid)
             alive = [c.net for k, c in tree.components.items() if k not in replaced]
             step = _glue(alive, (e for arcs in pending.values() for e in arcs))
             state.steps.append(step)
             state.observer("replace", step)
+
+    def build(cid: int) -> Iterator[list[int]]:
+        kid = up[cid]
+        net = tree.components[cid].net
+        terminals = tuple(sorted(tree.cliques[kid].vertices))
+        children = waiting.get(cid, [])
+        cuts: dict[frozenset[int], int] = {}
+        kernel = None
+        for sources in proper_subsets(terminals):
+            sinks = [q for q in terminals if q not in sources]
+            while True:
+                if kernel is None:
+                    kernel = TerminalKernel(net, terminals, pending.get(cid, ()))
+                value, side = kernel.cut_side(sources, sinks)
+                split = _split_off(tree, up, children, side)
+                if not split:
+                    break
+                yield split
+                kernel = None
+            cuts[frozenset(sources)] = value
+        hub = state.alloc_vertex() if len(terminals) == 3 else None
+        mimic = full_mimic_arcs(lambda a, _: cuts[frozenset(a)], terminals, hub, state.next_edge)
+        state.next_edge += len(mimic)
+        record = ReplacementRecord(net, tuple(pending.pop(cid, ())), terminals, mimic)
+        pending.setdefault(above[kid], []).extend(mimic)
+        install(cid, record)
+
+    def solve() -> Generator[list[int], None, tuple[FlowNetwork, int, FlowAssignment]]:
+        while True:
+            net = phase2(state, path_comps)
+            value, flow, side = max_flow_side(net, s, t)
+            split = _split_off(tree, up, path_waiting, side)
+            if not split:
+                return net, value, flow
+            yield split
+
+    stack: list[Iterator[list[int]]] = [solve()]
+    while stack:
+        try:
+            stack.extend(map(build, next(stack[-1])))
+        except StopIteration as done:
+            stack.pop()
+            answer = done.value  # the last one done is solve()
+    for cid, kid in reversed(up.items()):
+        if cid not in on_path and cid not in replaced:
+            terminals = tuple(sorted(tree.cliques[kid].vertices))
+            install(cid, ReplacementRecord(tree.components[cid].net, (), terminals, ()))
+    return answer
 
 
 def phase2(state: SolveState, path_comps: list[int]) -> FlowNetwork:
@@ -296,9 +371,7 @@ def max_flow_decomposed(
         observer("input", graph)  # a validated tree reassembles to graph exactly
         state.steps.append(graph)
     path_comps, up, above = locate_terminal_path(tree, s, t)
-    phase1(state, path_comps, up, above)
-    final_net = phase2(state, path_comps)
-    value, final_flow = max_flow(final_net, s, t)
+    final_net, value, final_flow = phase1(state, path_comps, up, above, s, t)
     if observer is not None:
         observer("final", final_net)
     flows = reconstruct(state, final_flow)

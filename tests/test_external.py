@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minorflow.external import (
+    certify_max_flow,
     check_external_realizable,
     cut_table,
     route_external_flow,
@@ -164,3 +165,20 @@ def test_route_matches_requested_imbalance(a, b):
     x = (a + b, -a, -b)
     flow = route_external_flow(net, terms, x)
     assert verify_flow(net, terms, x, flow)
+
+
+def test_certify_max_flow_accepts_max_flows_and_names_each_failure(rng):
+    for _ in range(60):
+        net = random_network(rng, rng.randint(2, 10))
+        s, t = rng.sample(sorted(net.vertices), 2)
+        value, flow = max_flow(net, s, t)
+        assert certify_max_flow(net, s, t, flow)
+        if value > 0:
+            result = certify_max_flow(net, s, t, {e.id: 0 for e in net.edges})
+            assert not result and "reachable" in result.problems[0]
+    net = FlowNetwork.from_edges([(0, 0, 1, 1), (1, 1, 0, 1)])
+    over = certify_max_flow(net, 0, 1, {0: 2})
+    assert over.problems == ("capacity 1 out of the residual source side differs from value 2",)
+    back = certify_max_flow(net, 0, 1, {0: 1, 1: -1})
+    assert not back and any("enters the residual source side on edge 1" in p for p in back.problems)
+    assert certify_max_flow(net, 0, 7, {}).problems == ("sink 7 not in network",)

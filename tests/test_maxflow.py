@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import minorflow.maxflow as maxflow_mod
 import minorflow.network as network_mod
-from minorflow.maxflow import TerminalKernel, max_flow, min_cut_side, min_cut_value
+from minorflow.maxflow import TerminalKernel, max_flow, max_flow_side, min_cut_side, min_cut_value
 from minorflow.network import (
     FULL,
     SINGLE_SOURCE,
@@ -80,6 +80,8 @@ def test_duality_on_random_networks(rng):
         assert value == min_cut_value(net, [s], [t])
         assert value == oracle_max_flow(net, s, t)
         assert verify_flow(net, TerminalSet.of(s, t), (value, -value), flow)
+        # The flow's residual source side is the minimal minimum cut's.
+        assert max_flow_side(net, s, t) == (value, flow, min_cut_side(net, [s], [t])[1])
 
 
 @st.composite

@@ -166,6 +166,32 @@ def test_is_planar_agrees_with_networkx_on_generated_torsos(family, n):
         assert is_planar(torso) is nx.check_planarity(to_nx(torso))[0]
 
 
+def test_small_graphs_agree_with_networkx():
+    # is_planar answers True without the LR test when n <= 4 or m <= 8
+    # (Kuratowski); K3,3 and K5, the smallest non-planar graphs, lie just past
+    # both bounds.  Every graph on at most 5 vertices, and random graphs with
+    # at most 8 edges, are compared with networkx.
+    import random
+
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            adj = {v: set() for v in range(n)}
+            for i, (u, v) in enumerate(pairs):
+                if mask >> i & 1:
+                    adj[u].add(v)
+                    adj[v].add(u)
+            assert is_planar(adj) is nx.check_planarity(to_nx(adj))[0]
+    rng = random.Random(5)
+    for _ in range(400):
+        n = rng.randint(2, 12)
+        pairs = list(itertools.combinations(range(n), 2))
+        adj = adj_of(rng.sample(pairs, min(len(pairs), rng.randint(0, 8))))
+        assert is_planar(adj) is nx.check_planarity(to_nx(adj))[0] is True
+    k33 = adj_of((u, v) for u in range(3) for v in range(3, 6))
+    assert not is_planar(k33) and not is_planar(K5)
+
+
 def test_validate_does_not_call_networkx_planarity(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("networkx.check_planarity called")

@@ -11,11 +11,10 @@ from minorflow.decomposition import (
     single_component_tree,
     validate,
 )
-from minorflow.external import verify_flow
+from minorflow.external import certify_max_flow, verify_flow
 from minorflow.maxflow import max_flow
 from minorflow.network import FlowNetwork, TerminalSet
 from minorflow.solver import (
-    cut_off_components,
     locate_terminal_path,
     max_flow_decomposed,
     max_flow_family,
@@ -502,26 +501,39 @@ def expected_mimic(rec):
     return build_full_mimic(table, hub, rec.mimic[0].id).edges
 
 
+def below_one_vertex_cliques(tree, path, up, above):
+    """Off-path components whose way up to the terminal path crosses a
+    one-vertex clique, by one forward pass over the breadth-first walk."""
+    on_path, below = set(path), set()
+    for cid, kid in up.items():
+        if cid not in on_path and (len(tree.cliques[kid].vertices) == 1 or above[kid] in below):
+            below.add(cid)
+    return below
+
+
 @pytest.mark.parametrize("family", ["k33free", "k5free"])
 def test_installed_mimics_equal_the_full_table_mimic(family, monkeypatch, rng):
-    # A record cut off from the path by a one-vertex clique has no mimic and
-    # no children; every other record holds the full-table mimic.
+    # Every record with a mimic holds the full-table mimic of its snapshot;
+    # a component never built, as is every one below a one-vertex clique,
+    # has no mimic and no children.
     seen = capture_records(monkeypatch)
     kinds = set()
     for seed in range(6):
         graph, tree = gen_instance(GenConfig(family, 40, seed=seed))
         s, t = rng.sample(sorted(graph.vertices), 2)
         path, up, above = locate_terminal_path(tree, s, t)
-        cut_off = {id(tree.components[c].net) for c in cut_off_components(tree, path, up, above)}
+        below = below_one_vertex_cliques(tree, path, up, above)
+        below = {id(tree.components[c].net) for c in below}
         value, flow = max_flow_decomposed(graph, tree, s, t)
         assert value == oracle_max_flow(graph, s, t)
         assert len(seen[-1]) == len(tree.components) - len(path)
         for rec in seen[-1]:
-            if id(rec.net) in cut_off:
-                assert rec.mimic == () and rec.children == ()
-            else:
+            if rec.mimic:
+                assert id(rec.net) not in below
                 assert rec.mimic == expected_mimic(rec)
                 kinds.add(len(rec.terminals))
+            else:
+                assert rec.children == ()
     assert kinds >= ({2} if family == "k33free" else {2, 3})
 
 
@@ -578,58 +590,81 @@ def subtree_demands(records, flow):
     return demands
 
 
-def test_each_component_compiles_once_and_zero_demands_skip_the_kernel(monkeypatch, rng):
+def test_built_components_and_solve_rounds_compile_and_zero_demands_skip_the_kernel(
+    monkeypatch, rng
+):
     import minorflow.maxflow as maxflow_mod
     import minorflow.solver as solver_mod
 
-    calls = {"compile": 0, "dinic": 0}
+    compiles, calls = [], {"dinic": 0, "rounds": 0}
     real_compile, real_dinic = maxflow_mod._compile, maxflow_mod._dinic
+    real_phase2 = solver_mod.phase2
 
-    def counting_compile(*args):
-        calls["compile"] += 1
-        return real_compile(*args)
+    def recording_compile(net, terminals, extra=()):
+        compiles.append((net, tuple(terminals), {e.id for e in extra}))
+        return real_compile(net, terminals, extra)
 
     def counting_dinic(*args):
         calls["dinic"] += 1
         return real_dinic(*args)
 
-    monkeypatch.setattr(maxflow_mod, "_compile", counting_compile)
+    def counting_phase2(*args):
+        calls["rounds"] += 1
+        return real_phase2(*args)
+
+    monkeypatch.setattr(maxflow_mod, "_compile", recording_compile)
     monkeypatch.setattr(maxflow_mod, "_dinic", counting_dinic)
+    monkeypatch.setattr(solver_mod, "phase2", counting_phase2)
     seen = []
     real_reconstruct = solver_mod.reconstruct
 
     def reconstruct(state, final_flow):
-        records, before = list(state.records), dict(calls)
+        records, before = list(state.records), (len(compiles), calls["dinic"])
         flows = real_reconstruct(state, final_flow)
-        seen.append((records, before, dict(calls), flows))
+        seen.append((records, before, (len(compiles), calls["dinic"]), flows))
         return flows
 
     monkeypatch.setattr(solver_mod, "reconstruct", reconstruct)
-    routed = skipped = 0
+    routed = skipped = built = 0
     for family in ("k33free", "k5free"):
         for seed in range(4):
             graph, tree = gen_instance(GenConfig(family, 60, seed=seed))
             s, t = rng.sample(sorted(graph.vertices), 2)
-            path, up, above = locate_terminal_path(tree, s, t)
-            cut_off = cut_off_components(tree, path, up, above)
-            kernel_cliques = [kid for cid, kid in up.items() if cid not in path and cid not in cut_off]
-            assert all(len(tree.cliques[kid].vertices) > 1 for kid in kernel_cliques)
-            calls.update(compile=0, dinic=0)
+            compiles.clear()
+            calls.update(dinic=0, rounds=0)
             value, flow = max_flow_decomposed(graph, tree, s, t, validate_input=False)
             records, before, after, flows = seen[-1]
-            # Phase I compiles once each off-path component on a 2- or
-            # 3-clique that no one-vertex clique cuts off, and the final
-            # solve once; the replay compiles and runs the engine once per
-            # non-zero demand and never for a zero one.
-            assert before["compile"] == len(kernel_cliques) + 1
+            # Phase I compiles only the built components and the net of each
+            # solve round.  A component is compiled first with no child arcs,
+            # again each time it gains built children's arcs, and last with
+            # all of them, so at most 1 + (its built children) times.
+            phase1 = compiles[: before[0]]
+            rounds = [c for c in phase1 if not any(c[0] is rec.net for rec in records)]
+            assert len(rounds) == calls["rounds"] >= 1
+            assert all(terminals == (s, t) and not extra for _, terminals, extra in rounds)
+            mimic_owner = {e.id: i for i, rec in enumerate(records) for e in rec.mimic}
+            final_mimics = {mimic_owner.get(e.id) for e in rounds[-1][0].edges} - {None}
+            assert len(rounds) <= 1 + len(final_mimics)
+            for rec in records:
+                own = [extra for net, _, extra in phase1 if net is rec.net]
+                if not rec.mimic:
+                    assert own == [] and rec.children == ()
+                    continue
+                built += 1
+                assert len(rec.terminals) > 1
+                assert own[0] == set() and own[-1] == {e.id for e in rec.children}
+                assert all(a < b for a, b in zip(own, own[1:]))
+                assert len(own) <= 1 + len({mimic_owner[e.id] for e in rec.children})
+            # The replay compiles and runs the engine once per non-zero
+            # demand and never for a zero one.
             nonzero = sum(1 for d in subtree_demands(records, flows) if any(d.values()))
-            assert after["compile"] - before["compile"] == nonzero
-            assert after["dinic"] - before["dinic"] == nonzero
+            assert after[0] - before[0] == nonzero
+            assert after[1] - before[1] == nonzero
             routed += nonzero
             skipped += len(records) - nonzero
             assert value == oracle_max_flow(graph, s, t)
             assert verify_flow(graph, TerminalSet.of(s, t), (value, -value), flow)
-    assert routed > 0 and skipped > 0
+    assert routed > 0 and skipped > 0 and built > 0
 
 
 def hanging_tree(x):
@@ -661,8 +696,9 @@ def test_components_below_a_one_vertex_clique_get_no_kernel(x, monkeypatch):
     graph = tree.reassemble()
     assert validate(graph, tree) == (True, [])
     path, up, above = locate_terminal_path(tree, 0, 1)
-    assert cut_off_components(tree, path, up, above) == hanging
+    assert below_one_vertex_cliques(tree, path, up, above) == hanging
     dead = {e.id for c in hanging for e in tree.components[c].net.edges}
+    seen = capture_records(monkeypatch)
     compiled, runs = [], []
     real_compile, real_dinic = maxflow_mod._compile, maxflow_mod._dinic
 
@@ -678,13 +714,26 @@ def test_components_below_a_one_vertex_clique_get_no_kernel(x, monkeypatch):
     monkeypatch.setattr(maxflow_mod, "_dinic", counting_dinic)
     nets, observer = collecting_observer()
     value, flow = max_flow_decomposed(graph, tree, 0, 1, observer=observer)
-    # Only the final solve compiles and runs the engine, on the path alone.
+    # Only the final solve compiles and runs the engine, on the path alone,
+    # and every hanging component gets an empty record.
     assert len(compiled) == len(runs) == 1 and not compiled[0] & dead
+    assert {id(rec.net) for rec in seen[0]} == {id(tree.components[c].net) for c in hanging}
+    assert all(rec.mimic == rec.children == () for rec in seen[0])
     monkeypatch.undo()
     assert all(flow[i] == 0 for i in dead)
     assert value == oracle_max_flow(graph, 0, 1) > 0
     assert verify_flow(graph, TerminalSet.of(0, 1), (value, -value), flow)
     assert audit_step_values(nets, 0, 1)
+
+
+def check_pair(graph, tree, s, t):
+    """Solve s-t on the tree and check the flow against the oracle's value,
+    for feasibility and by its min-cut certificate."""
+    value, flow = max_flow_decomposed(graph, tree, s, t, validate_input=False)
+    assert value == oracle_max_flow(graph, s, t)
+    assert verify_flow(graph, TerminalSet.of(s, t), (value, -value), flow)
+    assert certify_max_flow(graph, s, t, flow)
+    return value, flow
 
 
 @given(
@@ -693,14 +742,149 @@ def test_components_below_a_one_vertex_clique_get_no_kernel(x, monkeypatch):
     st.integers(0, 2**16),
 )
 @settings(max_examples=40, deadline=None, derandomize=True)
-def test_cut_off_components_carry_zero_and_values_stay_exact(family, n, seed):
+def test_unbuilt_components_carry_zero_and_values_stay_exact(family, n, seed):
     graph, tree = gen_instance(GenConfig(family, n, seed=seed))
     vertices = sorted(graph.vertices)
     pairs = random.Random(seed).sample([(s, t) for s in vertices for t in vertices if s != t], 4)
-    for s, t in pairs:
-        path, up, above = locate_terminal_path(tree, s, t)
-        cut_off = cut_off_components(tree, path, up, above)
-        value, flow = max_flow_decomposed(graph, tree, s, t, validate_input=False)
-        assert value == oracle_max_flow(graph, s, t)
-        assert verify_flow(graph, TerminalSet.of(s, t), (value, -value), flow)
-        assert all(flow[e.id] == 0 for c in cut_off for e in tree.components[c].net.edges)
+    owner = {id(c.net): cid for cid, c in tree.components.items()}
+    with pytest.MonkeyPatch.context() as patch:
+        seen = capture_records(patch)
+        for s, t in pairs:
+            path, up, above = locate_terminal_path(tree, s, t)
+            value, flow = check_pair(graph, tree, s, t)
+            unbuilt = {owner[id(rec.net)] for rec in seen[-1] if not rec.mimic}
+            assert below_one_vertex_cliques(tree, path, up, above) <= unbuilt
+            assert all(flow[e.id] == 0 for c in unbuilt for e in tree.components[c].net.edges)
+
+
+@given(
+    st.sampled_from(("k33free", "k5free", "planar")),
+    st.integers(20, 90),
+    st.integers(0, 2**16),
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_many_pairs_per_network_are_exact_and_certified(family, n, seed):
+    # Random pairs, a pair inside one component, a pair whose homes share a
+    # clique, and pairs with s or t on a clique that a min cut split (the
+    # clique of a record that got a mimic).
+    graph, tree = gen_instance(GenConfig(family, n, seed=seed))
+    rng = random.Random(seed)
+    vertices = sorted(graph.vertices)
+    homes = {}
+    for cid in sorted(tree.components, reverse=True):
+        homes.update(dict.fromkeys(tree.components[cid].net.vertices, cid))
+    pairs = [tuple(rng.sample(vertices, 2)) for _ in range(4)]
+    inside = tree.components[rng.choice(sorted(tree.components))].net
+    pairs.append(tuple(rng.sample(sorted(inside.vertices), 2)))
+    shared = [k for k in sorted(tree.cliques) if len(tree.clique_comps[k]) > 1]
+    if shared:
+        a, b = rng.sample(sorted(tree.clique_comps[rng.choice(shared)]), 2)
+        at_a = [v for v in vertices if homes[v] == a]
+        at_b = [v for v in vertices if homes[v] == b]
+        if at_a and at_b:
+            pairs.append((rng.choice(at_a), rng.choice(at_b)))
+    with pytest.MonkeyPatch.context() as patch:
+        seen = capture_records(patch)
+        for s, t in pairs:
+            check_pair(graph, tree, s, t)
+        split = sorted({rec.terminals for records in seen for rec in records if rec.mimic})
+        for terminals in rng.sample(split, min(2, len(split))):
+            q = rng.choice(terminals)
+            other = rng.choice([v for v in vertices if v != q])
+            check_pair(graph, tree, q, other)
+            check_pair(graph, tree, other, q)
+
+
+def test_second_round_splits_a_triangle_below_a_built_child_that_stays_unbuilt(monkeypatch):
+    # Round 1 solves the path alone: s reaches only a, so the edge clique
+    # {a, b} is split and c1 is built (its cuts never split its own clique
+    # {q, r}, so c3 below it stays unbuilt).  Round 2 pushes 1 over a->b,
+    # b->x, x->t, which leaves x reached and y, z not: the triangle {x, y, z}
+    # is split and c2 is built.  Round 3 splits nothing.
+    import minorflow.solver as solver_mod
+
+    s, t, a, b, x, y, z, q, r, u, w = range(11)
+    tree = DecompositionTree()
+    path = tree.add_component(
+        FlowNetwork.from_edges(
+            [(0, s, a, 5), (1, b, x, 5), (2, x, t, 1), (3, y, t, 5), (4, z, t, 1)]
+        )
+    )
+    c1 = tree.add_component(
+        FlowNetwork.from_edges([(10, a, q, 5), (11, q, b, 5), (12, q, r, 1), (13, r, q, 1)])
+    )
+    c2 = tree.add_component(
+        FlowNetwork.from_edges([(20, x, w, 5), (21, w, y, 5), (22, w, z, 1), (23, z, w, 1)])
+    )
+    c3 = tree.add_component(FlowNetwork.from_edges([(30, q, u, 2), (31, u, r, 2)]))
+    for host, comp, clique in ((path, c1, [a, b]), (path, c2, [x, y, z]), (c1, c3, [q, r])):
+        k = tree.add_clique(clique)
+        tree.attach(host, k)
+        tree.attach(comp, k)
+    graph = tree.reassemble()
+    assert validate(graph, tree) == (True, [])
+    rounds = []
+    real_phase2 = solver_mod.phase2
+
+    def counting_phase2(state, path_comps):
+        rounds.append(len(state.records))
+        return real_phase2(state, path_comps)
+
+    monkeypatch.setattr(solver_mod, "phase2", counting_phase2)
+    seen = capture_records(monkeypatch)
+    nets, observer = collecting_observer()
+    value, flow = max_flow_decomposed(graph, tree, s, t, observer=observer)
+    assert rounds == [0, 1, 2]
+    built = [rec.net for rec in seen[0] if rec.mimic]
+    assert built == [tree.components[c1].net, tree.components[c2].net]
+    assert [rec.net for rec in seen[0] if not rec.mimic] == [tree.components[c3].net]
+    assert [len(rec.terminals) for rec in seen[0]] == [2, 3, 2]
+    assert value == 5 == oracle_max_flow(graph, s, t)
+    assert flow[30] == flow[31] == 0
+    assert verify_flow(graph, TerminalSet.of(s, t), (value, -value), flow)
+    assert certify_max_flow(graph, s, t, flow)
+    assert audit_step_values(nets, s, t)
+
+
+def ladder_chain(depth):
+    """A path component s -> a0, b0 -> t and below it a chain of ``depth``
+    components, component i on the clique {ai, bi} with ai -> a(i+1) and
+    b(i+1) -> bi, the last one closing a(depth) -> b(depth).  Every cut
+    ai | bi reaches a(i+1) but not b(i+1), so the whole chain is built."""
+    s, t = 0, 1
+    tree = DecompositionTree()
+    host = tree.add_component(FlowNetwork.from_edges([(0, s, 2, 4), (1, 3, t, 4)]))
+    for i in range(depth):
+        a, b, na, nb = 2 * i + 2, 2 * i + 3, 2 * i + 4, 2 * i + 5
+        edges = [(2 * i + 2, a, na, 3), (2 * i + 3, nb, b, 3)]
+        if i == depth - 1:
+            edges.append((2 * depth + 2, na, nb, 2))
+        comp = tree.add_component(FlowNetwork.from_edges(edges))
+        k = tree.add_clique([a, b])
+        tree.attach(host, k)
+        tree.attach(comp, k)
+        host = comp
+    return tree
+
+
+@pytest.mark.parametrize("kind", ["unbuilt", "built"])
+def test_off_path_chains_deeper_than_the_recursion_limit(kind, monkeypatch):
+    import sys
+
+    depth = sys.getrecursionlimit() + 100
+    if kind == "unbuilt":
+        # s = 0 and t = 1 share the first K4, whose residual source side
+        # holds both vertices of the clique below it.
+        tree, s, t, want = k4_chain(depth), 0, 1, 2
+    else:
+        tree, s, t, want = ladder_chain(depth), 0, 1, 2
+    graph = tree.reassemble()
+    assert validate(graph, tree) == (True, [])
+    seen = capture_records(monkeypatch)
+    value, flow = max_flow_decomposed(graph, tree, s, t, validate_input=False)
+    records = seen[0]
+    assert len(records) == len(tree.components) - 1
+    assert all(bool(rec.mimic) == (kind == "built") for rec in records)
+    assert value == want == max_flow(graph, s, t)[0]
+    assert verify_flow(graph, TerminalSet.of(s, t), (value, -value), flow)
+    assert certify_max_flow(graph, s, t, flow)
