@@ -12,7 +12,9 @@ inside them (``gc.callbacks``).  The script exits 1, printing the first
 problems, when the tree is invalid, and exits 1 when the two values differ
 or the pipeline's flow fails verification.  With --decomposer, the
 pipeline solves on the family decomposer's tree instead of the generated
-one, and the decompose time is printed.  After the pipeline line come Phase
+one, and the decompose line gives its time, the planar blocks kept whole
+and the ``spqr`` calls, taken by wrapping the decomposition module's
+``_structure_tree`` and ``spqr`` bindings.  After the pipeline line come Phase
 I's time and its work, all taken by wrapping the solver's module bindings:
 ``solver.phase1`` is timed; the records reaching ``solver.reconstruct``
 give the off-path components, how many got a mimic (built) and how many
@@ -32,6 +34,7 @@ import random
 import resource
 import time
 
+from minorflow import decomposition
 from minorflow.decomposition import validate
 from minorflow.external import verify_flow
 from minorflow.fileio import parse_decomposition, write_decomposition
@@ -56,6 +59,32 @@ def gc_collections():
         yield counts
     finally:
         gc.callbacks.remove(count)
+
+
+@contextlib.contextmanager
+def decompose_work():
+    """Count the planar blocks ``_structure_tree`` keeps whole and the
+    ``spqr`` calls, through the decomposition module's bindings."""
+    seen = {"kept": 0, "spqr": 0}
+    names = ("_structure_tree", "spqr")
+    real = {name: getattr(decomposition, name) for name in names}
+
+    def structure_tree(net):
+        tree, planar = real["_structure_tree"](net)
+        seen["kept"] += len(planar)
+        return tree, planar
+
+    def spqr(adj):
+        seen["spqr"] += 1
+        return real["spqr"](adj)
+
+    for name, wrapper in zip(names, (structure_tree, spqr)):
+        setattr(decomposition, name, wrapper)
+    try:
+        yield seen
+    finally:
+        for name, fn in real.items():
+            setattr(decomposition, name, fn)
 
 
 @contextlib.contextmanager
@@ -120,10 +149,12 @@ def main() -> None:
         f"components={len(tree.components)} in {t1 - t0:.1f}s"
     )
     if args.decomposer:
-        tree = decompose(graph, args.decomposer)
+        with decompose_work() as work:
+            tree = decompose(graph, args.decomposer)
         decomposed = time.monotonic()
         print(
             f"decompose ({args.decomposer}): components={len(tree.components)} "
+            f"(planar blocks kept whole {work['kept']}), spqr calls {work['spqr']} "
             f"in {decomposed - t1:.2f}s"
         )
         t1 = decomposed

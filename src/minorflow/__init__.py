@@ -21,6 +21,7 @@ from .network import (
 )
 from .maxflow import max_flow, min_cut_side, min_cut_value
 from .external import (
+    CutCertificate,
     VerifyResult,
     certify_max_flow,
     check_external_realizable,
@@ -66,6 +67,7 @@ __all__ = [
     "Clique",
     "Component",
     "CutTable",
+    "CutCertificate",
     "DecompositionTree",
     "Edge",
     "FlowError",

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from .decomposition import InvalidDecomposition, NotK33MinorFree, NotK5MinorFree
-from .external import cut_table, verify_flow
+from .external import certify_max_flow, cut_table, verify_flow
 from .fileio import (
     FormatError,
     canonical_ids,
@@ -84,6 +84,13 @@ def cmd_solve(args) -> int:
             for p in result.problems[:10]:
                 print(f"audit problem {p}")
             return 1
+        cert = certify_max_flow(net, s, t, flow)
+        if not cert.ok:
+            print("audit cut FAILED")
+            for p in cert.problems[:10]:
+                print(f"audit problem {p}")
+            return 1
+        print(f"audit cut ok (source side {len(cert.source_side)} vertices, cut {cert.cut})")
         if nets is not None:
             from .testkit import audit_step_values
 
@@ -189,7 +196,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--audit", action="store_true")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("decompose", help="build a clique-sum decomposition")
+    p = sub.add_parser(
+        "decompose",
+        help="build a clique-sum decomposition: planar blocks whole, "
+        "non-planar blocks split into triconnected (SPQR) pieces",
+    )
     p.add_argument("--network", required=True)
     p.add_argument("--family", choices=FAMILIES, required=True)
     p.add_argument("-o", "--output", required=True)

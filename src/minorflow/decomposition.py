@@ -279,13 +279,18 @@ def _split_blocks(tree: DecompositionTree, cid: int, torso: Adjacency) -> None:
 
 def _spqr_pass(tree: DecompositionTree) -> None:
     for cid in sorted(tree.components):
-        torso = torso_adjacency(tree, cid)
-        n_pairs = sum(len(s) for s in torso.values()) // 2
-        if len(torso) <= 2 or n_pairs <= 1:
-            continue
-        stree = spqr(torso)
-        if len(stree.nodes) > 1:
-            _apply_spqr_split(tree, cid, stree)
+        _spqr_split(tree, cid, torso_adjacency(tree, cid))
+
+
+def _spqr_split(tree: DecompositionTree, cid: int, torso: Adjacency) -> None:
+    """Split component ``cid``, whose torso is ``torso``, into the pieces of
+    its SPQR tree (see ``_apply_spqr_split``); an edge or a bond stays."""
+    n_pairs = sum(len(s) for s in torso.values()) // 2
+    if len(torso) <= 2 or n_pairs <= 1:
+        return
+    stree = spqr(torso)
+    if len(stree.nodes) > 1:
+        _apply_spqr_split(tree, cid, stree)
 
 
 def _apply_spqr_split(tree: DecompositionTree, cid: int, stree: SpqrTree) -> None:
@@ -413,24 +418,37 @@ def _is_v8(adj: Adjacency) -> bool:
     return extend()
 
 
-def _structure_tree(net: FlowNetwork) -> DecompositionTree:
-    """Blocks plus SPQR splits of every component (1- and 2-sums only)."""
+def _structure_tree(net: FlowNetwork) -> tuple[DecompositionTree, set[int]]:
+    """Split ``net`` into its blocks (1-sums), test each block for planarity
+    once, and split only the non-planar ones into their SPQR pieces (2-sums).
+
+    Returns the tree and the ids of the planar blocks, which are kept whole:
+    every triconnected piece of a planar block is planar, so they need no
+    further test, and ``refine`` recovers their pieces when asked.  Each
+    remaining component is an S or R piece of a non-planar block, or a
+    non-planar block that is already triconnected."""
     adj = underlying(net)
     if len(components(adj)) > 1:
         raise DisconnectedInput("decomposers require a connected input graph")
     tree = DecompositionTree()
     _split_blocks(tree, tree.add_component(net), adj)
-    _spqr_pass(tree)
-    return tree
+    planar: set[int] = set()
+    for cid in sorted(tree.components):
+        torso = torso_adjacency(tree, cid)
+        if is_planar(torso):
+            planar.add(cid)
+        else:
+            _spqr_split(tree, cid, torso)
+    return tree, planar
 
 
 def decompose_k33_free(net: FlowNetwork) -> DecompositionTree:
-    """Clique-sum decomposition with planar and K5 components (2-sums).
-
-    Raises NotK33MinorFree when some triconnected component is neither.
-    """
-    tree = _structure_tree(net)
-    for cid in sorted(tree.components):
+    """Clique-sum decomposition with planar and K5 components (1- and
+    2-sums): each planar block whole, and the triconnected pieces of each
+    non-planar block.  Raises NotK33MinorFree when some piece of a
+    non-planar block is neither planar nor K5."""
+    tree, planar = _structure_tree(net)
+    for cid in sorted(c for c in tree.components if c not in planar):
         torso = torso_adjacency(tree, cid)
         if not (is_planar(torso) or _is_k5(torso)):
             raise NotK33MinorFree(
@@ -441,10 +459,13 @@ def decompose_k33_free(net: FlowNetwork) -> DecompositionTree:
 
 def decompose_k5_free(net: FlowNetwork) -> DecompositionTree:
     """Clique-sum decomposition with planar and Wagner-graph components
-    (1-, 2-, and 3-sums).  Raises NotK5MinorFree when impossible."""
-    tree = _structure_tree(net)
+    (1-, 2-, and 3-sums): each planar block whole, and the triconnected
+    pieces of each non-planar block, split again at separating triples
+    (``_split_k5``) until every piece is planar or V8.  Raises
+    NotK5MinorFree when impossible."""
+    tree, planar = _structure_tree(net)
     memo: dict[tuple[frozenset[int], frozenset[frozenset[int]]], object] = {}
-    for cid in sorted(tree.components):
+    for cid in sorted(c for c in tree.components if c not in planar):
         torso = torso_adjacency(tree, cid)
         if is_planar(torso) or _is_v8(torso):
             continue

@@ -137,7 +137,16 @@ def verify_flow(
     return VerifyResult(not problems, tuple(problems))
 
 
-def certify_max_flow(net: FlowNetwork, s: int, t: int, flow: Mapping[int, int]) -> VerifyResult:
+@dataclass(frozen=True)
+class CutCertificate(VerifyResult):
+    """A ``certify_max_flow`` verdict with the residual source side S and the
+    capacity of the edges out of it (empty and 0 when a terminal is missing)."""
+
+    source_side: frozenset[int] = field(default=frozenset())
+    cut: int = 0
+
+
+def certify_max_flow(net: FlowNetwork, s: int, t: int, flow: Mapping[int, int]) -> CutCertificate:
     """Check the min-cut certificate that ``flow`` is a maximum s-t flow
     (McConnell, Mehlhorn, Näher & Schweitzer, "Certifying algorithms",
     2011): the set S that s reaches in the flow's residual network must not
@@ -145,10 +154,10 @@ def certify_max_flow(net: FlowNetwork, s: int, t: int, flow: Mapping[int, int]) 
     (its net outflow at s), and no edge into S may carry flow.  Together
     with the feasibility ``verify_flow`` checks, that proves the value
     maximum without running a max-flow engine.  Never raises; returns
-    diagnostics."""
+    diagnostics, S and its cut."""
     for role, v in (("source", s), ("sink", t)):
         if v not in net.vertices:
-            return VerifyResult(False, (f"{role} {v} not in network",))
+            return CutCertificate(False, (f"{role} {v} not in network",))
     residual: dict[int, list[int]] = {v: [] for v in net.vertices}
     for e in net.edges:
         f = flow.get(e.id, 0)
@@ -175,4 +184,4 @@ def certify_max_flow(net: FlowNetwork, s: int, t: int, flow: Mapping[int, int]) 
     for e in net.edges:
         if e.tail not in side and e.head in side and flow.get(e.id, 0):
             problems.append(f"flow {flow[e.id]} enters the residual source side on edge {e.id}")
-    return VerifyResult(not problems, tuple(problems))
+    return CutCertificate(not problems, tuple(problems), frozenset(side), cut)

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 import minorflow
+from minorflow import cli
 from minorflow.cli import main
+from minorflow.external import certify_max_flow
 from minorflow.fileio import (
     FormatError,
     canonical_ids,
@@ -114,6 +116,46 @@ def test_cli_gen_solve_oracle_verify_cycle(tmp_path, capsys):
     assert capsys.readouterr().out == f"value {value}\n"
     assert run(tmp_path, "verify", "--network", net, "--flow", flow, "--source", 1, "--sink", 5) == 0
     assert capsys.readouterr().out == f"value {value}\n"
+
+
+def test_cli_audit_certifies_the_cut_above_the_step_audit_limit(tmp_path, capsys):
+    net = tmp_path / "net.max"
+    flow = tmp_path / "flow.txt"
+    assert run(tmp_path, "gen", "--family", "k5free", "--n", 200, "--seed", 5, "-o", net) == 0
+    capsys.readouterr()
+    graph, _, _ = parse_network(net.read_text())
+    assert len(graph.vertices) > cli._AUDIT_LIMIT
+    s, t = max(
+        ((1, v) for v in (50, 100, 150, 200)), key=lambda pair: oracle_max_flow(graph, *pair)
+    )
+    want = oracle_max_flow(graph, s, t)
+    assert want > 0
+    args = ("solve", "--network", net, "--family", "k5", "--source", s, "--sink", t)
+    assert run(tmp_path, *args, "--audit", "--emit-flow", flow) == 0
+    side = certify_max_flow(graph, s, t, parse_flow(flow.read_text())).source_side
+    assert capsys.readouterr().out == (
+        f"value {want}\naudit flow ok\n"
+        f"audit cut ok (source side {len(side)} vertices, cut {want})\n"
+        "audit steps skipped (network too large)\n"
+    )
+    assert s in side and t not in side
+
+
+def test_cli_audit_rejects_a_flow_that_is_not_maximum(tmp_path, capsys, monkeypatch):
+    # A zero flow is feasible, so only the cut certificate can catch it.
+    net = tmp_path / "net.max"
+    net.write_text("p max 3 2\na 1 2 5\na 2 3 4\n")
+
+    def zero_flow(graph, family, s, t, observer=None):
+        return 0, {e.id: 0 for e in graph.edges}
+
+    monkeypatch.setattr(cli, "max_flow_family", zero_flow)
+    args = ("solve", "--network", net, "--family", "k33", "--source", 1, "--sink", 3, "--audit")
+    assert run(tmp_path, *args) == 1
+    assert capsys.readouterr().out == (
+        "value 0\naudit flow ok\naudit cut FAILED\n"
+        "audit problem sink 3 is reachable from source 1 in the residual network\n"
+    )
 
 
 def test_cli_gen_is_deterministic_and_seed_env_overrides(tmp_path, monkeypatch, capsys):

@@ -492,19 +492,30 @@ def test_refine_is_idempotent_and_makes_triangles_faces(rng):
                     assert emb.is_triangle_face(tri), (seed, cid, sorted(tri))
 
 
-def test_refine_splits_nothing_in_a_k33_free_decomposition():
-    # After one block pass and one SPQR pass a second sweep splits nothing,
-    # and a k33 tree has no triangle cliques, so refine keeps every component.
+def test_refine_of_a_k33_free_decomposition_splits_only_its_planar_components():
+    # The decomposer keeps planar blocks whole, so refine splits them into
+    # the triconnected pieces it finds on the whole network; a k33 tree has
+    # no triangle cliques, and its non-planar pieces (K5) are triconnected.
     def shape(tree):
         return sorted(
             (sorted(c.net.vertices), [e.id for e in c.net.edges], planar_torso(tree, cid))
             for cid, c in tree.components.items()
         )
 
-    for n, seed in itertools.product((40, 80, 120), range(3)):
-        graph, _ = gen_instance(GenConfig("k33free", n, seed=seed))
+    def piece(c):
+        return c.net.vertices, frozenset(e.id for e in c.net.edges)
+
+    for family, n, seed in itertools.product(("k33free", "planar"), (40, 80, 120), range(3)):
+        graph, _ = gen_instance(GenConfig(family, n, seed=seed))
         tree = decompose_k33_free(graph)
-        assert shape(refine(tree)) == shape(tree), (n, seed)
+        refined = refine(tree)
+        assert shape(refined) == shape(refine(single_component_tree(graph))), (family, n, seed)
+        unsplit = {piece(c) for c in refined.components.values()}
+        for cid, c in tree.components.items():
+            if piece(c) not in unsplit:
+                assert planar_torso(tree, cid), (family, n, seed, cid)
+            elif not planar_torso(tree, cid):  # non-planar: K5, unchanged
+                assert len(c.net.vertices) == 5, (family, n, seed, cid)
 
 
 PARITY_INPUTS = [

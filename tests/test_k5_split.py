@@ -14,6 +14,7 @@ from minorflow.decomposition import (
     _separating_triples,
     _split_k5,
     decompose_k5_free,
+    refine,
     torso_adjacency,
 )
 from minorflow.planar import adjacency, to_nx
@@ -102,15 +103,16 @@ def three_connected(adj) -> bool:
 
 def test_lazy_triples_equal_the_eager_list_on_every_piece(monkeypatch):
     """On every piece ``_split_k5`` receives from generated k5free inputs, and
-    on every triconnected torso of generated planar inputs, the generator,
-    consumed fully, lists the eager oracle's triples in its order."""
+    on every triconnected torso of their refined trees and those of
+    generated planar inputs, the generator, consumed fully, lists the eager
+    oracle's triples in its order."""
     seen = record_split_k5_pieces(monkeypatch)
     torsos = {}
     for family, sizes in (("k5free", (40, 80, 126, 160, 300, 1000)), ("planar", (40, 80))):
         for n in sizes:
             for seed in range(5):
                 graph, _ = gen_instance(GenConfig(family, n, seed=seed))
-                tree = decompose_k5_free(graph)
+                tree = refine(decompose_k5_free(graph))
                 for cid in tree.components:
                     torso = torso_adjacency(tree, cid)
                     if len(torso) >= 4 and min(map(len, torso.values())) >= 3:

@@ -15,13 +15,15 @@ SCRIPTS = SRC.parent / "scripts"
     "argv",
     [
         ["scale_smoke.py", "--n", "300", "--family", "k5free", "--seed", "11"],
+        ["scale_smoke.py", "--n", "300", "--family", "k5free", "--seed", "0", "--decomposer", "k5"],
         ["fuzz_cross_check.py", "--rounds", "3", "--max-n", "30", "--decomposer"],
     ],
-    ids=["scale_smoke", "fuzz_cross_check"],
+    ids=["scale_smoke", "scale_smoke_decomposer", "fuzz_cross_check"],
 )
 def test_script_runs_and_exits_zero(argv):
-    # The scripts reach into the solver (scale_smoke wraps solver.phase1 by
-    # its signature), so a change to those functions must keep them running.
+    # The scripts reach into the solver and the decomposers (scale_smoke
+    # wraps solver.phase1 and decomposition._structure_tree by their
+    # signatures), so a change to those functions must keep them running.
     env = {k: v for k, v in os.environ.items() if k != "MINORFLOW_SEED"}
     env["PYTHONPATH"] = str(SRC)
     out = subprocess.run(

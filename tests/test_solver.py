@@ -220,6 +220,35 @@ def test_planar_graph_solves_under_both_families(rng):
     assert max_flow_family(graph, "k5", s, t)[0] == want
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_family_decomposers_keep_planar_blocks_whole(seed, monkeypatch):
+    # Every block of a planar input is planar, so each stays one component
+    # and no SPQR tree is built; the solve on those whole blocks is exact.
+    calls = []
+
+    def counting(adj, real=decomposition.spqr):
+        calls.append(len(adj))
+        return real(adj)
+
+    monkeypatch.setattr(decomposition, "spqr", counting)
+    graph, _ = gen_instance(GenConfig("planar", 80, seed=seed))
+    blocks, _ = decomposition.biconnected_split(decomposition.underlying(graph))
+    rng = random.Random(seed)
+    pairs = [rng.sample(sorted(graph.vertices), 2) for _ in range(3)]
+    for key in ("k5", "k33"):
+        tree = solver.decompose(graph, key)
+        assert calls == []
+        assert sorted(sorted(c.net.vertices) for c in tree.components.values()) == sorted(
+            sorted(verts) for verts, _ in blocks
+        )
+        assert any(len(verts) >= 3 for verts, _ in blocks)
+        for s, t in pairs:
+            value, flow = max_flow_family(graph, key, s, t)
+            assert value == oracle_max_flow(graph, s, t)
+            assert verify_flow(graph, TerminalSet.of(s, t), (value, -value), flow)
+            assert certify_max_flow(graph, s, t, flow)
+
+
 def test_step_values_and_reconstruction_conserve(rng):
     for seed in range(8):
         graph, tree = gen_instance(GenConfig("k33free", 24, seed=seed))
