@@ -19,9 +19,11 @@ I's time and its work, all taken by wrapping the solver's module bindings:
 ``solver.phase1`` is timed; the records reaching ``solver.reconstruct``
 give the off-path components, how many got a mimic (built) and how many
 never did; the ``solver.TerminalKernel`` constructions until
-``solver.phase1`` returns are the component kernels compiled; and the
-``solver.phase2`` calls are the solve rounds.  The peak RSS of the process
-so far (``getrusage``) follows them.
+``solver.phase1`` returns are the component kernels compiled; the
+``solver.phase2`` calls are the solve rounds; the ``solver.build_full_mimic``
+calls are the mimics built, and the ``solver.route_external_flow`` calls
+the non-zero demands the replay routed.  The peak RSS of the process so far
+(``getrusage``) follows them.
 
     python scripts/scale_smoke.py --n 100000 --family k5free --seed 11
     python scripts/scale_smoke.py --n 10000 --family k5free --seed 0 --decomposer k5
@@ -91,12 +93,20 @@ def decompose_work():
 def phase1_work():
     """Time ``solver.phase1`` and count its work through the solver's module
     bindings: solve rounds (``phase2`` calls), component kernels
-    (``TerminalKernel`` constructions until ``phase1`` returns), and
-    the components built and never built (the records ``reconstruct``
-    receives, with and without a mimic)."""
-    seen = {"seconds": 0.0, "rounds": 0, "kernels": 0, "built": 0, "unbuilt": 0}
+    (``TerminalKernel`` constructions until ``phase1`` returns), the
+    components built and never built (the records ``reconstruct``
+    receives, with and without a mimic), the mimics built
+    (``build_full_mimic`` calls) and the replay routes
+    (``route_external_flow`` calls)."""
+    seen = {
+        "seconds": 0.0, "rounds": 0, "kernels": 0, "built": 0, "unbuilt": 0,
+        "mimics": 0, "routes": 0,
+    }
     kernels = [0]
-    names = ("phase1", "phase2", "TerminalKernel", "reconstruct")
+    names = (
+        "phase1", "phase2", "TerminalKernel", "reconstruct", "build_full_mimic",
+        "route_external_flow",
+    )
     real = {name: getattr(solver, name) for name in names}
 
     def phase1(*args):
@@ -107,10 +117,6 @@ def phase1_work():
             seen["seconds"] = time.perf_counter() - start
             seen["kernels"] = kernels[0]
 
-    def phase2(*args):
-        seen["rounds"] += 1
-        return real["phase2"](*args)
-
     def kernel(*args):
         kernels[0] += 1
         return real["TerminalKernel"](*args)
@@ -120,7 +126,18 @@ def phase1_work():
         seen["unbuilt"] = len(state.records) - seen["built"]
         return real["reconstruct"](state, final_flow)
 
-    for name, wrapper in zip(names, (phase1, phase2, kernel, reconstruct)):
+    def counting(name, key):
+        def wrapper(*args):
+            seen[key] += 1
+            return real[name](*args)
+
+        return wrapper
+
+    wrappers = (
+        phase1, counting("phase2", "rounds"), kernel, reconstruct,
+        counting("build_full_mimic", "mimics"), counting("route_external_flow", "routes"),
+    )
+    for name, wrapper in zip(names, wrappers):
         setattr(solver, name, wrapper)
     try:
         yield seen
@@ -195,7 +212,8 @@ def main() -> None:
     print(
         f"phase I: {work['seconds']:.2f}s, off-path components {work['built'] + work['unbuilt']}, "
         f"built {work['built']}, never built {work['unbuilt']}, "
-        f"kernels compiled {work['kernels']}, solve rounds {work['rounds']}"
+        f"kernels compiled {work['kernels']}, solve rounds {work['rounds']}, "
+        f"mimics built {work['mimics']}, replay routes {work['routes']}"
     )
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
     print(f"peak RSS so far: {peak_mb:.1f} MB")

@@ -45,7 +45,8 @@ def cut_table(net: FlowNetwork, terminals: TerminalSet, mode: str = FULL) -> Cut
     else:
         raise ValueError(f"unknown mode {mode!r}")
     kernel = TerminalKernel(net, order)
-    return CutTable(mode, terminals, {key: kernel.cut(*split) for key, split in zip(keys, splits)})
+    values = {key: kernel.cut(*split)[0] for key, split in zip(keys, splits)}
+    return CutTable(mode, terminals, values)
 
 
 def check_external_realizable(table: CutTable, x: Sequence[int]) -> bool:
@@ -91,10 +92,10 @@ def route_external_flow(
     if need == 0:
         return {e.id: 0 for e in net.edges}
     demand = {q: -xi for q, xi in zip(terminals.order, x) if xi < 0}
-    value, cap = TerminalKernel(net, terminals.order).flow(supply, demand)
+    value, flow, _ = TerminalKernel(net, terminals.order).flow(supply, demand)
     if value != need:
         raise InfeasibleDemandError(f"demand {tuple(x)} not realizable (routed {value} of {need})")
-    return {e.id: e.cap - cap[2 * i] for i, e in enumerate(net.edges)}
+    return flow
 
 
 @dataclass(frozen=True)

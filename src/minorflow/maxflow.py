@@ -4,16 +4,19 @@ distance until a distance repeats, then Dinic's blocking flows (``_dinic``).
 ``TerminalKernel`` is the only code that compiles a network (``_compile``)
 or runs the engine.  It turns a network, plus any extra arcs glued onto it,
 into residual arc arrays with a super-source arc and a super-sink arc at
-each of a few terminals, and answers any number of flows and cuts between
-those terminals, each on a fresh copy of the capacities.  A cut runs from
-and into terminal vertices: a super-source or super-sink arc opens only on
-a side with several terminals.  Every other flow question is a query on a
-kernel built where it is asked: ``max_flow``, ``max_flow_side``,
-``min_cut_value`` and ``min_cut_side`` here, ``external.cut_table`` and
-``external.route_external_flow``, and the solver's Phase I cuts and replay
-routes.  A specialized backend (planar, bounded-treewidth, ...) replaces
-the engine by providing the same entry points.  Antiparallel and parallel
-edges are kept as distinct residual arcs, never merged or canceled.
+each of a few terminals, and answers two questions between those
+terminals, any number of times, each on a fresh copy of the capacities:
+``flow`` gives a maximum flow by edge id with its residual source side,
+and ``cut`` a minimum cut's value with its minimal source side.  A cut runs
+from and into terminal vertices: a super-source or super-sink arc opens
+only on a side with several terminals.  The arc layout stays inside this
+module.  Every other flow question is a query on a kernel built where it is
+asked: ``max_flow``, ``max_flow_side``, ``min_cut_value`` and
+``min_cut_side`` here, ``external.cut_table`` and
+``external.route_external_flow``, and the solver's Phase I cuts.  A
+specialized backend (planar, bounded-treewidth, ...) replaces the engine by
+providing the same entry points.  Antiparallel and parallel edges are kept
+as distinct residual arcs, never merged or canceled.
 """
 
 from __future__ import annotations
@@ -164,20 +167,29 @@ class TerminalKernel:
     terminal arcs it needs on a fresh copy of the compiled capacities and
     runs ``_dinic``, so the kernel can be queried any number of times."""
 
-    __slots__ = ("_index", "_adj", "_to", "_base", "_source_arc", "_to_sink", "_inf")
+    __slots__ = ("_edges", "_index", "_adj", "_to", "_base", "_source_arc", "_to_sink", "_inf")
 
     def __init__(self, net: FlowNetwork, terminals: Sequence[int], extra: Sequence[Edge] = ()):
+        self._edges = (*net.edges, *extra)
         self._index, self._adj, self._to, self._base = _compile(net, terminals, extra)
-        m = len(net.edges) + len(extra)
+        m = len(self._edges)
         self._source_arc = {q: 2 * (m + j) for j, q in enumerate(terminals)}
         self._to_sink = 2 * len(terminals)  # from a terminal's source arc to its sink arc
         self._inf = sum(self._base[0 : 2 * m : 2]) + 1
 
-    def _flow(
+    def _side(self, level: list[int]) -> frozenset[int]:
+        """The vertices with a BFS level: those the run's source still
+        reaches in the residual network."""
+        return frozenset(v for v, i in self._index.items() if level[i] >= 0)
+
+    def flow(
         self, sources: Mapping[int, int], sinks: Mapping[int, int]
-    ) -> tuple[int, list[int], list[int]]:
-        """``_dinic`` for ``flow``: its value, the residual capacities and
-        the BFS levels."""
+    ) -> tuple[int, FlowAssignment, frozenset[int]]:
+        """Maximum flow from terminals ``sources`` (at most ``sources[q]``
+        out of q) to terminals ``sinks`` (at most ``sinks[q]`` into q): the
+        value, the flow on every edge of ``net.edges + extra`` by id, and
+        the vertices the super source still reaches in its residual
+        network."""
         cap = list(self._base)
         for q, c in sources.items():
             cap[self._source_arc[q]] = c
@@ -185,32 +197,17 @@ class TerminalKernel:
             cap[self._source_arc[q] + self._to_sink] = c
         ss = len(self._adj) - 2
         value, level = _dinic(self._adj, self._to, cap, ss, ss + 1)
-        return value, cap, level
+        flow = {e.id: e.cap - cap[2 * i] for i, e in enumerate(self._edges)}
+        return value, flow, self._side(level)
 
-    def _side(self, level: list[int]) -> frozenset[int]:
-        """The vertices with a BFS level: those the run's source still
-        reaches in the residual network."""
-        return frozenset(v for v, i in self._index.items() if level[i] >= 0)
-
-    def flow(self, sources: Mapping[int, int], sinks: Mapping[int, int]) -> tuple[int, list[int]]:
-        """Maximum flow from terminals ``sources`` (at most ``sources[q]``
-        out of q) to terminals ``sinks`` (at most ``sinks[q]`` into q): the
-        value, and every arc's residual capacity, so that arc 2i (edge i of
-        ``net.edges + extra``) carries ``e.cap - cap[2i]``."""
-        return self._flow(sources, sinks)[:2]
-
-    def flow_side(
-        self, sources: Mapping[int, int], sinks: Mapping[int, int]
-    ) -> tuple[int, list[int], frozenset[int]]:
-        """``flow`` plus the vertices the super source still reaches in the
-        residual network of that flow."""
-        value, cap, level = self._flow(sources, sinks)
-        return value, cap, self._side(level)
-
-    def _cut(self, sources: Iterable[int], sinks: Iterable[int]) -> tuple[int, list[int]]:
-        """``_dinic`` for ``cut``: its value and BFS levels.  A lone source
-        (sink) terminal is the run's own source (sink) vertex; only a side
-        with several terminals opens their arcs, at capacity ``_inf``."""
+    def cut(self, sources: Iterable[int], sinks: Iterable[int]) -> tuple[int, frozenset[int]]:
+        """Minimum cut with terminals ``sources`` on the source side and
+        terminals ``sinks`` on the sink side (other terminals free): its
+        value, and the vertices the source side still reaches in the
+        residual network, the source side of the minimal minimum cut.  A
+        lone source (sink) terminal is the run's own source (sink) vertex;
+        only a side with several terminals opens their arcs, at capacity
+        ``_inf``."""
         cap = list(self._base)
         out = [self._source_arc[q] for q in sources]
         into = [self._source_arc[q] + self._to_sink for q in sinks]
@@ -221,19 +218,7 @@ class TerminalKernel:
         ss = len(self._adj) - 2
         s = self._to[out[0]] if len(out) == 1 else ss  # the head of a source arc is its terminal
         t = self._to[into[0] ^ 1] if len(into) == 1 else ss + 1  # and the tail of a sink arc
-        return _dinic(self._adj, self._to, cap, s, t)
-
-    def cut(self, sources: Iterable[int], sinks: Iterable[int]) -> int:
-        """Minimum cut with terminals ``sources`` on the source side and
-        terminals ``sinks`` on the sink side (other terminals free)."""
-        return self._cut(sources, sinks)[0]
-
-    def cut_side(
-        self, sources: Iterable[int], sinks: Iterable[int]
-    ) -> tuple[int, frozenset[int]]:
-        """``cut`` plus the vertices the source side still reaches in the
-        residual network: the source side of the minimal minimum cut."""
-        value, level = self._cut(sources, sinks)
+        value, level = _dinic(self._adj, self._to, cap, s, t)
         return value, self._side(level)
 
 
@@ -266,16 +251,14 @@ def max_flow_side(net: FlowNetwork, s: int, t: int) -> tuple[int, FlowAssignment
     capacity is the value."""
     _checked(net, (s,), (t,))
     inf = net.total_capacity + 1
-    # The kernel is a temporary, so it is freed before the flow dict is built.
-    value, cap, side = TerminalKernel(net, (s, t)).flow_side({s: inf}, {t: inf})
-    return value, {e.id: e.cap - cap[2 * i] for i, e in enumerate(net.edges)}, side
+    return TerminalKernel(net, (s, t)).flow({s: inf}, {t: inf})
 
 
 def min_cut_value(net: FlowNetwork, sources: Iterable[int], sinks: Iterable[int]) -> int:
     """Minimum cut with every vertex of ``sources`` on the source side and
     every vertex of ``sinks`` on the sink side (other vertices free)."""
     sources, sinks = _checked(net, sources, sinks)
-    return TerminalKernel(net, sources + sinks).cut(sources, sinks)
+    return TerminalKernel(net, sources + sinks).cut(sources, sinks)[0]
 
 
 def min_cut_side(
@@ -287,4 +270,4 @@ def min_cut_side(
     it deterministic and minimal among all minimum cuts.
     """
     sources, sinks = _checked(net, sources, sinks)
-    return TerminalKernel(net, sources + sinks).cut_side(sources, sinks)
+    return TerminalKernel(net, sources + sinks).cut(sources, sinks)

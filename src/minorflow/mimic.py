@@ -81,15 +81,15 @@ def check_four_way(table: CutTable) -> bool:
     return True
 
 
-def full_mimic_arcs(
-    cut: Callable[[Sequence[int], Sequence[int]], int],
+def _full_mimic_arcs(
+    cut: Callable[[Sequence[int]], int],
     terminals: Sequence[int],
     hub: int | None,
     first_edge_id: int,
 ) -> tuple[Edge, ...]:
     """Arcs of the exact full-table mimic on 2 or 3 ``terminals``, numbered
-    from ``first_edge_id``, where ``cut(sources, sinks)`` is the minimum cut
-    with ``sources`` on the source side and ``sinks`` on the sink side.
+    from ``first_edge_id``, where ``cut(sources)`` is the minimum cut with
+    ``sources`` on the source side and the other terminals on the sink side.
 
     Two terminals get an antiparallel pair carrying the two cuts; three get
     a star around ``hub`` whose arc q->hub carries q↛(rest) and hub->q
@@ -98,14 +98,14 @@ def full_mimic_arcs(
     if len(terminals) == 2:
         u, v = terminals
         return (
-            Edge(first_edge_id, u, v, cut((u,), (v,))),
-            Edge(first_edge_id + 1, v, u, cut((v,), (u,))),
+            Edge(first_edge_id, u, v, cut((u,))),
+            Edge(first_edge_id + 1, v, u, cut((v,))),
         )
     arcs = []
     for i, q in enumerate(terminals):
         rest = [w for w in terminals if w != q]
-        arcs.append(Edge(first_edge_id + 2 * i, q, hub, cut((q,), rest)))
-        arcs.append(Edge(first_edge_id + 2 * i + 1, hub, q, cut(rest, (q,))))
+        arcs.append(Edge(first_edge_id + 2 * i, q, hub, cut((q,))))
+        arcs.append(Edge(first_edge_id + 2 * i + 1, hub, q, cut(rest)))
     return tuple(arcs)
 
 
@@ -125,7 +125,7 @@ def build_mimic3(
     hub = max(terms) + 1 if hub_vertex is None else hub_vertex
     if hub in terms:
         raise ValueError("hub vertex collides with a terminal")
-    edges = full_mimic_arcs(lambda sources, _: table.cut(sources), terms, hub, first_edge_id)
+    edges = _full_mimic_arcs(table.cut, terms, hub, first_edge_id)
     return FlowNetwork(frozenset(terms) | {hub}, edges)
 
 
@@ -250,7 +250,7 @@ def build_full_mimic(
     if table.terminals.k != 2:
         raise ValueError("build_full_mimic handles 2 or 3 terminals")
     terms = table.terminals.order
-    edges = full_mimic_arcs(lambda sources, _: table.cut(sources), terms, None, first_edge_id)
+    edges = _full_mimic_arcs(table.cut, terms, None, first_edge_id)
     return FlowNetwork(frozenset(terms), edges)
 
 

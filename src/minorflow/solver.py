@@ -9,7 +9,7 @@ copied or changed, and walked once per query, from s's component
 
 Every flow question is answered on demand: the s-t solve on the path, and
 each cut of an off-path component's full table, which gives the component's
-mimic on the clique above it (``mimic.full_mimic_arcs``: an antiparallel
+mimic on the clique above it (``mimic.build_full_mimic``: an antiparallel
 pair for two terminals, a star around a fresh hub for three).  A question
 is asked first with the mimics of the children built so far, compiled with
 the component into one ``maxflow.TerminalKernel``, and the same Dinic run
@@ -30,9 +30,11 @@ adds arcs to a network that is still a subnetwork of the true one.  So a
 built component's mimic is the full-table mimic of the component with its
 built children's arcs, and every child never built carries zero flow.
 
-The replay compiles a component again only when its mimic carries a
-non-zero demand, and routes that demand on it; a zero demand, and every
-component never built, gets zero flow without compiling anything.
+The replay routes a component's demand only when its mimic carries a
+non-zero one, with ``external.route_external_flow`` on the component and
+its children's arcs glued (``ReplacementRecord.snapshot``); a zero demand,
+and every component never built, gets zero flow without compiling
+anything.
 
 With an observer, the network after each replacement (the components not
 yet replaced plus the mimic arcs waiting in them) keeps the max-flow value
@@ -60,10 +62,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Generator, Iterable, Iterator
 
-# Imported but unused here (``refine``, ``cut_table``, ``route_external_flow``,
-# ``max_flow``, ``min_cut_value``, ``build_full_mimic``, ``merge_mimics``,
-# ``build_mimic4_single_source``, ``build_mimic_general``): the benchmark's
-# traced run wraps these solver bindings by name.
+# Imported but unused here (``refine``, ``cut_table``, ``max_flow``,
+# ``min_cut_value``, ``merge_mimics``, ``build_mimic4_single_source``,
+# ``build_mimic_general``): the benchmark's traced run wraps these solver
+# bindings by name.
 from .decomposition import (
     DecompositionTree,
     DisconnectedInput,
@@ -76,18 +78,14 @@ from .decomposition import (
 )
 from .external import cut_table, route_external_flow
 from .maxflow import TerminalKernel, max_flow, max_flow_side, min_cut_value
-from .mimic import (
-    build_full_mimic,
-    build_mimic4_single_source,
-    build_mimic_general,
-    full_mimic_arcs,
-    merge_mimics,
-)
+from .mimic import build_full_mimic, build_mimic4_single_source, build_mimic_general, merge_mimics
 from .network import (
+    FULL,
+    CutTable,
     Edge,
     FlowAssignment,
     FlowNetwork,
-    InfeasibleDemandError,
+    TerminalSet,
     UnknownVertexError,
     imbalances,
     merge_networks,
@@ -249,7 +247,7 @@ def phase1(
             while True:
                 if kernel is None:
                     kernel = TerminalKernel(net, terminals, pending.get(cid, ()))
-                value, side = kernel.cut_side(sources, sinks)
+                value, side = kernel.cut(sources, sinks)
                 split = _split_off(tree, up, children, side)
                 if not split:
                     break
@@ -257,7 +255,8 @@ def phase1(
                 kernel = None
             cuts[frozenset(sources)] = value
         hub = state.alloc_vertex() if len(terminals) == 3 else None
-        mimic = full_mimic_arcs(lambda a, _: cuts[frozenset(a)], terminals, hub, state.next_edge)
+        table = CutTable(FULL, TerminalSet(terminals), cuts)
+        mimic = build_full_mimic(table, hub, state.next_edge).edges
         state.next_edge += len(mimic)
         record = ReplacementRecord(net, tuple(pending.pop(cid, ())), terminals, mimic)
         pending.setdefault(above[kid], []).extend(mimic)
@@ -297,10 +296,10 @@ def phase2(state: SolveState, path_comps: list[int]) -> FlowNetwork:
 def reconstruct(state: SolveState, final_flow: FlowAssignment) -> FlowAssignment:
     """Pop the replacement stack, converting the flow on each mimic into a
     routed flow on the component and child mimic arcs it replaced.  A zero
-    demand gives the component zero flow; any other is routed on a kernel
-    compiled for it.  Feasibility of every pop is guaranteed by the
-    cut-table equality of the installed mimic; a failure here means a
-    mimicking bug, not bad input."""
+    demand gives the component zero flow; any other is routed on the
+    record's snapshot by ``route_external_flow``.  Feasibility of every pop
+    is guaranteed by the cut-table equality of the installed mimic; a
+    failure here means a mimicking bug, not bad input."""
     flows: dict[int, int] = dict(final_flow)
     audit = state.observer is not None
     if audit:
@@ -314,16 +313,9 @@ def reconstruct(state: SolveState, final_flow: FlowAssignment) -> FlowAssignment
                 x[e.tail] += f
             if e.head in x:
                 x[e.head] -= f
-        supply = {q: xq for q, xq in x.items() if xq > 0}
-        if supply:
-            demand = {q: -xq for q, xq in x.items() if xq < 0}
-            value, cap = TerminalKernel(rec.net, rec.terminals, rec.children).flow(supply, demand)
-            if value != sum(supply.values()):
-                raise InfeasibleDemandError(
-                    f"demand {tuple(x.values())} not realizable (routed {value})"
-                )
-            for i, e in enumerate(rec.net.edges + rec.children):
-                flows[e.id] = e.cap - cap[2 * i]
+        demand = tuple(x.values())
+        if any(demand):
+            flows.update(route_external_flow(rec.snapshot(), TerminalSet(rec.terminals), demand))
         else:
             for e in rec.net.edges:
                 flows[e.id] = 0

@@ -1,5 +1,9 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -490,6 +494,27 @@ def test_refine_is_idempotent_and_makes_triangles_faces(rng):
                 tri = refined.cliques[kid].vertices
                 if len(tri) == 3:
                     assert emb.is_triangle_face(tri), (seed, cid, sorted(tri))
+
+
+def test_refine_of_a_k5_free_decomposition_loads_no_networkx():
+    # The triangle pass decides faces by separation, not by an embedding:
+    # K3,3 splits at a separating triple into three K4s glued at a triangle,
+    # whose torsos the pass tests without networkx.
+    src = str(Path(decomposition.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys\n"
+        "from minorflow.decomposition import decompose_k5_free, refine\n"
+        "from minorflow.network import FlowNetwork\n"
+        f"pairs = {K33_PAIRS!r}\n"
+        "net = FlowNetwork.from_edges([(i, u, v, 1) for i, (u, v) in enumerate(pairs)])\n"
+        "tree = refine(decompose_k5_free(net))\n"
+        "print(len(tree.components), sorted(len(k.vertices) for k in tree.cliques.values()),"
+        " 'networkx' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["3", "[3]", "False"]
 
 
 def test_refine_of_a_k33_free_decomposition_splits_only_its_planar_components():

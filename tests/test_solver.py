@@ -436,12 +436,14 @@ def test_corrupted_mimic_capacity_breaks_the_audit(monkeypatch):
     import minorflow.solver as solver_mod
     from minorflow.network import Edge, InfeasibleDemandError
 
-    real = solver_mod.full_mimic_arcs
+    real = solver_mod.build_full_mimic
 
     def corrupt(*args):
-        return tuple(Edge(e.id, e.tail, e.head, e.cap + 5) for e in real(*args))
+        mimic = real(*args)
+        edges = tuple(Edge(e.id, e.tail, e.head, e.cap + 5) for e in mimic.edges)
+        return FlowNetwork(mimic.vertices, edges)
 
-    monkeypatch.setattr(solver_mod, "full_mimic_arcs", corrupt)
+    monkeypatch.setattr(solver_mod, "build_full_mimic", corrupt)
     s, u, v, t = 0, 1, 2, 3
     main = FlowNetwork.from_edges([(0, s, u, 5), (1, v, t, 5)], [u, v])
     leaf = FlowNetwork.from_edges([(2, u, v, 2)])
@@ -694,6 +696,39 @@ def test_built_components_and_solve_rounds_compile_and_zero_demands_skip_the_ker
             assert value == oracle_max_flow(graph, s, t)
             assert verify_flow(graph, TerminalSet.of(s, t), (value, -value), flow)
     assert routed > 0 and skipped > 0 and built > 0
+
+
+def test_phase1_builds_with_build_full_mimic_and_the_replay_routes_with_route_external_flow(
+    monkeypatch, rng
+):
+    # The benchmark's traced run counts built mimics and replay routes by
+    # these two solver bindings, so the pipeline must reach them.
+    seen = capture_records(monkeypatch)
+    calls = {"build_full_mimic": 0, "route_external_flow": 0}
+    for name in calls:
+        real = getattr(solver, name)
+
+        def counting(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(solver, name, counting)
+    built = routed = 0
+    for family in ("k33free", "k5free"):
+        for seed in range(4):
+            graph, tree = gen_instance(GenConfig(family, 60, seed=seed))
+            s, t = rng.sample(sorted(graph.vertices), 2)
+            calls.update(dict.fromkeys(calls, 0))
+            value, flow = max_flow_decomposed(graph, tree, s, t, validate_input=False)
+            records = seen[-1]
+            demands = subtree_demands(records, flow)
+            assert calls["build_full_mimic"] == sum(1 for rec in records if rec.mimic)
+            assert calls["route_external_flow"] == sum(1 for d in demands if any(d.values()))
+            built += calls["build_full_mimic"]
+            routed += calls["route_external_flow"]
+            assert value == oracle_max_flow(graph, s, t)
+            assert verify_flow(graph, TerminalSet.of(s, t), (value, -value), flow)
+    assert built > 0 and routed > 0
 
 
 def hanging_tree(x):
