@@ -16,13 +16,15 @@ one, and the decompose line gives its time, the planar blocks kept whole
 and the ``spqr`` calls, taken by wrapping the decomposition module's
 ``_structure_tree`` and ``spqr`` bindings.  After the pipeline line come Phase
 I's time and its work, all taken by wrapping the solver's module bindings:
-``solver.phase1`` is timed; the records reaching ``solver.reconstruct``
-give the off-path components, how many got a mimic (built) and how many
-never did; the ``solver.TerminalKernel`` constructions until
-``solver.phase1`` returns are the component kernels compiled; the
-``solver.phase2`` calls are the solve rounds; the ``solver.build_full_mimic``
-calls are the mimics built, and the ``solver.route_external_flow`` calls
-the non-zero demands the replay routed.  The peak RSS of the process so far
+``solver.phase1`` is timed and its arguments give the off-path components
+(the tree's components less the path's); the records reaching
+``solver.reconstruct`` are the components built, and the off-path
+components without one were never built; the ``solver.TerminalKernel``
+constructions until ``solver.phase1`` returns are the component kernels
+compiled; the ``solver.phase2`` calls are the solve rounds; the
+``solver.build_full_mimic`` calls are the mimics built, and the
+``solver.route_external_flow`` calls the non-zero demands the replay
+routed.  The peak RSS of the process so far
 (``getrusage``) follows them.
 
     python scripts/scale_smoke.py --n 100000 --family k5free --seed 11
@@ -94,12 +96,13 @@ def phase1_work():
     """Time ``solver.phase1`` and count its work through the solver's module
     bindings: solve rounds (``phase2`` calls), component kernels
     (``TerminalKernel`` constructions until ``phase1`` returns), the
-    components built and never built (the records ``reconstruct``
-    receives, with and without a mimic), the mimics built
+    off-path components (``phase1``'s tree less its path), the components
+    built (the records ``reconstruct`` receives) and never built (the
+    off-path components less those records), the mimics built
     (``build_full_mimic`` calls) and the replay routes
     (``route_external_flow`` calls)."""
     seen = {
-        "seconds": 0.0, "rounds": 0, "kernels": 0, "built": 0, "unbuilt": 0,
+        "seconds": 0.0, "rounds": 0, "kernels": 0, "off_path": 0, "built": 0,
         "mimics": 0, "routes": 0,
     }
     kernels = [0]
@@ -109,10 +112,11 @@ def phase1_work():
     )
     real = {name: getattr(solver, name) for name in names}
 
-    def phase1(*args):
+    def phase1(state, path_comps, *args):
+        seen["off_path"] = len(state.tree.components) - len(path_comps)
         start = time.perf_counter()
         try:
-            return real["phase1"](*args)
+            return real["phase1"](state, path_comps, *args)
         finally:
             seen["seconds"] = time.perf_counter() - start
             seen["kernels"] = kernels[0]
@@ -122,8 +126,7 @@ def phase1_work():
         return real["TerminalKernel"](*args)
 
     def reconstruct(state, final_flow):
-        seen["built"] = sum(1 for rec in state.records if rec.mimic)
-        seen["unbuilt"] = len(state.records) - seen["built"]
+        seen["built"] = len(state.records)
         return real["reconstruct"](state, final_flow)
 
     def counting(name, key):
@@ -210,8 +213,8 @@ def main() -> None:
         f"gc collections {collected}"
     )
     print(
-        f"phase I: {work['seconds']:.2f}s, off-path components {work['built'] + work['unbuilt']}, "
-        f"built {work['built']}, never built {work['unbuilt']}, "
+        f"phase I: {work['seconds']:.2f}s, off-path components {work['off_path']}, "
+        f"built {work['built']}, never built {work['off_path'] - work['built']}, "
         f"kernels compiled {work['kernels']}, solve rounds {work['rounds']}, "
         f"mimics built {work['mimics']}, replay routes {work['routes']}"
     )

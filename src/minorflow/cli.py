@@ -23,8 +23,9 @@ from .mimic import build_full_mimic, build_mimic4_single_source
 from .network import FULL, SINGLE_SOURCE, FlowNetwork, TerminalSet, imbalances
 from .solver import FAMILIES, decompose, max_flow_decomposed, max_flow_family
 
-# ``testkit`` (numpy, networkx) is imported only by the handlers that need it:
-# gen, oracle and ``solve --audit``, so a plain solve loads neither.
+# ``testkit`` (numpy) is imported only by the handlers that need it: gen,
+# oracle and ``solve --audit``, so a plain solve does not load it.  None of
+# them loads networkx, which testkit imports only for its minor check.
 
 _AUDIT_LIMIT = 120  # step-value audits re-run the oracle; keep them small
 

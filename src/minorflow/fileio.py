@@ -25,11 +25,11 @@ class FormatError(Exception):
 
 def parse_network(text: str) -> tuple[FlowNetwork, int | None, int | None]:
     """Parse a network file; returns (network, source, sink) where the
-    terminals are taken from ``n`` lines when present."""
+    terminals are taken from ``n`` lines when present, at most one each."""
     n_vertices = None
     m_arcs = None
     edges: list[Edge] = []
-    source = sink = None
+    ends: dict[str, int] = {}  # "s" and "t" to the vertex of their ``n`` line
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -48,10 +48,9 @@ def parse_network(text: str) -> tuple[FlowNetwork, int | None, int | None]:
             elif kind == "n":
                 if len(parts) != 3 or parts[2] not in ("s", "t"):
                     raise FormatError("expected 'n <id> s|t'", lineno)
-                if parts[2] == "s":
-                    source = int(parts[1])
-                else:
-                    sink = int(parts[1])
+                if parts[2] in ends:
+                    raise FormatError(f"duplicate 'n <id> {parts[2]}' line", lineno)
+                ends[parts[2]] = int(parts[1])
             elif kind == "a":
                 if n_vertices is None:
                     raise FormatError("arc before problem line", lineno)
@@ -77,7 +76,7 @@ def parse_network(text: str) -> tuple[FlowNetwork, int | None, int | None]:
     if m_arcs != len(edges):
         raise FormatError(f"expected {m_arcs} arcs, found {len(edges)}")
     net = FlowNetwork(frozenset(range(1, n_vertices + 1)), tuple(edges))
-    return net, source, sink
+    return net, ends.get("s"), ends.get("t")
 
 
 def write_network(net: FlowNetwork, source: int | None = None, sink: int | None = None) -> str:
@@ -156,6 +155,13 @@ def _int(x: object, field: str) -> int:
     return x
 
 
+def _list(x: object, field: str, shape: tuple[str, ...]) -> list:
+    """``x`` if it is a JSON list with one value per name in ``shape``."""
+    if type(x) is not list or len(x) != len(shape):
+        raise FormatError(f"{field} must be [{', '.join(shape)}], got {json.dumps(x)}")
+    return x
+
+
 def parse_decomposition(text: str) -> DecompositionTree:
     try:
         doc = json.loads(text)
@@ -164,8 +170,10 @@ def parse_decomposition(text: str) -> DecompositionTree:
     tree = DecompositionTree()
     try:
         for comp in doc["components"]:
+            shape = ("id", "tail", "head", "cap")
+            edges = [_list(e, "component edge", shape) for e in comp["edges"]]
             net = FlowNetwork.from_edges(
-                [tuple(_int(x, "component edge field") for x in e) for e in comp["edges"]],
+                [tuple(_int(x, "component edge field") for x in e) for e in edges],
                 (_int(v, "component vertex") for v in comp["vertices"]),
             )
             cid = _int(comp["id"], "component id")
@@ -179,7 +187,8 @@ def parse_decomposition(text: str) -> DecompositionTree:
                 raise FormatError(f"duplicate clique id {kid}")
             tree.cliques[kid] = Clique(kid, frozenset(_int(v, "clique vertex") for v in cl["vertices"]))
             tree.clique_comps[kid] = set()
-        for cid, kid in doc["tree_edges"]:
+        for pair in doc["tree_edges"]:
+            cid, kid = _list(pair, "tree edge", ("component", "clique"))
             cid, kid = _int(cid, "tree edge component"), _int(kid, "tree edge clique")
             if cid not in tree.components or kid not in tree.cliques:
                 raise FormatError(f"tree edge references missing node [{cid}, {kid}]")

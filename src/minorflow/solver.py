@@ -30,22 +30,26 @@ adds arcs to a network that is still a subnetwork of the true one.  So a
 built component's mimic is the full-table mimic of the component with its
 built children's arcs, and every child never built carries zero flow.
 
-The replay routes a component's demand only when its mimic carries a
-non-zero one, with ``external.route_external_flow`` on the component and
-its children's arcs glued (``ReplacementRecord.snapshot``); a zero demand,
-and every component never built, gets zero flow without compiling
-anything.
+The replay starts from zero flow on every input edge and pops only the
+records of built components.  It routes a component's demand only when its
+mimic carries a non-zero one, with ``external.route_external_flow`` on the
+component and its children's arcs glued (``ReplacementRecord.snapshot``); a
+zero demand, and every component never built, which has no record, keeps
+zero flow without compiling anything.
 
-With an observer, the network after each replacement (the components not
-yet replaced plus the mimic arcs waiting in them) keeps the max-flow value
-of the input, which the audit checks.  A max flow of the input that is zero
-on every unbuilt component (the replayed one) stays feasible at each step,
-so no step has a smaller value.  No step has a larger one either: replacing
-a component by its exact mimic keeps the value, and an unbuilt component
-left after its parent was replaced dangles at one vertex at most.  Every cut
-of a 2- or 3-terminal table separates some two of its terminals, and its S
-splits no unbuilt child, so a chain of unbuilt children can join no two
-vertices of their parent's clique.
+With an observer, each built component is reported once as it is replaced
+and once as it is popped.  The network after each replacement (the
+components not yet replaced, every unbuilt one among them, plus the mimic
+arcs waiting in them) keeps the max-flow value of the input, which the
+audit checks.  A max flow of the input that is zero on every unbuilt
+component (the replayed one) stays feasible at each step, so no step has a
+smaller value.  No step has a larger one either: replacing a component by
+its exact mimic keeps the value, and an unbuilt component left after its
+parent was replaced dangles at one vertex at most.  Every cut of a 2- or
+3-terminal table separates some two of its terminals, and its S splits no
+unbuilt child, so a chain of unbuilt children can join no two vertices of
+their parent's clique.  Unbuilt components leave the step networks only at
+Phase II's glue of the path.
 
 The tree is not refined first: every installed mimic has the same cut table
 as the subtree it replaces, which makes the pipeline exact on any valid tree
@@ -106,12 +110,9 @@ class ReplacementRecord:
     for two, a star around a fresh hub for three.  The mimic is the
     full-table mimic of that snapshot, and also of the component's whole
     subtree, since every cut was asked until it split no unbuilt child.  A
-    built component's record comes after its children's.
-
-    A component that no minimum cut needed, which includes every one below
-    a one-vertex clique, was never built: its record has an empty ``mimic``
-    and empty ``children`` whatever its terminals, and it carries zero flow.
-    Removing it keeps the audit's step values (see the module docstring).
+    built component's record comes after its children's.  A component that
+    no minimum cut needed, which includes every one below a one-vertex
+    clique, is never built and has no record.
     """
 
     net: FlowNetwork
@@ -213,8 +214,9 @@ def phase1(
     ``up`` and ``above`` are the walk of ``locate_terminal_path``: an
     off-path component's way to its root passes through the nearest path
     component, so the clique and component above it are the ones a walk
-    from the path would give.  Every off-path component never built gets
-    its empty record after the last round."""
+    from the path would give.  Only a built component gets a record; every
+    other off-path component is left out of the final network and of the
+    replay."""
     tree, pending = state.tree, state.pending
     on_path = set(path_comps)
     # Each component's off-path children not built yet; a one-vertex clique
@@ -224,16 +226,7 @@ def phase1(
         if cid not in on_path and len(tree.cliques[kid].vertices) > 1:
             waiting.setdefault(above[kid], []).append(cid)
     path_waiting = [c for p in path_comps for c in waiting.pop(p, ())]
-    replaced: set[int] = set()
-
-    def install(cid: int, record: ReplacementRecord) -> None:
-        state.records.append(record)
-        replaced.add(cid)
-        if state.observer is not None:
-            alive = [c.net for k, c in tree.components.items() if k not in replaced]
-            step = _glue(alive, (e for arcs in pending.values() for e in arcs))
-            state.steps.append(step)
-            state.observer("replace", step)
+    replaced: set[int] = set()  # with an observer only
 
     def build(cid: int) -> Iterator[list[int]]:
         kid = up[cid]
@@ -258,9 +251,14 @@ def phase1(
         table = CutTable(FULL, TerminalSet(terminals), cuts)
         mimic = build_full_mimic(table, hub, state.next_edge).edges
         state.next_edge += len(mimic)
-        record = ReplacementRecord(net, tuple(pending.pop(cid, ())), terminals, mimic)
+        state.records.append(ReplacementRecord(net, tuple(pending.pop(cid, ())), terminals, mimic))
         pending.setdefault(above[kid], []).extend(mimic)
-        install(cid, record)
+        if state.observer is not None:
+            replaced.add(cid)
+            alive = [c.net for k, c in tree.components.items() if k not in replaced]
+            step = _glue(alive, (e for arcs in pending.values() for e in arcs))
+            state.steps.append(step)
+            state.observer("replace", step)
 
     def solve() -> Generator[list[int], None, tuple[FlowNetwork, int, FlowAssignment]]:
         while True:
@@ -278,10 +276,6 @@ def phase1(
         except StopIteration as done:
             stack.pop()
             answer = done.value  # the last one done is solve()
-    for cid, kid in reversed(up.items()):
-        if cid not in on_path and cid not in replaced:
-            terminals = tuple(sorted(tree.cliques[kid].vertices))
-            install(cid, ReplacementRecord(tree.components[cid].net, (), terminals, ()))
     return answer
 
 
@@ -295,35 +289,34 @@ def phase2(state: SolveState, path_comps: list[int]) -> FlowNetwork:
 
 def reconstruct(state: SolveState, final_flow: FlowAssignment) -> FlowAssignment:
     """Pop the replacement stack, converting the flow on each mimic into a
-    routed flow on the component and child mimic arcs it replaced.  A zero
-    demand gives the component zero flow; any other is routed on the
-    record's snapshot by ``route_external_flow``.  Feasibility of every pop
-    is guaranteed by the cut-table equality of the installed mimic; a
-    failure here means a mimicking bug, not bad input."""
-    flows: dict[int, int] = dict(final_flow)
+    routed flow on the component and child mimic arcs it replaced.
+    ``final_flow`` holds the final network's flow and zero on every other
+    input edge; it is updated in place and returned.  A zero demand leaves
+    the component at zero; any other is routed on the record's snapshot by
+    ``route_external_flow``.  Feasibility of every pop is guaranteed by the
+    cut-table equality of the installed mimic; a failure here means a
+    mimicking bug, not bad input."""
     audit = state.observer is not None
     if audit:
-        state.steps.pop()  # the network after the last replacement, glued by phase2
+        state.steps.pop()  # the network after the last replacement, which no pop restores
     while state.records:
         rec = state.records.pop()
         x = dict.fromkeys(rec.terminals, 0)
         for e in rec.mimic:
-            f = flows.pop(e.id, 0)
+            f = final_flow.pop(e.id, 0)
             if e.tail in x:
                 x[e.tail] += f
             if e.head in x:
                 x[e.head] -= f
         demand = tuple(x.values())
         if any(demand):
-            flows.update(route_external_flow(rec.snapshot(), TerminalSet(rec.terminals), demand))
-        else:
-            for e in rec.net.edges:
-                flows[e.id] = 0
+            routed = route_external_flow(rec.snapshot(), TerminalSet(rec.terminals), demand)
+            final_flow.update(routed)
         if audit:
             net = state.steps.pop()  # the network before this replacement
-            _assert_conserving(net, flows)
+            _assert_conserving(net, final_flow)
             state.observer("reconstruct", net)
-    return flows
+    return final_flow
 
 
 def _assert_conserving(net: FlowNetwork, flows: dict[int, int]) -> None:
@@ -366,8 +359,8 @@ def max_flow_decomposed(
     final_net, value, final_flow = phase1(state, path_comps, up, above, s, t)
     if observer is not None:
         observer("final", final_net)
-    flows = reconstruct(state, final_flow)
-    if len(flows) != len(graph.edges) or not all(e.id in flows for e in graph.edges):
+    flows = reconstruct(state, dict.fromkeys((e.id for e in graph.edges), 0) | final_flow)
+    if len(flows) != len(graph.edges):  # every mimic arc was popped
         raise AssertionError("reconstruction did not restore the original edge set")
     return value, flows
 

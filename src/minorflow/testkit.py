@@ -18,7 +18,6 @@ from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from typing import Sequence
 
-import networkx as nx
 import numpy as np
 
 from .decomposition import DecompositionTree
@@ -233,6 +232,8 @@ def _has_minor(pairs: frozenset[frozenset[int]], target: str, memo: dict) -> boo
     if len(verts) < h_n or len(pairs) < h_m:
         memo[key] = False
         return False
+    import networkx as nx  # here only, so gen and solve --audit do not load it
+
     g = nx.Graph(sorted(tuple(sorted(p)) for p in pairs))
     if nx.check_planarity(g)[0]:
         memo[key] = False

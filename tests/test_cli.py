@@ -45,6 +45,8 @@ def test_network_round_trip():
         ("p max 2 1\na 1 2 9223372036854775808\n", "line 2: capacity"),
         ("p max 2 1\na 1 1 3\n", "line 2: self-loop"),
         ("p max -3 0\n", "line 1: negative vertex or arc count"),
+        ("p max 3 0\nn 1 s\nn 2 s\n", "line 3: duplicate 'n <id> s' line"),
+        ("p max 3 0\nn 1 t\nn 3 s\nn 2 t\n", "line 4: duplicate 'n <id> t' line"),
     ],
 )
 def test_network_parse_errors(text, fragment):
@@ -254,6 +256,52 @@ def test_cli_solve_rejects_non_integer_decomposition_values(tmp_path, capsys, co
     assert err.startswith("error: ") and fragment in err
 
 
+def _three_field_component_edge(doc):
+    del doc["components"][0]["edges"][0][3]
+
+
+def _bare_integer_tree_edge(doc):
+    doc["tree_edges"][0] = doc["tree_edges"][0][0]
+
+
+@pytest.mark.parametrize(
+    "corrupt,fragment",
+    [
+        (_three_field_component_edge, "component edge must be [id, tail, head, cap], got ["),
+        (_bare_integer_tree_edge, "tree edge must be [component, clique], got "),
+    ],
+    ids=["edge-three-fields", "tree-edge-integer"],
+)
+def test_cli_solve_names_the_field_of_a_decomposition_list_of_the_wrong_shape(
+    tmp_path, capsys, corrupt, fragment
+):
+    # These once surfaced Python's own messages: a missing positional
+    # argument of Edge and a failed tuple unpacking.
+    net = tmp_path / "net.max"
+    dec = tmp_path / "tree.json"
+    assert run(tmp_path, "gen", "--family", "k5free", "--n", 30, "--seed", 3, "-o", net, "--tree", dec) == 0
+    doc = json.loads(dec.read_text())
+    corrupt(doc)
+    dec.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(tmp_path, "solve", "--network", net, "--decomposition", dec, "--source", 1, "--sink", 5) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err
+
+
+def test_cli_solve_rejects_a_second_source_line(tmp_path, capsys):
+    # The first source gives value 3; the second, with no arc out, would
+    # give 0 if it silently replaced the first.
+    net = tmp_path / "net.max"
+    net.write_text("p max 3 1\nn 1 s\nn 3 t\nn 2 s\na 1 3 3\n")
+    assert run(tmp_path, "solve", "--network", net, "--family", "k5") == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: line 4: duplicate 'n <id> s' line\n"
+    net.write_text("p max 3 1\nn 1 s\nn 3 t\na 1 3 3\n")
+    assert run(tmp_path, "solve", "--network", net, "--family", "k5") == 0
+    assert capsys.readouterr().out == "value 3\n"
+
+
 def test_cli_decompose_matches_solve_and_rejects_k33(tmp_path, capsys):
     net = tmp_path / "net.max"
     dec = tmp_path / "dec.json"
@@ -349,3 +397,25 @@ def test_importing_the_cli_loads_neither_networkx_nor_numpy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_gen_and_audited_solve_run_without_networkx(tmp_path):
+    # networkx is needed only by testkit's exact minor check, so gen and
+    # solve --audit (which imports testkit for the step audit) run in a
+    # process where importing it fails.
+    src = str(Path(minorflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    net, tree = tmp_path / "net.max", tmp_path / "tree.json"
+    code = (
+        "import sys\n"
+        "sys.modules['networkx'] = None\n"
+        "from minorflow.cli import main\n"
+        f"assert main(['gen', '--family', 'k5free', '--n', '40', '--seed', '2',"
+        f" '-o', {str(net)!r}, '--tree', {str(tree)!r}]) == 0\n"
+        f"for how in (['--decomposition', {str(tree)!r}], ['--family', 'k5']):\n"
+        f"    assert main(['solve', '--network', {str(net)!r}, *how,"
+        " '--source', '1', '--sink', '7', '--audit']) == 0\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.count("audit steps ok") == 2

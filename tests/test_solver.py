@@ -89,10 +89,11 @@ def test_flow_reentry_through_source_component():
     assert verify_flow(graph, TerminalSet.of(s, t), (value, -value), flow)
 
 
-def test_star_of_leaves_on_one_path_triangle_glues_each_leaf_directly():
+def test_star_of_leaves_on_one_path_triangle_glues_each_leaf_directly(monkeypatch):
     # Path component A - triangle - B with five extra leaves on the triangle:
-    # phase I glues each leaf's mimic straight into a path component (five
-    # replacements, no pendant merging), and the path A, B is glued as is.
+    # phase I glues each built leaf's mimic straight into a path component
+    # (one replacement per built leaf, no pendant merging), a leaf with no
+    # record carries zero flow, and the path A, B is glued as is.
     tri = (1, 2, 3)
     edges = [(0, 0, 1, 3), (1, 0, 2, 3), (2, 1, 2, 1), (3, 1, 3, 1), (4, 2, 3, 1)]
     a = FlowNetwork.from_edges(edges, tri)
@@ -115,15 +116,24 @@ def test_star_of_leaves_on_one_path_triangle_glues_each_leaf_directly():
         tree.attach(cid, k)
     graph = tree.reassemble()
     assert validate(graph, tree)[0]
+    seen = capture_records(monkeypatch)
     nets, observer = collecting_observer()
     stages = []
 
     def recording(stage, net):
-        stages.append(stage)
+        stages.append((stage, net))
         observer(stage, net)
 
     value, flow = max_flow_decomposed(graph, tree, 0, 9, observer=recording)
-    assert stages.count("replace") == 5
+    (records,) = seen
+    (final_net,) = [net for stage, net in stages if stage == "final"]
+    leaves = set(tree.components) - {ca, cb}
+    unbuilt = without_record(tree, [ca, cb], records)
+    assert [stage for stage, _ in stages].count("replace") == len(records) == 5 - len(unbuilt)
+    built = {id(tree.components[c].net) for c in leaves - unbuilt}
+    assert {id(rec.net) for rec in records} == built
+    assert all(rec.children == () and set(rec.mimic) <= set(final_net.edges) for rec in records)
+    assert all(flow[e.id] == 0 for c in unbuilt for e in tree.components[c].net.edges)
     assert value == oracle_max_flow(graph, 0, 9)
     assert verify_flow(graph, TerminalSet.of(0, 9), (value, -value), flow)
     assert audit_step_values(nets, 0, 9)
@@ -307,17 +317,28 @@ def test_chain_of_two_hundred_components_solves_whole():
 
 
 @pytest.mark.parametrize("family", ["k33free", "k5free"])
-def test_only_off_path_components_are_replaced(family, rng):
-    longest = 0
+def test_only_off_path_components_are_replaced(family, monkeypatch, rng):
+    # One replace stage and one reconstruct stage per record, and every
+    # record is an off-path component's; an off-path component with no
+    # record carries zero flow.
+    seen = capture_records(monkeypatch)
+    longest = replaced = 0
     for seed in range(6):
         graph, tree = gen_instance(GenConfig(family, 40, seed=seed))
         s, t = rng.sample(sorted(graph.vertices), 2)
         path, _, _ = locate_terminal_path(tree, s, t)
         longest = max(longest, len(path))
         stages = []
-        max_flow_decomposed(graph, tree, s, t, observer=lambda stage, net: stages.append(stage))
-        assert stages.count("replace") == len(tree.components) - len(path)
-    assert longest > 1
+        _, flow = max_flow_decomposed(
+            graph, tree, s, t, observer=lambda stage, net: stages.append(stage)
+        )
+        records = seen[-1]
+        unbuilt = without_record(tree, path, records)
+        assert stages.count("replace") == stages.count("reconstruct") == len(records)
+        assert len(records) + len(unbuilt) == len(tree.components) - len(path)
+        assert all(flow[e.id] == 0 for c in unbuilt for e in tree.components[c].net.edges)
+        replaced += len(records)
+    assert longest > 1 and replaced > 0
 
 
 def test_one_tree_walk_per_query(monkeypatch, rng):
@@ -476,12 +497,27 @@ def capture_records(monkeypatch):
     return seen
 
 
-def rebuilt_replay_networks(records, final_net):
+def without_record(tree, path, records):
+    """Off-path components that got no replacement record: the ones Phase I
+    never built."""
+    recorded = {id(rec.net) for rec in records}
+    return {
+        cid
+        for cid, comp in tree.components.items()
+        if cid not in path and id(comp.net) not in recorded
+    }
+
+
+def rebuilt_replay_networks(records, final_net, unbuilt=()):
     """Vertex and edge sets of the network after each pop of the replay,
-    rebuilt from the records alone: the final network, less each popped
-    record's mimic arcs and hub, plus the network the mimic replaced."""
+    rebuilt from the records alone: the final network with the ``unbuilt``
+    components' networks, less each popped record's mimic arcs and hub,
+    plus the network the mimic replaced."""
     edges = dict(final_net.edge_by_id)
     vertices = set(final_net.vertices)
+    for net in unbuilt:
+        edges.update(net.edge_by_id)
+        vertices |= net.vertices
     rebuilt = []
     for rec in reversed(records):
         for e in rec.mimic:
@@ -496,12 +532,14 @@ def rebuilt_replay_networks(records, final_net):
 
 def test_replay_audits_the_networks_rebuilt_from_the_records(monkeypatch):
     # The replay audits Phase I's own step networks in reverse; rebuilding
-    # them from the records and the final network is the reference.
+    # them from the records, the final network and the off-path components
+    # with no record, which stay in every step network, is the reference.
     seen = capture_records(monkeypatch)
-    pops = 0
+    pops = kept = 0
     for family, seed in itertools.product(("planar", "k33free", "k5free"), range(15)):
         graph, tree = gen_instance(GenConfig(family, 40, seed=seed))
         s, t = random.Random(seed).sample(sorted(graph.vertices), 2)
+        path, _, _ = locate_terminal_path(tree, s, t)
         stages = []
         value, flow = max_flow_decomposed(
             graph, tree, s, t, observer=lambda stage, net: stages.append((stage, net))
@@ -514,10 +552,12 @@ def test_replay_audits_the_networks_rebuilt_from_the_records(monkeypatch):
         replayed = [
             (net.vertices, frozenset(net.edges)) for stage, net in stages if stage == "reconstruct"
         ]
-        assert replayed == rebuilt_replay_networks(records, final_net)
+        unbuilt = [tree.components[c].net for c in without_record(tree, path, records)]
+        assert replayed == rebuilt_replay_networks(records, final_net, unbuilt)
         assert verify_flow(graph, TerminalSet.of(s, t), (value, -value), flow)
         pops += k
-    assert pops > 0
+        kept += len(unbuilt) if k else 0
+    assert pops > 0 and kept > 0
 
 
 def expected_mimic(rec):
@@ -525,8 +565,6 @@ def expected_mimic(rec):
     from minorflow.external import cut_table
     from minorflow.mimic import build_full_mimic
 
-    if len(rec.terminals) == 1:
-        return ()
     table = cut_table(rec.snapshot(), TerminalSet(rec.terminals))
     hub = rec.mimic[0].head if len(rec.terminals) == 3 else None
     return build_full_mimic(table, hub, rec.mimic[0].id).edges
@@ -544,27 +582,26 @@ def below_one_vertex_cliques(tree, path, up, above):
 
 @pytest.mark.parametrize("family", ["k33free", "k5free"])
 def test_installed_mimics_equal_the_full_table_mimic(family, monkeypatch, rng):
-    # Every record with a mimic holds the full-table mimic of its snapshot;
-    # a component never built, as is every one below a one-vertex clique,
-    # has no mimic and no children.
+    # Every record holds the full-table mimic of its snapshot, whose child
+    # arcs are mimics of earlier records; every component below a
+    # one-vertex clique is an off-path component with no record.
     seen = capture_records(monkeypatch)
     kinds = set()
     for seed in range(6):
         graph, tree = gen_instance(GenConfig(family, 40, seed=seed))
         s, t = rng.sample(sorted(graph.vertices), 2)
         path, up, above = locate_terminal_path(tree, s, t)
-        below = below_one_vertex_cliques(tree, path, up, above)
-        below = {id(tree.components[c].net) for c in below}
         value, flow = max_flow_decomposed(graph, tree, s, t)
         assert value == oracle_max_flow(graph, s, t)
-        assert len(seen[-1]) == len(tree.components) - len(path)
-        for rec in seen[-1]:
-            if rec.mimic:
-                assert id(rec.net) not in below
-                assert rec.mimic == expected_mimic(rec)
-                kinds.add(len(rec.terminals))
-            else:
-                assert rec.children == ()
+        records = seen[-1]
+        below = below_one_vertex_cliques(tree, path, up, above)
+        assert below <= without_record(tree, path, records)
+        installed = set()
+        for rec in records:
+            assert rec.mimic == expected_mimic(rec) != ()
+            assert set(rec.children) <= installed
+            installed |= set(rec.mimic)
+            kinds.add(len(rec.terminals))
     assert kinds >= ({2} if family == "k33free" else {2, 3})
 
 
@@ -678,11 +715,8 @@ def test_built_components_and_solve_rounds_compile_and_zero_demands_skip_the_ker
             assert len(rounds) <= 1 + len(final_mimics)
             for rec in records:
                 own = [extra for net, _, extra in phase1 if net is rec.net]
-                if not rec.mimic:
-                    assert own == [] and rec.children == ()
-                    continue
                 built += 1
-                assert len(rec.terminals) > 1
+                assert rec.mimic and len(rec.terminals) > 1
                 assert own[0] == set() and own[-1] == {e.id for e in rec.children}
                 assert all(a < b for a, b in zip(own, own[1:]))
                 assert len(own) <= 1 + len({mimic_owner[e.id] for e in rec.children})
@@ -722,13 +756,44 @@ def test_phase1_builds_with_build_full_mimic_and_the_replay_routes_with_route_ex
             value, flow = max_flow_decomposed(graph, tree, s, t, validate_input=False)
             records = seen[-1]
             demands = subtree_demands(records, flow)
-            assert calls["build_full_mimic"] == sum(1 for rec in records if rec.mimic)
+            assert calls["build_full_mimic"] == len(records)
             assert calls["route_external_flow"] == sum(1 for d in demands if any(d.values()))
             built += calls["build_full_mimic"]
             routed += calls["route_external_flow"]
             assert value == oracle_max_flow(graph, s, t)
             assert verify_flow(graph, TerminalSet.of(s, t), (value, -value), flow)
     assert built > 0 and routed > 0
+
+
+@pytest.mark.parametrize("audit", [False, True], ids=["plain", "observer"])
+def test_phase1_records_only_the_components_it_builds(audit, monkeypatch):
+    # Each ReplacementRecord comes with one build_full_mimic call, with or
+    # without an observer, while most off-path components are never built.
+    calls = {"ReplacementRecord": 0, "build_full_mimic": 0}
+    for name in calls:
+        real = getattr(solver, name)
+
+        def counting(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(solver, name, counting)
+    built = unbuilt = 0
+    for family, seed in itertools.product(("k33free", "k5free"), range(4)):
+        graph, tree = gen_instance(GenConfig(family, 60, seed=seed))
+        s, t = random.Random(seed).sample(sorted(graph.vertices), 2)
+        path, _, _ = locate_terminal_path(tree, s, t)
+        calls.update(dict.fromkeys(calls, 0))
+        observer = collecting_observer()[1] if audit else None
+        value, flow = max_flow_decomposed(
+            graph, tree, s, t, validate_input=False, observer=observer
+        )
+        assert calls["ReplacementRecord"] == calls["build_full_mimic"]
+        built += calls["build_full_mimic"]
+        unbuilt += len(tree.components) - len(path) - calls["build_full_mimic"]
+        assert value == oracle_max_flow(graph, s, t)
+        assert verify_flow(graph, TerminalSet.of(s, t), (value, -value), flow)
+    assert 0 < built < unbuilt
 
 
 def hanging_tree(x):
@@ -779,10 +844,9 @@ def test_components_below_a_one_vertex_clique_get_no_kernel(x, monkeypatch):
     nets, observer = collecting_observer()
     value, flow = max_flow_decomposed(graph, tree, 0, 1, observer=observer)
     # Only the final solve compiles and runs the engine, on the path alone,
-    # and every hanging component gets an empty record.
+    # and the hanging components are the off-path components with no record.
     assert len(compiled) == len(runs) == 1 and not compiled[0] & dead
-    assert {id(rec.net) for rec in seen[0]} == {id(tree.components[c].net) for c in hanging}
-    assert all(rec.mimic == rec.children == () for rec in seen[0])
+    assert seen == [[]] and without_record(tree, path, seen[0]) == hanging
     monkeypatch.undo()
     assert all(flow[i] == 0 for i in dead)
     assert value == oracle_max_flow(graph, 0, 1) > 0
@@ -810,13 +874,12 @@ def test_unbuilt_components_carry_zero_and_values_stay_exact(family, n, seed):
     graph, tree = gen_instance(GenConfig(family, n, seed=seed))
     vertices = sorted(graph.vertices)
     pairs = random.Random(seed).sample([(s, t) for s in vertices for t in vertices if s != t], 4)
-    owner = {id(c.net): cid for cid, c in tree.components.items()}
     with pytest.MonkeyPatch.context() as patch:
         seen = capture_records(patch)
         for s, t in pairs:
             path, up, above = locate_terminal_path(tree, s, t)
             value, flow = check_pair(graph, tree, s, t)
-            unbuilt = {owner[id(rec.net)] for rec in seen[-1] if not rec.mimic}
+            unbuilt = without_record(tree, path, seen[-1])
             assert below_one_vertex_cliques(tree, path, up, above) <= unbuilt
             assert all(flow[e.id] == 0 for c in unbuilt for e in tree.components[c].net.edges)
 
@@ -851,7 +914,7 @@ def test_many_pairs_per_network_are_exact_and_certified(family, n, seed):
         seen = capture_records(patch)
         for s, t in pairs:
             check_pair(graph, tree, s, t)
-        split = sorted({rec.terminals for records in seen for rec in records if rec.mimic})
+        split = sorted({rec.terminals for records in seen for rec in records})
         for terminals in rng.sample(split, min(2, len(split))):
             q = rng.choice(terminals)
             other = rng.choice([v for v in vertices if v != q])
@@ -899,10 +962,9 @@ def test_second_round_splits_a_triangle_below_a_built_child_that_stays_unbuilt(m
     nets, observer = collecting_observer()
     value, flow = max_flow_decomposed(graph, tree, s, t, observer=observer)
     assert rounds == [0, 1, 2]
-    built = [rec.net for rec in seen[0] if rec.mimic]
-    assert built == [tree.components[c1].net, tree.components[c2].net]
-    assert [rec.net for rec in seen[0] if not rec.mimic] == [tree.components[c3].net]
-    assert [len(rec.terminals) for rec in seen[0]] == [2, 3, 2]
+    assert [rec.net for rec in seen[0]] == [tree.components[c1].net, tree.components[c2].net]
+    assert without_record(tree, [path], seen[0]) == {c3}
+    assert [len(rec.terminals) for rec in seen[0]] == [2, 3]
     assert value == 5 == oracle_max_flow(graph, s, t)
     assert flow[30] == flow[31] == 0
     assert verify_flow(graph, TerminalSet.of(s, t), (value, -value), flow)
@@ -947,8 +1009,8 @@ def test_off_path_chains_deeper_than_the_recursion_limit(kind, monkeypatch):
     seen = capture_records(monkeypatch)
     value, flow = max_flow_decomposed(graph, tree, s, t, validate_input=False)
     records = seen[0]
-    assert len(records) == len(tree.components) - 1
-    assert all(bool(rec.mimic) == (kind == "built") for rec in records)
+    assert len(records) == (len(tree.components) - 1 if kind == "built" else 0)
+    assert all(rec.mimic for rec in records)
     assert value == want == max_flow(graph, s, t)[0]
     assert verify_flow(graph, TerminalSet.of(s, t), (value, -value), flow)
     assert certify_max_flow(graph, s, t, flow)
