@@ -5,10 +5,13 @@ highest-value one of 8 seeded candidates, ranked by the direct max flow,
 which is timed beside the pipeline.  The tree is written with
 ``write_decomposition`` and parsed back, so that, as for the CLI and the
 benchmark, its edges are other objects than the network's and ``validate``
-compares them field by field.  ``validate`` is timed on its own and the
-pipeline then solves with ``validate_input=False``, so its line holds only
-the solve.  Both lines give the cyclic-GC collections per generation made
-inside them (``gc.callbacks``).  The script exits 1, printing the first
+compares them field by field.  ``validate`` is timed on its own, and its line
+also gives the torsos whose planarity it tested (those above the size cap)
+and the time of those tests, taken by wrapping the decomposition module's
+``lr_planarity`` binding.  The pipeline then solves with
+``validate_input=False``, so its line holds only the solve.  Both lines
+give the cyclic-GC collections per generation made inside them
+(``gc.callbacks``).  The script exits 1, printing the first
 problems, when the tree is invalid, and exits 1 when the two values differ
 or the pipeline's flow fails verification.  With --decomposer, the
 pipeline solves on the family decomposer's tree instead of the generated
@@ -89,6 +92,28 @@ def decompose_work():
     finally:
         for name, fn in real.items():
             setattr(decomposition, name, fn)
+
+
+@contextlib.contextmanager
+def planarity_work():
+    """Count and time ``validate``'s planarity tests through the
+    decomposition module's ``lr_planarity`` binding."""
+    seen = {"torsos": 0, "seconds": 0.0}
+    real = decomposition.lr_planarity
+
+    def lr_planarity(nbrs):
+        start = time.perf_counter()
+        try:
+            return real(nbrs)
+        finally:
+            seen["seconds"] += time.perf_counter() - start
+            seen["torsos"] += 1
+
+    decomposition.lr_planarity = lr_planarity
+    try:
+        yield seen
+    finally:
+        decomposition.lr_planarity = real
 
 
 @contextlib.contextmanager
@@ -193,12 +218,13 @@ def main() -> None:
 
     tree = parse_decomposition(write_decomposition(tree))
     t3 = time.monotonic()
-    with gc_collections() as collected:
+    with gc_collections() as collected, planarity_work() as planarity:
         ok, problems = validate(graph, tree)
     validated = time.monotonic()
     print(
         f"validate (tree parsed back from text): {'ok' if ok else 'INVALID'} "
-        f"in {validated - t3:.2f}s, gc collections {collected}"
+        f"in {validated - t3:.2f}s, planarity-tested torsos {planarity['torsos']} "
+        f"in {planarity['seconds']:.3f}s, gc collections {collected}"
     )
     if not ok:
         for problem in problems[:5]:

@@ -162,6 +162,30 @@ def _list(x: object, field: str, shape: tuple[str, ...]) -> list:
     return x
 
 
+def _shown(x: object) -> str:
+    """``x`` as a message shows it: a list or an object, which may hold the
+    whole file, by its kind only."""
+    if type(x) is list:
+        return "a list"
+    if type(x) is dict:
+        return "an object"
+    return json.dumps(x)
+
+
+def _items(x: object, field: str) -> list:
+    """``x`` if it is a JSON list."""
+    if type(x) is not list:
+        raise FormatError(f"{field} must be a list, got {_shown(x)}")
+    return x
+
+
+def _object(x: object, field: str, keys: tuple[str, ...]) -> dict:
+    """``x`` if it is a JSON object; its ``keys`` are read by the caller."""
+    if type(x) is not dict:
+        raise FormatError(f"{field} must be an object with {', '.join(keys)}, got {_shown(x)}")
+    return x
+
+
 def parse_decomposition(text: str) -> DecompositionTree:
     try:
         doc = json.loads(text)
@@ -169,25 +193,29 @@ def parse_decomposition(text: str) -> DecompositionTree:
         raise FormatError(f"bad JSON: {exc}") from None
     tree = DecompositionTree()
     try:
-        for comp in doc["components"]:
+        doc = _object(doc, "decomposition", ("components", "cliques", "tree_edges"))
+        for comp in _items(doc["components"], "components"):
+            comp = _object(comp, "component", ("id", "vertices", "edges"))
             shape = ("id", "tail", "head", "cap")
-            edges = [_list(e, "component edge", shape) for e in comp["edges"]]
+            edges = [_list(e, "component edge", shape) for e in _items(comp["edges"], "component edges")]
             net = FlowNetwork.from_edges(
                 [tuple(_int(x, "component edge field") for x in e) for e in edges],
-                (_int(v, "component vertex") for v in comp["vertices"]),
+                (_int(v, "component vertex") for v in _items(comp["vertices"], "component vertices")),
             )
             cid = _int(comp["id"], "component id")
             if cid in tree.components:
                 raise FormatError(f"duplicate component id {cid}")
             tree.components[cid] = Component(cid, net)
             tree.comp_cliques[cid] = set()
-        for cl in doc["cliques"]:
+        for cl in _items(doc["cliques"], "cliques"):
+            cl = _object(cl, "clique", ("id", "vertices"))
             kid = _int(cl["id"], "clique id")
             if kid in tree.cliques:
                 raise FormatError(f"duplicate clique id {kid}")
-            tree.cliques[kid] = Clique(kid, frozenset(_int(v, "clique vertex") for v in cl["vertices"]))
+            vertices = _items(cl["vertices"], "clique vertices")
+            tree.cliques[kid] = Clique(kid, frozenset(_int(v, "clique vertex") for v in vertices))
             tree.clique_comps[kid] = set()
-        for pair in doc["tree_edges"]:
+        for pair in _items(doc["tree_edges"], "tree_edges"):
             cid, kid = _list(pair, "tree edge", ("component", "clique"))
             cid, kid = _int(cid, "tree edge component"), _int(kid, "tree edge clique")
             if cid not in tree.components or kid not in tree.cliques:

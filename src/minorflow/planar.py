@@ -1,8 +1,11 @@
 """Undirected-graph questions for the structure layer, one way to answer each.
 
-- ``is_planar``: the testing phase of the left-right planarity test
-  (Brandes 2009), run on the adjacency mapping itself; yes/no only, with no
-  networkx object, embedding or Kuratowski witness built.
+- ``lr_planarity``: the testing phase of the left-right planarity test
+  (Brandes 2009), one kernel on index adjacency lists that returns both the
+  number of DFS roots (the connected components) and the yes/no verdict,
+  with no networkx object, embedding or Kuratowski witness built.
+  ``is_planar`` is its wrapper for an adjacency mapping, and ``validate``
+  calls it directly on the index-list torsos it builds.
 - ``planar_embed``: a clockwise rotation system for a planar graph (None for
   a non-planar one) from networkx's ``check_planarity``; faces come from the
   standard half-edge walk, so triangle/face membership queries are cheap.
@@ -219,188 +222,203 @@ def planar_embed(adj: Adjacency) -> PlanarEmbedding | None:
 
 
 def is_planar(adj: Adjacency) -> bool:
-    """Whether the simple undirected graph ``adj`` is planar.
+    """Whether the simple undirected graph ``adj`` is planar: ``lr_planarity``
+    on its index adjacency lists."""
+    index = {v: i for i, v in enumerate(adj)}
+    return lr_planarity([[index[w] for w in nbrs] for nbrs in adj.values()])[1]
+
+
+def lr_planarity(nbrs: Sequence[Iterable[int]]) -> tuple[int, bool]:
+    """(roots, planar) for the simple graph on vertices 0..n-1 whose
+    neighbours of v are ``nbrs[v]``: the number of depth-first search roots,
+    which is the number of connected components, and whether it is planar.
 
     The testing phase of the left-right planarity test (Brandes, "The
     left-right planarity test", 2009): an orientation DFS computes heights,
-    lowpoints and nesting depths, and a testing DFS over adjacency lists
-    sorted by nesting depth keeps a stack of conflict pairs.  Both passes are
-    iterative, and no sign or embedding phase runs.
+    lowpoints and nesting depths, and a testing DFS over the out-edges of
+    each vertex, sorted by nesting depth, keeps a stack of conflict pairs.
+    Both passes are iterative, and no sign or embedding phase runs.
 
-    A graph with at most 4 vertices or at most 8 edges is planar without
-    the test (Kuratowski): a subdivision of K5 has at least 5 vertices and
-    10 edges, one of K3,3 at least 6 vertices and 9 edges.
+    The orientation DFS always runs, since it counts the roots.  A graph
+    with at most 4 vertices or at most 8 edges is planar without the
+    testing DFS (Kuratowski): a subdivision of K5 has at least 5 vertices
+    and 10 edges, one of K3,3 at least 6 vertices and 9 edges.  One with
+    more than 3n - 6 edges is not (Euler).
     """
-    n = len(adj)
-    m = sum(map(len, adj.values())) // 2
-    if n <= 4 or m <= 8:
-        return True
-    if m > 3 * n - 6:
-        return False
-    index = {v: i for i, v in enumerate(adj)}
-    nbrs = [[index[w] for w in adj[v]] for v in adj]
-
-    # Orientation: edges are numbered as they are oriented, tail -> head, and
-    # a tree edge is the parent edge of its head.
+    n = len(nbrs)
+    m = sum(map(len, nbrs)) // 2
+    # Orientation.  Edges are oriented away from the vertex searched first.
+    # The tree edge into w is numbered w (a root's number is unused), and
+    # back edges n, n + 1, ... in the order found.  Edge n + m stands for "no edge" in the testing phase:
+    # it has no head and a lowpoint below every height.
+    none = n + m
     height = [-1] * n
-    parent = [-1] * n
-    tail = [0] * m
-    head = [0] * m
-    lowpt = [0] * m
-    lowpt2 = [0] * m
-    nesting = [0] * m
+    lowpt = [-1] * (none + 1)
+    lowpt2 = [0] * n  # of tree edges only
+    nesting = [0] * none
+    head = [-1] * (none + 1)  # of back edges only
     out: list[list[int]] = [[] for _ in range(n)]
     roots: list[int] = []
-    pos = [0] * n
-    edges = 0
-
-    def finish(e: int) -> None:
-        """Nesting depth of ``e``, then the lowpoints of its tail's parent edge."""
-        v = tail[e]
-        low, low2 = lowpt[e], lowpt2[e]
-        nesting[e] = 2 * low + (low2 < height[v])
-        p = parent[v]
-        if p >= 0:
-            if low < lowpt[p]:
-                lowpt2[p] = min(lowpt[p], low2)
-                lowpt[p] = low
-            elif low > lowpt[p]:
-                lowpt2[p] = min(lowpt2[p], low)
-            else:
-                lowpt2[p] = min(lowpt2[p], low2)
-
+    back = n
     for root in range(n):
         if height[root] >= 0:
             continue
         height[root] = 0
         roots.append(root)
         stack = [root]
+        iters = [iter(nbrs[root])]
         while stack:
             v = stack[-1]
             hv = height[v]
-            nv = nbrs[v]
-            i = pos[v]
-            while i < len(nv):
-                w = nv[i]
-                i += 1
+            for w in iters[-1]:
                 hw = height[w]
-                if hw >= 0 and hw >= hv - 1:  # the parent or a descendant: already oriented
-                    continue
-                e = edges
-                edges += 1
-                tail[e], head[e] = v, w
-                lowpt[e] = lowpt2[e] = hv
-                out[v].append(e)
                 if hw < 0:  # tree edge; finished when w is
-                    parent[w] = e
+                    out[v].append(w)
+                    lowpt[w] = lowpt2[w] = hv
                     height[w] = hv + 1
-                    pos[v] = i
                     stack.append(w)
+                    iters.append(iter(nbrs[w]))
                     break
-                lowpt[e] = hw  # back edge
-                finish(e)
+                if hw < hv - 1:  # back edge; the parent and descendants are oriented
+                    # Its lowpoints are (hw, hv) and its nesting depth 2 hw;
+                    # fold them into v's tree edge, whose lowpoints are at
+                    # most hv - 1.
+                    out[v].append(back)
+                    head[back] = w
+                    lowpt[back] = hw
+                    nesting[back] = 2 * hw
+                    back += 1
+                    lv = lowpt[v]
+                    if hw < lv:
+                        lowpt2[v] = lv
+                        lowpt[v] = hw
+                    elif lv < hw < lowpt2[v]:
+                        lowpt2[v] = hw
             else:
                 stack.pop()
-                if parent[v] >= 0:
-                    finish(parent[v])
+                iters.pop()
+                if not hv:
+                    continue
+                # Finish the tree edge into v: its nesting depth, then fold
+                # its lowpoints into its tail's tree edge.
+                low = lowpt[v]
+                low2 = lowpt2[v]
+                nesting[v] = 2 * low + (low2 < hv - 1)
+                if hv > 1:
+                    u = stack[-1]
+                    lu = lowpt[u]
+                    if low < lu:
+                        lowpt2[u] = lu if lu < low2 else low2
+                        lowpt[u] = low
+                    elif low > lu:
+                        if low < lowpt2[u]:
+                            lowpt2[u] = low
+                    elif low2 < lowpt2[u]:
+                        lowpt2[u] = low2
+    if n <= 4 or m <= 8:
+        return len(roots), True
+    if m > 3 * n - 6:
+        return len(roots), False
 
-    # Testing.  A conflict pair is [L.low, L.high, R.low, R.high]; an
-    # interval is a chain of return edges linked by ``ref`` from high to low.
-    for nv in out:
-        nv.sort(key=nesting.__getitem__)
-    ref: list[int | None] = [None] * m
-    bottom = [0] * m
-    pairs: list[list] = []
-
-    def conflicting(high: int | None, b: int) -> bool:
-        return high is not None and lowpt[high] > lowpt[b]
-
-    def add_constraints(ei: int, e: int) -> bool:
-        p = [None, None, None, None]
-        # Merge the return edges of ei into P.R.
-        while True:
-            q = pairs.pop()
-            if q[0] is not None or q[1] is not None:
-                q = [q[2], q[3], q[0], q[1]]
-                if q[0] is not None or q[1] is not None:
-                    return False
-            if lowpt[q[2]] > lowpt[e]:
-                if p[2] is None and p[3] is None:
-                    p[3] = q[3]
-                else:
-                    ref[p[2]] = q[3]
-                p[2] = q[2]
-            if len(pairs) == bottom[ei]:
-                break
-        # Merge the conflicting return edges of earlier siblings into P.L.
-        while conflicting(pairs[-1][1], ei) or conflicting(pairs[-1][3], ei):
-            q = pairs.pop()
-            if conflicting(q[3], ei):
-                q = [q[2], q[3], q[0], q[1]]
-                if conflicting(q[3], ei):
-                    return False
-            if p[2] is not None:
-                ref[p[2]] = q[3]
-            if q[2] is not None:
-                p[2] = q[2]
-            if p[0] is None and p[1] is None:
-                p[1] = q[1]
-            else:
-                ref[p[0]] = q[1]
-            p[0] = q[0]
-        if any(x is not None for x in p):
-            pairs.append(p)
-        return True
-
-    def lowest(p: list) -> int:
-        if p[0] is None and p[1] is None:
-            return lowpt[p[2]]
-        if p[2] is None and p[3] is None:
-            return lowpt[p[0]]
-        return min(lowpt[p[0]], lowpt[p[2]])
-
-    def remove_back_edges(e: int) -> None:
-        u = tail[e]
-        while pairs and lowest(pairs[-1]) == height[u]:
-            pairs.pop()
-        if pairs:  # trim the top pair's intervals of edges returning to u
-            p = pairs[-1]
-            for h, lo in ((1, 0), (3, 2)):
-                while p[h] is not None and head[p[h]] == u:
-                    p[h] = ref[p[h]]
-                if p[h] is None:
-                    p[lo] = None
-
-    def integrate(ei: int) -> bool:
-        """Take in the return edges of ``ei`` at its tail; the first edge
-        out of a vertex has no earlier sibling to conflict with."""
-        v = tail[ei]
-        return lowpt[ei] >= height[v] or ei == out[v][0] or add_constraints(ei, parent[v])
-
-    pos = [0] * n
+    # Testing.  A conflict pair is a tuple (L.low, L.high, R.low, R.high)
+    # of back edges, ``none`` for no edge; an interval is a chain of return
+    # edges linked by ``ref`` from high to low, and is empty when both of
+    # its ends are ``none``.  A back edge whose lowpoint is above edge b's
+    # conflicts with b; ``none`` conflicts with nothing.
+    for ov in out:
+        if len(ov) > 1:
+            ov.sort(key=nesting.__getitem__)
+    ref = [none] * (none + 1)
+    bottom = [0] * none
+    pairs: list[tuple[int, int, int, int]] = []
     for root in roots:
         stack = [root]
+        iters = [iter(out[root])]
         while stack:
             v = stack[-1]
-            ov = out[v]
-            i = pos[v]
-            while i < len(ov):
-                ei = ov[i]
-                i += 1
+            ei = next(iters[-1], -1)
+            if ei >= 0:
                 bottom[ei] = len(pairs)
-                w = head[ei]
-                if parent[w] == ei:  # tree edge; integrated when w is done
-                    pos[v] = i
-                    stack.append(w)
-                    break
-                pairs.append([None, None, ei, ei])
-                if not integrate(ei):
-                    return False
+                if ei < n:  # tree edge; integrated when ei is done
+                    stack.append(ei)
+                    iters.append(iter(out[ei]))
+                    continue
+                pairs.append((none, none, ei, ei))
             else:
                 stack.pop()
-                e = parent[v]
-                if e >= 0:
-                    remove_back_edges(e)
-                    if not integrate(e):
-                        return False
-    return True
+                iters.pop()
+                if not stack:
+                    continue
+                # Back from the tree edge ei = (v, ei).  Remove the back
+                # edges returning to v: drop the pairs whose lowest return
+                # is v, then trim v's edges off the top pair's intervals.
+                ei = v
+                v = stack[-1]
+                hv = height[v]
+                while pairs:
+                    ll, lh, rl, rh = pairs[-1]
+                    if ll == none and lh == none:
+                        lowest = lowpt[rl]
+                    elif rl == none and rh == none:
+                        lowest = lowpt[ll]
+                    else:
+                        lowest = min(lowpt[ll], lowpt[rl])
+                    if lowest != hv:
+                        break
+                    pairs.pop()
+                if pairs:
+                    ll, lh, rl, rh = pairs[-1]
+                    while head[lh] == v:
+                        lh = ref[lh]
+                    if lh == none:
+                        ll = none
+                    while head[rh] == v:
+                        rh = ref[rh]
+                    if rh == none:
+                        rl = none
+                    pairs[-1] = (ll, lh, rl, rh)
+            # Integrate the return edges of ei at its tail v, whose tree
+            # edge is v.  The first edge out of v has no earlier sibling to
+            # conflict with.
+            if lowpt[ei] >= height[v] or ei == out[v][0]:
+                continue
+            low_e = lowpt[v]
+            low_i = lowpt[ei]
+            pll = plh = prl = prh = none
+            # Merge the return edges of ei into P.R.
+            while True:
+                ql, qh, rl, rh = pairs.pop()
+                if ql != none or qh != none:
+                    ql, qh, rl, rh = rl, rh, ql, qh
+                    if ql != none or qh != none:
+                        return len(roots), False
+                if lowpt[rl] > low_e:
+                    if prl == none and prh == none:
+                        prh = rh
+                    else:
+                        ref[prl] = rh
+                    prl = rl
+                if len(pairs) == bottom[ei]:
+                    break
+            # Merge the conflicting return edges of earlier siblings into P.L.
+            while pairs:
+                ql, qh, rl, rh = pairs[-1]
+                if lowpt[qh] <= low_i and lowpt[rh] <= low_i:
+                    break
+                pairs.pop()
+                if lowpt[rh] > low_i:
+                    ql, qh, rl, rh = rl, rh, ql, qh
+                    if lowpt[rh] > low_i:
+                        return len(roots), False
+                if prl != none:
+                    ref[prl] = rh
+                if rl != none:
+                    prl = rl
+                if pll == none and plh == none:
+                    plh = qh
+                else:
+                    ref[pll] = qh
+                pll = ql
+            if pll != none or plh != none or prl != none or prh != none:
+                pairs.append((pll, plh, prl, prh))
+    return len(roots), True

@@ -258,10 +258,31 @@ def test_cli_solve_rejects_non_integer_decomposition_values(tmp_path, capsys, co
 
 def _three_field_component_edge(doc):
     del doc["components"][0]["edges"][0][3]
+    return doc
 
 
 def _bare_integer_tree_edge(doc):
     doc["tree_edges"][0] = doc["tree_edges"][0][0]
+    return doc
+
+
+def _top_level_list(doc):
+    return [doc]
+
+
+def _integer_component(doc):
+    doc["components"][0] = 5
+    return doc
+
+
+def _integer_component_vertices(doc):
+    doc["components"][0]["vertices"] = 5
+    return doc
+
+
+def _integer_tree_edges(doc):
+    doc["tree_edges"] = 5
+    return doc
 
 
 @pytest.mark.parametrize(
@@ -269,20 +290,33 @@ def _bare_integer_tree_edge(doc):
     [
         (_three_field_component_edge, "component edge must be [id, tail, head, cap], got ["),
         (_bare_integer_tree_edge, "tree edge must be [component, clique], got "),
+        (
+            _top_level_list,
+            "decomposition must be an object with components, cliques, tree_edges, got a list",
+        ),
+        (_integer_component, "component must be an object with id, vertices, edges, got 5"),
+        (_integer_component_vertices, "component vertices must be a list, got 5"),
+        (_integer_tree_edges, "tree_edges must be a list, got 5"),
     ],
-    ids=["edge-three-fields", "tree-edge-integer"],
+    ids=[
+        "edge-three-fields",
+        "tree-edge-integer",
+        "top-level-list",
+        "component-integer",
+        "vertices-integer",
+        "tree-edges-integer",
+    ],
 )
 def test_cli_solve_names_the_field_of_a_decomposition_list_of_the_wrong_shape(
     tmp_path, capsys, corrupt, fragment
 ):
     # These once surfaced Python's own messages: a missing positional
-    # argument of Edge and a failed tuple unpacking.
+    # argument of Edge, a failed tuple unpacking, a list indexed by a key,
+    # an integer subscripted and integers iterated.
     net = tmp_path / "net.max"
     dec = tmp_path / "tree.json"
     assert run(tmp_path, "gen", "--family", "k5free", "--n", 30, "--seed", 3, "-o", net, "--tree", dec) == 0
-    doc = json.loads(dec.read_text())
-    corrupt(doc)
-    dec.write_text(json.dumps(doc))
+    dec.write_text(json.dumps(corrupt(json.loads(dec.read_text()))))
     capsys.readouterr()
     assert run(tmp_path, "solve", "--network", net, "--decomposition", dec, "--source", 1, "--sink", 5) == 1
     err = capsys.readouterr().err

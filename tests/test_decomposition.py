@@ -228,6 +228,33 @@ def test_validate_rejects_a_non_planar_component_above_the_size_cap():
     assert problems == ["component 0 torso is not planar and has more than 10 vertices"]
 
 
+K33_PAIRS = [(a, b) for a in range(3) for b in range(3, 6)]
+
+
+def test_validate_reports_a_disconnected_non_planar_torso_above_the_cap_twice():
+    # K3,3 on 0..5 beside a path on 6..11: 12 vertices and 14 edges, within
+    # Euler's 3n - 6, so the planarity test runs and fails on the first
+    # part; the second part still counts as a component.
+    net = dnet(K33_PAIRS + [(v, v + 1) for v in range(6, 11)])
+    assert validate(net, single_component_tree(net)) == (
+        False,
+        [
+            "component 0 torso is disconnected",
+            "component 0 torso is not planar and has more than 10 vertices",
+        ],
+    )
+
+
+def test_validate_reports_a_disconnected_planar_torso_above_the_cap_once():
+    # Two 6-cycles: 12 vertices and 12 edges, planar.
+    cycles = [(v, v + 1) for v in range(5)] + [(5, 0)]
+    net = dnet(cycles + [(u + 6, v + 6) for u, v in cycles])
+    assert validate(net, single_component_tree(net)) == (
+        False,
+        ["component 0 torso is disconnected"],
+    )
+
+
 @pytest.mark.parametrize(
     "net",
     [dnet(K5_PAIRS), dnet(V8_PAIRS), k5_with_path(10)],

@@ -12,6 +12,7 @@ from minorflow.planar import (
     components,
     is_planar,
     lowpoint_dfs,
+    lr_planarity,
     planar_embed,
     to_nx,
 )
@@ -190,6 +191,40 @@ def test_small_graphs_agree_with_networkx():
         assert is_planar(adj) is nx.check_planarity(to_nx(adj))[0] is True
     k33 = adj_of((u, v) for u in range(3) for v in range(3, 6))
     assert not is_planar(k33) and not is_planar(K5)
+
+
+@st.composite
+def shortcut_graphs(draw):
+    """Graphs on at most 14 vertices at the kernel's shortcuts: at most 4
+    vertices, at most 8 edges, 9 edges, 3n - 6 or 3n - 5 edges, or complete;
+    half of them split into two parts with no edge between."""
+    rng = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(0, 14))
+    if draw(st.booleans()):
+        cut = rng.randint(0, n)
+        pairs = [(u, v) for u, v in itertools.combinations(range(n), 2) if (u < cut) == (v < cut)]
+    else:
+        pairs = list(itertools.combinations(range(n), 2))
+    m = draw(st.sampled_from(("few", "nine", "euler", "complete")))
+    count = {
+        "few": rng.randint(0, 8),
+        "nine": 9,
+        "euler": 3 * n - 6 + rng.randint(0, 1),
+        "complete": len(pairs),
+    }[m]
+    adj = {v: set() for v in range(n)}
+    for u, v in rng.sample(pairs, max(0, min(len(pairs), count))):
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
+@given(st.one_of(graphs().map(lambda case: case[0]), shortcut_graphs()))
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_lr_planarity_counts_components_and_agrees_with_networkx(adj):
+    index = {v: i for i, v in enumerate(adj)}
+    nbrs = [[index[w] for w in adj[v]] for v in adj]
+    assert lr_planarity(nbrs) == (len(components(adj)), nx.check_planarity(to_nx(adj))[0])
 
 
 def test_validate_does_not_call_networkx_planarity(monkeypatch):

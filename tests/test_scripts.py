@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -34,3 +35,11 @@ def test_script_runs_and_exits_zero(argv):
         timeout=300,
     )
     assert out.returncode == 0, out.stdout + out.stderr
+    if argv[0] == "scale_smoke.py":
+        # validate's line: the verdict and time, then the torsos whose
+        # planarity was tested and the time those tests took.
+        line = (
+            r"^validate \(tree parsed back from text\): ok in \d+\.\d\ds, "
+            r"planarity-tested torsos [1-9]\d* in \d+\.\d{3}s, gc collections \[\d+, \d+, \d+\]$"
+        )
+        assert re.search(line, out.stdout, re.M), out.stdout
