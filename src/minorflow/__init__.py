@@ -39,8 +39,6 @@ from .mimic import (
     merge_mimics,
 )
 from .decomposition import (
-    Clique,
-    Component,
     DecompositionTree,
     InvalidDecomposition,
     NotK33MinorFree,
@@ -64,8 +62,6 @@ from .planar import PlanarEmbedding, planar_embed
 __all__ = [
     "FULL",
     "SINGLE_SOURCE",
-    "Clique",
-    "Component",
     "CutTable",
     "CutCertificate",
     "DecompositionTree",

@@ -23,9 +23,10 @@ from .mimic import build_full_mimic, build_mimic4_single_source
 from .network import FULL, SINGLE_SOURCE, FlowNetwork, TerminalSet, imbalances
 from .solver import FAMILIES, decompose, max_flow_decomposed, max_flow_family
 
-# ``testkit`` (numpy) is imported only by the handlers that need it: gen,
-# oracle and ``solve --audit``, so a plain solve does not load it.  None of
-# them loads networkx, which testkit imports only for its minor check.
+# ``testkit`` is imported only by the handlers that need it: gen, oracle and
+# ``solve --audit``, so a plain solve does not load it.  None of them loads
+# numpy or networkx, which testkit imports only in its cut-table oracle and
+# its minor check.
 
 _AUDIT_LIMIT = 120  # step-value audits re-run the oracle; keep them small
 
@@ -161,7 +162,10 @@ def cmd_verify(args) -> int:
     result = verify_flow(net, TerminalSet.of(s, t), (value, -value), flow)
     if result.ok:
         print(f"value {value}")
-        return 0
+        result = certify_max_flow(net, s, t, flow)
+        if result.ok:
+            print(f"cut ok (source side {len(result.source_side)} vertices, cut {result.cut})")
+            return 0
     for p in result.problems[:20]:
         print(f"problem {p}", file=sys.stderr)
     return 1

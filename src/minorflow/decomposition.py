@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter, deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .network import Edge, FlowNetwork, merge_networks
@@ -47,25 +47,12 @@ class DisconnectedInput(InvalidDecomposition):
 
 
 @dataclass
-class Component:
-    id: int
-    net: FlowNetwork
-
-
-@dataclass
-class Clique:
-    id: int
-    vertices: frozenset[int]
-
-    def __post_init__(self) -> None:
-        if not 1 <= len(self.vertices) <= 3:
-            raise InvalidDecomposition(f"clique size {len(self.vertices)} out of range 1..3")
-
-
-@dataclass
 class DecompositionTree:
-    components: dict[int, Component] = field(default_factory=dict)
-    cliques: dict[int, Clique] = field(default_factory=dict)
+    """Components (edge-disjoint networks) and cliques (vertex sets of size
+    1..3), each keyed by its id, and the tree edges as both incidence maps."""
+
+    components: dict[int, FlowNetwork] = field(default_factory=dict)
+    cliques: dict[int, frozenset[int]] = field(default_factory=dict)
     comp_cliques: dict[int, set[int]] = field(default_factory=dict)
     clique_comps: dict[int, set[int]] = field(default_factory=dict)
 
@@ -87,14 +74,17 @@ class DecompositionTree:
 
     def add_component(self, net: FlowNetwork) -> int:
         cid = self.next_component_id()
-        self.components[cid] = Component(cid, net)
+        self.components[cid] = net
         self._next_component = cid + 1
         self.comp_cliques[cid] = set()
         return cid
 
     def add_clique(self, vertices: Iterable[int]) -> int:
+        vertices = frozenset(vertices)
+        if not 1 <= len(vertices) <= 3:
+            raise InvalidDecomposition(f"clique size {len(vertices)} out of range 1..3")
         kid = self.next_clique_id()
-        self.cliques[kid] = Clique(kid, frozenset(vertices))
+        self.cliques[kid] = vertices
         self._next_clique = kid + 1
         self.clique_comps[kid] = set()
         return kid
@@ -111,9 +101,9 @@ class DecompositionTree:
             self._next_component = -1
 
     def copy(self) -> "DecompositionTree":
-        # Networks are immutable and shared; incidence maps are copied.
+        # Networks and cliques are immutable and shared; incidence maps are copied.
         t = DecompositionTree()
-        t.components = {cid: replace(c) for cid, c in self.components.items()}
+        t.components = dict(self.components)
         t.cliques = dict(self.cliques)
         t.comp_cliques = {cid: set(s) for cid, s in self.comp_cliques.items()}
         t.clique_comps = {kid: set(s) for kid, s in self.clique_comps.items()}
@@ -139,7 +129,7 @@ class DecompositionTree:
         return up, above
 
     def reassemble(self) -> FlowNetwork:
-        return merge_networks(*(c.net for _, c in sorted(self.components.items())))
+        return merge_networks(*(net for _, net in sorted(self.components.items())))
 
 def underlying(net: FlowNetwork) -> Adjacency:
     return adjacency(net.vertices, ((e.tail, e.head) for e in net.edges))
@@ -147,9 +137,9 @@ def underlying(net: FlowNetwork) -> Adjacency:
 
 def torso_adjacency(tree: DecompositionTree, comp_id: int) -> Adjacency:
     """Component underlying graph plus phantom clique-completion edges."""
-    adj = underlying(tree.components[comp_id].net)
+    adj = underlying(tree.components[comp_id])
     for kid in tree.comp_cliques[comp_id]:
-        for u, v in itertools.combinations(tree.cliques[kid].vertices, 2):
+        for u, v in itertools.combinations(tree.cliques[kid], 2):
             adj[u].add(v)
             adj[v].add(u)
     return adj
@@ -230,7 +220,7 @@ def _split(
         for v in verts:
             holders.setdefault(v, []).append(i)
     owned: list[list[Edge]] = [[] for _ in pieces]
-    for e in sorted(tree.components[comp_id].net.edges, key=lambda e: e.id):
+    for e in sorted(tree.components[comp_id].edges, key=lambda e: e.id):
         owned[first_holder[frozenset((e.tail, e.head))]].append(e)
     old_cliques = sorted(tree.comp_cliques[comp_id])
     tree.remove_component(comp_id)
@@ -241,7 +231,7 @@ def _split(
     for verts, members in cliques:
         grouped.setdefault(frozenset(verts), set()).update(ids[i] for i in members)
     for kid in old_cliques:
-        kverts = tree.cliques[kid].vertices
+        kverts = tree.cliques[kid]
         if kverts in grouped:
             for cid in sorted(grouped.pop(kverts)):
                 tree.attach(cid, kid)
@@ -339,7 +329,7 @@ def _triangle_pass(tree: DecompositionTree) -> bool:
         tri_cliques = [
             kid
             for kid in sorted(tree.comp_cliques[cid])
-            if len(tree.cliques[kid].vertices) == 3
+            if len(tree.cliques[kid]) == 3
         ]
         if not tri_cliques:
             continue
@@ -347,7 +337,7 @@ def _triangle_pass(tree: DecompositionTree) -> bool:
         if not is_planar(torso):
             continue
         for kid in tri_cliques:
-            tri = tree.cliques[kid].vertices
+            tri = tree.cliques[kid]
             parts = components(torso, tri)
             if len(parts) < 2:
                 continue
@@ -633,7 +623,7 @@ def validate(graph: FlowNetwork, tree: DecompositionTree) -> tuple[bool, list[st
     edge_problems: list[str] = []
     torso_problems: list[str] = []
     for cid in comp_ids:
-        net = tree.components[cid].net
+        net = tree.components[cid]
         verts = net.vertices
         held += verts
         index = {v: i for i, v in enumerate(verts)}
@@ -657,13 +647,13 @@ def validate(graph: FlowNetwork, tree: DecompositionTree) -> tuple[bool, list[st
             k = tree.cliques.get(kid)
             if k is None:
                 whole = False
-            elif k.vertices <= verts:
-                for u, v in itertools.combinations(k.vertices, 2):
+            elif k <= verts:
+                for u, v in itertools.combinations(k, 2):
                     a, b = index[u], index[v]
                     torso[a].add(b)
                     torso[b].add(a)
             else:
-                outside.append((k.id, cid))
+                outside.append((kid, cid))
                 whole = False
         if not whole:
             continue
@@ -681,6 +671,13 @@ def validate(graph: FlowNetwork, tree: DecompositionTree) -> tuple[bool, list[st
     holders = Counter(held)  # vertex -> number of components holding it
     problems += [f"clique {k} vertices missing from component {c}" for k, c in sorted(outside)]
     shape_ok = not problems
+    # A hand-built tree can hold any vertex set as a clique; the running
+    # intersection below does not depend on the size.
+    problems += [
+        f"clique {kid} size {len(tree.cliques[kid])} out of range 1..3"
+        for kid in clique_ids
+        if not 1 <= len(tree.cliques[kid]) <= 3
+    ]
     problems += edge_problems
     if owner.keys() != graph_edges.keys():
         missing = sorted(graph_edges.keys() - owner.keys())[:5]
@@ -694,7 +691,7 @@ def validate(graph: FlowNetwork, tree: DecompositionTree) -> tuple[bool, list[st
     # number one more than those edges.
     if shape_ok:
         for kid in clique_ids:
-            for v in tree.cliques[kid].vertices:
+            for v in tree.cliques[kid]:
                 holders[v] += 1 - len(tree.clique_comps[kid])
         for v in sorted(v for v, count in holders.items() if count != 1):
             problems.append(f"vertex {v} is shared outside its cliques")

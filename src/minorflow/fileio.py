@@ -8,18 +8,12 @@ from __future__ import annotations
 import json
 from typing import Mapping
 
-from .decomposition import (
-    Clique,
-    Component,
-    DecompositionTree,
-    InvalidDecomposition,
-)
+from .decomposition import DecompositionTree
 from .network import MAX_CAPACITY, Edge, FlowNetwork
 
 
 class FormatError(Exception):
     def __init__(self, message: str, line: int | None = None):
-        self.line = line
         super().__init__(message if line is None else f"line {line}: {message}")
 
 
@@ -111,12 +105,10 @@ def canonical_ids(
     if tree is not None:
         out_tree = DecompositionTree()
         for cid in sorted(tree.components):
-            comp = tree.components[cid]
-            out_tree.components[cid] = Component(cid, remap(comp.net))
+            out_tree.components[cid] = remap(tree.components[cid])
             out_tree.comp_cliques[cid] = set(tree.comp_cliques[cid])
         for kid in sorted(tree.cliques):
-            k = tree.cliques[kid]
-            out_tree.cliques[kid] = type(k)(kid, frozenset(vmap[v] for v in k.vertices))
+            out_tree.cliques[kid] = frozenset(vmap[v] for v in tree.cliques[kid])
             out_tree.clique_comps[kid] = set(tree.clique_comps[kid])
     return remap(net), out_tree, vmap, emap
 
@@ -124,21 +116,21 @@ def canonical_ids(
 def write_decomposition(tree: DecompositionTree) -> str:
     components = []
     for cid in sorted(tree.components):
-        comp = tree.components[cid]
+        net = tree.components[cid]
         components.append(
             {
                 "id": cid,
-                "vertices": sorted(comp.net.vertices),
+                "vertices": sorted(net.vertices),
                 "edges": [
                     [e.id, e.tail, e.head, e.cap]
-                    for e in sorted(comp.net.edges, key=lambda e: e.id)
+                    for e in sorted(net.edges, key=lambda e: e.id)
                 ],
             }
         )
     doc = {
         "components": components,
         "cliques": [
-            {"id": kid, "vertices": sorted(tree.cliques[kid].vertices)}
+            {"id": kid, "vertices": sorted(tree.cliques[kid])}
             for kid in sorted(tree.cliques)
         ],
         "tree_edges": sorted(
@@ -205,15 +197,19 @@ def parse_decomposition(text: str) -> DecompositionTree:
             cid = _int(comp["id"], "component id")
             if cid in tree.components:
                 raise FormatError(f"duplicate component id {cid}")
-            tree.components[cid] = Component(cid, net)
+            tree.components[cid] = net
             tree.comp_cliques[cid] = set()
         for cl in _items(doc["cliques"], "cliques"):
             cl = _object(cl, "clique", ("id", "vertices"))
             kid = _int(cl["id"], "clique id")
             if kid in tree.cliques:
                 raise FormatError(f"duplicate clique id {kid}")
-            vertices = _items(cl["vertices"], "clique vertices")
-            tree.cliques[kid] = Clique(kid, frozenset(_int(v, "clique vertex") for v in vertices))
+            vertices = frozenset(
+                _int(v, "clique vertex") for v in _items(cl["vertices"], "clique vertices")
+            )
+            if not 1 <= len(vertices) <= 3:
+                raise FormatError(f"clique size {len(vertices)} out of range 1..3")
+            tree.cliques[kid] = vertices
             tree.clique_comps[kid] = set()
         for pair in _items(doc["tree_edges"], "tree_edges"):
             cid, kid = _list(pair, "tree edge", ("component", "clique"))
@@ -225,8 +221,6 @@ def parse_decomposition(text: str) -> DecompositionTree:
         raise FormatError(f"missing field {exc}") from None
     except (TypeError, ValueError) as exc:
         raise FormatError(f"malformed value: {exc}") from None
-    except InvalidDecomposition as exc:
-        raise FormatError(str(exc)) from None
     return tree
 
 

@@ -161,9 +161,9 @@ def locate_terminal_path(
     A tree that the walk does not span is rejected here, before any kernel
     is compiled."""
     homes: dict[int, int] = {}
-    for cid, comp in tree.components.items():
+    for cid, net in tree.components.items():
         for v in (s, t):
-            if v in comp.net.vertices:
+            if v in net.vertices:
                 homes[v] = min(cid, homes.get(v, cid))
     for v in (s, t):
         if v not in homes:
@@ -188,7 +188,7 @@ def _split_off(
     keep: list[int] = []
     split: list[int] = []
     for cid in children:
-        clique = tree.cliques[up[cid]].vertices
+        clique = tree.cliques[up[cid]]
         (split if 0 < len(clique & side) < len(clique) else keep).append(cid)
     children[:] = keep
     return split
@@ -223,15 +223,15 @@ def phase1(
     # is never split, so a child below one never waits.
     waiting: dict[int, list[int]] = {}
     for cid, kid in up.items():
-        if cid not in on_path and len(tree.cliques[kid].vertices) > 1:
+        if cid not in on_path and len(tree.cliques[kid]) > 1:
             waiting.setdefault(above[kid], []).append(cid)
     path_waiting = [c for p in path_comps for c in waiting.pop(p, ())]
     replaced: set[int] = set()  # with an observer only
 
     def build(cid: int) -> Iterator[list[int]]:
         kid = up[cid]
-        net = tree.components[cid].net
-        terminals = tuple(sorted(tree.cliques[kid].vertices))
+        net = tree.components[cid]
+        terminals = tuple(sorted(tree.cliques[kid]))
         children = waiting.get(cid, [])
         cuts: dict[frozenset[int], int] = {}
         kernel = None
@@ -255,7 +255,7 @@ def phase1(
         pending.setdefault(above[kid], []).extend(mimic)
         if state.observer is not None:
             replaced.add(cid)
-            alive = [c.net for k, c in tree.components.items() if k not in replaced]
+            alive = [n for c, n in tree.components.items() if c not in replaced]
             step = _glue(alive, (e for arcs in pending.values() for e in arcs))
             state.steps.append(step)
             state.observer("replace", step)
@@ -282,7 +282,7 @@ def phase1(
 def phase2(state: SolveState, path_comps: list[int]) -> FlowNetwork:
     """Glue the terminal path, all that Phase I leaves, into one network."""
     return _glue(
-        (state.tree.components[c].net for c in path_comps),
+        (state.tree.components[c] for c in path_comps),
         (e for c in path_comps for e in state.pending.get(c, ())),
     )
 

@@ -50,7 +50,6 @@ class SkelEdge:
 
 @dataclass
 class SpqrNode:
-    id: int
     kind: str
     edges: list[SkelEdge]
 
@@ -109,7 +108,7 @@ def spqr(adj: Adjacency) -> SpqrTree:
     if sum(map(len, nbrs)) <= 2:
         if len(components(adj)) > 1:
             raise ValueError("SPQR input must be connected")
-        return SpqrTree({0: SpqrNode(0, Q, _edge_list(adj))})
+        return SpqrTree({0: SpqrNode(Q, _edge_list(adj))})
     comps, src, tgt, n_real = _split_components(nbrs)
     pieces: list[tuple[str, list[SkelEdge]]] = []
     for comp in comps:
@@ -479,7 +478,7 @@ def _canonical_tree(pieces: list[tuple[str, list[SkelEdge]]]) -> SpqrTree:
         for i in group_members:
             node_of[i] = nid
             edges.extend(e for e in pieces[i][1] if e.link not in inner)
-        tree.nodes[nid] = SpqrNode(nid, pieces[group_members[0]][0], edges)
+        tree.nodes[nid] = SpqrNode(pieces[group_members[0]][0], edges)
     for link, (a, b) in owners.items():
         if link not in inner:
             tree.tree_edges[link] = (node_of[a], node_of[b])
@@ -499,7 +498,7 @@ def check_spqr_axioms(tree: SpqrTree, adj: Adjacency) -> list[str]:
     """Verify the defining tree properties; returns a list of violations."""
     problems: list[str] = []
     link_count: dict[int, int] = {}
-    for node in tree.nodes.values():
+    for nid, node in tree.nodes.items():
         vset = node.vertices
         deg: dict[int, int] = {w: 0 for w in vset}
         simple_pairs: set[frozenset[int]] = set()
@@ -519,22 +518,22 @@ def check_spqr_axioms(tree: SpqrTree, adj: Adjacency) -> list[str]:
                 and all(d == 2 for d in deg.values())
                 and len(components(_skel_adjacency(node.edges))) == 1
             ):
-                problems.append(f"node {node.id}: not a cycle")
+                problems.append(f"node {nid}: not a cycle")
         elif node.kind == P:
             if not (len(vset) == 2 and len(node.edges) >= 3):
-                problems.append(f"node {node.id}: not a bond")
+                problems.append(f"node {nid}: not a bond")
             if sum(1 for e in node.edges if not e.virtual) > 1:
-                problems.append(f"node {node.id}: P node with several real edges")
+                problems.append(f"node {nid}: P node with several real edges")
         elif node.kind == R:
             if has_parallel or len(vset) < 4:
-                problems.append(f"node {node.id}: R skeleton not simple/nontrivial")
+                problems.append(f"node {nid}: R skeleton not simple/nontrivial")
             elif not _is_3_connected(_skel_adjacency(node.edges)):
-                problems.append(f"node {node.id}: R skeleton not 3-connected")
+                problems.append(f"node {nid}: R skeleton not 3-connected")
         elif node.kind == Q:
             if len(tree.nodes) != 1 or len(node.edges) > 1:
-                problems.append(f"node {node.id}: invalid Q node")
+                problems.append(f"node {nid}: invalid Q node")
         else:
-            problems.append(f"node {node.id}: unknown kind {node.kind}")
+            problems.append(f"node {nid}: unknown kind {node.kind}")
     # Each virtual edge belongs to exactly one tree edge, pairs share endpoints.
     for link, (a, b) in tree.tree_edges.items():
         ea = [e for e in tree.nodes[a].edges if e.link == link]

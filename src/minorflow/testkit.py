@@ -18,8 +18,6 @@ from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .decomposition import DecompositionTree
 from .network import FULL, SINGLE_SOURCE, CutTable, Edge, FlowNetwork, TerminalSet
 from .planar import Adjacency, articulation_points, components
@@ -64,27 +62,21 @@ def oracle_max_flow(net: FlowNetwork, s: int, t: int) -> int:
         value += bottleneck
 
 
-def _cut_values_by_mask(net: FlowNetwork, vertex_order: list[int]) -> np.ndarray:
-    """Capacity of every directed bipartition cut, indexed by source-side
-    mask, in exact ints (an object array): an int64 sum of them can wrap."""
-    n = len(vertex_order)
-    idx = {v: i for i, v in enumerate(vertex_order)}
-    masks = np.arange(1 << n, dtype=np.int64)
-    cut = np.zeros(1 << n, dtype=object)
-    for e in net.edges:
-        crossing = (((masks >> idx[e.tail]) & 1) == 1) & (((masks >> idx[e.head]) & 1) == 0)
-        cut[crossing] += e.cap
-    return cut
-
-
 def oracle_cut_table(net: FlowNetwork, terminals: TerminalSet, mode: str = FULL) -> CutTable:
     """Cut table by exhaustive bipartition enumeration (|V| <= 20)."""
     if len(net.vertices) > _ORACLE_VERTEX_LIMIT:
         raise ValueError(f"network too large for enumeration ({len(net.vertices)} vertices)")
+    import numpy as np  # here only, so gen and solve --audit do not load it
+
     order = sorted(net.vertices)
     idx = {v: i for i, v in enumerate(order)}
-    cut = _cut_values_by_mask(net, order)
     masks = np.arange(1 << len(order), dtype=np.int64)
+    # The capacity of every directed bipartition cut, indexed by source-side
+    # mask, in exact ints (an object array): an int64 sum of them can wrap.
+    cut = np.zeros(len(masks), dtype=object)
+    for e in net.edges:
+        crossing = (((masks >> idx[e.tail]) & 1) == 1) & (((masks >> idx[e.head]) & 1) == 0)
+        cut[crossing] += e.cap
 
     def best(source_side: tuple[int, ...], sink_side: tuple[int, ...]) -> int:
         sel = np.ones(len(masks), dtype=bool)
@@ -274,7 +266,7 @@ def oracle_spqr(adj: Adjacency) -> SpqrTree:
         if len(components(adj)) > 1:
             raise ValueError("SPQR input must be connected")
         nid = next(next_node)
-        tree.nodes[nid] = SpqrNode(nid, Q, list(edges))
+        tree.nodes[nid] = SpqrNode(Q, list(edges))
         return tree
     if len(components(adj)) > 1 or (
         len(adj) > 2 and any(len(components(adj, {cut})) > 1 for cut in sorted(adj))
@@ -286,7 +278,7 @@ def oracle_spqr(adj: Adjacency) -> SpqrTree:
 
     def finalize(kind: str, skel: list[SkelEdge]) -> None:
         nid = next(next_node)
-        tree.nodes[nid] = SpqrNode(nid, kind, skel)
+        tree.nodes[nid] = SpqrNode(kind, skel)
         for e in skel:
             if e.virtual:
                 if e.link in half_links:
@@ -506,16 +498,16 @@ class _Gen:
     def drop_clique_edges(self, comp_id: int, clique: tuple[int, ...]) -> None:
         """Sometimes remove the host's copy of a clique edge (the sum keeps
         the pair only as a phantom), provided the host stays connected."""
-        comp = self.tree.components[comp_id]
+        net = self.tree.components[comp_id]
         doomed: set[int] = set()
         for u, v in itertools.combinations(sorted(clique), 2):
             if self.rng.random() >= self.cfg.clique_edge_drop:
                 continue
-            ids = [e.id for e in comp.net.edges if {e.tail, e.head} == {u, v}]
+            ids = [e.id for e in net.edges if {e.tail, e.head} == {u, v}]
             if not ids:
                 continue
-            adj = {w: set() for w in comp.net.vertices}
-            for e in comp.net.edges:
+            adj = {w: set() for w in net.vertices}
+            for e in net.edges:
                 if e.id in doomed or e.id in ids:
                     continue
                 adj[e.tail].add(e.head)
@@ -523,18 +515,18 @@ class _Gen:
             if adj[u] & adj[v]:
                 doomed |= set(ids)
         if doomed:
-            comp.net = comp.net.without_edges(doomed)
+            self.tree.components[comp_id] = net.without_edges(doomed)
 
     def anchor_in(self, comp_id: int, arity: int) -> tuple[int, ...] | None:
-        comp = self.tree.components[comp_id]
+        net = self.tree.components[comp_id]
         rng = self.rng
         if arity == 1:
-            return (rng.choice(sorted(comp.net.vertices)),)
-        adj: dict[int, set[int]] = {v: set() for v in comp.net.vertices}
-        for e in comp.net.edges:
+            return (rng.choice(sorted(net.vertices)),)
+        adj: dict[int, set[int]] = {v: set() for v in net.vertices}
+        for e in net.edges:
             adj[e.tail].add(e.head)
             adj[e.head].add(e.tail)
-        pairs = sorted({tuple(sorted((e.tail, e.head))) for e in comp.net.edges})
+        pairs = sorted({tuple(sorted((e.tail, e.head))) for e in net.edges})
         if arity == 2:
             return rng.choice(pairs) if pairs else None
         triangles = [
@@ -562,7 +554,7 @@ class _Gen:
                 reuse = cliques_of_arity[arity]
                 if reuse and rng.random() < 0.2:
                     kid = rng.choice(reuse)
-                    anchor = tuple(sorted(self.tree.cliques[kid].vertices))
+                    anchor = tuple(sorted(self.tree.cliques[kid]))
                 else:
                     host = rng.choice(self.hosts)
                     anchor = self.anchor_in(host, arity)

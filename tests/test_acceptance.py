@@ -173,11 +173,11 @@ def test_criterion_7_spqr_and_refinement_soundness():
         again = refine(refined)
         shape = lambda t: sorted(
             (
-                sorted(c.net.vertices),
-                sorted(e.id for e in c.net.edges),
+                sorted(net.vertices),
+                sorted(e.id for e in net.edges),
                 is_planar(torso_adjacency(t, cid)),
             )
-            for cid, c in t.components.items()
+            for cid, net in t.components.items()
         )
         assert shape(again) == shape(refined), seed
         for cid in sorted(refined.components):
@@ -185,7 +185,7 @@ def test_criterion_7_spqr_and_refinement_soundness():
             if emb is None:
                 continue
             for kid in sorted(refined.comp_cliques[cid]):
-                tri = refined.cliques[kid].vertices
+                tri = refined.cliques[kid]
                 if len(tri) == 3:
                     assert emb.is_triangle_face(tri), (seed, cid)
     report(7, "SPQR and refinement soundness", "200 SPQR graphs + 30 refined trees")

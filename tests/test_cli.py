@@ -9,6 +9,7 @@ import pytest
 import minorflow
 from minorflow import cli
 from minorflow.cli import main
+from minorflow.decomposition import DecompositionTree
 from minorflow.external import certify_max_flow
 from minorflow.fileio import (
     FormatError,
@@ -20,6 +21,7 @@ from minorflow.fileio import (
     write_flow,
     write_network,
 )
+from minorflow.network import FlowNetwork
 from minorflow.testkit import GenConfig, gen_instance, oracle_max_flow
 
 from conftest import overflow_tree
@@ -117,7 +119,43 @@ def test_cli_gen_solve_oracle_verify_cycle(tmp_path, capsys):
     assert run(tmp_path, "oracle", "--network", net, "--source", 1, "--sink", 5) == 0
     assert capsys.readouterr().out == f"value {value}\n"
     assert run(tmp_path, "verify", "--network", net, "--flow", flow, "--source", 1, "--sink", 5) == 0
-    assert capsys.readouterr().out == f"value {value}\n"
+    side = certify_max_flow(
+        parse_network(net.read_text())[0], 1, 5, parse_flow(flow.read_text())
+    ).source_side
+    assert capsys.readouterr().out == (
+        f"value {value}\ncut ok (source side {len(side)} vertices, cut {value})\n"
+    )
+
+
+def test_cli_verify_rejects_a_feasible_flow_that_is_not_maximum(tmp_path, capsys):
+    # A flow from solve, less one unit on one s-t path that carries flow:
+    # still feasible, so only the cut certificate can reject it.
+    net = tmp_path / "net.max"
+    flow = tmp_path / "flow.txt"
+    less = tmp_path / "less.txt"
+    assert run(tmp_path, "gen", "--family", "k5free", "--n", 30, "--seed", 3, "-o", net) == 0
+    args = ("--network", net, "--source", 1, "--sink", 5)
+    assert run(tmp_path, "solve", *args, "--family", "k5", "--emit-flow", flow) == 0
+    value = int(capsys.readouterr().out.split()[-1])
+    assert value > 0
+    graph, _, _ = parse_network(net.read_text())
+    flows = parse_flow(flow.read_text())
+    via = {1: None}  # vertex -> the edge that first reached it, on edges carrying flow
+    todo = [1]
+    for u in todo:
+        for e in sorted(graph.edges, key=lambda e: e.id):
+            if e.tail == u and flows[e.id] > 0 and e.head not in via:
+                via[e.head] = e
+                todo.append(e.head)
+    v = 5
+    while via[v] is not None:
+        flows[via[v].id] -= 1
+        v = via[v].tail
+    less.write_text(write_flow(flows))
+    assert run(tmp_path, "verify", *args, "--flow", less) == 1
+    out, err = capsys.readouterr()
+    assert out == f"value {value - 1}\n"
+    assert err.splitlines()[0] == "problem sink 5 is reachable from source 1 in the residual network"
 
 
 def test_cli_audit_certifies_the_cut_above_the_step_audit_limit(tmp_path, capsys):
@@ -285,6 +323,17 @@ def _integer_tree_edges(doc):
     return doc
 
 
+def _empty_clique(doc):
+    doc["cliques"][0]["vertices"] = []
+    return doc
+
+
+def _four_vertex_clique(doc):
+    vertices = doc["cliques"][0]["vertices"]
+    vertices += [v for v in range(1, 5) if v not in vertices][: 4 - len(vertices)]
+    return doc
+
+
 @pytest.mark.parametrize(
     "corrupt,fragment",
     [
@@ -297,6 +346,8 @@ def _integer_tree_edges(doc):
         (_integer_component, "component must be an object with id, vertices, edges, got 5"),
         (_integer_component_vertices, "component vertices must be a list, got 5"),
         (_integer_tree_edges, "tree_edges must be a list, got 5"),
+        (_empty_clique, "clique size 0 out of range 1..3"),
+        (_four_vertex_clique, "clique size 4 out of range 1..3"),
     ],
     ids=[
         "edge-three-fields",
@@ -305,6 +356,8 @@ def _integer_tree_edges(doc):
         "component-integer",
         "vertices-integer",
         "tree-edges-integer",
+        "clique-empty",
+        "clique-four",
     ],
 )
 def test_cli_solve_names_the_field_of_a_decomposition_list_of_the_wrong_shape(
@@ -312,7 +365,8 @@ def test_cli_solve_names_the_field_of_a_decomposition_list_of_the_wrong_shape(
 ):
     # These once surfaced Python's own messages: a missing positional
     # argument of Edge, a failed tuple unpacking, a list indexed by a key,
-    # an integer subscripted and integers iterated.
+    # an integer subscripted and integers iterated.  A clique list of 0 or
+    # 4 vertices is refused by its size.
     net = tmp_path / "net.max"
     dec = tmp_path / "tree.json"
     assert run(tmp_path, "gen", "--family", "k5free", "--n", 30, "--seed", 3, "-o", net, "--tree", dec) == 0
@@ -321,6 +375,23 @@ def test_cli_solve_names_the_field_of_a_decomposition_list_of_the_wrong_shape(
     assert run(tmp_path, "solve", "--network", net, "--decomposition", dec, "--source", 1, "--sink", 5) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and fragment in err
+
+
+def test_cli_solve_rejects_a_disconnected_tree(tmp_path, capsys):
+    # Two triangles, one component each and no clique: each component is
+    # valid, but the tree has two parts.
+    net = tmp_path / "net.max"
+    dec = tmp_path / "tree.json"
+    tree = DecompositionTree()
+    for c in (0, 1):
+        tree.add_component(
+            FlowNetwork.from_edges([(3 * c + i, 3 * c + i, 3 * c + i % 3 + 1, 3) for i in (1, 2, 3)])
+        )
+    net.write_text(write_network(tree.reassemble()))
+    dec.write_text(write_decomposition(tree))
+    assert run(tmp_path, "solve", "--network", net, "--decomposition", dec, "--source", 1, "--sink", 2) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "tree is disconnected" in err
 
 
 def test_cli_solve_rejects_a_second_source_line(tmp_path, capsys):
@@ -421,7 +492,8 @@ def test_cli_solves_past_the_input_capacity_bound(tmp_path, capsys):
 
 def test_importing_the_cli_loads_neither_networkx_nor_numpy():
     # A solve's fixed cost is mostly imports: networkx is loaded only to
-    # embed, and testkit (numpy) only by gen, oracle and solve --audit.
+    # embed and by testkit's minor check, numpy only by testkit's cut-table
+    # oracle.
     src = str(Path(minorflow.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     code = (
@@ -434,15 +506,17 @@ def test_importing_the_cli_loads_neither_networkx_nor_numpy():
 
 
 def test_gen_and_audited_solve_run_without_networkx(tmp_path):
-    # networkx is needed only by testkit's exact minor check, so gen and
-    # solve --audit (which imports testkit for the step audit) run in a
-    # process where importing it fails.
+    # networkx is needed only by testkit's exact minor check and numpy only
+    # by its cut-table oracle, so gen and solve --audit (which imports
+    # testkit for the step audit) run in a process where importing either
+    # fails.
     src = str(Path(minorflow.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     net, tree = tmp_path / "net.max", tmp_path / "tree.json"
     code = (
         "import sys\n"
         "sys.modules['networkx'] = None\n"
+        "sys.modules['numpy'] = None\n"
         "from minorflow.cli import main\n"
         f"assert main(['gen', '--family', 'k5free', '--n', '40', '--seed', '2',"
         f" '-o', {str(net)!r}, '--tree', {str(tree)!r}]) == 0\n"

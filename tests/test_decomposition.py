@@ -162,6 +162,45 @@ def test_validate_flags_a_clique_outside_its_component():
     assert not ok and problems == ["clique 0 vertices missing from component 0"]
 
 
+def test_add_clique_rejects_a_clique_of_0_or_4_vertices():
+    tree = DecompositionTree()
+    for vertices in ((), range(4)):
+        with pytest.raises(InvalidDecomposition, match=r"clique size [04] out of range 1\.\.3"):
+            tree.add_clique(vertices)
+    assert tree.cliques == {} and tree.clique_comps == {}
+
+
+@pytest.mark.parametrize(
+    "vertices,want",
+    [
+        (
+            (),
+            [
+                "clique 0 size 0 out of range 1..3",
+                "vertex 1 is shared outside its cliques",
+                "vertex 2 is shared outside its cliques",
+            ],
+        ),
+        (
+            (0, 1, 2, 3),
+            [
+                "clique 0 vertices missing from component 0",
+                "clique 0 vertices missing from component 1",
+                "clique 0 size 4 out of range 1..3",
+            ],
+        ),
+    ],
+    ids=["empty", "four"],
+)
+def test_validate_reports_a_clique_of_0_or_4_vertices_set_by_hand(vertices, want):
+    # add_clique and the parser reject these sizes; a clique map written
+    # directly can still hold one.
+    tree, _, _ = two_triangles([1, 2])
+    assert validate(tree.reassemble(), tree) == (True, [])
+    tree.cliques[0] = frozenset(vertices)
+    assert validate(tree.reassemble(), tree) == (False, want)
+
+
 def test_validate_reports_a_component_attached_to_a_missing_clique():
     # The tree walk cannot cross a clique the tree lacks: validate must
     # report it, and the solver refuse the tree, rather than raise KeyError.
@@ -407,7 +446,7 @@ def test_decompose_k33_free_recovers_k5_blocks():
     tree = decompose_k33_free(g)
     assert validate(g, tree)[0]
     kinds = sorted(
-        (planar_torso(tree, cid), len(c.net.vertices)) for cid, c in tree.components.items()
+        (planar_torso(tree, cid), len(net.vertices)) for cid, net in tree.components.items()
     )
     assert (False, 5) in kinds
 
@@ -423,8 +462,8 @@ def test_decompose_k33_free_recovers_generated_k5_blocks():
             continue
         tree = decompose_k33_free(graph)
         found = [
-            c for cid, c in tree.components.items()
-            if not planar_torso(tree, cid) and len(c.net.vertices) == 5
+            net for cid, net in tree.components.items()
+            if not planar_torso(tree, cid) and len(net.vertices) == 5
         ]
         assert len(found) >= truth_k5
         return
@@ -481,7 +520,7 @@ def glued_at_triangle(pairs):
 def refined_vertex_sets(tree):
     refined = refine(tree)
     assert validate(tree.reassemble(), refined)[0]
-    return {frozenset(c.net.vertices) for c in refined.components.values()}
+    return {frozenset(net.vertices) for net in refined.components.values()}
 
 
 def test_refine_leaves_a_face_triangle_alone():
@@ -507,18 +546,18 @@ def test_refine_is_idempotent_and_makes_triangles_faces(rng):
         assert ok, problems
         again = refine(refined)
         assert sorted(
-            (sorted(c.net.vertices), sorted(e.id for e in c.net.edges))
-            for c in again.components.values()
+            (sorted(net.vertices), sorted(e.id for e in net.edges))
+            for net in again.components.values()
         ) == sorted(
-            (sorted(c.net.vertices), sorted(e.id for e in c.net.edges))
-            for c in refined.components.values()
+            (sorted(net.vertices), sorted(e.id for e in net.edges))
+            for net in refined.components.values()
         )
         for cid in sorted(refined.components):
             emb = planar_embed(torso_adjacency(refined, cid))
             if emb is None:
                 continue
             for kid in sorted(refined.comp_cliques[cid]):
-                tri = refined.cliques[kid].vertices
+                tri = refined.cliques[kid]
                 if len(tri) == 3:
                     assert emb.is_triangle_face(tri), (seed, cid, sorted(tri))
 
@@ -536,7 +575,7 @@ def test_refine_of_a_k5_free_decomposition_loads_no_networkx():
         f"pairs = {K33_PAIRS!r}\n"
         "net = FlowNetwork.from_edges([(i, u, v, 1) for i, (u, v) in enumerate(pairs)])\n"
         "tree = refine(decompose_k5_free(net))\n"
-        "print(len(tree.components), sorted(len(k.vertices) for k in tree.cliques.values()),"
+        "print(len(tree.components), sorted(len(k) for k in tree.cliques.values()),"
         " 'networkx' in sys.modules)\n"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
@@ -550,24 +589,24 @@ def test_refine_of_a_k33_free_decomposition_splits_only_its_planar_components():
     # no triangle cliques, and its non-planar pieces (K5) are triconnected.
     def shape(tree):
         return sorted(
-            (sorted(c.net.vertices), [e.id for e in c.net.edges], planar_torso(tree, cid))
-            for cid, c in tree.components.items()
+            (sorted(net.vertices), [e.id for e in net.edges], planar_torso(tree, cid))
+            for cid, net in tree.components.items()
         )
 
-    def piece(c):
-        return c.net.vertices, frozenset(e.id for e in c.net.edges)
+    def piece(net):
+        return net.vertices, frozenset(e.id for e in net.edges)
 
     for family, n, seed in itertools.product(("k33free", "planar"), (40, 80, 120), range(3)):
         graph, _ = gen_instance(GenConfig(family, n, seed=seed))
         tree = decompose_k33_free(graph)
         refined = refine(tree)
         assert shape(refined) == shape(refine(single_component_tree(graph))), (family, n, seed)
-        unsplit = {piece(c) for c in refined.components.values()}
-        for cid, c in tree.components.items():
-            if piece(c) not in unsplit:
+        unsplit = {piece(net) for net in refined.components.values()}
+        for cid, net in tree.components.items():
+            if piece(net) not in unsplit:
                 assert planar_torso(tree, cid), (family, n, seed, cid)
             elif not planar_torso(tree, cid):  # non-planar: K5, unchanged
-                assert len(c.net.vertices) == 5, (family, n, seed, cid)
+                assert len(net.vertices) == 5, (family, n, seed, cid)
 
 
 PARITY_INPUTS = [
@@ -619,12 +658,12 @@ def test_refine_of_a_directly_filled_tree_reuses_no_live_id(fill):
         tree = parse_decomposition(write_decomposition(built))
     else:
         graph, tree, _, _ = canonical_ids(graph, built)
-    kept = tree.components[1].net
+    kept = tree.components[1]
     refined = refine(tree)
     assert validate(graph, refined)[0]
     assert sorted(refined.components) == [1, 2, 3]
     assert sorted(refined.cliques) == [0, 1]
-    assert refined.components[1].net == kept
+    assert refined.components[1] == kept
     assert tree.add_component(kept) == 2 and tree.add_clique([1]) == 1
 
 

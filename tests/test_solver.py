@@ -130,10 +130,10 @@ def test_star_of_leaves_on_one_path_triangle_glues_each_leaf_directly(monkeypatc
     leaves = set(tree.components) - {ca, cb}
     unbuilt = without_record(tree, [ca, cb], records)
     assert [stage for stage, _ in stages].count("replace") == len(records) == 5 - len(unbuilt)
-    built = {id(tree.components[c].net) for c in leaves - unbuilt}
+    built = {id(tree.components[c]) for c in leaves - unbuilt}
     assert {id(rec.net) for rec in records} == built
     assert all(rec.children == () and set(rec.mimic) <= set(final_net.edges) for rec in records)
-    assert all(flow[e.id] == 0 for c in unbuilt for e in tree.components[c].net.edges)
+    assert all(flow[e.id] == 0 for c in unbuilt for e in tree.components[c].edges)
     assert value == oracle_max_flow(graph, 0, 9)
     assert verify_flow(graph, TerminalSet.of(0, 9), (value, -value), flow)
     assert audit_step_values(nets, 0, 9)
@@ -248,7 +248,7 @@ def test_family_decomposers_keep_planar_blocks_whole(seed, monkeypatch):
     for key in ("k5", "k33"):
         tree = solver.decompose(graph, key)
         assert calls == []
-        assert sorted(sorted(c.net.vertices) for c in tree.components.values()) == sorted(
+        assert sorted(sorted(net.vertices) for net in tree.components.values()) == sorted(
             sorted(verts) for verts, _ in blocks
         )
         assert any(len(verts) >= 3 for verts, _ in blocks)
@@ -336,7 +336,7 @@ def test_only_off_path_components_are_replaced(family, monkeypatch, rng):
         unbuilt = without_record(tree, path, records)
         assert stages.count("replace") == stages.count("reconstruct") == len(records)
         assert len(records) + len(unbuilt) == len(tree.components) - len(path)
-        assert all(flow[e.id] == 0 for c in unbuilt for e in tree.components[c].net.edges)
+        assert all(flow[e.id] == 0 for c in unbuilt for e in tree.components[c].edges)
         replaced += len(records)
     assert longest > 1 and replaced > 0
 
@@ -503,8 +503,8 @@ def without_record(tree, path, records):
     recorded = {id(rec.net) for rec in records}
     return {
         cid
-        for cid, comp in tree.components.items()
-        if cid not in path and id(comp.net) not in recorded
+        for cid, net in tree.components.items()
+        if cid not in path and id(net) not in recorded
     }
 
 
@@ -552,7 +552,7 @@ def test_replay_audits_the_networks_rebuilt_from_the_records(monkeypatch):
         replayed = [
             (net.vertices, frozenset(net.edges)) for stage, net in stages if stage == "reconstruct"
         ]
-        unbuilt = [tree.components[c].net for c in without_record(tree, path, records)]
+        unbuilt = [tree.components[c] for c in without_record(tree, path, records)]
         assert replayed == rebuilt_replay_networks(records, final_net, unbuilt)
         assert verify_flow(graph, TerminalSet.of(s, t), (value, -value), flow)
         pops += k
@@ -575,7 +575,7 @@ def below_one_vertex_cliques(tree, path, up, above):
     one-vertex clique, by one forward pass over the breadth-first walk."""
     on_path, below = set(path), set()
     for cid, kid in up.items():
-        if cid not in on_path and (len(tree.cliques[kid].vertices) == 1 or above[kid] in below):
+        if cid not in on_path and (len(tree.cliques[kid]) == 1 or above[kid] in below):
             below.add(cid)
     return below
 
@@ -826,7 +826,7 @@ def test_components_below_a_one_vertex_clique_get_no_kernel(x, monkeypatch):
     assert validate(graph, tree) == (True, [])
     path, up, above = locate_terminal_path(tree, 0, 1)
     assert below_one_vertex_cliques(tree, path, up, above) == hanging
-    dead = {e.id for c in hanging for e in tree.components[c].net.edges}
+    dead = {e.id for c in hanging for e in tree.components[c].edges}
     seen = capture_records(monkeypatch)
     compiled, runs = [], []
     real_compile, real_dinic = maxflow_mod._compile, maxflow_mod._dinic
@@ -881,7 +881,7 @@ def test_unbuilt_components_carry_zero_and_values_stay_exact(family, n, seed):
             value, flow = check_pair(graph, tree, s, t)
             unbuilt = without_record(tree, path, seen[-1])
             assert below_one_vertex_cliques(tree, path, up, above) <= unbuilt
-            assert all(flow[e.id] == 0 for c in unbuilt for e in tree.components[c].net.edges)
+            assert all(flow[e.id] == 0 for c in unbuilt for e in tree.components[c].edges)
 
 
 @given(
@@ -899,9 +899,9 @@ def test_many_pairs_per_network_are_exact_and_certified(family, n, seed):
     vertices = sorted(graph.vertices)
     homes = {}
     for cid in sorted(tree.components, reverse=True):
-        homes.update(dict.fromkeys(tree.components[cid].net.vertices, cid))
+        homes.update(dict.fromkeys(tree.components[cid].vertices, cid))
     pairs = [tuple(rng.sample(vertices, 2)) for _ in range(4)]
-    inside = tree.components[rng.choice(sorted(tree.components))].net
+    inside = tree.components[rng.choice(sorted(tree.components))]
     pairs.append(tuple(rng.sample(sorted(inside.vertices), 2)))
     shared = [k for k in sorted(tree.cliques) if len(tree.clique_comps[k]) > 1]
     if shared:
@@ -962,7 +962,7 @@ def test_second_round_splits_a_triangle_below_a_built_child_that_stays_unbuilt(m
     nets, observer = collecting_observer()
     value, flow = max_flow_decomposed(graph, tree, s, t, observer=observer)
     assert rounds == [0, 1, 2]
-    assert [rec.net for rec in seen[0]] == [tree.components[c1].net, tree.components[c2].net]
+    assert [rec.net for rec in seen[0]] == [tree.components[c1], tree.components[c2]]
     assert without_record(tree, [path], seen[0]) == {c3}
     assert [len(rec.terminals) for rec in seen[0]] == [2, 3]
     assert value == 5 == oracle_max_flow(graph, s, t)

@@ -87,7 +87,7 @@ def test_generator_determinism():
     g2, t2 = gen_instance(cfg)
     assert g1 == g2
     assert sorted(t1.cliques) == sorted(t2.cliques)
-    assert all(t1.components[c].net == t2.components[c].net for c in t1.components)
+    assert all(t1.components[c] == t2.components[c] for c in t1.components)
 
 
 def test_generator_single_planar_component():
