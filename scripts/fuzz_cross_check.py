@@ -3,7 +3,8 @@
 and cross-check every value against the independent oracle.  Each round
 solves the highest-value s-t pair of four seeded candidates, so most rounds
 check a positive flow.  With --decomposer, the family decomposer's tree is
-validated before it is solved.
+validated before it is solved; a planar round draws the k33 or the k5
+decomposer, since a planar network is free of both minors.
 
     python scripts/fuzz_cross_check.py --rounds 100 --max-n 60
     MINORFLOW_SEED=9 python scripts/fuzz_cross_check.py --rounds 20 --decomposer
@@ -17,7 +18,7 @@ import time
 from minorflow.decomposition import validate
 from minorflow.external import verify_flow
 from minorflow.network import TerminalSet
-from minorflow.solver import decompose, max_flow_decomposed
+from minorflow.solver import FAMILIES, decompose, max_flow_decomposed
 from minorflow.testkit import GenConfig, gen_instance, oracle_max_flow
 
 
@@ -49,8 +50,8 @@ def main() -> None:
         values = [oracle_max_flow(graph, *pair) for pair in pairs]
         want = max(values)
         s, t = pairs[values.index(want)]
-        if args.decomposer and family != "planar":
-            key = "k33" if family == "k33free" else "k5"
+        if args.decomposer:
+            key = {"k33free": "k33", "k5free": "k5"}.get(family) or rng.choice(FAMILIES)
             tree = decompose(graph, key)
             ok, problems = validate(graph, tree)
             if not ok:

@@ -616,7 +616,7 @@ def validate(graph: FlowNetwork, tree: DecompositionTree) -> tuple[bool, list[st
     # and the torso checks of every component whose cliques lie inside it.
     # A torso is built once, as index lists; one ``lr_planarity`` run answers
     # both questions above the cap, and a plain search connectivity below it.
-    graph_edges = {e.id: e for e in graph.edges}
+    graph_edges = graph.edge_by_id
     held: list[int] = []  # each component's vertices, one after another
     owner: dict[int, int] = {}  # edge id -> the last component holding it
     outside: list[tuple[int, int]] = []  # (clique, component) lacking some of its vertices

@@ -4,8 +4,9 @@ Katajainen, Nishimura & Ragde, JCSS 1998) in place of the off-path
 components that a minimum cut needs (Phase I), gluing the path into one
 network for each solve (Phase II), then replay the replacements in reverse
 to recover a flow on the original network.  The tree is only read, never
-copied or changed, and walked once per query, from s's component
-(``DecompositionTree.walk``).
+copied or changed.  It is walked once per query, from s's component, to find
+the path (``DecompositionTree.walk``), and a component's off-path children
+are read from it only when the component is built.
 
 Every flow question is answered on demand: the s-t solve on the path, and
 each cut of an off-path component's full table, which gives the component's
@@ -64,7 +65,7 @@ saves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Generator, Iterable, Iterator
+from typing import Callable, Container, Generator, Iterable, Iterator
 
 # Imported but unused here (``refine``, ``cut_table``, ``max_flow``,
 # ``min_cut_value``, ``merge_mimics``, ``build_mimic4_single_source``,
@@ -151,15 +152,12 @@ def _glue(nets: Iterable[FlowNetwork], arcs: Iterable[Edge]) -> FlowNetwork:
     return merge_networks(*nets, FlowNetwork(ends, arcs))
 
 
-def locate_terminal_path(
-    tree: DecompositionTree, s: int, t: int
-) -> tuple[list[int], dict[int, int], dict[int, int]]:
-    """Path of components from s's component to t's component, plus the
-    ``up`` and ``above`` maps of the tree walk from s's component
-    (``DecompositionTree.walk``), which Phase I reuses.  The distinguished
-    component for a terminal lying in a shared clique is the lowest-id one.
-    A tree that the walk does not span is rejected here, before any kernel
-    is compiled."""
+def locate_terminal_path(tree: DecompositionTree, s: int, t: int) -> list[int]:
+    """Path of components from s's component to t's component, climbed on
+    the tree walk from s's component (``DecompositionTree.walk``).  The
+    distinguished component for a terminal lying in a shared clique is the
+    lowest-id one.  A tree that the walk does not span is rejected here,
+    before any kernel is compiled."""
     homes: dict[int, int] = {}
     for cid, net in tree.components.items():
         for v in (s, t):
@@ -177,30 +175,14 @@ def locate_terminal_path(
     while path[-1] != homes[s]:
         path.append(above[up[path[-1]]])
     path.reverse()
-    return path, up, above
+    return path
 
 
-def _split_off(
-    tree: DecompositionTree, up: dict[int, int], children: list[int], side: frozenset[int]
-) -> list[int]:
-    """Take out of ``children`` and return the components whose clique above
-    has vertices both in ``side`` and outside it."""
-    keep: list[int] = []
-    split: list[int] = []
-    for cid in children:
-        clique = tree.cliques[up[cid]]
-        (split if 0 < len(clique & side) < len(clique) else keep).append(cid)
-    children[:] = keep
-    return split
+Child = tuple[int, int, int]  # (component, clique above it, component above that)
 
 
 def phase1(
-    state: SolveState,
-    path_comps: list[int],
-    up: dict[int, int],
-    above: dict[int, int],
-    s: int,
-    t: int,
+    state: SolveState, path_comps: list[int], s: int, t: int
 ) -> tuple[FlowNetwork, int, FlowAssignment]:
     """Solve the terminal path on demand (see the module docstring) and
     return the final network (``phase2``'s glue of the last round), its
@@ -211,28 +193,46 @@ def phase1(
     once those are built; one explicit stack runs them, so a deep off-path
     chain uses no Python recursion.  A component is compiled again only
     after it gains children's arcs, so at most 1 + (its children) times.
-    ``up`` and ``above`` are the walk of ``locate_terminal_path``: an
-    off-path component's way to its root passes through the nearest path
-    component, so the clique and component above it are the ones a walk
-    from the path would give.  Only a built component gets a record; every
-    other off-path component is left out of the final network and of the
-    replay."""
+    Each path component takes the cliques that no earlier one holds, as in
+    the walk, and a built component all but the clique above it.  Only a
+    built component gets a record; every other off-path component is left
+    out of the final network and of the replay."""
     tree, pending = state.tree, state.pending
     on_path = set(path_comps)
-    # Each component's off-path children not built yet; a one-vertex clique
-    # is never split, so a child below one never waits.
-    waiting: dict[int, list[int]] = {}
-    for cid, kid in up.items():
-        if cid not in on_path and len(tree.cliques[kid]) > 1:
-            waiting.setdefault(above[kid], []).append(cid)
-    path_waiting = [c for p in path_comps for c in waiting.pop(p, ())]
+
+    def children_of(cid: int, skip: Container[int]) -> list[Child]:
+        # In walk order; a one-vertex clique is never split, so a child
+        # below one is left out.
+        return [
+            (c, kid, cid)
+            for kid in tree.comp_cliques[cid]
+            if kid not in skip and len(tree.cliques[kid]) > 1
+            for c in tree.clique_comps[kid]
+            if c != cid and c not in on_path
+        ]
+
+    def split_off(children: list[Child], side: frozenset[int]) -> list[Child]:
+        # Take out and return the children whose clique ``side`` splits.
+        keep: list[Child] = []
+        split: list[Child] = []
+        for child in children:
+            clique = tree.cliques[child[1]]
+            (split if 0 < len(clique & side) < len(clique) else keep).append(child)
+        children[:] = keep
+        return split
+
+    path_children: list[Child] = []
+    held: set[int] = set()
+    for p in path_comps:
+        path_children += children_of(p, held)
+        held |= tree.comp_cliques[p]
     replaced: set[int] = set()  # with an observer only
 
-    def build(cid: int) -> Iterator[list[int]]:
-        kid = up[cid]
+    def build(child: Child) -> Iterator[list[Child]]:
+        cid, kid, parent = child
         net = tree.components[cid]
         terminals = tuple(sorted(tree.cliques[kid]))
-        children = waiting.get(cid, [])
+        children = children_of(cid, (kid,))
         cuts: dict[frozenset[int], int] = {}
         kernel = None
         for sources in proper_subsets(terminals):
@@ -241,7 +241,7 @@ def phase1(
                 if kernel is None:
                     kernel = TerminalKernel(net, terminals, pending.get(cid, ()))
                 value, side = kernel.cut(sources, sinks)
-                split = _split_off(tree, up, children, side)
+                split = split_off(children, side)
                 if not split:
                     break
                 yield split
@@ -252,7 +252,7 @@ def phase1(
         mimic = build_full_mimic(table, hub, state.next_edge).edges
         state.next_edge += len(mimic)
         state.records.append(ReplacementRecord(net, tuple(pending.pop(cid, ())), terminals, mimic))
-        pending.setdefault(above[kid], []).extend(mimic)
+        pending.setdefault(parent, []).extend(mimic)
         if state.observer is not None:
             replaced.add(cid)
             alive = [n for c, n in tree.components.items() if c not in replaced]
@@ -260,16 +260,16 @@ def phase1(
             state.steps.append(step)
             state.observer("replace", step)
 
-    def solve() -> Generator[list[int], None, tuple[FlowNetwork, int, FlowAssignment]]:
+    def solve() -> Generator[list[Child], None, tuple[FlowNetwork, int, FlowAssignment]]:
         while True:
             net = phase2(state, path_comps)
             value, flow, side = max_flow_side(net, s, t)
-            split = _split_off(tree, up, path_waiting, side)
+            split = split_off(path_children, side)
             if not split:
                 return net, value, flow
             yield split
 
-    stack: list[Iterator[list[int]]] = [solve()]
+    stack: list[Iterator[list[Child]]] = [solve()]
     while stack:
         try:
             stack.extend(map(build, next(stack[-1])))
@@ -355,11 +355,11 @@ def max_flow_decomposed(
     if observer is not None:
         observer("input", graph)  # a validated tree reassembles to graph exactly
         state.steps.append(graph)
-    path_comps, up, above = locate_terminal_path(tree, s, t)
-    final_net, value, final_flow = phase1(state, path_comps, up, above, s, t)
+    path_comps = locate_terminal_path(tree, s, t)
+    final_net, value, final_flow = phase1(state, path_comps, s, t)
     if observer is not None:
         observer("final", final_net)
-    flows = reconstruct(state, dict.fromkeys((e.id for e in graph.edges), 0) | final_flow)
+    flows = reconstruct(state, dict.fromkeys(graph.edge_by_id, 0) | final_flow)
     if len(flows) != len(graph.edges):  # every mimic arc was popped
         raise AssertionError("reconstruction did not restore the original edge set")
     return value, flows

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .decomposition import DecompositionTree
-from .network import FULL, SINGLE_SOURCE, CutTable, Edge, FlowNetwork, TerminalSet
+from .network import FULL, MAX_CAPACITY, SINGLE_SOURCE, CutTable, Edge, FlowNetwork, TerminalSet
 from .planar import Adjacency, articulation_points, components
 from .spqr import P, Q, R, S, SkelEdge, SpqrNode, SpqrTree
 
@@ -403,6 +403,8 @@ class GenConfig:
             raise ValueError("need n >= 2")
         if self.max_cap < 1:
             raise ValueError("need max capacity >= 1")
+        if self.max_cap > MAX_CAPACITY:
+            raise ValueError("need max capacity <= 2^63-1, the input arc bound")
 
 
 _WAGNER_PAIRS = tuple((i, (i + 1) % 8) for i in range(8)) + tuple((i, i + 4) for i in range(4))

@@ -214,9 +214,10 @@ def test_cli_gen_is_deterministic_and_seed_env_overrides(tmp_path, monkeypatch, 
     [
         (("--n", 1), None, "need n >= 2"),
         (("--n", 10, "--max-cap", 0), None, "need max capacity >= 1"),
+        (("--n", 12, "--max-cap", 2**63), None, "need max capacity <= 2^63-1"),
         (("--n", 10), "abc", "MINORFLOW_SEED 'abc' is not an integer"),
     ],
-    ids=["n-1", "max-cap-0", "seed-abc"],
+    ids=["n-1", "max-cap-0", "max-cap-2^63", "seed-abc"],
 )
 def test_cli_gen_rejects_bad_config(tmp_path, monkeypatch, capsys, argv, seed_env, fragment):
     if seed_env is not None:

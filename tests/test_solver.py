@@ -44,10 +44,9 @@ def two_component_tree():
 
 def test_locate_terminal_path():
     tree = two_component_tree()
-    comps, up, above = locate_terminal_path(tree, 0, 3)
-    assert comps == [0, 1] and up[1] == 0 and above[0] == 0
-    same, up, above = locate_terminal_path(tree, 0, 1)
-    assert same == [0] and len(up) + len(above) == 3
+    assert locate_terminal_path(tree, 0, 3) == [0, 1]
+    assert locate_terminal_path(tree, 3, 0) == [1, 0]
+    assert locate_terminal_path(tree, 0, 1) == [0]
 
 
 def test_single_component_equals_plain_max_flow(rng):
@@ -326,7 +325,7 @@ def test_only_off_path_components_are_replaced(family, monkeypatch, rng):
     for seed in range(6):
         graph, tree = gen_instance(GenConfig(family, 40, seed=seed))
         s, t = rng.sample(sorted(graph.vertices), 2)
-        path, _, _ = locate_terminal_path(tree, s, t)
+        path = locate_terminal_path(tree, s, t)
         longest = max(longest, len(path))
         stages = []
         _, flow = max_flow_decomposed(
@@ -342,7 +341,8 @@ def test_only_off_path_components_are_replaced(family, monkeypatch, rng):
 
 
 def test_one_tree_walk_per_query(monkeypatch, rng):
-    # locate_terminal_path's walk serves Phase I too; validation walks the
+    # locate_terminal_path walks the tree to find the path, and Phase I
+    # reads children from the tree without a walk; validation walks the
     # input tree once more to check that it is connected.  The solver only
     # reads the input tree: it walks it in place and leaves it unchanged.
     walks = []
@@ -539,7 +539,7 @@ def test_replay_audits_the_networks_rebuilt_from_the_records(monkeypatch):
     for family, seed in itertools.product(("planar", "k33free", "k5free"), range(15)):
         graph, tree = gen_instance(GenConfig(family, 40, seed=seed))
         s, t = random.Random(seed).sample(sorted(graph.vertices), 2)
-        path, _, _ = locate_terminal_path(tree, s, t)
+        path = locate_terminal_path(tree, s, t)
         stages = []
         value, flow = max_flow_decomposed(
             graph, tree, s, t, observer=lambda stage, net: stages.append((stage, net))
@@ -570,9 +570,10 @@ def expected_mimic(rec):
     return build_full_mimic(table, hub, rec.mimic[0].id).edges
 
 
-def below_one_vertex_cliques(tree, path, up, above):
+def below_one_vertex_cliques(tree, path):
     """Off-path components whose way up to the terminal path crosses a
     one-vertex clique, by one forward pass over the breadth-first walk."""
+    up, above = tree.walk(path[0])
     on_path, below = set(path), set()
     for cid, kid in up.items():
         if cid not in on_path and (len(tree.cliques[kid]) == 1 or above[kid] in below):
@@ -590,11 +591,11 @@ def test_installed_mimics_equal_the_full_table_mimic(family, monkeypatch, rng):
     for seed in range(6):
         graph, tree = gen_instance(GenConfig(family, 40, seed=seed))
         s, t = rng.sample(sorted(graph.vertices), 2)
-        path, up, above = locate_terminal_path(tree, s, t)
+        path = locate_terminal_path(tree, s, t)
         value, flow = max_flow_decomposed(graph, tree, s, t)
         assert value == oracle_max_flow(graph, s, t)
         records = seen[-1]
-        below = below_one_vertex_cliques(tree, path, up, above)
+        below = below_one_vertex_cliques(tree, path)
         assert below <= without_record(tree, path, records)
         installed = set()
         for rec in records:
@@ -782,7 +783,7 @@ def test_phase1_records_only_the_components_it_builds(audit, monkeypatch):
     for family, seed in itertools.product(("k33free", "k5free"), range(4)):
         graph, tree = gen_instance(GenConfig(family, 60, seed=seed))
         s, t = random.Random(seed).sample(sorted(graph.vertices), 2)
-        path, _, _ = locate_terminal_path(tree, s, t)
+        path = locate_terminal_path(tree, s, t)
         calls.update(dict.fromkeys(calls, 0))
         observer = collecting_observer()[1] if audit else None
         value, flow = max_flow_decomposed(
@@ -794,6 +795,37 @@ def test_phase1_records_only_the_components_it_builds(audit, monkeypatch):
         assert value == oracle_max_flow(graph, s, t)
         assert verify_flow(graph, TerminalSet.of(s, t), (value, -value), flow)
     assert 0 < built < unbuilt
+
+
+def test_phase1_reads_only_the_cliques_it_needs(monkeypatch):
+    # Phase I reads a clique's vertices only where it looks for children:
+    # on a path component or on a component it builds.  No clique that only
+    # unbuilt components hold is read, and the path's walk reads none.
+    class Recording(dict):
+        def __getitem__(self, kid):
+            read.add(kid)
+            return super().__getitem__(kid)
+
+    seen = capture_records(monkeypatch)
+    read = set()
+    skipped = 0
+    for seed in range(4):
+        graph, tree = gen_instance(GenConfig("k5free", 400, seed=seed))
+        tree.cliques = Recording(tree.cliques)
+        rng = random.Random(seed)
+        for _ in range(3):
+            s, t = rng.sample(sorted(graph.vertices), 2)
+            path = locate_terminal_path(tree, s, t)
+            assert not read
+            value, flow = max_flow_decomposed(graph, tree, s, t, validate_input=False)
+            recorded = {id(rec.net) for rec in seen[-1]}
+            looked = set(path) | {c for c, net in tree.components.items() if id(net) in recorded}
+            assert read <= {kid for c in looked for kid in tree.comp_cliques[c]}
+            skipped += len(tree.cliques) - len(read)
+            read.clear()
+            assert value == max_flow(graph, s, t)[0]
+            assert verify_flow(graph, TerminalSet.of(s, t), (value, -value), flow)
+    assert skipped > 0
 
 
 def hanging_tree(x):
@@ -824,8 +856,8 @@ def test_components_below_a_one_vertex_clique_get_no_kernel(x, monkeypatch):
     tree, hanging = hanging_tree(x)
     graph = tree.reassemble()
     assert validate(graph, tree) == (True, [])
-    path, up, above = locate_terminal_path(tree, 0, 1)
-    assert below_one_vertex_cliques(tree, path, up, above) == hanging
+    path = locate_terminal_path(tree, 0, 1)
+    assert below_one_vertex_cliques(tree, path) == hanging
     dead = {e.id for c in hanging for e in tree.components[c].edges}
     seen = capture_records(monkeypatch)
     compiled, runs = [], []
@@ -877,10 +909,10 @@ def test_unbuilt_components_carry_zero_and_values_stay_exact(family, n, seed):
     with pytest.MonkeyPatch.context() as patch:
         seen = capture_records(patch)
         for s, t in pairs:
-            path, up, above = locate_terminal_path(tree, s, t)
+            path = locate_terminal_path(tree, s, t)
             value, flow = check_pair(graph, tree, s, t)
             unbuilt = without_record(tree, path, seen[-1])
-            assert below_one_vertex_cliques(tree, path, up, above) <= unbuilt
+            assert below_one_vertex_cliques(tree, path) <= unbuilt
             assert all(flow[e.id] == 0 for c in unbuilt for e in tree.components[c].edges)
 
 
