@@ -17,6 +17,15 @@ class FormatError(Exception):
         super().__init__(message if line is None else f"line {line}: {message}")
 
 
+def _not_ascii_decimal(tokens: list[str]) -> None:
+    """Raise ``ValueError`` for the first of ``tokens`` that ``int`` reads but
+    that is not an ASCII decimal integer: one with a digit-group underscore
+    (``4_0``) or a non-ASCII digit (Arabic-Indic four reads as 4)."""
+    for token in tokens:
+        if not token.isascii() or "_" in token:
+            raise ValueError(f"{token!r} is not an ASCII decimal integer")
+
+
 def parse_network(text: str) -> tuple[FlowNetwork, int | None, int | None]:
     """Parse a network file; returns (network, source, sink) where the
     terminals are taken from ``n`` lines when present, at most one each."""
@@ -25,32 +34,21 @@ def parse_network(text: str) -> tuple[FlowNetwork, int | None, int | None]:
     edges: list[Edge] = []
     ends: dict[str, int] = {}  # "s" and "t" to the vertex of their ``n`` line
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        parts = raw.split()
+        if not parts:
             continue
-        parts = line.split()
         kind = parts[0]
         try:
-            if kind == "p":
-                if n_vertices is not None:
-                    raise FormatError("duplicate problem line", lineno)
-                if len(parts) != 4 or parts[1] != "max":
-                    raise FormatError("expected 'p max <n> <m>'", lineno)
-                n_vertices, m_arcs = int(parts[2]), int(parts[3])
-                if n_vertices < 0 or m_arcs < 0:
-                    raise FormatError("negative vertex or arc count", lineno)
-            elif kind == "n":
-                if len(parts) != 3 or parts[2] not in ("s", "t"):
-                    raise FormatError("expected 'n <id> s|t'", lineno)
-                if parts[2] in ends:
-                    raise FormatError(f"duplicate 'n <id> {parts[2]}' line", lineno)
-                ends[parts[2]] = int(parts[1])
-            elif kind == "a":
+            if kind == "a":
                 if n_vertices is None:
                     raise FormatError("arc before problem line", lineno)
-                if len(parts) != 4:
-                    raise FormatError("expected 'a <tail> <head> <cap>'", lineno)
-                tail, head, cap = int(parts[1]), int(parts[2]), int(parts[3])
+                try:
+                    _, tail, head, cap = parts
+                except ValueError:
+                    raise FormatError("expected 'a <tail> <head> <cap>'", lineno) from None
+                if not raw.isascii() or "_" in raw:
+                    _not_ascii_decimal(parts[1:])
+                tail, head, cap = int(tail), int(head), int(cap)
                 if not (1 <= tail <= n_vertices and 1 <= head <= n_vertices):
                     raise FormatError("vertex id out of range", lineno)
                 if cap < 0:
@@ -61,6 +59,26 @@ def parse_network(text: str) -> tuple[FlowNetwork, int | None, int | None]:
                     edges.append(Edge(len(edges) + 1, tail, head, cap))
                 except ValueError as exc:  # a self-loop
                     raise FormatError(str(exc), lineno) from None
+            elif kind[0] == "c":
+                continue
+            elif kind == "p":
+                if n_vertices is not None:
+                    raise FormatError("duplicate problem line", lineno)
+                if len(parts) != 4 or parts[1] != "max":
+                    raise FormatError("expected 'p max <n> <m>'", lineno)
+                if not raw.isascii() or "_" in raw:
+                    _not_ascii_decimal(parts[2:])
+                n_vertices, m_arcs = int(parts[2]), int(parts[3])
+                if n_vertices < 0 or m_arcs < 0:
+                    raise FormatError("negative vertex or arc count", lineno)
+            elif kind == "n":
+                if len(parts) != 3 or parts[2] not in ("s", "t"):
+                    raise FormatError("expected 'n <id> s|t'", lineno)
+                if parts[2] in ends:
+                    raise FormatError(f"duplicate 'n <id> {parts[2]}' line", lineno)
+                if not raw.isascii() or "_" in raw:
+                    _not_ascii_decimal(parts[1:2])
+                ends[parts[2]] = int(parts[1])
             else:
                 raise FormatError(f"unknown line type {kind!r}", lineno)
         except ValueError as exc:
@@ -147,6 +165,19 @@ def _int(x: object, field: str) -> int:
     return x
 
 
+def _ints(xs: list, field: str) -> list:
+    """``xs`` if every value in it is a JSON integer; else the first other
+    value is named as ``_int`` names it."""
+    if not set(map(type, xs)) <= {int}:
+        for x in xs:
+            _int(x, field)
+    return xs
+
+
+_EDGE_ROW = ("id", "tail", "head", "cap")
+_TREE_EDGE = ("component", "clique")
+
+
 def _list(x: object, field: str, shape: tuple[str, ...]) -> list:
     """``x`` if it is a JSON list with one value per name in ``shape``."""
     if type(x) is not list or len(x) != len(shape):
@@ -188,12 +219,30 @@ def parse_decomposition(text: str) -> DecompositionTree:
         doc = _object(doc, "decomposition", ("components", "cliques", "tree_edges"))
         for comp in _items(doc["components"], "components"):
             comp = _object(comp, "component", ("id", "vertices", "edges"))
-            shape = ("id", "tail", "head", "cap")
-            edges = [_list(e, "component edge", shape) for e in _items(comp["edges"], "component edges")]
-            net = FlowNetwork.from_edges(
-                [tuple(_int(x, "component edge field") for x in e) for e in edges],
-                (_int(v, "component vertex") for v in _items(comp["vertices"], "component vertices")),
-            )
+            edges = []
+            for row in _items(comp["edges"], "component edges"):
+                # Only a list of four unpacks into four integers; a string of
+                # four characters or an object of four keys unpacks too, and
+                # is named by its shape once the type test fails.
+                try:
+                    eid, tail, head, cap = row
+                except (TypeError, ValueError):
+                    _list(row, "component edge", _EDGE_ROW)
+                if not type(eid) is type(tail) is type(head) is type(cap) is int:
+                    _list(row, "component edge", _EDGE_ROW)
+                    for x in row:
+                        _int(x, "component edge field")
+                edges.append(Edge(eid, tail, head, cap))
+            vertices = _ints(_items(comp["vertices"], "component vertices"), "component vertex")
+            # The vertex list first, then each edge's ends, as
+            # FlowNetwork.from_edges adds them: the frozenset's iteration
+            # order, which the solver's kernels follow, depends on it.
+            verts = set(vertices)
+            add = verts.add
+            for e in edges:
+                add(e.tail)
+                add(e.head)
+            net = FlowNetwork(frozenset(verts), tuple(edges))
             cid = _int(comp["id"], "component id")
             if cid in tree.components:
                 raise FormatError(f"duplicate component id {cid}")
@@ -204,18 +253,24 @@ def parse_decomposition(text: str) -> DecompositionTree:
             kid = _int(cl["id"], "clique id")
             if kid in tree.cliques:
                 raise FormatError(f"duplicate clique id {kid}")
-            vertices = frozenset(
-                _int(v, "clique vertex") for v in _items(cl["vertices"], "clique vertices")
-            )
+            vertices = frozenset(_ints(_items(cl["vertices"], "clique vertices"), "clique vertex"))
             if not 1 <= len(vertices) <= 3:
                 raise FormatError(f"clique size {len(vertices)} out of range 1..3")
             tree.cliques[kid] = vertices
             tree.clique_comps[kid] = set()
         for pair in _items(doc["tree_edges"], "tree_edges"):
-            cid, kid = _list(pair, "tree edge", ("component", "clique"))
-            cid, kid = _int(cid, "tree edge component"), _int(kid, "tree edge clique")
+            try:
+                cid, kid = pair
+            except (TypeError, ValueError):
+                _list(pair, "tree edge", _TREE_EDGE)
+            if not type(cid) is type(kid) is int:
+                _list(pair, "tree edge", _TREE_EDGE)
+                _int(cid, "tree edge component")
+                _int(kid, "tree edge clique")
             if cid not in tree.components or kid not in tree.cliques:
                 raise FormatError(f"tree edge references missing node [{cid}, {kid}]")
+            if kid in tree.comp_cliques[cid]:
+                raise FormatError(f"duplicate tree edge [{cid}, {kid}]")
             tree.attach(cid, kid)
     except KeyError as exc:
         raise FormatError(f"missing field {exc}") from None
@@ -234,6 +289,8 @@ def parse_flow(text: str) -> dict[int, int]:
         if parts[0] != "f" or len(parts) != 3:
             raise FormatError("expected 'f <edge_id> <flow>'", lineno)
         try:
+            if not raw.isascii() or "_" in raw:
+                _not_ascii_decimal(parts[1:])
             eid, val = int(parts[1]), int(parts[2])
         except ValueError as exc:
             raise FormatError(f"bad integer: {exc}", lineno) from None

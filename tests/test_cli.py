@@ -49,6 +49,18 @@ def test_network_round_trip():
         ("p max -3 0\n", "line 1: negative vertex or arc count"),
         ("p max 3 0\nn 1 s\nn 2 s\n", "line 3: duplicate 'n <id> s' line"),
         ("p max 3 0\nn 1 t\nn 3 s\nn 2 t\n", "line 4: duplicate 'n <id> t' line"),
+        ("p max 2 0\np max 2 0\n", "line 2: duplicate problem line"),
+        ("p min 2 0\n", "line 1: expected 'p max <n> <m>'"),
+        ("p max 2 0\nn 1 x\n", "line 2: expected 'n <id> s|t'"),
+        ("p max 2 1\na 1 2\n", "line 2: expected 'a <tail> <head> <cap>'"),
+        ("p max 2 0\nx 1\n", "line 2: unknown line type 'x'"),
+        ("c no problem line\n", "missing problem line"),
+        ("p max 2 1\na 1 y 3\n", "line 2: bad integer"),
+        # int() alone reads digit-group underscores and non-ASCII digits.
+        ("p max 3 1\na 2 3 4_0\n", "line 2: bad integer: '4_0' is not an ASCII decimal integer"),
+        ("p max 3 1\na 2 3 \u0664\n", "line 2: bad integer: '\u0664' is not an ASCII decimal integer"),
+        ("p max 1_0 0\n", "line 1: bad integer: '1_0'"),
+        ("p max 3 0\nn \u0661 s\n", "line 2: bad integer: '\u0661'"),
     ],
 )
 def test_network_parse_errors(text, fragment):
@@ -85,6 +97,38 @@ def test_flow_round_trip():
     assert parse_flow(write_flow(flow)) == flow
     with pytest.raises(FormatError):
         parse_flow("f 1 2\nf 1 3\n")
+    # int() alone reads digit-group underscores and non-ASCII digits.
+    for text in ("f 1 4_0\n", "f \u0664 1\n", "f 2 1\nf 1 1_0\n"):
+        with pytest.raises(FormatError, match=r"^line \d: bad integer: '.*' is not an ASCII decimal"):
+            parse_flow(text)
+
+
+def test_comment_lines_stay_free_form():
+    text = "c caf\u00e9 4_0 \u0664\np max 2 1\n  c indented_comment\na 1 2 3\n"
+    net, _, _ = parse_network(text)
+    assert [(e.tail, e.head, e.cap) for e in net.edges] == [(1, 2, 3)]
+    assert parse_flow("c \u0664_0\nf 1 3\n") == {1: 3}
+
+
+@pytest.mark.parametrize("family", ["planar", "k33free", "k5free"])
+@pytest.mark.parametrize("n", [30, 120, 300])
+def test_parse_round_trip_keeps_every_component_vertex_order(family, n):
+    # The frozenset of a component's vertices iterates in the order its
+    # values were inserted, and the solver numbers a component's kernel
+    # vertices in that order: a parsed component must add the file's
+    # vertex list first and then each edge's tail and head, as
+    # FlowNetwork.from_edges does.
+    graph, tree = gen_instance(GenConfig(family, n, seed=n))
+    graph, tree, _, _ = canonical_ids(graph, tree)
+    parsed, _, _ = parse_network(write_network(graph))
+    assert parsed == graph
+    text = write_decomposition(tree)
+    back = parse_decomposition(text)
+    assert back == tree
+    doc = json.loads(text)
+    for comp in doc["components"]:
+        expected = FlowNetwork.from_edges(map(tuple, comp["edges"]), comp["vertices"])
+        assert list(back.components[comp["id"]].vertices) == list(expected.vertices)
 
 
 def run(tmp_path, *argv):
@@ -324,6 +368,11 @@ def _integer_tree_edges(doc):
     return doc
 
 
+def _repeated_tree_edge(doc):
+    doc["tree_edges"].append(list(doc["tree_edges"][0]))
+    return doc
+
+
 def _empty_clique(doc):
     doc["cliques"][0]["vertices"] = []
     return doc
@@ -349,6 +398,7 @@ def _four_vertex_clique(doc):
         (_integer_tree_edges, "tree_edges must be a list, got 5"),
         (_empty_clique, "clique size 0 out of range 1..3"),
         (_four_vertex_clique, "clique size 4 out of range 1..3"),
+        (_repeated_tree_edge, "duplicate tree edge [0, 0]"),
     ],
     ids=[
         "edge-three-fields",
@@ -359,6 +409,7 @@ def _four_vertex_clique(doc):
         "tree-edges-integer",
         "clique-empty",
         "clique-four",
+        "tree-edge-repeated",
     ],
 )
 def test_cli_solve_names_the_field_of_a_decomposition_list_of_the_wrong_shape(
@@ -367,7 +418,8 @@ def test_cli_solve_names_the_field_of_a_decomposition_list_of_the_wrong_shape(
     # These once surfaced Python's own messages: a missing positional
     # argument of Edge, a failed tuple unpacking, a list indexed by a key,
     # an integer subscripted and integers iterated.  A clique list of 0 or
-    # 4 vertices is refused by its size.
+    # 4 vertices is refused by its size, and a tree edge listed twice,
+    # which the incidence sets once dropped, is refused by name.
     net = tmp_path / "net.max"
     dec = tmp_path / "tree.json"
     assert run(tmp_path, "gen", "--family", "k5free", "--n", 30, "--seed", 3, "-o", net, "--tree", dec) == 0
@@ -465,6 +517,15 @@ def test_cli_malformed_header_exits_one(tmp_path, capsys):
     bad.write_text("p max 2 z\n")
     assert run(tmp_path, "solve", "--network", bad, "--family", "k33", "--source", 1, "--sink", 2) == 1
     assert "line 1" in capsys.readouterr().err
+
+
+def test_cli_rejects_a_capacity_with_an_underscore(tmp_path, capsys):
+    # int("4_0") is 40: the solve once ran on that capacity and exited 0.
+    bad = tmp_path / "bad.max"
+    bad.write_text("p max 3 2\na 1 2 7\na 2 3 4_0\n")
+    assert run(tmp_path, "solve", "--network", bad, "--family", "k33", "--source", 1, "--sink", 3) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "line 3: bad integer: '4_0' is not an ASCII decimal integer" in err
 
 
 def test_cli_disconnected_network_solves_but_does_not_decompose(tmp_path, capsys):

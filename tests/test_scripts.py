@@ -36,6 +36,9 @@ def test_script_runs_and_exits_zero(argv):
     )
     assert out.returncode == 0, out.stdout + out.stderr
     if argv[0] == "scale_smoke.py":
+        # The parse line: both texts' parse times and their size.
+        line = r"^parse \(from text\): network \d+\.\d\ds, tree \d+\.\d\ds, [1-9]\d* bytes$"
+        assert re.search(line, out.stdout, re.M), out.stdout
         # validate's line: the verdict and time, then the torsos whose
         # planarity was tested and the time those tests took.
         line = (
