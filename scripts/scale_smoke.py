@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
 """Scale experiment: generate a large clique-sum instance and solve it
 end to end, reporting where the time goes.  The s-t pair is the
-highest-value one of 8 seeded candidates, ranked by the direct max flow,
-which is timed beside the pipeline.  The network and the tree are then
-relabelled by ``canonical_ids``, written as text and parsed back, as the CLI
-and the benchmark take them in; the parse line times ``parse_network`` and
-``parse_decomposition`` and gives the bytes of both texts.  So the tree's
+highest-value one of --candidates seeded pairs (8 by default), ranked by
+the direct max flow, which is timed beside the pipeline; each candidate
+costs one direct max flow, several seconds at n = 1e6.  The network and the
+tree are then relabelled by ``canonical_ids``, written as text and parsed
+back, as the CLI and the benchmark take them in; the parse line times
+``parse_network`` and ``parse_decomposition`` and gives the bytes of both
+texts and the cyclic-GC collections per generation made inside both
+parses.  So the tree's
 edges are other objects than the network's, and ``validate`` compares them
 field by field.  ``validate`` is timed on its own, and its line
 also gives the torsos whose planarity it tested (those above the size cap)
@@ -192,7 +195,15 @@ def main() -> None:
         choices=("k33", "k5"),
         help="solve on this family decomposer's tree instead of the generated one",
     )
+    ap.add_argument(
+        "--candidates",
+        type=int,
+        default=8,
+        help="seeded s-t pairs to rank by the direct max flow (at least 1)",
+    )
     args = ap.parse_args()
+    if args.candidates < 1:
+        ap.error("--candidates must be at least 1")
 
     t0 = time.monotonic()
     graph, tree = gen_instance(GenConfig(args.family, args.n, seed=args.seed))
@@ -214,7 +225,7 @@ def main() -> None:
 
     rng = random.Random(args.seed)
     vertices = sorted(graph.vertices)
-    pairs = [tuple(rng.sample(vertices, 2)) for _ in range(8)]
+    pairs = [tuple(rng.sample(vertices, 2)) for _ in range(args.candidates)]
     values = [max_flow(graph, *pair)[0] for pair in pairs]
     s, t = pairs[values.index(max(values))]
     t2 = time.monotonic()
@@ -226,13 +237,15 @@ def main() -> None:
 
     canon_graph, canon_tree, vmap, _ = canonical_ids(graph, tree)
     net_text, tree_text = write_network(canon_graph), write_decomposition(canon_tree)
-    start = time.perf_counter()
-    graph, _, _ = parse_network(net_text)
-    parsed = time.perf_counter()
-    tree = parse_decomposition(tree_text)
+    with gc_collections() as collected:
+        start = time.perf_counter()
+        graph, _, _ = parse_network(net_text)
+        parsed = time.perf_counter()
+        tree = parse_decomposition(tree_text)
+        done = time.perf_counter()
     print(
-        f"parse (from text): network {parsed - start:.2f}s, "
-        f"tree {time.perf_counter() - parsed:.2f}s, {len(net_text) + len(tree_text)} bytes"
+        f"parse (from text): network {parsed - start:.2f}s, tree {done - parsed:.2f}s, "
+        f"{len(net_text) + len(tree_text)} bytes, gc collections {collected}"
     )
     s, t = vmap[s], vmap[t]
     t3 = time.monotonic()

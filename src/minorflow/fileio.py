@@ -219,8 +219,16 @@ def parse_decomposition(text: str) -> DecompositionTree:
         doc = _object(doc, "decomposition", ("components", "cliques", "tree_edges"))
         for comp in _items(doc["components"], "components"):
             comp = _object(comp, "component", ("id", "vertices", "edges"))
+            rows = _items(comp["edges"], "component edges")
+            # The vertex list first, then each edge's ends, as
+            # FlowNetwork.from_edges adds them: the frozenset's iteration
+            # order, which the solver's kernels follow, depends on it.
+            verts = set(
+                _ints(_items(comp["vertices"], "component vertices"), "component vertex")
+            )
+            add = verts.add
             edges = []
-            for row in _items(comp["edges"], "component edges"):
+            for row in rows:
                 # Only a list of four unpacks into four integers; a string of
                 # four characters or an object of four keys unpacks too, and
                 # is named by its shape once the type test fails.
@@ -233,15 +241,8 @@ def parse_decomposition(text: str) -> DecompositionTree:
                     for x in row:
                         _int(x, "component edge field")
                 edges.append(Edge(eid, tail, head, cap))
-            vertices = _ints(_items(comp["vertices"], "component vertices"), "component vertex")
-            # The vertex list first, then each edge's ends, as
-            # FlowNetwork.from_edges adds them: the frozenset's iteration
-            # order, which the solver's kernels follow, depends on it.
-            verts = set(vertices)
-            add = verts.add
-            for e in edges:
-                add(e.tail)
-                add(e.head)
+                add(tail)
+                add(head)
             net = FlowNetwork(frozenset(verts), tuple(edges))
             cid = _int(comp["id"], "component id")
             if cid in tree.components:

@@ -34,18 +34,36 @@ class MimicInputError(FlowError):
     """A cut table fed to a mimicking-network builder is inconsistent."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Edge:
+    """A directed arc: a frozen value compared and hashed by its fields.
+
+    ``__init__`` is written out because the generated one of a frozen
+    dataclass sets each field through ``object.__setattr__``, which took
+    over half of the time to build an edge; the slot descriptors' own
+    setters below do the same job directly.
+    """
+
     id: int
     tail: int
     head: int
     cap: int
 
-    def __post_init__(self) -> None:
-        if self.tail == self.head:
-            raise ValueError(f"self-loop at vertex {self.tail} (edge {self.id})")
-        if self.cap < 0:
-            raise ValueError(f"negative capacity {self.cap} on edge {self.id}")
+    def __init__(self, id: int, tail: int, head: int, cap: int) -> None:
+        if tail == head:
+            raise ValueError(f"self-loop at vertex {tail} (edge {id})")
+        if cap < 0:
+            raise ValueError(f"negative capacity {cap} on edge {id}")
+        _set_id(self, id)
+        _set_tail(self, tail)
+        _set_head(self, head)
+        _set_cap(self, cap)
+
+
+_set_id = Edge.id.__set__
+_set_tail = Edge.tail.__set__
+_set_head = Edge.head.__set__
+_set_cap = Edge.cap.__set__
 
 
 @dataclass(frozen=True)
@@ -60,13 +78,16 @@ class FlowNetwork:
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
+        vertices = self.vertices
         seen: set[int] = set()
+        add = seen.add
         for e in self.edges:
-            if e.id in seen:
-                raise ValueError(f"duplicate edge id {e.id}")
-            seen.add(e.id)
-            if e.tail not in self.vertices or e.head not in self.vertices:
-                raise UnknownVertexError(f"edge {e.id} references missing vertex")
+            eid = e.id
+            if eid in seen:
+                raise ValueError(f"duplicate edge id {eid}")
+            add(eid)
+            if e.tail not in vertices or e.head not in vertices:
+                raise UnknownVertexError(f"edge {eid} references missing vertex")
 
     @classmethod
     def from_edges(
@@ -94,7 +115,7 @@ class FlowNetwork:
         return max(self.vertices, default=-1) + 1
 
     def next_edge_id(self) -> int:
-        return max((e.id for e in self.edges), default=-1) + 1
+        return max(self.edge_by_id, default=-1) + 1
 
     def without_edges(self, edge_ids: Iterable[int]) -> "FlowNetwork":
         gone = set(edge_ids)

@@ -384,6 +384,16 @@ def _four_vertex_clique(doc):
     return doc
 
 
+def _self_loop_component_edge(doc):
+    doc["components"][0]["edges"][0] = [1, 2, 2, 3]
+    return doc
+
+
+def _negative_capacity_component_edge(doc):
+    doc["components"][0]["edges"][0] = [1, 2, 3, -1]
+    return doc
+
+
 @pytest.mark.parametrize(
     "corrupt,fragment",
     [
@@ -399,6 +409,11 @@ def _four_vertex_clique(doc):
         (_empty_clique, "clique size 0 out of range 1..3"),
         (_four_vertex_clique, "clique size 4 out of range 1..3"),
         (_repeated_tree_edge, "duplicate tree edge [0, 0]"),
+        (_self_loop_component_edge, "error: malformed value: self-loop at vertex 2 (edge 1)\n"),
+        (
+            _negative_capacity_component_edge,
+            "error: malformed value: negative capacity -1 on edge 1\n",
+        ),
     ],
     ids=[
         "edge-three-fields",
@@ -410,6 +425,8 @@ def _four_vertex_clique(doc):
         "clique-empty",
         "clique-four",
         "tree-edge-repeated",
+        "edge-self-loop",
+        "edge-negative-capacity",
     ],
 )
 def test_cli_solve_names_the_field_of_a_decomposition_list_of_the_wrong_shape(
@@ -419,7 +436,8 @@ def test_cli_solve_names_the_field_of_a_decomposition_list_of_the_wrong_shape(
     # argument of Edge, a failed tuple unpacking, a list indexed by a key,
     # an integer subscripted and integers iterated.  A clique list of 0 or
     # 4 vertices is refused by its size, and a tree edge listed twice,
-    # which the incidence sets once dropped, is refused by name.
+    # which the incidence sets once dropped, is refused by name.  A row
+    # that Edge refuses keeps Edge's own message.
     net = tmp_path / "net.max"
     dec = tmp_path / "tree.json"
     assert run(tmp_path, "gen", "--family", "k5free", "--n", 30, "--seed", 3, "-o", net, "--tree", dec) == 0

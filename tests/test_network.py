@@ -1,3 +1,8 @@
+import copy
+import dataclasses
+import pickle
+import re
+
 import pytest
 
 from minorflow.network import (
@@ -7,6 +12,7 @@ from minorflow.network import (
     Edge,
     FlowNetwork,
     TerminalSet,
+    UnknownVertexError,
     imbalances,
     merge_networks,
     nonempty_subsets,
@@ -15,15 +21,37 @@ from minorflow.network import (
 
 
 def test_edge_rejects_self_loop_and_negative_capacity():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("self-loop at vertex 1 (edge 0)")):
         Edge(0, 1, 1, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^negative capacity -1 on edge 0$"):
         Edge(0, 1, 2, -1)
 
 
+def test_edge_is_a_frozen_value_type():
+    e = Edge(1, 2, 3, 4)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        e.cap = 5
+    assert not hasattr(e, "__dict__")
+    assert e == Edge(id=1, tail=2, head=3, cap=4)
+    assert hash(e) == hash(Edge(1, 2, 3, 4))
+    assert e != Edge(1, 2, 3, 5)
+    assert e != (1, 2, 3, 4)
+    assert repr(e) == "Edge(id=1, tail=2, head=3, cap=4)"
+    for twin in (pickle.loads(pickle.dumps(e)), copy.copy(e), copy.deepcopy(e)):
+        assert twin == e and type(twin) is Edge
+    assert dataclasses.replace(e, cap=0) == Edge(1, 2, 3, 0)
+    with pytest.raises(ValueError, match=re.escape("self-loop at vertex 2 (edge 1)")):
+        dataclasses.replace(e, head=e.tail)
+
+
 def test_network_rejects_duplicate_edge_ids():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^duplicate edge id 0$"):
         FlowNetwork.from_edges([(0, 1, 2, 1), (0, 2, 3, 1)])
+
+
+def test_network_rejects_an_edge_to_a_missing_vertex():
+    with pytest.raises(UnknownVertexError, match="^edge 0 references missing vertex$"):
+        FlowNetwork(frozenset({1}), (Edge(0, 1, 2, 1),))
 
 
 def test_parallel_and_antiparallel_edges_are_allowed():
@@ -36,6 +64,7 @@ def test_adjacency_and_id_helpers():
     assert net.edge_by_id[3].cap == 5
     assert net.next_vertex_id() == 8
     assert net.next_edge_id() == 4
+    assert FlowNetwork(frozenset(), ()).next_edge_id() == 0
 
 
 def test_merge_networks_requires_disjoint_edge_ids():

@@ -16,7 +16,10 @@ SCRIPTS = SRC.parent / "scripts"
     "argv",
     [
         ["scale_smoke.py", "--n", "300", "--family", "k5free", "--seed", "11"],
-        ["scale_smoke.py", "--n", "300", "--family", "k5free", "--seed", "0", "--decomposer", "k5"],
+        [
+            "scale_smoke.py", "--n", "300", "--family", "k5free", "--seed", "0",
+            "--decomposer", "k5", "--candidates", "2",
+        ],
         ["fuzz_cross_check.py", "--rounds", "3", "--max-n", "30", "--decomposer"],
     ],
     ids=["scale_smoke", "scale_smoke_decomposer", "fuzz_cross_check"],
@@ -36,8 +39,15 @@ def test_script_runs_and_exits_zero(argv):
     )
     assert out.returncode == 0, out.stdout + out.stderr
     if argv[0] == "scale_smoke.py":
-        # The parse line: both texts' parse times and their size.
-        line = r"^parse \(from text\): network \d+\.\d\ds, tree \d+\.\d\ds, [1-9]\d* bytes$"
+        candidates = argv[argv.index("--candidates") + 1] if "--candidates" in argv else "8"
+        line = rf"^picked \d+ -> \d+ of {candidates} candidates in \d+\.\ds$"
+        assert re.search(line, out.stdout, re.M), out.stdout
+        # The parse line: both texts' parse times, their size and the
+        # collections made inside both parses.
+        line = (
+            r"^parse \(from text\): network \d+\.\d\ds, tree \d+\.\d\ds, [1-9]\d* bytes, "
+            r"gc collections \[\d+, \d+, \d+\]$"
+        )
         assert re.search(line, out.stdout, re.M), out.stdout
         # validate's line: the verdict and time, then the torsos whose
         # planarity was tested and the time those tests took.
