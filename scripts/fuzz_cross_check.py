@@ -4,7 +4,8 @@ and cross-check every value against the independent oracle.  Each round
 solves the highest-value s-t pair of four seeded candidates, so most rounds
 check a positive flow.  With --decomposer, the family decomposer's tree is
 validated before it is solved; a planar round draws the k33 or the k5
-decomposer, since a planar network is free of both minors.
+decomposer, since a planar network is free of both minors, and ``refine``
+of that tree is validated too.
 
     python scripts/fuzz_cross_check.py --rounds 100 --max-n 60
     MINORFLOW_SEED=9 python scripts/fuzz_cross_check.py --rounds 20 --decomposer
@@ -15,7 +16,7 @@ import os
 import random
 import time
 
-from minorflow.decomposition import validate
+from minorflow.decomposition import refine, validate
 from minorflow.external import verify_flow
 from minorflow.network import TerminalSet
 from minorflow.solver import FAMILIES, decompose, max_flow_decomposed
@@ -53,12 +54,13 @@ def main() -> None:
         if args.decomposer:
             key = {"k33free": "k33", "k5free": "k5"}.get(family) or rng.choice(FAMILIES)
             tree = decompose(graph, key)
-            ok, problems = validate(graph, tree)
-            if not ok:
-                print(f"round {round_no}: INVALID TREE family={family} n={n} decomposer={key}")
-                for problem in problems[:5]:
-                    print(f"  {problem}")
-                raise SystemExit(1)
+            for name, checked in ((key, tree), (f"refine({key})", refine(tree))):
+                ok, problems = validate(graph, checked)
+                if not ok:
+                    print(f"round {round_no}: INVALID TREE family={family} n={n} tree={name}")
+                    for problem in problems[:5]:
+                        print(f"  {problem}")
+                    raise SystemExit(1)
         value, flow = max_flow_decomposed(graph, tree, s, t)
         ok = verify_flow(graph, TerminalSet.of(s, t), (value, -value), flow)
         if value != want or not ok:

@@ -22,7 +22,8 @@ or the pipeline's flow fails verification.  With --decomposer, the
 pipeline solves on the family decomposer's tree instead of the generated
 one, and the decompose line gives its time, the planar blocks kept whole
 and the ``spqr`` calls, taken by wrapping the decomposition module's
-``_structure_tree`` and ``spqr`` bindings.  After the pipeline line come Phase
+``biconnected_split`` and ``spqr`` bindings (the blocks kept whole are the
+blocks less the ``spqr`` calls).  After the pipeline line come Phase
 I's time and its work, all taken by wrapping the solver's module bindings:
 ``solver.phase1`` is timed and its arguments give the off-path components
 (the tree's components less the path's); the records reaching
@@ -81,22 +82,25 @@ def gc_collections():
 
 @contextlib.contextmanager
 def decompose_work():
-    """Count the planar blocks ``_structure_tree`` keeps whole and the
-    ``spqr`` calls, through the decomposition module's bindings."""
-    seen = {"kept": 0, "spqr": 0}
-    names = ("_structure_tree", "spqr")
+    """Count the blocks and the ``spqr`` calls through the decomposition
+    module's ``biconnected_split`` and ``spqr`` bindings.  A decomposer
+    splits its input into blocks once and runs ``spqr`` once on each
+    non-planar block, so the planar blocks it keeps whole are the blocks
+    less the ``spqr`` calls."""
+    seen = {"blocks": 0, "spqr": 0}
+    names = ("biconnected_split", "spqr")
     real = {name: getattr(decomposition, name) for name in names}
 
-    def structure_tree(net):
-        tree, planar = real["_structure_tree"](net)
-        seen["kept"] += len(planar)
-        return tree, planar
+    def biconnected_split(adj):
+        blocks, arts = real["biconnected_split"](adj)
+        seen["blocks"] += len(blocks)
+        return blocks, arts
 
     def spqr(adj):
         seen["spqr"] += 1
         return real["spqr"](adj)
 
-    for name, wrapper in zip(names, (structure_tree, spqr)):
+    for name, wrapper in zip(names, (biconnected_split, spqr)):
         setattr(decomposition, name, wrapper)
     try:
         yield seen
@@ -216,9 +220,10 @@ def main() -> None:
         with decompose_work() as work:
             tree = decompose(graph, args.decomposer)
         decomposed = time.monotonic()
+        kept = work["blocks"] - work["spqr"]
         print(
             f"decompose ({args.decomposer}): components={len(tree.components)} "
-            f"(planar blocks kept whole {work['kept']}), spqr calls {work['spqr']} "
+            f"(planar blocks kept whole {kept}), spqr calls {work['spqr']} "
             f"in {decomposed - t1:.2f}s"
         )
         t1 = decomposed

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .network import Edge, FlowNetwork, merge_networks
 from .planar import (
@@ -27,7 +27,7 @@ from .planar import (
     planar_embed,  # unused here: the benchmark's traced run wraps this binding by name
 )
 from . import spqr as spqr_mod
-from .spqr import SpqrTree, spqr
+from .spqr import spqr
 
 
 class NotK33MinorFree(Exception):
@@ -197,6 +197,8 @@ def biconnected_split(
 
 # A piece of a split component: its vertex set and its torso pairs.
 Piece = tuple[frozenset[int], frozenset[frozenset[int]]]
+# Pieces, and the cliques that glue them as (vertex set, piece indexes).
+_Split = tuple[list[Piece], list[tuple[frozenset[int], list[int]]]]
 
 
 def _split(
@@ -248,44 +250,45 @@ def _split(
             tree.attach(cid, kid)
 
 
-def _block_pass(tree: DecompositionTree) -> None:
-    for cid in sorted(tree.components):
-        torso = torso_adjacency(tree, cid)
-        if len(components(torso)) > 1:
-            raise InvalidDecomposition(f"component {cid} has a disconnected torso")
-        _split_blocks(tree, cid, torso)
+def _compose(outer: _Split, inner: Sequence[_Split | None]) -> _Split:
+    """Split each piece i of ``outer`` again into ``inner[i]`` (None keeps
+    it whole), in place, so the piece order stays nested.
+
+    An outer clique joins, in place of each piece it had, the first of that
+    piece's inner pieces that holds it, as ``_split`` reattaches the cliques
+    a component already has.  An edge's first holder also lies among the
+    inner pieces of its outer one, so one ``_split`` of the result gives the
+    tree that splitting level by level gives."""
+    subs = [sub or ([piece], []) for piece, sub in zip(outer[0], inner)]
+    start = list(itertools.accumulate((len(sub[0]) for sub in subs), initial=0))
+    pieces = [piece for sub_pieces, _ in subs for piece in sub_pieces]
+    cliques = [
+        (verts, [start[k] + i for i in members])
+        for k, (_, sub_cliques) in enumerate(subs)
+        for verts, members in sub_cliques
+    ]
+    for verts, members in outer[1]:
+        homes = [next(j for j, (pv, _) in enumerate(subs[i][0]) if verts <= pv) for i in members]
+        cliques.append((verts, [start[i] + j for i, j in zip(members, homes)]))
+    return pieces, cliques
 
 
-def _split_blocks(tree: DecompositionTree, cid: int, torso: Adjacency) -> None:
-    blocks, _ = biconnected_split(torso)
-    if len(blocks) <= 1:
-        return
-    holders: dict[int, list[int]] = {}
+def _block_pieces(adj: Adjacency) -> _Split:
+    """The blocks of ``adj`` (see ``biconnected_split``), glued at one clique
+    per articulation vertex, which joins every block holding it."""
+    blocks, arts = biconnected_split(adj)
+    holders: dict[int, list[int]] = {v: [] for v in arts}
     for i, (verts, _) in enumerate(blocks):
-        for v in verts:
-            holders.setdefault(v, []).append(i)
-    arts = [(frozenset((v,)), holders[v]) for v in sorted(holders) if len(holders[v]) > 1]
-    _split(tree, cid, blocks, arts)
+        for v in verts & arts:
+            holders[v].append(i)
+    return blocks, [(frozenset((v,)), holders[v]) for v in sorted(arts)]
 
 
-def _spqr_pass(tree: DecompositionTree) -> None:
-    for cid in sorted(tree.components):
-        _spqr_split(tree, cid, torso_adjacency(tree, cid))
+def _spqr_pieces(adj: Adjacency) -> _Split | None:
+    """The pieces of the SPQR tree of the biconnected graph ``adj``; None
+    when it has one node, or ``adj`` is a vertex or an edge.
 
-
-def _spqr_split(tree: DecompositionTree, cid: int, torso: Adjacency) -> None:
-    """Split component ``cid``, whose torso is ``torso``, into the pieces of
-    its SPQR tree (see ``_apply_spqr_split``); an edge or a bond stays."""
-    n_pairs = sum(len(s) for s in torso.values()) // 2
-    if len(torso) <= 2 or n_pairs <= 1:
-        return
-    stree = spqr(torso)
-    if len(stree.nodes) > 1:
-        _apply_spqr_split(tree, cid, stree)
-
-
-def _apply_spqr_split(tree: DecompositionTree, cid: int, stree: SpqrTree) -> None:
-    """One piece per S or R node, holding all of its skeleton pairs; a P
+    One piece per S or R node, holding all of its skeleton pairs; a P
     node becomes a clique, and its real edge lands in its lowest attached
     piece, the first that holds its pair.
 
@@ -293,73 +296,64 @@ def _apply_spqr_split(tree: DecompositionTree, cid: int, stree: SpqrTree) -> Non
     two S or R nodes share at most two vertices, so the order is total, and
     the split (which piece keeps an old clique, which holds a P node's
     edge) depends only on the tree, not on how ``spqr`` numbers it."""
-    node_ids = sorted(stree.nodes)
-    verts = {nid: stree.nodes[nid].vertices for nid in node_ids}
-    non_p = sorted(
-        (nid for nid in node_ids if stree.nodes[nid].kind != spqr_mod.P),
-        key=lambda nid: sorted(verts[nid]),
-    )
+    if len(adj) <= 2:
+        return None
+    stree = spqr(adj)
+    if len(stree.nodes) <= 1:
+        return None
+    verts = {nid: node.vertices for nid, node in stree.nodes.items() if node.kind != spqr_mod.P}
+    non_p = sorted(verts, key=lambda nid: sorted(verts[nid]))
     piece_index = {nid: i for i, nid in enumerate(non_p)}
     pieces = [
         (frozenset(verts[nid]), frozenset(e.pair for e in stree.nodes[nid].edges))
         for nid in non_p
     ]
-    cliques: list[tuple[frozenset[int], list[int]]] = []
-    for nid in node_ids:
-        node = stree.nodes[nid]
-        if node.kind == spqr_mod.P:
-            attached = sorted(piece_index[other] for _, other in stree.neighbors(nid))
-            cliques.append((frozenset(verts[nid]), attached))
-    for link, (a, b) in sorted(stree.tree_edges.items()):
-        if stree.nodes[a].kind == spqr_mod.P or stree.nodes[b].kind == spqr_mod.P:
-            continue
-        virt = next(e for e in stree.nodes[a].edges if e.link == link)
-        cliques.append((virt.pair, sorted((piece_index[a], piece_index[b]))))
-    _split(tree, cid, pieces, cliques)
+    # One clique per tree edge, on its virtual pair; ``_split`` merges those
+    # of one P node.
+    pair = {e.link: e.pair for node in stree.nodes.values() for e in node.edges if e.virtual}
+    return pieces, [
+        (pair[link], sorted(piece_index[nid] for nid in ends if nid in piece_index))
+        for link, ends in sorted(stree.tree_edges.items())
+    ]
+
+
+def _sides(adj: Adjacency, sep: frozenset[int]) -> _Split | None:
+    """The sides of ``adj`` at the vertex set ``sep``, glued at one clique
+    on it; None when ``sep`` does not separate ``adj``.  One side per
+    component of ``adj - sep``, ordered by its smallest vertex, holding
+    ``sep`` and completed by every pair inside it."""
+    parts = components(adj, sep)
+    if len(parts) < 2:
+        return None
+    sep_pairs = frozenset(frozenset(p) for p in itertools.combinations(sep, 2))
+    pieces = []
+    for part in parts:
+        pairs = frozenset(frozenset((u, w)) for u in part for w in adj[u])
+        pieces.append((frozenset(part | sep), pairs | sep_pairs))
+    return pieces, [(sep, list(range(len(pieces))))]
 
 
 def _triangle_pass(tree: DecompositionTree) -> bool:
     """Split each planar component at its first gluing triangle that
-    separates its torso.  After the block and SPQR passes every torso is a
+    separates its torso.  After blocks and SPQR pieces every torso is a
     cycle, a 3-connected graph or at most three vertices, and in a
     3-connected planar graph a triangle is a face exactly when removing it
     leaves the graph connected (Whitney), so no embedding is needed."""
     changed = False
     for cid in sorted(tree.components):
-        tri_cliques = [
-            kid
-            for kid in sorted(tree.comp_cliques[cid])
-            if len(tree.cliques[kid]) == 3
-        ]
+        tri_cliques = [k for k in sorted(tree.comp_cliques[cid]) if len(tree.cliques[k]) == 3]
         if not tri_cliques:
             continue
         torso = torso_adjacency(tree, cid)
         if not is_planar(torso):
             continue
         for kid in tri_cliques:
-            tri = tree.cliques[kid]
-            parts = components(torso, tri)
-            if len(parts) < 2:
-                continue
-            _split_at_triangle(tree, cid, torso, tri, parts)
-            changed = True
-            break  # component replaced; revisit the new pieces next sweep
+            sides = _sides(torso, tree.cliques[kid])
+            if sides is not None:
+                _split(tree, cid, *sides)
+                changed = True
+                break  # component replaced; revisit the new pieces next sweep
     return changed
-
-
-def _split_at_triangle(
-    tree: DecompositionTree,
-    cid: int,
-    torso: Adjacency,
-    tri: frozenset[int],
-    parts: Sequence[set[int]],
-) -> None:
-    pieces = []
-    for part in parts:
-        verts = frozenset(part | tri)
-        pairs = frozenset(frozenset((u, w)) for u in verts for w in torso[u] if w in verts)
-        pieces.append((verts, pairs))
-    _split(tree, cid, pieces, [(tri, list(range(len(pieces))))])
 
 
 def refine(tree: DecompositionTree) -> DecompositionTree:
@@ -367,9 +361,15 @@ def refine(tree: DecompositionTree) -> DecompositionTree:
     every gluing triangle of every planar component is one of its faces.
     Reassembly is unchanged; refining twice equals refining once."""
     out = tree.copy()
-    _block_pass(out)
-    _spqr_pass(out)
-    # One block and one SPQR pass suffice: a block's torso is biconnected,
+    for cid in sorted(tree.components):
+        torso = torso_adjacency(out, cid)
+        if len(components(torso)) > 1:
+            raise InvalidDecomposition(f"component {cid} has a disconnected torso")
+        blocks = _block_pieces(torso)
+        split = _compose(blocks, [_spqr_pieces(adjacency(*block)) for block in blocks[0]])
+        if len(split[0]) > 1:
+            _split(out, cid, *split)
+    # Blocks and their SPQR pieces suffice: a block's torso is biconnected,
     # and an S or R piece's torso is its skeleton (a cycle, or a 3-connected
     # graph).  Splitting a 3-connected torso at a separating triangle leaves
     # 3-connected pieces, each strictly smaller, so the triangle loop ends.
@@ -413,28 +413,35 @@ def _is_v8(adj: Adjacency) -> bool:
     return extend()
 
 
-def _structure_tree(net: FlowNetwork) -> tuple[DecompositionTree, set[int]]:
+def _decompose(
+    net: FlowNetwork, split_piece: Callable[[Piece], _Split | None]
+) -> DecompositionTree:
     """Split ``net`` into its blocks (1-sums), test each block for planarity
-    once, and split only the non-planar ones into their SPQR pieces (2-sums).
+    once, and split only the non-planar ones into their SPQR pieces (2-sums),
+    each of which ``split_piece`` splits again (None keeps it whole) or
+    rejects by raising.  One ``_split`` builds the tree, so a network is
+    built only for each final component.
 
-    Returns the tree and the ids of the planar blocks, which are kept whole:
-    every triconnected piece of a planar block is planar, so they need no
-    further test, and ``refine`` recovers their pieces when asked.  Each
-    remaining component is an S or R piece of a non-planar block, or a
-    non-planar block that is already triconnected."""
+    Planar blocks are kept whole: every triconnected piece of a planar block
+    is planar, so they need no further test, and ``refine`` recovers their
+    pieces when asked."""
     adj = underlying(net)
     if len(components(adj)) > 1:
         raise DisconnectedInput("decomposers require a connected input graph")
-    tree = DecompositionTree()
-    _split_blocks(tree, tree.add_component(net), adj)
-    planar: set[int] = set()
-    for cid in sorted(tree.components):
-        torso = torso_adjacency(tree, cid)
-        if is_planar(torso):
-            planar.add(cid)
-        else:
-            _spqr_split(tree, cid, torso)
-    return tree, planar
+
+    def split_block(block: Piece) -> _Split | None:
+        block_adj = adjacency(*block)
+        if is_planar(block_adj):
+            return None
+        spqr_pieces = _spqr_pieces(block_adj) or ([block], [])
+        return _compose(spqr_pieces, [split_piece(piece) for piece in spqr_pieces[0]])
+
+    blocks = _block_pieces(adj)
+    pieces, cliques = _compose(blocks, [split_block(block) for block in blocks[0]])
+    tree = single_component_tree(net)
+    if len(pieces) > 1:
+        _split(tree, 0, pieces, cliques)
+    return tree
 
 
 def decompose_k33_free(net: FlowNetwork) -> DecompositionTree:
@@ -442,14 +449,15 @@ def decompose_k33_free(net: FlowNetwork) -> DecompositionTree:
     2-sums): each planar block whole, and the triconnected pieces of each
     non-planar block.  Raises NotK33MinorFree when some piece of a
     non-planar block is neither planar nor K5."""
-    tree, planar = _structure_tree(net)
-    for cid in sorted(c for c in tree.components if c not in planar):
-        torso = torso_adjacency(tree, cid)
-        if not (is_planar(torso) or _is_k5(torso)):
+
+    def check(piece: Piece) -> None:
+        adj = adjacency(*piece)
+        if not (is_planar(adj) or _is_k5(adj)):
             raise NotK33MinorFree(
-                f"triconnected component on vertices {sorted(torso)} is neither planar nor K5"
+                f"triconnected component on vertices {sorted(adj)} is neither planar nor K5"
             )
-    return tree
+
+    return _decompose(net, check)
 
 
 def decompose_k5_free(net: FlowNetwork) -> DecompositionTree:
@@ -458,25 +466,21 @@ def decompose_k5_free(net: FlowNetwork) -> DecompositionTree:
     pieces of each non-planar block, split again at separating triples
     (``_split_k5``) until every piece is planar or V8.  Raises
     NotK5MinorFree when impossible."""
-    tree, planar = _structure_tree(net)
-    memo: dict[tuple[frozenset[int], frozenset[frozenset[int]]], object] = {}
-    for cid in sorted(c for c in tree.components if c not in planar):
-        torso = torso_adjacency(tree, cid)
-        if all(len(nbrs) == 2 for nbrs in torso.values()):
-            continue  # an S piece: a cycle is planar
-        verts = frozenset(torso)
-        pairs = frozenset(
-            frozenset((u, v)) for u in torso for v in torso[u] if u < v
-        )
+    memo: dict[Piece, _Split | None] = {}
+
+    def split(piece: Piece) -> _Split | None:
+        verts, pairs = piece
+        if len(pairs) == len(verts):
+            return None  # an S piece: a cycle is planar
         # An R piece or a 3-connected block; _split_k5 tests planar / V8 first.
         result = _split_k5(verts, pairs, memo)
         if result is None:
             raise NotK5MinorFree(
                 f"component on vertices {sorted(verts)} is not a 3-sum of planar and Wagner pieces"
             )
-        if len(result[0]) > 1:
-            _split(tree, cid, *result)
-    return tree
+        return result
+
+    return _decompose(net, split)
 
 
 def _separating_triples(adj: Adjacency) -> Iterator[tuple[int, int, int]]:
@@ -497,14 +501,11 @@ def _separating_triples(adj: Adjacency) -> Iterator[tuple[int, int, int]]:
             yield order[a], order[b], order[c]
 
 
-_K5Result = tuple[list[Piece], list[tuple[frozenset[int], list[int]]]]
-
-
 def _split_k5(
     verts: frozenset[int],
     pairs: frozenset[frozenset[int]],
     memo: dict,
-) -> _K5Result | None:
+) -> _Split | None:
     """Recursive 3-cut refinement of a 3-connected torso: one piece when it
     is planar or V8.
 
@@ -521,42 +522,24 @@ def _split_k5(
     if key in memo:
         return memo[key]
     adj = adjacency(verts, pairs)
+    result: _Split | None = None
     if is_planar(adj) or _is_v8(adj):
-        memo[key] = ([(verts, pairs)], [])
-        return memo[key]
-    for triple in _separating_triples(adj):
-        tri = frozenset(triple)
-        parts = components(adj, tri)
-        if len(parts) < 2:
-            continue
-        tri_pairs = {frozenset(p) for p in itertools.combinations(sorted(tri), 2)}
-        all_pieces: list[Piece] = []
-        all_cliques: list[tuple[frozenset[int], list[int]]] = []
-        attach: list[int] = []
-        ok = True
-        for part in sorted(parts, key=sorted):
-            side_verts = frozenset(part | tri)
-            side_pairs = frozenset(
-                p for p in pairs if p <= side_verts and not p <= tri
-            ) | frozenset(tri_pairs)
-            sub = _split_k5(side_verts, side_pairs, memo)
-            if sub is None:
-                ok = False
+        result = [key], []
+    else:
+        for triple in _separating_triples(adj):
+            sides = _sides(adj, frozenset(triple))
+            if sides is None:
+                continue
+            subs: list[_Split | None] = []
+            for side in sides[0]:
+                subs.append(_split_k5(*side, memo))
+                if subs[-1] is None:
+                    break
+            else:
+                result = _compose(sides, subs)
                 break
-            base = len(all_pieces)
-            sub_pieces, sub_cliques = sub
-            all_pieces.extend(sub_pieces)
-            all_cliques.extend(
-                (cv, [base + i for i in members]) for cv, members in sub_cliques
-            )
-            attach.append(
-                base + next(i for i, (pv, _) in enumerate(sub_pieces) if tri <= pv)
-            )
-        if ok:
-            memo[key] = (all_pieces, all_cliques + [(tri, attach)])
-            return memo[key]
-    memo[key] = None
-    return None
+    memo[key] = result
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -594,15 +577,25 @@ def validate(graph: FlowNetwork, tree: DecompositionTree) -> tuple[bool, list[st
         return False, ["tree has no components"]
     # Incidence bookkeeping and tree shape.
     n_edges = 0
+    listed = 0  # tree edges that both incidence maps hold
     for cid in comp_ids:
         for kid in tree.comp_cliques[cid]:
             if kid not in tree.cliques:
                 problems.append(f"component {cid} attached to missing clique {kid}")
+            elif cid in tree.clique_comps[kid]:
+                listed += 1
+            else:
+                problems.append(f"component {cid} lists clique {kid}, which does not list it")
             n_edges += 1
-    for kid in clique_ids:
-        for cid in sorted(c for c in tree.clique_comps[kid] if c not in tree.components):
-            problems.append(f"clique {kid} attached to missing component {cid}")
-    dangling = bool(problems)  # the walk can only cross nodes that exist
+    # Every clique-side edge is one of those ``listed`` unless the counts differ.
+    if listed != sum(len(tree.clique_comps[kid]) for kid in clique_ids):
+        for kid in clique_ids:
+            for cid in sorted(tree.clique_comps[kid]):
+                if cid not in tree.components:
+                    problems.append(f"clique {kid} attached to missing component {cid}")
+                elif kid not in tree.comp_cliques[cid]:
+                    problems.append(f"clique {kid} lists component {cid}, which does not list it")
+    dangling = bool(problems)  # the walk needs nodes that exist and maps that agree
     for kid in clique_ids:
         if len(tree.clique_comps[kid]) < 2:
             problems.append(f"clique {kid} attached to fewer than 2 components")

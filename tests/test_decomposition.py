@@ -24,7 +24,7 @@ from minorflow.decomposition import (
 )
 from minorflow.fileio import canonical_ids, parse_decomposition, write_decomposition
 from minorflow.network import FlowNetwork
-from minorflow.planar import is_planar, planar_embed
+from minorflow.planar import adjacency, is_planar, planar_embed
 from minorflow.testkit import GenConfig, gen_instance, minor_free_check, oracle_spqr
 
 from conftest import dnet
@@ -225,6 +225,34 @@ def test_validate_reports_a_component_attached_to_a_missing_clique():
     assert validate(graph, tree) == (False, ["clique 0 attached to missing component 9"])
     with pytest.raises(InvalidDecomposition, match="clique 0 attached to missing component 9"):
         max_flow_decomposed(graph, tree, 0, 1)
+
+
+def test_validate_reports_incidence_maps_that_disagree():
+    # A-{1,2}-B-{3,4}-C, then clique {3,4} is told it joins A and C: B still
+    # lists it and A does not.  Both maps span the tree and count its edges,
+    # so only comparing them shows the fault; the solver must refuse the
+    # tree rather than fail inside it.
+    from minorflow.solver import max_flow_decomposed
+
+    tree = DecompositionTree()
+    a = tree.add_component(FlowNetwork.from_edges([(0, 0, 1, 1), (1, 0, 2, 1)]))
+    b = tree.add_component(FlowNetwork.from_edges([(2, 1, 3, 1), (3, 2, 4, 1)]))
+    c = tree.add_component(FlowNetwork.from_edges([(4, 3, 5, 1), (5, 4, 5, 1)]))
+    k1, k2 = tree.add_clique([1, 2]), tree.add_clique([3, 4])
+    for cid, kid in ((a, k1), (b, k1), (b, k2), (c, k2)):
+        tree.attach(cid, kid)
+    graph = tree.reassemble()
+    assert validate(graph, tree) == (True, [])
+    tree.clique_comps[k2] = {a, c}
+    assert validate(graph, tree) == (
+        False,
+        [
+            "component 1 lists clique 1, which does not list it",
+            "clique 1 lists component 0, which does not list it",
+        ],
+    )
+    with pytest.raises(InvalidDecomposition, match="component 1 lists clique 1"):
+        max_flow_decomposed(graph, tree, 3, 4)
 
 
 class ScanCountingDict(dict):
@@ -493,6 +521,53 @@ def test_decompose_k5_free_splits_generated_three_sums(rng):
         tree = decompose_k5_free(graph)
         ok, problems = validate(graph, tree)
         assert ok, problems
+
+
+@pytest.mark.parametrize(
+    "family, decomposer", [("k5free", decompose_k5_free), ("k33free", decompose_k33_free)]
+)
+def test_each_decomposer_builds_one_network_per_component(monkeypatch, family, decomposer):
+    # Blocks, SPQR pieces and separating triples are composed first, so no
+    # network is built for a piece that is split again.
+    built = []
+    real = FlowNetwork.__post_init__
+
+    def counting(net):
+        built.append(net)
+        real(net)
+
+    monkeypatch.setattr(FlowNetwork, "__post_init__", counting)
+    for seed in range(3):
+        graph, _ = gen_instance(GenConfig(family, 300, seed=seed))
+        blocks, _ = biconnected_split(underlying(graph))
+        assert not all(is_planar(adjacency(*block)) for block in blocks)
+        built.clear()
+        tree = decomposer(graph)
+        assert len(built) == len(tree.components), (family, seed)
+
+
+TINY_NETWORKS = {
+    "empty": FlowNetwork(frozenset(), ()),
+    "one-vertex": FlowNetwork(frozenset({0}), ()),
+    "one-arc": FlowNetwork.from_edges([(0, 0, 1, 3)]),
+    "two-arc-path": FlowNetwork.from_edges([(0, 0, 1, 3), (1, 1, 2, 2)]),
+}
+
+
+@pytest.mark.parametrize("build", ["k33", "k5", "refine"])
+@pytest.mark.parametrize("name", sorted(TINY_NETWORKS))
+def test_tiny_networks_give_valid_trees_that_solve(name, build):
+    from minorflow.solver import max_flow_decomposed
+    from minorflow.testkit import oracle_max_flow
+
+    net = TINY_NETWORKS[name]
+    if build == "refine":
+        tree = refine(single_component_tree(net))
+    else:
+        tree = (decompose_k33_free if build == "k33" else decompose_k5_free)(net)
+    assert validate(net, tree) == (True, [])
+    for s, t in itertools.permutations(sorted(net.vertices), 2):
+        assert max_flow_decomposed(net, tree, s, t)[0] == oracle_max_flow(net, s, t)
 
 
 @pytest.mark.parametrize("decomposer", [decompose_k33_free, decompose_k5_free])

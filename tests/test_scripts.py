@@ -26,8 +26,9 @@ SCRIPTS = SRC.parent / "scripts"
 )
 def test_script_runs_and_exits_zero(argv):
     # The scripts reach into the solver and the decomposers (scale_smoke
-    # wraps solver.phase1 and decomposition._structure_tree by their
-    # signatures), so a change to those functions must keep them running.
+    # wraps solver.phase1, decomposition.biconnected_split and
+    # decomposition.spqr by their signatures), so a change to those
+    # functions must keep them running.
     env = {k: v for k, v in os.environ.items() if k != "MINORFLOW_SEED"}
     env["PYTHONPATH"] = str(SRC)
     out = subprocess.run(
@@ -42,6 +43,15 @@ def test_script_runs_and_exits_zero(argv):
         candidates = argv[argv.index("--candidates") + 1] if "--candidates" in argv else "8"
         line = rf"^picked \d+ -> \d+ of {candidates} candidates in \d+\.\ds$"
         assert re.search(line, out.stdout, re.M), out.stdout
+        if "--decomposer" in argv:
+            # The decompose line: the components, the planar blocks kept
+            # whole (the blocks less the spqr calls) and the spqr calls.
+            key = argv[argv.index("--decomposer") + 1]
+            line = (
+                rf"^decompose \({key}\): components=[1-9]\d* \(planar blocks kept whole \d+\), "
+                r"spqr calls \d+ in \d+\.\d\ds$"
+            )
+            assert re.search(line, out.stdout, re.M), out.stdout
         # The parse line: both texts' parse times, their size and the
         # collections made inside both parses.
         line = (
