@@ -4,8 +4,11 @@ and cross-check every value against the independent oracle.  Each round
 solves the highest-value s-t pair of four seeded candidates, so most rounds
 check a positive flow.  With --decomposer, the family decomposer's tree is
 validated before it is solved; a planar round draws the k33 or the k5
-decomposer, since a planar network is free of both minors, and ``refine``
-of that tree is validated too.
+decomposer, since a planar network is free of both minors.  Every round
+validates ``refine`` of the generated tree, and of the decomposer's tree
+with --decomposer, and checks that refining it again changes no component
+(the generated k5free trees carry the 3-vertex gluing cliques that the
+triangle split acts on).
 
     python scripts/fuzz_cross_check.py --rounds 100 --max-n 60
     MINORFLOW_SEED=9 python scripts/fuzz_cross_check.py --rounds 20 --decomposer
@@ -21,6 +24,13 @@ from minorflow.external import verify_flow
 from minorflow.network import TerminalSet
 from minorflow.solver import FAMILIES, decompose, max_flow_decomposed
 from minorflow.testkit import GenConfig, gen_instance, oracle_max_flow
+
+
+def shape(tree):
+    """Each component's sorted vertices and edge ids, in sorted order."""
+    return sorted(
+        (sorted(net.vertices), sorted(e.id for e in net.edges)) for net in tree.components.values()
+    )
 
 
 def main() -> None:
@@ -51,16 +61,23 @@ def main() -> None:
         values = [oracle_max_flow(graph, *pair) for pair in pairs]
         want = max(values)
         s, t = pairs[values.index(want)]
+        named = {"generated": tree}
         if args.decomposer:
             key = {"k33free": "k33", "k5free": "k5"}.get(family) or rng.choice(FAMILIES)
-            tree = decompose(graph, key)
-            for name, checked in ((key, tree), (f"refine({key})", refine(tree))):
+            tree = named[key] = decompose(graph, key)
+        for name, base in named.items():
+            refined = refine(base)
+            for label, checked in ((name, base), (f"refine({name})", refined)):
                 ok, problems = validate(graph, checked)
                 if not ok:
-                    print(f"round {round_no}: INVALID TREE family={family} n={n} tree={name}")
+                    print(f"round {round_no}: INVALID TREE family={family} n={n} tree={label}")
                     for problem in problems[:5]:
                         print(f"  {problem}")
                     raise SystemExit(1)
+            if shape(refine(refined)) != shape(refined):
+                print(f"round {round_no}: NOT IDEMPOTENT family={family} n={n} "
+                      f"tree=refine({name})")
+                raise SystemExit(1)
         value, flow = max_flow_decomposed(graph, tree, s, t)
         ok = verify_flow(graph, TerminalSet.of(s, t), (value, -value), flow)
         if value != want or not ok:

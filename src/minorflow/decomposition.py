@@ -57,8 +57,7 @@ class DecompositionTree:
     clique_comps: dict[int, set[int]] = field(default_factory=dict)
 
     # One past the largest live id, kept so that adding a node is O(1); -1
-    # when unknown: on a new tree, which parsers and ``copy`` fill directly,
-    # and after the largest id is removed.
+    # when unknown: on a new tree, which parsers and ``copy`` fill directly.
     _next_component: int = field(default=-1, repr=False, compare=False)
     _next_clique: int = field(default=-1, repr=False, compare=False)
 
@@ -92,13 +91,6 @@ class DecompositionTree:
     def attach(self, comp_id: int, clique_id: int) -> None:
         self.comp_cliques[comp_id].add(clique_id)
         self.clique_comps[clique_id].add(comp_id)
-
-    def remove_component(self, comp_id: int) -> None:
-        for kid in sorted(self.comp_cliques.pop(comp_id, ())):
-            self.clique_comps[kid].discard(comp_id)
-        del self.components[comp_id]
-        if comp_id == self._next_component - 1:
-            self._next_component = -1
 
     def copy(self) -> "DecompositionTree":
         # Networks and cliques are immutable and shared; incidence maps are copied.
@@ -201,53 +193,53 @@ Piece = tuple[frozenset[int], frozenset[frozenset[int]]]
 _Split = tuple[list[Piece], list[tuple[frozenset[int], list[int]]]]
 
 
-def _split(
-    tree: DecompositionTree,
-    comp_id: int,
-    pieces: Sequence[Piece],
-    cliques: Sequence[tuple[frozenset[int], Sequence[int]]],
-) -> None:
-    """Swap one component for edge-disjoint pieces glued at new cliques.
+def _build(tree: DecompositionTree, splits: dict[int, _Split]) -> DecompositionTree:
+    """A new tree with each component ``cid`` of ``splits`` swapped for the
+    pieces of ``splits[cid]`` (one piece leaves it whole), glued at its cliques.
 
-    Each edge goes to the first piece whose pairs hold its ends.  ``cliques``
-    lists (vertex set, piece indexes).  Pre-existing incident cliques are
-    merged with a coinciding new clique when one exists, otherwise
-    reattached to the first piece containing them.
-    """
-    first_holder: dict[frozenset[int], int] = {}
-    holders: dict[int, list[int]] = {}
-    for i, (verts, pairs) in enumerate(pieces):
-        for pair in pairs:
-            first_holder.setdefault(pair, i)
-        for v in verts:
-            holders.setdefault(v, []).append(i)
-    owned: list[list[Edge]] = [[] for _ in pieces]
-    for e in sorted(tree.components[comp_id].edges, key=lambda e: e.id):
-        owned[first_holder[frozenset((e.tail, e.head))]].append(e)
-    old_cliques = sorted(tree.comp_cliques[comp_id])
-    tree.remove_component(comp_id)
-    ids: list[int] = []
-    for (verts, _), edges in zip(pieces, owned):
-        ids.append(tree.add_component(FlowNetwork(verts, tuple(edges))))
-    grouped: dict[frozenset[int], set[int]] = {}
-    for verts, members in cliques:
-        grouped.setdefault(frozenset(verts), set()).update(ids[i] for i in members)
-    for kid in old_cliques:
-        kverts = tree.cliques[kid]
-        if kverts in grouped:
-            for cid in sorted(grouped.pop(kverts)):
-                tree.attach(cid, kid)
-            continue
-        home = next((i for i in holders.get(min(kverts), ()) if kverts <= pieces[i][0]), None)
-        if home is None:
-            raise InvalidDecomposition(
-                f"no piece contains clique {sorted(kverts)} after splitting"
-            )
-        tree.attach(ids[home], kid)
-    for verts in sorted(grouped, key=sorted):
-        kid = tree.add_clique(verts)
-        for cid in sorted(grouped[verts]):
-            tree.attach(cid, kid)
+    Each edge goes to the first piece whose pairs hold its ends.  An input
+    clique of a split component merges with a coinciding new clique of that
+    split, or else joins the first piece that contains it.  Unsplit
+    components and input cliques keep their ids; pieces take consecutive ids
+    past the largest kept component id, new cliques past the largest input
+    clique id."""
+    splits = {cid: split for cid, split in sorted(splits.items()) if len(split[0]) > 1}
+    out = DecompositionTree()
+    for cid, net in tree.components.items():
+        if cid not in splits:
+            out.components[cid] = net
+            out.comp_cliques[cid] = set(tree.comp_cliques[cid])
+    out.cliques = dict(tree.cliques)
+    out.clique_comps = {kid: comps.difference(splits) for kid, comps in tree.clique_comps.items()}
+    for cid, (pieces, cliques) in splits.items():
+        first_holder: dict[frozenset[int], int] = {}
+        holders: dict[int, list[int]] = {}
+        for i, (verts, pairs) in enumerate(pieces):
+            for pair in pairs:
+                first_holder.setdefault(pair, i)
+            for v in verts:
+                holders.setdefault(v, []).append(i)
+        owned: list[list[Edge]] = [[] for _ in pieces]
+        for e in sorted(tree.components[cid].edges, key=lambda e: e.id):
+            owned[first_holder[frozenset((e.tail, e.head))]].append(e)
+        ids = [out.add_component(FlowNetwork(v, tuple(es))) for (v, _), es in zip(pieces, owned)]
+        grouped: dict[frozenset[int], set[int]] = {}
+        for verts, members in cliques:
+            grouped.setdefault(frozenset(verts), set()).update(ids[i] for i in members)
+        for kid in sorted(tree.comp_cliques[cid]):
+            kverts = tree.cliques[kid]
+            if kverts in grouped:
+                for c in sorted(grouped.pop(kverts)):
+                    out.attach(c, kid)
+                continue
+            # A clique inside its component lies inside one of the pieces.
+            home = next(i for i in holders[min(kverts)] if kverts <= pieces[i][0])
+            out.attach(ids[home], kid)
+        for verts in sorted(grouped, key=sorted):
+            kid = out.add_clique(verts)
+            for c in sorted(grouped[verts]):
+                out.attach(c, kid)
+    return out
 
 
 def _compose(outer: _Split, inner: Sequence[_Split | None]) -> _Split:
@@ -255,10 +247,12 @@ def _compose(outer: _Split, inner: Sequence[_Split | None]) -> _Split:
     it whole), in place, so the piece order stays nested.
 
     An outer clique joins, in place of each piece it had, the first of that
-    piece's inner pieces that holds it, as ``_split`` reattaches the cliques
+    piece's inner pieces that holds it, as ``_build`` reattaches the cliques
     a component already has.  An edge's first holder also lies among the
-    inner pieces of its outer one, so one ``_split`` of the result gives the
+    inner pieces of its outer one, so one ``_build`` of the result gives the
     tree that splitting level by level gives."""
+    if not any(inner):
+        return outer
     subs = [sub or ([piece], []) for piece, sub in zip(outer[0], inner)]
     start = list(itertools.accumulate((len(sub[0]) for sub in subs), initial=0))
     pieces = [piece for sub_pieces, _ in subs for piece in sub_pieces]
@@ -308,7 +302,7 @@ def _spqr_pieces(adj: Adjacency) -> _Split | None:
         (frozenset(verts[nid]), frozenset(e.pair for e in stree.nodes[nid].edges))
         for nid in non_p
     ]
-    # One clique per tree edge, on its virtual pair; ``_split`` merges those
+    # One clique per tree edge, on its virtual pair; ``_build`` merges those
     # of one P node.
     pair = {e.link: e.pair for node in stree.nodes.values() for e in node.edges if e.virtual}
     return pieces, [
@@ -333,49 +327,57 @@ def _sides(adj: Adjacency, sep: frozenset[int]) -> _Split | None:
     return pieces, [(sep, list(range(len(pieces))))]
 
 
-def _triangle_pass(tree: DecompositionTree) -> bool:
-    """Split each planar component at its first gluing triangle that
-    separates its torso.  After blocks and SPQR pieces every torso is a
-    cycle, a 3-connected graph or at most three vertices, and in a
-    3-connected planar graph a triangle is a face exactly when removing it
-    leaves the graph connected (Whitney), so no embedding is needed."""
-    changed = False
-    for cid in sorted(tree.components):
-        tri_cliques = [k for k in sorted(tree.comp_cliques[cid]) if len(tree.cliques[k]) == 3]
-        if not tri_cliques:
-            continue
-        torso = torso_adjacency(tree, cid)
-        if not is_planar(torso):
-            continue
-        for kid in tri_cliques:
-            sides = _sides(torso, tree.cliques[kid])
+def _triangle_pieces(piece: Piece, triangles: Sequence[frozenset[int]]) -> _Split | None:
+    """The sides of a planar ``piece`` at the ``triangles`` inside it: split
+    at the first that separates it, then each side the same way; None when
+    none separates or the piece is not planar.
+
+    A block or SPQR piece is a cycle, a 3-connected graph or at most three
+    vertices, and a triangle of a 3-connected planar graph is a face exactly
+    when it does not separate it (Whitney), so no embedding is needed.  The
+    sides are smaller 3-connected planar graphs, so planarity is tested once."""
+    inside = [tri for tri in triangles if tri <= piece[0]]
+    if not inside or not is_planar(adjacency(*piece)):
+        return None
+
+    def split(verts: frozenset[int], pairs: frozenset[frozenset[int]]) -> _Split | None:
+        adj = adjacency(verts, pairs)
+        for tri in inside:
+            sides = _sides(adj, tri) if tri <= verts else None
             if sides is not None:
-                _split(tree, cid, *sides)
-                changed = True
-                break  # component replaced; revisit the new pieces next sweep
-    return changed
+                return _compose(sides, [split(*side) for side in sides[0]])
+        return None
+
+    return split(*piece)
 
 
 def refine(tree: DecompositionTree) -> DecompositionTree:
     """Split components until every piece is biconnected and triconnected and
     every gluing triangle of every planar component is one of its faces.
-    Reassembly is unchanged; refining twice equals refining once."""
-    out = tree.copy()
+
+    Each component's blocks, their SPQR pieces and those pieces' sides at
+    separating gluing triangles compose into one split, and one ``_build``
+    makes the new tree.  Reassembly is unchanged; refining twice equals
+    refining once."""
+    splits: dict[int, _Split] = {}
     for cid in sorted(tree.components):
-        torso = torso_adjacency(out, cid)
+        triangles = []
+        for kid in sorted(tree.comp_cliques[cid]):
+            clique = tree.cliques.get(kid)
+            if clique is None:
+                raise InvalidDecomposition(f"component {cid} attached to missing clique {kid}")
+            if not clique <= tree.components[cid].vertices:
+                raise InvalidDecomposition(f"clique {kid} vertices missing from component {cid}")
+            if len(clique) == 3:
+                triangles.append(clique)
+        torso = torso_adjacency(tree, cid)
         if len(components(torso)) > 1:
             raise InvalidDecomposition(f"component {cid} has a disconnected torso")
         blocks = _block_pieces(torso)
-        split = _compose(blocks, [_spqr_pieces(adjacency(*block)) for block in blocks[0]])
-        if len(split[0]) > 1:
-            _split(out, cid, *split)
-    # Blocks and their SPQR pieces suffice: a block's torso is biconnected,
-    # and an S or R piece's torso is its skeleton (a cycle, or a 3-connected
-    # graph).  Splitting a 3-connected torso at a separating triangle leaves
-    # 3-connected pieces, each strictly smaller, so the triangle loop ends.
-    while _triangle_pass(out):
-        pass
-    return out
+        spqrs = [_spqr_pieces(adjacency(*block)) or ([block], []) for block in blocks[0]]
+        subs = [_compose(sp, [_triangle_pieces(p, triangles) for p in sp[0]]) for sp in spqrs]
+        splits[cid] = _compose(blocks, subs)
+    return _build(tree, splits)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +421,7 @@ def _decompose(
     """Split ``net`` into its blocks (1-sums), test each block for planarity
     once, and split only the non-planar ones into their SPQR pieces (2-sums),
     each of which ``split_piece`` splits again (None keeps it whole) or
-    rejects by raising.  One ``_split`` builds the tree, so a network is
+    rejects by raising.  One ``_build`` makes the tree, so a network is
     built only for each final component.
 
     Planar blocks are kept whole: every triconnected piece of a planar block
@@ -437,11 +439,8 @@ def _decompose(
         return _compose(spqr_pieces, [split_piece(piece) for piece in spqr_pieces[0]])
 
     blocks = _block_pieces(adj)
-    pieces, cliques = _compose(blocks, [split_block(block) for block in blocks[0]])
-    tree = single_component_tree(net)
-    if len(pieces) > 1:
-        _split(tree, 0, pieces, cliques)
-    return tree
+    split = _compose(blocks, [split_block(block) for block in blocks[0]])
+    return _build(single_component_tree(net), {0: split})
 
 
 def decompose_k33_free(net: FlowNetwork) -> DecompositionTree:

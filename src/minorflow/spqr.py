@@ -66,21 +66,6 @@ class SpqrTree:
     nodes: dict[int, SpqrNode] = field(default_factory=dict)
     # link id -> (node id, node id)
     tree_edges: dict[int, tuple[int, int]] = field(default_factory=dict)
-    # node id -> its (link, neighbour) pairs, built on the first ``neighbors``
-    _incidence: dict[int, list[tuple[int, int]]] | None = field(
-        default=None, repr=False, compare=False
-    )
-
-    def neighbors(self, nid: int) -> list[tuple[int, int]]:
-        """(link, neighbour) pairs of node ``nid`` in link order.  The
-        incidence map is built once, so the tree must not change after the
-        first call."""
-        if self._incidence is None:
-            self._incidence = {}
-            for link, (a, b) in sorted(self.tree_edges.items()):
-                self._incidence.setdefault(a, []).append((link, b))
-                self._incidence.setdefault(b, []).append((link, a))
-        return list(self._incidence.get(nid, ()))
 
 
 def _edge_list(adj: Adjacency) -> list[SkelEdge]:
@@ -550,18 +535,8 @@ def check_spqr_axioms(tree: SpqrTree, adj: Adjacency) -> list[str]:
     # Tree shape: connected and acyclic over nodes.
     if tree.nodes and len(tree.tree_edges) != len(tree.nodes) - 1:
         problems.append("tree edge count is not nodes-1")
-    if tree.nodes:
-        seen = set()
-        queue = deque([min(tree.nodes)])
-        seen.add(min(tree.nodes))
-        while queue:
-            nid = queue.popleft()
-            for _, other in tree.neighbors(nid):
-                if other not in seen:
-                    seen.add(other)
-                    queue.append(other)
-        if seen != set(tree.nodes):
-            problems.append("tree is disconnected")
+    if len(components(adjacency(tree.nodes, tree.tree_edges.values()))) > 1:
+        problems.append("tree is disconnected")
     if reassemble(tree) != {e.pair for e in _edge_list(adj)}:
         problems.append("reassembly differs from input")
     return problems

@@ -638,9 +638,9 @@ def test_refine_is_idempotent_and_makes_triangles_faces(rng):
 
 
 def test_refine_of_a_k5_free_decomposition_loads_no_networkx():
-    # The triangle pass decides faces by separation, not by an embedding:
+    # The triangle split decides faces by separation, not by an embedding:
     # K3,3 splits at a separating triple into three K4s glued at a triangle,
-    # whose torsos the pass tests without networkx.
+    # whose torsos refine tests without networkx.
     src = str(Path(decomposition.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     code = (
@@ -740,6 +740,89 @@ def test_refine_of_a_directly_filled_tree_reuses_no_live_id(fill):
     assert sorted(refined.cliques) == [0, 1]
     assert refined.components[1] == kept
     assert tree.add_component(kept) == 2 and tree.add_clique([1]) == 1
+
+
+@pytest.mark.parametrize(
+    "fault, problem",
+    [
+        ("missing-clique", "component 0 attached to missing clique 7"),
+        ("clique-outside", "clique 0 vertices missing from component 0"),
+    ],
+    ids=["missing-clique", "clique-outside"],
+)
+def test_refine_rejects_a_tree_that_does_not_hold_together(fault, problem):
+    tree = DecompositionTree()
+    c = tree.add_component(FlowNetwork.from_edges([(0, 0, 1, 1)]))
+    if fault == "missing-clique":
+        tree.comp_cliques[c].add(7)
+    else:
+        other = tree.add_component(FlowNetwork.from_edges([(1, 1, 9, 1)]))
+        k = tree.add_clique([1, 9])
+        tree.attach(c, k)
+        tree.attach(other, k)
+    with pytest.raises(InvalidDecomposition, match=f"^{problem}$"):
+        refine(tree)
+
+
+def test_refine_builds_one_network_per_component_it_adds(monkeypatch):
+    # Blocks, SPQR pieces and triangle sides are composed first, so no
+    # network is built for a piece that is split again, and a component
+    # left whole keeps its network.
+    built = []
+    real = FlowNetwork.__post_init__
+
+    def counting(net):
+        built.append(net)
+        real(net)
+
+    monkeypatch.setattr(FlowNetwork, "__post_init__", counting)
+    for n, seed in ((2000, 0), (300, 1)):
+        _, tree = gen_instance(GenConfig("k5free", n, seed=seed))
+        built.clear()
+        refined = refine(tree)
+        kept = {id(net) for net in tree.components.values()}
+        added = [net for net in refined.components.values() if id(net) not in kept]
+        assert added and len(built) == len(added), (n, seed)
+        assert {id(net) for net in built} == {id(net) for net in added}, (n, seed)
+
+
+# A stacked triangulation: 3 inside {0, 1, 2}, 4 inside {0, 1, 3}, 5 inside
+# {0, 1, 4}, so the triangles {0, 1, 3} and {0, 1, 4} both separate it.
+STACKED = [
+    (0, 1), (1, 2), (0, 2), (0, 3), (1, 3), (2, 3),
+    (0, 4), (1, 4), (3, 4), (0, 5), (1, 5), (4, 5),
+]
+
+
+@pytest.mark.parametrize("order", [((0, 1, 3), (0, 1, 4)), ((0, 1, 4), (0, 1, 3))])
+def test_refine_splits_nested_separating_triangles(order):
+    tree = DecompositionTree()
+    main = tree.add_component(dnet(STACKED))
+    apexes = {}
+    for i, tri in enumerate(((0, 1, 3), (0, 1, 4))):
+        arcs = [(100 + 3 * i + j, 10 + i, q, 1) for j, q in enumerate(tri)]
+        apexes[tri] = tree.add_component(FlowNetwork.from_edges(arcs))
+    for tri in order:
+        k = tree.add_clique(tri)
+        tree.attach(main, k)
+        tree.attach(apexes[tri], k)
+    refined = refine(tree)
+    assert validate(tree.reassemble(), refined) == (True, [])
+    assert {frozenset(net.vertices) for net in refined.components.values()} == {
+        frozenset({0, 1, 2, 3}),
+        frozenset({0, 1, 3, 4}),
+        frozenset({0, 1, 4, 5}),
+        frozenset({0, 1, 3, 10}),
+        frozenset({0, 1, 4, 11}),
+    }
+    # The apexes keep their ids and the pieces take the next ones; the
+    # gluing cliques keep theirs.
+    assert sorted(refined.components) == [1, 2, 3, 4, 5]
+    assert sorted(refined.cliques) == [0, 1]
+    for cid in sorted(refined.components):
+        emb = planar_embed(torso_adjacency(refined, cid))
+        for kid in sorted(refined.comp_cliques[cid]):
+            assert emb.is_triangle_face(refined.cliques[kid]), (cid, kid)
 
 
 def test_family_verdicts_agree_with_minor_oracle(rng):

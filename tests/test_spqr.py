@@ -71,6 +71,16 @@ def test_axioms_and_reassembly_on_random_graphs(rng):
         assert check_spqr_axioms(tree, adj) == []
 
 
+def test_axioms_report_a_disconnected_tree():
+    # Both links of S - P - S made to join the two S nodes: the tree keeps
+    # n - 1 edges but leaves the P node on its own.
+    adj = adj_of([(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
+    tree = spqr(adj)
+    ends = tuple(sorted(nid for nid, node in tree.nodes.items() if node.kind == S))
+    tree.tree_edges = dict.fromkeys(tree.tree_edges, ends)
+    assert "tree is disconnected" in check_spqr_axioms(tree, adj)
+
+
 # ---------------------------------------------------------------------------
 # Differential test against the pairwise oracle, and scale
 
