@@ -23,10 +23,12 @@ pipeline solves on the family decomposer's tree instead of the generated
 one, and the decompose line gives its time, the planar blocks kept whole
 and the ``spqr`` calls, taken by wrapping the decomposition module's
 ``biconnected_split`` and ``spqr`` bindings (the blocks kept whole are the
-blocks less the ``spqr`` calls).  After the pipeline line come Phase
-I's time and its work, all taken by wrapping the solver's module bindings:
-``solver.phase1`` is timed and its arguments give the off-path components
-(the tree's components less the path's); the records reaching
+blocks less the ``spqr`` calls), and the cyclic-GC collections per
+generation made inside the decomposer with the seconds they took.  After
+the pipeline line come Phase I's time and its work, all taken by wrapping
+the solver's module bindings: ``solver.phase1`` is timed and its arguments
+give the off-path components (the tree's components less the path's); the
+records reaching
 ``solver.reconstruct`` are the components built, and the off-path
 components without one were never built; the ``solver.TerminalKernel``
 constructions until ``solver.phase1`` returns are the component kernels
@@ -66,16 +68,21 @@ from minorflow.testkit import GenConfig, gen_instance
 
 @contextlib.contextmanager
 def gc_collections():
-    """Cyclic-GC collections per generation (0, 1, 2) made inside the block."""
-    counts = [0, 0, 0]
+    """Cyclic-GC collections per generation (0, 1, 2) made inside the block,
+    as the list ``collections``, and the ``seconds`` they took."""
+    seen = {"collections": [0, 0, 0], "seconds": 0.0}
+    start = [0.0]
 
     def count(phase, info):
         if phase == "start":
-            counts[info["generation"]] += 1
+            seen["collections"][info["generation"]] += 1
+            start[0] = time.perf_counter()
+        else:
+            seen["seconds"] += time.perf_counter() - start[0]
 
     gc.callbacks.append(count)
     try:
-        yield counts
+        yield seen
     finally:
         gc.callbacks.remove(count)
 
@@ -217,14 +224,15 @@ def main() -> None:
         f"components={len(tree.components)} in {t1 - t0:.1f}s"
     )
     if args.decomposer:
-        with decompose_work() as work:
+        with gc_collections() as collected, decompose_work() as work:
             tree = decompose(graph, args.decomposer)
         decomposed = time.monotonic()
         kept = work["blocks"] - work["spqr"]
         print(
             f"decompose ({args.decomposer}): components={len(tree.components)} "
             f"(planar blocks kept whole {kept}), spqr calls {work['spqr']} "
-            f"in {decomposed - t1:.2f}s"
+            f"in {decomposed - t1:.2f}s, gc collections {collected['collections']} "
+            f"taking {collected['seconds']:.2f}s"
         )
         t1 = decomposed
 
@@ -250,7 +258,7 @@ def main() -> None:
         done = time.perf_counter()
     print(
         f"parse (from text): network {parsed - start:.2f}s, tree {done - parsed:.2f}s, "
-        f"{len(net_text) + len(tree_text)} bytes, gc collections {collected}"
+        f"{len(net_text) + len(tree_text)} bytes, gc collections {collected['collections']}"
     )
     s, t = vmap[s], vmap[t]
     t3 = time.monotonic()
@@ -260,7 +268,7 @@ def main() -> None:
     print(
         f"validate (tree parsed back from text): {'ok' if ok else 'INVALID'} "
         f"in {validated - t3:.2f}s, planarity-tested torsos {planarity['torsos']} "
-        f"in {planarity['seconds']:.3f}s, gc collections {collected}"
+        f"in {planarity['seconds']:.3f}s, gc collections {collected['collections']}"
     )
     if not ok:
         for problem in problems[:5]:
@@ -272,7 +280,7 @@ def main() -> None:
     t4 = time.monotonic()
     print(
         f"pipeline (validate_input=False): value={value} in {t4 - validated:.2f}s, "
-        f"gc collections {collected}"
+        f"gc collections {collected['collections']}"
     )
     print(
         f"phase I: {work['seconds']:.2f}s, off-path components {work['off_path']}, "

@@ -1,33 +1,28 @@
 """Clique-sum decomposition trees: construction, refinement, validation.
 
 A decomposition is a 2-colored tree of component nodes (edge-disjoint
-subnetworks) and clique nodes (shared vertex sets of size 1..3).  Components
-never store clique edges removed by a clique-sum; structural operations work
-on the component *torso* (its underlying simple graph plus one phantom edge
-per pair inside each incident clique), which is how the clique-sum semantics
-see the component.
+subnetworks, without the clique edges a clique-sum removes) and clique nodes
+(shared vertex sets of size 1..3).  Splits work on a component's *torso*,
+its underlying simple graph plus a phantom edge per pair inside each clique,
+in index space: pieces are index lists, and ``_build`` maps the final pieces
+back to vertex ids once.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from collections import Counter, deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from operator import attrgetter
+from typing import AbstractSet, Callable, Iterable, Iterator, Sequence
 
 from .network import Edge, FlowNetwork, merge_networks
-from .planar import (
-    Adjacency,
-    adjacency,
-    articulation_points,
-    components,
-    is_planar,
-    lowpoint_dfs,
-    lr_planarity,
-    planar_embed,  # unused here: the benchmark's traced run wraps this binding by name
-)
-from . import spqr as spqr_mod
-from .spqr import spqr
+from .planar import Adjacency, adjacency, articulation_points, components, is_planar
+from .planar import lowpoint_dfs, lr_planarity
+from .planar import planar_embed  # unused here: the benchmark's traced run wraps this binding
+from .spqr import P, spqr
 
 
 class NotK33MinorFree(Exception):
@@ -127,16 +122,6 @@ def underlying(net: FlowNetwork) -> Adjacency:
     return adjacency(net.vertices, ((e.tail, e.head) for e in net.edges))
 
 
-def torso_adjacency(tree: DecompositionTree, comp_id: int) -> Adjacency:
-    """Component underlying graph plus phantom clique-completion edges."""
-    adj = underlying(tree.components[comp_id])
-    for kid in tree.comp_cliques[comp_id]:
-        for u, v in itertools.combinations(tree.cliques[kid], 2):
-            adj[u].add(v)
-            adj[v].add(u)
-    return adj
-
-
 def single_component_tree(net: FlowNetwork) -> DecompositionTree:
     tree = DecompositionTree()
     tree.add_component(net)
@@ -145,267 +130,306 @@ def single_component_tree(net: FlowNetwork) -> DecompositionTree:
 
 # ---------------------------------------------------------------------------
 # Structural splits
+#
+# Vertices are numbered once in sorted order, so sorting indexes sorts ids.
+# A piece is its indexes, ascending, and its torso pairs as a flat tuple a0,
+# b0, a1, b1, ... of positions in them (a < b); a clique is its indexes and
+# its pieces' positions.  A split is (pieces, cliques, subs), subs[i]
+# splitting piece i again or, when false (None or ()), keeping it whole.
+Piece = tuple[tuple[int, ...], tuple[int, ...]]
+Clique = tuple[tuple[int, ...], list[int]]
+_Level = tuple[list[Piece], list[Clique]]
+_Split = tuple[list[Piece], list[Clique], list]
 
 
-def biconnected_split(
-    adj: Adjacency,
-) -> tuple[list[tuple[frozenset[int], frozenset[frozenset[int]]]], frozenset[int]]:
-    """Standard block-cut decomposition of an undirected graph.
+def _nbrs(piece: Piece) -> list[list[int]]:
+    """The index adjacency lists of ``piece``: position i's neighbours at i."""
+    pairs = piece[1]
+    nbrs: list[list[int]] = [[] for _ in piece[0]]
+    for a, b in zip(pairs[::2], pairs[1::2]):
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    return nbrs
 
-    Returns edge-disjoint blocks as (vertices, pairs), ordered by their
-    sorted vertex lists, plus the articulation vertices (those in two or
-    more blocks); isolated vertices become single-vertex blocks.  One
-    ``lowpoint_dfs`` finds them: a tree vertex w heads a block when no frond
-    from its subtree climbs above its parent (lowpt1[w] >= number[parent[w]]),
-    every other vertex joins the block of its parent, and each edge lies in
-    the block of its deeper end.
-    """
+
+def _piece(verts: Sequence[int], local: list[int], pairs: list[int], pos: list[int]) -> Piece:
+    """The piece on positions ``local`` of a piece on ``verts``, with ``pairs``
+    of those positions; ``pos`` is scratch space."""
+    for i, x in enumerate(local):
+        pos[x] = i
+    return tuple([verts[x] for x in local]), tuple([pos[x] for x in pairs])
+
+
+def biconnected_split(adj: Adjacency | Sequence[Sequence[int]]) -> tuple[list, AbstractSet[int]]:
+    """Block-cut decomposition of an undirected graph: its blocks as (vertices,
+    pairs) in sorted vertex-list order, each isolated vertex a block alone,
+    and its articulation vertices.  Frozensets for an adjacency mapping; for
+    index adjacency lists, blocks are pieces and the vertices indexes."""
+    if not isinstance(adj, Mapping):
+        return _blocks(adj)
     order = sorted(adj)
-    idx = {v: i for i, v in enumerate(order)}
-    nbrs = [[idx[w] for w in adj[v]] for v in order]
+    index = {v: i for i, v in enumerate(order)}
+    blocks, arts = _blocks([[index[w] for w in adj[v]] for v in order])
+    ids = order.__getitem__
+    return [
+        (frozenset(map(ids, vs)), frozenset(
+            frozenset((ids(vs[a]), ids(vs[b]))) for a, b in zip(ps[::2], ps[1::2])))
+        for vs, ps in blocks
+    ], frozenset(map(ids, arts))
+
+
+def _blocks(nbrs: Sequence[Sequence[int]]) -> tuple[list[Piece], set[int]]:
+    """``biconnected_split`` of index lists by one ``lowpoint_dfs``: w heads a
+    block when no frond from its subtree climbs above its parent (lowpt1[w]
+    >= number[parent[w]]), every other vertex joins the block of its parent,
+    and each edge the block of its deeper end."""
+    n = len(nbrs)
     number, parent, low1, _, _ = lowpoint_dfs(nbrs)
-    head = list(range(len(order)))
-    verts: dict[int, set[int]] = {}  # block head -> block vertices
-    for v in sorted(range(len(order)), key=number.__getitem__):  # preorder
+    head = list(range(n))
+    verts: dict[int, list[int]] = {}  # block head -> block vertices
+    for v in sorted(range(n), key=number.__getitem__):  # preorder
         p = parent[v]
         if p >= 0:
             if low1[v] < number[p]:
                 head[v] = head[p]
-            verts.setdefault(head[v], {order[p]}).add(order[v])
-    pairs: dict[int, set[frozenset[int]]] = {w: set() for w in verts}
+            verts.setdefault(head[v], [p]).append(v)
+    ends: dict[int, list[int]] = {w: [] for w in verts}  # block head -> flat pairs
     for u, nu in enumerate(nbrs):
         for v in nu:
             if number[u] < number[v]:
-                pairs[head[v]].add(frozenset((order[u], order[v])))
-    blocks = [(frozenset(verts[w]), frozenset(pairs[w])) for w in verts]
-    held: dict[int, int] = {}
-    for vs, _ in blocks:
-        for v in vs:
-            held[v] = held.get(v, 0) + 1
-    blocks += [(frozenset((v,)), frozenset()) for v in order if v not in held]
-    blocks.sort(key=lambda b: sorted(b[0]))
-    return blocks, frozenset(v for v, count in held.items() if count > 1)
+                ends[head[v]] += (u, v) if u < v else (v, u)
+    tops, pos = Counter(parent[w] for w in verts), [0] * n  # blocks each vertex tops; scratch
+    blocks = [_piece(range(n), sorted(vs), ends[w], pos) for w, vs in verts.items()]
+    blocks += [((v,), ()) for v in range(n) if parent[v] < 0 and v not in tops]
+    blocks.sort()
+    return blocks, {v for v, count in tops.items() if count + (parent[v] >= 0) > 1}
 
 
-# A piece of a split component: its vertex set and its torso pairs.
-Piece = tuple[frozenset[int], frozenset[frozenset[int]]]
-# Pieces, and the cliques that glue them as (vertex set, piece indexes).
-_Split = tuple[list[Piece], list[tuple[frozenset[int], list[int]]]]
+def _block_split(net: FlowNetwork, cliques: list) -> tuple[list[int], dict, _Level, int]:
+    """The vertices of ``net`` in sorted order and their index map, the
+    blocks of its torso (with each pair inside ``cliques``), glued at one
+    clique per articulation vertex, and its connected parts: the block-cut
+    forest has one tree for each."""
+    order = sorted(net.vertices)
+    n, index = len(order), {v: i for i, v in enumerate(order)}
+    seen: set[int] = set()  # pairs a * n + b (a < b)
+    nbrs: list[list[int]] = [[] for _ in order]
+    clique_pairs = [pair for k in cliques for pair in itertools.combinations(k, 2)]
+    for u, v in itertools.chain(((e.tail, e.head) for e in net.edges), clique_pairs):
+        a, b = index[u], index[v]
+        if (key := a * n + b if a < b else b * n + a) not in seen:
+            seen.add(key)
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+    blocks, arts = biconnected_split(nbrs)
+    holders: dict[int, list[int]] = {v: [] for v in arts}
+    for i, (verts, _) in enumerate(blocks):
+        for v in arts.intersection(verts):
+            holders[v].append(i)
+    parts = len(blocks) - sum(len(h) - 1 for h in holders.values())
+    return order, index, (blocks, [((v,), holders[v]) for v in sorted(arts)]), parts
 
 
-def _build(tree: DecompositionTree, splits: dict[int, _Split]) -> DecompositionTree:
-    """A new tree with each component ``cid`` of ``splits`` swapped for the
-    pieces of ``splits[cid]`` (one piece leaves it whole), glued at its cliques.
+def _flatten(split: _Split, pending: list[Clique]) -> _Level:
+    """The final pieces of ``split`` in nested order, and its cliques with the
+    final pieces they join: for a piece split again, the first one inside
+    that holds the clique, as ``_build`` reattaches old cliques; so is each
+    of ``pending`` placed.  One ``_build`` then gives the level-by-level tree."""
+    pieces: list[Piece] = []
+    cliques: list[Clique] = []
 
-    Each edge goes to the first piece whose pairs hold its ends.  An input
-    clique of a split component merges with a coinciding new clique of that
-    split, or else joins the first piece that contains it.  Unsplit
-    components and input cliques keep their ids; pieces take consecutive ids
-    past the largest kept component id, new cliques past the largest input
-    clique id."""
-    splits = {cid: split for cid, split in sorted(splits.items()) if len(split[0]) > 1}
-    out = DecompositionTree()
-    for cid, net in tree.components.items():
-        if cid not in splits:
-            out.components[cid] = net
-            out.comp_cliques[cid] = set(tree.comp_cliques[cid])
-    out.cliques = dict(tree.cliques)
-    out.clique_comps = {kid: comps.difference(splits) for kid, comps in tree.clique_comps.items()}
-    for cid, (pieces, cliques) in splits.items():
-        first_holder: dict[frozenset[int], int] = {}
-        holders: dict[int, list[int]] = {}
-        for i, (verts, pairs) in enumerate(pieces):
-            for pair in pairs:
-                first_holder.setdefault(pair, i)
-            for v in verts:
-                holders.setdefault(v, []).append(i)
-        owned: list[list[Edge]] = [[] for _ in pieces]
-        for e in sorted(tree.components[cid].edges, key=lambda e: e.id):
-            owned[first_holder[frozenset((e.tail, e.head))]].append(e)
-        ids = [out.add_component(FlowNetwork(v, tuple(es))) for (v, _), es in zip(pieces, owned)]
-        grouped: dict[frozenset[int], set[int]] = {}
-        for verts, members in cliques:
-            grouped.setdefault(frozenset(verts), set()).update(ids[i] for i in members)
-        for kid in sorted(tree.comp_cliques[cid]):
-            kverts = tree.cliques[kid]
-            if kverts in grouped:
-                for c in sorted(grouped.pop(kverts)):
-                    out.attach(c, kid)
+    def visit(split: _Split, pending: list[Clique]) -> None:
+        level, glue, subs = split
+        waiting: list[list[Clique]] = [[] for _ in level]
+        for verts, members in glue:
+            cliques.append((verts, []))
+            for i in members:
+                waiting[i].append(cliques[-1])
+        need = {v for verts, _ in pending for v in verts}
+        holders: dict[int, list[int]] = {v: [] for v in need}  # pieces holding each
+        for i, (verts, _) in enumerate(level if need else ()):
+            for v in need.intersection(verts):
+                holders[v].append(i)
+        for clique in pending:  # to the first piece holding all of its vertices
+            first, *rest = (holders[v] for v in clique[0])
+            waiting[min(set(first).intersection(*rest))].append(clique)
+        for piece, sub, held in zip(level, subs, waiting):
+            if sub:
+                visit(sub, held)
                 continue
-            # A clique inside its component lies inside one of the pieces.
-            home = next(i for i in holders[min(kverts)] if kverts <= pieces[i][0])
-            out.attach(ids[home], kid)
-        for verts in sorted(grouped, key=sorted):
-            kid = out.add_clique(verts)
+            for _, members in held:
+                members.append(len(pieces))
+            pieces.append(piece)
+
+    visit(split, pending)
+    return pieces, cliques
+
+
+def _build(tree: DecompositionTree, splits: dict[int, tuple]) -> DecompositionTree:
+    """A new tree with each component ``cid`` of ``splits`` swapped for the
+    final pieces of ``splits[cid]`` = (sorted vertices, index map, split).
+    Each edge goes to the first piece whose pairs hold its ends; an input
+    clique merges with a coinciding new clique or joins the first piece
+    holding it.  Unsplit components and input cliques keep their ids; pieces
+    take ids past the largest kept component, new cliques past the cliques."""
+    flat = {}
+    for cid, (order, index, split) in sorted(splits.items()):
+        kids = sorted(tree.comp_cliques[cid])
+        kept = [(tuple(sorted(index[v] for v in tree.cliques[kid])), []) for kid in kids]
+        pieces, cliques = _flatten(split, kept)
+        if len(pieces) > 1:
+            flat[cid] = order, index, zip(kids, kept), pieces, cliques
+    out = tree.copy()
+    for cid in flat:
+        del out.components[cid], out.comp_cliques[cid]
+    out.clique_comps = {kid: comps.difference(flat) for kid, comps in out.clique_comps.items()}
+    for cid, (order, index, kept, pieces, cliques) in flat.items():
+        n = len(order)
+        first_holder: dict[int, int] = {}  # pair a * n + b (a < b) -> piece
+        for i in reversed(range(len(pieces))):
+            verts, pairs = pieces[i]
+            keys = [verts[a] * n + verts[b] for a, b in zip(pairs[::2], pairs[1::2])]
+            first_holder.update(dict.fromkeys(keys, i))
+        owned: list[list[Edge]] = [[] for _ in pieces]
+        for e in sorted(tree.components[cid].edges, key=attrgetter("id")):
+            a, b = index[e.tail], index[e.head]
+            owned[first_holder[a * n + b if a < b else b * n + a]].append(e)
+        ids = [
+            out.add_component(FlowNetwork(frozenset(map(order.__getitem__, verts)), tuple(es)))
+            for (verts, _), es in zip(pieces, owned)
+        ]
+        grouped: dict[tuple[int, ...], set[int]] = {}
+        for verts, members in cliques:
+            grouped.setdefault(verts, set()).update(ids[i] for i in members)
+        for kid, (verts, homes) in kept:
+            for c in sorted(grouped.pop(verts)) if verts in grouped else [ids[homes[0]]]:
+                out.attach(c, kid)
+        for verts in sorted(grouped):
+            kid = out.add_clique(map(order.__getitem__, verts))
             for c in sorted(grouped[verts]):
                 out.attach(c, kid)
     return out
 
 
-def _compose(outer: _Split, inner: Sequence[_Split | None]) -> _Split:
-    """Split each piece i of ``outer`` again into ``inner[i]`` (None keeps
-    it whole), in place, so the piece order stays nested.
-
-    An outer clique joins, in place of each piece it had, the first of that
-    piece's inner pieces that holds it, as ``_build`` reattaches the cliques
-    a component already has.  An edge's first holder also lies among the
-    inner pieces of its outer one, so one ``_build`` of the result gives the
-    tree that splitting level by level gives."""
-    if not any(inner):
-        return outer
-    subs = [sub or ([piece], []) for piece, sub in zip(outer[0], inner)]
-    start = list(itertools.accumulate((len(sub[0]) for sub in subs), initial=0))
-    pieces = [piece for sub_pieces, _ in subs for piece in sub_pieces]
-    cliques = [
-        (verts, [start[k] + i for i in members])
-        for k, (_, sub_cliques) in enumerate(subs)
-        for verts, members in sub_cliques
-    ]
-    for verts, members in outer[1]:
-        homes = [next(j for j, (pv, _) in enumerate(subs[i][0]) if verts <= pv) for i in members]
-        cliques.append((verts, [start[i] + j for i, j in zip(members, homes)]))
-    return pieces, cliques
-
-
-def _block_pieces(adj: Adjacency) -> _Split:
-    """The blocks of ``adj`` (see ``biconnected_split``), glued at one clique
-    per articulation vertex, which joins every block holding it."""
-    blocks, arts = biconnected_split(adj)
-    holders: dict[int, list[int]] = {v: [] for v in arts}
-    for i, (verts, _) in enumerate(blocks):
-        for v in verts & arts:
-            holders[v].append(i)
-    return blocks, [(frozenset((v,)), holders[v]) for v in sorted(arts)]
-
-
-def _spqr_pieces(adj: Adjacency) -> _Split | None:
-    """The pieces of the SPQR tree of the biconnected graph ``adj``; None
-    when it has one node, or ``adj`` is a vertex or an edge.
-
-    One piece per S or R node, holding all of its skeleton pairs; a P
-    node becomes a clique, and its real edge lands in its lowest attached
-    piece, the first that holds its pair.
-
-    Pieces are ordered by their sorted vertex lists, not by SPQR node id:
-    two S or R nodes share at most two vertices, so the order is total, and
-    the split (which piece keeps an old clique, which holds a P node's
-    edge) depends only on the tree, not on how ``spqr`` numbers it."""
-    if len(adj) <= 2:
+def _spqr_pieces(piece: Piece, nbrs: list[list[int]]) -> _Level | None:
+    """The pieces of the SPQR tree of the biconnected ``piece`` (adjacency
+    lists ``nbrs``), None for one node: one per S or R node with all its
+    skeleton pairs, ordered by vertex list (two share at most two vertices),
+    so the split does not depend on how ``spqr`` numbers nodes.  A P node
+    is a clique; its real edge lands in the first attached piece."""
+    verts = piece[0]
+    stree = spqr(nbrs) if len(verts) > 2 else None
+    if stree is None or len(stree.nodes) <= 1:
         return None
-    stree = spqr(adj)
-    if len(stree.nodes) <= 1:
-        return None
-    verts = {nid: node.vertices for nid, node in stree.nodes.items() if node.kind != spqr_mod.P}
-    non_p = sorted(verts, key=lambda nid: sorted(verts[nid]))
-    piece_index = {nid: i for i, nid in enumerate(non_p)}
+    local = {nid: sorted(node.vertices) for nid, node in stree.nodes.items() if node.kind != P}
+    non_p = sorted(local, key=local.__getitem__)
+    pos = [0] * len(verts)
     pieces = [
-        (frozenset(verts[nid]), frozenset(e.pair for e in stree.nodes[nid].edges))
+        _piece(verts, local[nid], [x for e in stree.nodes[nid].edges for x in e[:2]], pos)
         for nid in non_p
     ]
-    # One clique per tree edge, on its virtual pair; ``_build`` merges those
-    # of one P node.
-    pair = {e.link: e.pair for node in stree.nodes.values() for e in node.edges if e.virtual}
+    # One clique per tree edge, on its virtual pair; ``_build`` merges a P node's.
+    pair = {e.link: (verts[e.u], verts[e.v]) for node in stree.nodes.values() for e in node.edges}
+    place = {nid: i for i, nid in enumerate(non_p)}
     return pieces, [
-        (pair[link], sorted(piece_index[nid] for nid in ends if nid in piece_index))
+        (pair[link], sorted(place[nid] for nid in ends if nid in place))
         for link, ends in sorted(stree.tree_edges.items())
     ]
 
 
-def _sides(adj: Adjacency, sep: frozenset[int]) -> _Split | None:
-    """The sides of ``adj`` at the vertex set ``sep``, glued at one clique
-    on it; None when ``sep`` does not separate ``adj``.  One side per
-    component of ``adj - sep``, ordered by its smallest vertex, holding
-    ``sep`` and completed by every pair inside it."""
-    parts = components(adj, sep)
+def _sides(piece: Piece, nbrs: list[list[int]], sep: tuple[int, ...]) -> _Level | None:
+    """The sides of ``piece`` (adjacency lists ``nbrs``) at its positions
+    ``sep``, glued at one clique on them, or None when ``sep`` does not
+    separate it: one per component of the rest, ordered by smallest vertex,
+    holding ``sep`` with every pair inside it."""
+    parts = components(nbrs, sep)
     if len(parts) < 2:
         return None
-    sep_pairs = frozenset(frozenset(p) for p in itertools.combinations(sep, 2))
-    pieces = []
+    verts = piece[0]
+    sides, pos = [], [0] * len(verts)
     for part in parts:
-        pairs = frozenset(frozenset((u, w)) for u in part for w in adj[u])
-        pieces.append((frozenset(part | sep), pairs | sep_pairs))
-    return pieces, [(sep, list(range(len(pieces))))]
+        pairs = [x for pair in itertools.combinations(sep, 2) for x in pair]
+        for u in part:
+            for w in nbrs[u]:
+                if u < w or w in sep:
+                    pairs += (u, w) if u < w else (w, u)
+        sides.append(_piece(verts, sorted(part.union(sep)), pairs, pos))
+    return sides, [(tuple([verts[s] for s in sep]), list(range(len(sides))))]
 
 
-def _triangle_pieces(piece: Piece, triangles: Sequence[frozenset[int]]) -> _Split | None:
-    """The sides of a planar ``piece`` at the ``triangles`` inside it: split
-    at the first that separates it, then each side the same way; None when
-    none separates or the piece is not planar.
-
-    A block or SPQR piece is a cycle, a 3-connected graph or at most three
-    vertices, and a triangle of a 3-connected planar graph is a face exactly
-    when it does not separate it (Whitney), so no embedding is needed.  The
-    sides are smaller 3-connected planar graphs, so planarity is tested once."""
-    inside = [tri for tri in triangles if tri <= piece[0]]
-    if not inside or not is_planar(adjacency(*piece)):
+def _triangle_pieces(piece: Piece, triangles: list[tuple[int, ...]]) -> _Split | None:
+    """The sides of a planar ``piece`` at the first of ``triangles`` inside it
+    that separates it, then each side the same way; None when none does or
+    the piece is not planar.  A block or SPQR piece is a cycle, 3-connected
+    or at most a triangle, and a triangle of a 3-connected planar graph is a
+    face exactly when it does not separate it (Whitney): no embedding is
+    needed, and the sides are 3-connected and planar, tested once."""
+    inside = [tri for tri in triangles if set(piece[0]).issuperset(tri)]
+    if not inside or not is_planar(_nbrs(piece)):
         return None
 
-    def split(verts: frozenset[int], pairs: frozenset[frozenset[int]]) -> _Split | None:
-        adj = adjacency(verts, pairs)
+    def split(piece: Piece) -> _Split | None:
+        verts, nbrs = piece[0], _nbrs(piece)
         for tri in inside:
-            sides = _sides(adj, tri) if tri <= verts else None
-            if sides is not None:
-                return _compose(sides, [split(*side) for side in sides[0]])
+            if set(verts).issuperset(tri):
+                sides = _sides(piece, nbrs, tuple(bisect_left(verts, v) for v in tri))
+                if sides is not None:
+                    return (*sides, [split(side) for side in sides[0]])
         return None
 
-    return split(*piece)
+    return split(piece)
 
 
 def refine(tree: DecompositionTree) -> DecompositionTree:
     """Split components until every piece is biconnected and triconnected and
-    every gluing triangle of every planar component is one of its faces.
-
-    Each component's blocks, their SPQR pieces and those pieces' sides at
-    separating gluing triangles compose into one split, and one ``_build``
-    makes the new tree.  Reassembly is unchanged; refining twice equals
-    refining once."""
-    splits: dict[int, _Split] = {}
+    every gluing triangle of every planar component is one of its faces:
+    blocks, their SPQR pieces and their sides at separating gluing triangles
+    nest into one split per component, and one ``_build`` makes the tree.
+    Reassembly is unchanged; refining twice equals refining once."""
+    splits = {}
     for cid in sorted(tree.components):
-        triangles = []
+        net = tree.components[cid]
+        if cid not in tree.comp_cliques:
+            raise InvalidDecomposition(f"component {cid} has no clique incidence entry")
+        cliques = []
         for kid in sorted(tree.comp_cliques[cid]):
             clique = tree.cliques.get(kid)
             if clique is None:
                 raise InvalidDecomposition(f"component {cid} attached to missing clique {kid}")
-            if not clique <= tree.components[cid].vertices:
+            if not clique <= net.vertices:
                 raise InvalidDecomposition(f"clique {kid} vertices missing from component {cid}")
-            if len(clique) == 3:
-                triangles.append(clique)
-        torso = torso_adjacency(tree, cid)
-        if len(components(torso)) > 1:
+            cliques.append(clique)
+        order, index, (blocks, glue), parts = _block_split(net, cliques)
+        if parts > 1:
             raise InvalidDecomposition(f"component {cid} has a disconnected torso")
-        blocks = _block_pieces(torso)
-        spqrs = [_spqr_pieces(adjacency(*block)) or ([block], []) for block in blocks[0]]
-        subs = [_compose(sp, [_triangle_pieces(p, triangles) for p in sp[0]]) for sp in spqrs]
-        splits[cid] = _compose(blocks, subs)
+        triangles = [tuple(sorted(index[v] for v in k)) for k in cliques if len(k) == 3]
+        subs = []
+        for block in blocks:
+            pieces, joins = _spqr_pieces(block, _nbrs(block)) or ([block], [])
+            subs.append((pieces, joins, [_triangle_pieces(p, triangles) for p in pieces]))
+        splits[cid] = order, index, (blocks, glue, subs)
     return _build(tree, splits)
 
 
 # ---------------------------------------------------------------------------
 # Family decomposers
 
-def _is_k5(adj: Adjacency) -> bool:
-    return len(adj) == 5 and all(len(adj[v]) == 4 for v in adj)
-
-
-def _is_v8(adj: Adjacency) -> bool:
-    """Whether ``adj`` is the Wagner graph V8.
-
-    A cubic graph on 8 vertices is V8 exactly when it has a Hamiltonian cycle
-    v0..v7 whose other four edges are the chords v_i v_{i+4}.  A depth-first
-    search from the smallest vertex extends the cycle (at most two choices a
-    step once v1 is placed) and places each v_i with i >= 4 only beside
-    v_{i-4}, so a full cycle that closes at v0 has every chord.
-    """
-    if len(adj) != 8 or any(len(adj[v]) != 3 for v in adj):
+def _is_v8(nbrs: Sequence[Sequence[int]]) -> bool:
+    """Whether the graph with index adjacency lists ``nbrs`` is the Wagner
+    graph V8: cubic on 8 vertices with a Hamiltonian cycle v0..v7 whose
+    other edges are the chords v_i v_{i+4}.  A depth-first search from 0
+    extends the cycle (at most two choices a step once v1 is placed) and
+    places each v_i with i >= 4 only beside v_{i-4}."""
+    if len(nbrs) != 8 or any(len(nb) != 3 for nb in nbrs):
         return False
-    cycle = [min(adj)]
+    cycle = [0]
 
     def extend() -> bool:
         i = len(cycle)
         if i == 8:
-            return cycle[0] in adj[cycle[7]]
-        for w in adj[cycle[-1]]:
-            if w not in cycle and (i < 4 or w in adj[cycle[i - 4]]):
+            return cycle[0] in nbrs[cycle[7]]
+        for w in nbrs[cycle[-1]]:
+            if w not in cycle and (i < 4 or w in nbrs[cycle[i - 4]]):
                 cycle.append(w)
                 if extend():
                     return True
@@ -415,32 +439,26 @@ def _is_v8(adj: Adjacency) -> bool:
     return extend()
 
 
-def _decompose(
-    net: FlowNetwork, split_piece: Callable[[Piece], _Split | None]
-) -> DecompositionTree:
-    """Split ``net`` into its blocks (1-sums), test each block for planarity
-    once, and split only the non-planar ones into their SPQR pieces (2-sums),
-    each of which ``split_piece`` splits again (None keeps it whole) or
-    rejects by raising.  One ``_build`` makes the tree, so a network is
-    built only for each final component.
-
-    Planar blocks are kept whole: every triconnected piece of a planar block
-    is planar, so they need no further test, and ``refine`` recovers their
-    pieces when asked."""
-    adj = underlying(net)
-    if len(components(adj)) > 1:
+def _decompose(net: FlowNetwork, split_piece: Callable) -> DecompositionTree:
+    """Split ``net`` into its blocks (1-sums), test each for planarity once,
+    and split only the non-planar ones into their SPQR pieces (2-sums), each
+    of which ``split_piece(piece, vertex ids by index)`` splits again (a
+    false value keeps it whole) or rejects by raising.  One ``_build`` makes
+    the tree.  A planar block stays whole: its triconnected pieces are
+    planar, and ``refine`` recovers them when asked."""
+    order, index, (blocks, glue), parts = _block_split(net, [])
+    if parts > 1:
         raise DisconnectedInput("decomposers require a connected input graph")
 
     def split_block(block: Piece) -> _Split | None:
-        block_adj = adjacency(*block)
-        if is_planar(block_adj):
+        nbrs = _nbrs(block)
+        if is_planar(nbrs):
             return None
-        spqr_pieces = _spqr_pieces(block_adj) or ([block], [])
-        return _compose(spqr_pieces, [split_piece(piece) for piece in spqr_pieces[0]])
+        pieces, joins = _spqr_pieces(block, nbrs) or ([block], [])
+        return pieces, joins, [split_piece(piece, order) for piece in pieces]
 
-    blocks = _block_pieces(adj)
-    split = _compose(blocks, [split_block(block) for block in blocks[0]])
-    return _build(single_component_tree(net), {0: split})
+    split = blocks, glue, [split_block(block) for block in blocks]
+    return _build(single_component_tree(net), {0: (order, index, split)})
 
 
 def decompose_k33_free(net: FlowNetwork) -> DecompositionTree:
@@ -449,11 +467,12 @@ def decompose_k33_free(net: FlowNetwork) -> DecompositionTree:
     non-planar block.  Raises NotK33MinorFree when some piece of a
     non-planar block is neither planar nor K5."""
 
-    def check(piece: Piece) -> None:
-        adj = adjacency(*piece)
-        if not (is_planar(adj) or _is_k5(adj)):
+    def check(piece: Piece, order: list[int]) -> None:
+        nbrs = _nbrs(piece)
+        if not (is_planar(nbrs) or len(nbrs) == 5 and all(len(nb) == 4 for nb in nbrs)):
+            ids = [order[v] for v in piece[0]]
             raise NotK33MinorFree(
-                f"triconnected component on vertices {sorted(adj)} is neither planar nor K5"
+                f"triconnected component on vertices {ids} is neither planar nor K5"
             )
 
     return _decompose(net, check)
@@ -462,82 +481,62 @@ def decompose_k33_free(net: FlowNetwork) -> DecompositionTree:
 def decompose_k5_free(net: FlowNetwork) -> DecompositionTree:
     """Clique-sum decomposition with planar and Wagner-graph components
     (1-, 2-, and 3-sums): each planar block whole, and the triconnected
-    pieces of each non-planar block, split again at separating triples
-    (``_split_k5``) until every piece is planar or V8.  Raises
-    NotK5MinorFree when impossible."""
-    memo: dict[Piece, _Split | None] = {}
+    pieces of each non-planar block, split at separating triples
+    (``_split_k5``) until planar or V8.  Raises NotK5MinorFree when impossible."""
+    memo: dict = {}
 
-    def split(piece: Piece) -> _Split | None:
-        verts, pairs = piece
-        if len(pairs) == len(verts):
-            return None  # an S piece: a cycle is planar
-        # An R piece or a 3-connected block; _split_k5 tests planar / V8 first.
-        result = _split_k5(verts, pairs, memo)
+    def split(piece: Piece, order: list[int]) -> _Split | tuple[()] | None:
+        if len(piece[1]) == 2 * len(piece[0]):
+            return None  # an S piece, a planar cycle; _split_k5 tests the rest for planar / V8
+        result = _split_k5(piece, memo)
         if result is None:
+            ids = [order[v] for v in piece[0]]
             raise NotK5MinorFree(
-                f"component on vertices {sorted(verts)} is not a 3-sum of planar and Wagner pieces"
+                f"component on vertices {ids} is not a 3-sum of planar and Wagner pieces"
             )
         return result
 
     return _decompose(net, split)
 
 
-def _separating_triples(adj: Adjacency) -> Iterator[tuple[int, int, int]]:
-    """The separating triples a < b < c of the 3-connected graph ``adj``,
-    lazily and in lexicographic order.
-
-    In a 3-connected graph, G - {a, b} is connected, so {a, b, c} separates
-    G exactly when c cuts G - {a, b}, whichever vertex plays c.  So each pair
-    a < b, in sorted order, costs one articulation DFS of G - {a, b} and
-    yields the cut vertices c > b in increasing order; a caller that stops
-    at the first triple that splits runs no DFS for the later pairs.
-    """
-    order = sorted(adj)
-    index = {v: i for i, v in enumerate(order)}
-    nbrs = [[index[w] for w in adj[v]] for v in order]
-    for a, b in itertools.combinations(range(len(order)), 2):
+def _separating_triples(nbrs: Sequence[Sequence[int]]) -> Iterator[tuple[int, int, int]]:
+    """The separating triples a < b < c of the 3-connected graph with index
+    adjacency lists ``nbrs``, lazily in lexicographic order.  G - {a, b} is
+    connected, so {a, b, c} separates G exactly when c cuts G - {a, b}: each
+    pair a < b costs one articulation DFS, and a caller that stops at the
+    first triple that splits runs none for the later pairs."""
+    for a, b in itertools.combinations(range(len(nbrs)), 2):
         for c in sorted(c for c in articulation_points(nbrs, {a, b}) if c > b):
-            yield order[a], order[b], order[c]
+            yield a, b, c
 
 
-def _split_k5(
-    verts: frozenset[int],
-    pairs: frozenset[frozenset[int]],
-    memo: dict,
-) -> _Split | None:
-    """Recursive 3-cut refinement of a 3-connected torso: one piece when it
-    is planar or V8.
-
-    Sides carry the completed cut triangle, so each is 3-connected again.
-    Draws separating triples lazily in lexicographic order and keeps the
-    first whose sides all split, with full backtracking: a K5-free graph can
-    have 3-cuts whose completed sides are not K5-free, so greedy choice is
-    not complete.  On generated inputs the first triple always splits, and
-    the scan stops there.  ``memo`` maps each (vertices, pairs) already
-    tried to its result.  Returns (pieces, cliques) with clique piece
-    indexes, or None.
-    """
-    key = (verts, pairs)
-    if key in memo:
-        return memo[key]
-    adj = adjacency(verts, pairs)
-    result: _Split | None = None
-    if is_planar(adj) or _is_v8(adj):
-        result = [key], []
+def _split_k5(piece: Piece, memo: dict) -> _Split | tuple[()] | None:
+    """Recursive 3-cut refinement of a 3-connected torso: () when it is
+    planar or V8, else its split, or None when there is none.  Sides carry
+    the completed cut triangle, so are 3-connected again.  Keeps the first
+    separating triple whose sides all split, backtracking: a K5-free graph
+    can have 3-cuts whose completed sides are not.  ``memo`` maps each piece
+    tried to its result."""
+    if piece in memo:
+        return memo[piece]
+    nbrs = _nbrs(piece)
+    result: _Split | tuple[()] | None = None
+    if is_planar(nbrs) or _is_v8(nbrs):
+        result = ()
     else:
-        for triple in _separating_triples(adj):
-            sides = _sides(adj, frozenset(triple))
+        for triple in _separating_triples(nbrs):
+            sides = _sides(piece, nbrs, triple)
             if sides is None:
                 continue
-            subs: list[_Split | None] = []
+            subs = []
             for side in sides[0]:
-                subs.append(_split_k5(*side, memo))
+                subs.append(_split_k5(side, memo))
                 if subs[-1] is None:
                     break
             else:
-                result = _compose(sides, subs)
+                result = (*sides, subs)
                 break
-    memo[key] = result
+    memo[piece] = result
     return result
 
 
@@ -575,10 +574,12 @@ def validate(graph: FlowNetwork, tree: DecompositionTree) -> tuple[bool, list[st
     if not comp_ids:
         return False, ["tree has no components"]
     # Incidence bookkeeping and tree shape.
+    lost = [cid for cid in comp_ids if cid not in tree.comp_cliques]
+    problems += [f"component {cid} has no clique incidence entry" for cid in lost]
     n_edges = 0
     listed = 0  # tree edges that both incidence maps hold
     for cid in comp_ids:
-        for kid in tree.comp_cliques[cid]:
+        for kid in tree.comp_cliques.get(cid, ()):
             if kid not in tree.cliques:
                 problems.append(f"component {cid} attached to missing clique {kid}")
             elif cid in tree.clique_comps[kid]:
@@ -592,7 +593,7 @@ def validate(graph: FlowNetwork, tree: DecompositionTree) -> tuple[bool, list[st
             for cid in sorted(tree.clique_comps[kid]):
                 if cid not in tree.components:
                     problems.append(f"clique {kid} attached to missing component {cid}")
-                elif kid not in tree.comp_cliques[cid]:
+                elif kid not in tree.comp_cliques.get(cid, ()):
                     problems.append(f"clique {kid} lists component {cid}, which does not list it")
     dangling = bool(problems)  # the walk needs nodes that exist and maps that agree
     for kid in clique_ids:
@@ -635,7 +636,7 @@ def validate(graph: FlowNetwork, tree: DecompositionTree) -> tuple[bool, list[st
             torso[a].add(b)
             torso[b].add(a)
         whole = True  # every clique exists and lies inside: the torso is complete
-        for kid in tree.comp_cliques[cid]:
+        for kid in tree.comp_cliques.get(cid, ()):
             k = tree.cliques.get(kid)
             if k is None:
                 whole = False

@@ -4,8 +4,8 @@
   (Brandes 2009), one kernel on index adjacency lists that returns both the
   number of DFS roots (the connected components) and the yes/no verdict,
   with no networkx object, embedding or Kuratowski witness built.
-  ``is_planar`` is its wrapper for an adjacency mapping, and ``validate``
-  calls it directly on the index-list torsos it builds.
+  ``is_planar`` is its yes/no wrapper, for an adjacency mapping or index
+  lists; ``validate`` calls the kernel directly on the torsos it builds.
 - ``planar_embed``: a clockwise rotation system for a planar graph (None for
   a non-planar one) from networkx's ``check_planarity``; faces come from the
   standard half-edge walk, so triangle/face membership queries are cheap.
@@ -21,9 +21,10 @@
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, AbstractSet, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, AbstractSet, Iterable, Sequence
 
 if TYPE_CHECKING:
     import networkx as nx
@@ -52,12 +53,15 @@ def adjacency(vertices: Iterable[int], pairs: Iterable[Iterable[int]]) -> dict[i
     return adj
 
 
-def components(adj: Adjacency, removed: AbstractSet[int] = frozenset()) -> list[set[int]]:
-    """Vertex sets of the connected components of ``adj`` minus ``removed``
-    (and every edge touching it), ordered by their smallest vertex."""
+def components(
+    adj: Adjacency | Sequence[Sequence[int]], removed: Iterable[int] = frozenset()
+) -> list[set[int]]:
+    """Vertex sets of the connected components of ``adj`` (an adjacency
+    mapping or index adjacency lists) minus ``removed`` (and every edge
+    touching it), ordered by their smallest vertex."""
     seen = set(removed)
     out: list[set[int]] = []
-    for start in sorted(adj):
+    for start in sorted(adj) if isinstance(adj, Mapping) else range(len(adj)):
         if start in seen:
             continue
         comp = {start}
@@ -221,11 +225,14 @@ def planar_embed(adj: Adjacency) -> PlanarEmbedding | None:
     return emb
 
 
-def is_planar(adj: Adjacency) -> bool:
+def is_planar(adj: Adjacency | Sequence[Sequence[int]]) -> bool:
     """Whether the simple undirected graph ``adj`` is planar: ``lr_planarity``
-    on its index adjacency lists."""
-    index = {v: i for i, v in enumerate(adj)}
-    return lr_planarity([[index[w] for w in nbrs] for nbrs in adj.values()])[1]
+    on its index adjacency lists.  ``adj`` maps each vertex to its
+    neighbours, or is those lists already (the neighbours of i at adj[i])."""
+    if isinstance(adj, Mapping):
+        index = {v: i for i, v in enumerate(adj)}
+        adj = [[index[w] for w in nbrs] for nbrs in adj.values()]
+    return lr_planarity(adj)[1]
 
 
 def lr_planarity(nbrs: Sequence[Iterable[int]]) -> tuple[int, bool]:

@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 from .planar import Adjacency, adjacency, components, lowpoint_dfs
 
@@ -33,8 +35,7 @@ S, P, R, Q = "S", "P", "R", "Q"
 _EOS = (0, -1, 0)  # end-of-segment mark on the path search's triple stack
 
 
-@dataclass(frozen=True)
-class SkelEdge:
+class SkelEdge(NamedTuple):
     u: int
     v: int
     link: int | None = None  # pairing id; None for real (input) edges
@@ -68,45 +69,50 @@ class SpqrTree:
     tree_edges: dict[int, tuple[int, int]] = field(default_factory=dict)
 
 
-def _edge_list(adj: Adjacency) -> list[SkelEdge]:
-    out = []
-    for u in sorted(adj):
-        for v in sorted(adj[u]):
-            if u < v:
-                out.append(SkelEdge(u, v))
-    return out
-
-
 def _skel_adjacency(edges: list[SkelEdge]) -> dict[int, set[int]]:
     return adjacency({v for e in edges for v in (e.u, e.v)}, ((e.u, e.v) for e in edges))
 
 
-def spqr(adj: Adjacency) -> SpqrTree:
+def spqr(adj: Adjacency | Sequence[Sequence[int]]) -> SpqrTree:
     """Canonical SPQR tree of a biconnected simple graph, in linear time.
 
-    Single-vertex and single-edge inputs yield the degenerate one-Q-node
-    tree; any other non-biconnected input raises ValueError.
+    ``adj`` maps each vertex to its neighbours, or is index adjacency lists
+    (the neighbours of vertex i at ``adj[i]``), and then the skeleton edges
+    join indexes; every skeleton edge has u < v.  Single-vertex and
+    single-edge inputs yield the degenerate one-Q-node tree; any other
+    non-biconnected input raises ValueError.
     """
-    order = sorted(adj)
-    index = {v: i for i, v in enumerate(order)}
-    nbrs = [[index[w] for w in sorted(adj[v]) if w != v] for v in order]
-    if sum(map(len, nbrs)) <= 2:
-        if len(components(adj)) > 1:
+    if isinstance(adj, Mapping):
+        order: Sequence[int] = sorted(adj)
+        index = {v: i for i, v in enumerate(order)}
+        nbrs = [[index[w] for w in sorted(adj[v]) if w != v] for v in order]
+    else:
+        order, nbrs = range(len(adj)), adj
+    m = sum(map(len, nbrs)) // 2
+    if m <= 1:
+        if len(nbrs) > m + 1:
             raise ValueError("SPQR input must be connected")
-        return SpqrTree({0: SpqrNode(Q, _edge_list(adj))})
+        edges = [SkelEdge(order[a], order[b]) for a, nb in enumerate(nbrs) for b in nb if a < b]
+        return SpqrTree({0: SpqrNode(Q, edges)})
     comps, src, tgt, n_real = _split_components(nbrs)
+    skel_edge = tuple.__new__  # a SkelEdge without its Python-level __new__
     pieces: list[tuple[str, list[SkelEdge]]] = []
-    for comp in comps:
+    owners: dict[int, tuple[int, ...]] = {}  # virtual edge -> its two pieces
+    for i, comp in enumerate(comps):
         edges = []
         verts: set[int] = set()
         for e in comp:
-            a, b = sorted((src[e], tgt[e]))
+            a, b = src[e], tgt[e]
+            if a > b:
+                a, b = b, a
             verts.add(a)
             verts.add(b)
-            edges.append(SkelEdge(order[a], order[b], e if e >= n_real else None))
+            edges.append(skel_edge(SkelEdge, (order[a], order[b], e if e >= n_real else None)))
+            if e >= n_real:
+                owners[e] = (*owners.get(e, ()), i)
         kind = P if len(verts) == 2 else S if len(edges) == len(verts) else R
         pieces.append((kind, edges))
-    return _canonical_tree(pieces)
+    return _canonical_tree(pieces, owners)
 
 
 def _split_components(
@@ -150,20 +156,19 @@ def _split_components(
             tgt.append(w)
     m = len(src)
 
-    # Acceptable adjacency lists: out-edges bucket-sorted by phi.
-    buckets: list[list[int]] = [[] for _ in range(3 * n + 3)]
+    # Acceptable adjacency lists: out-edges stably sorted by phi (a bucket sort).
+    phi = [0] * m
     for e in range(m):
         w = tgt[e]
         if not arc[e]:
-            buckets[3 * number[w] + 1].append(e)
+            phi[e] = 3 * number[w] + 1
         elif low2[w] < number[src[e]]:
-            buckets[3 * low1[w]].append(e)
+            phi[e] = 3 * low1[w]
         else:
-            buckets[3 * low1[w] + 2].append(e)
+            phi[e] = 3 * low1[w] + 2
     out: list[list[int]] = [[] for _ in range(n)]
-    for bucket in buckets:
-        for e in bucket:
-            out[src[e]].append(e)
+    for e in sorted(range(m), key=phi.__getitem__):
+        out[src[e]].append(e)
 
     # Pathfinder: number each vertex so that the first child visited gets
     # the highest numbers, mark the first edge of every path, and list the
@@ -430,16 +435,14 @@ def _split_components(
     return comps, src, tgt, m
 
 
-def _canonical_tree(pieces: list[tuple[str, list[SkelEdge]]]) -> SpqrTree:
+def _canonical_tree(
+    pieces: list[tuple[str, list[SkelEdge]]], owners: dict[int, tuple[int, ...]]
+) -> SpqrTree:
     """The SPQR tree of split components ``pieces`` (kind, skeleton), whose
-    virtual edges each appear in exactly two: linked cycles are 2-summed
-    into one cycle and linked bonds into one bond, so that no S-S or P-P
-    adjacency is left.  Nodes are numbered by their first piece."""
-    owners: dict[int, list[int]] = {}
-    for i, (_, edges) in enumerate(pieces):
-        for e in edges:
-            if e.link is not None:
-                owners.setdefault(e.link, []).append(i)
+    virtual edges each appear in exactly two, listed in ``owners``: linked
+    cycles are 2-summed into one cycle and linked bonds into one bond, so
+    that no S-S or P-P adjacency is left.  Nodes are numbered by their first
+    piece."""
     group = list(range(len(pieces)))
 
     def find(i: int) -> int:
@@ -472,11 +475,7 @@ def _canonical_tree(pieces: list[tuple[str, list[SkelEdge]]]) -> SpqrTree:
 
 def reassemble(tree: SpqrTree) -> set[frozenset[int]]:
     """Real edges surviving all 2-sums (virtual pairs glue and vanish)."""
-    out: set[frozenset[int]] = set()
-    for node in tree.nodes.values():
-        for pair in node.real_pairs():
-            out.add(pair)
-    return out
+    return {pair for node in tree.nodes.values() for pair in node.real_pairs()}
 
 
 def check_spqr_axioms(tree: SpqrTree, adj: Adjacency) -> list[str]:
@@ -537,7 +536,7 @@ def check_spqr_axioms(tree: SpqrTree, adj: Adjacency) -> list[str]:
         problems.append("tree edge count is not nodes-1")
     if len(components(adjacency(tree.nodes, tree.tree_edges.values()))) > 1:
         problems.append("tree is disconnected")
-    if reassemble(tree) != {e.pair for e in _edge_list(adj)}:
+    if reassemble(tree) != {frozenset((u, w)) for u in adj for w in adj[u] if u != w}:
         problems.append("reassembly differs from input")
     return problems
 

@@ -15,10 +15,11 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter, defaultdict, deque
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Sequence
 
-from .decomposition import DecompositionTree
+from .decomposition import DecompositionTree, underlying
 from .network import FULL, MAX_CAPACITY, SINGLE_SOURCE, CutTable, Edge, FlowNetwork, TerminalSet
 from .planar import Adjacency, articulation_points, components
 from .spqr import P, Q, R, S, SkelEdge, SpqrNode, SpqrTree
@@ -250,14 +251,31 @@ def _has_minor(pairs: frozenset[frozenset[int]], target: str, memo: dict) -> boo
 
 
 # ---------------------------------------------------------------------------
+# Torsos of a decomposition tree's components, as adjacency maps
+
+
+def torso_adjacency(tree: DecompositionTree, comp_id: int) -> Adjacency:
+    """Component underlying graph plus phantom clique-completion edges."""
+    adj = underlying(tree.components[comp_id])
+    for kid in tree.comp_cliques[comp_id]:
+        for u, v in itertools.combinations(tree.cliques[kid], 2):
+            adj[u].add(v)
+            adj[v].add(u)
+    return adj
+
+
+# ---------------------------------------------------------------------------
 # SPQR oracle (pairwise split-pair search; small graphs)
 
 
-def oracle_spqr(adj: Adjacency) -> SpqrTree:
+def oracle_spqr(adj: Adjacency | Sequence[Sequence[int]]) -> SpqrTree:
     """Canonical SPQR tree by recursive splitting at split pairs, each found
     by removing every vertex pair of a skeleton and counting what is left,
     then by 2-summing adjacent S-S and P-P nodes one link at a time.
-    O(n^2 m) per skeleton: a differential oracle for ``spqr.spqr``."""
+    O(n^2 m) per skeleton: a differential oracle for ``spqr.spqr``, which
+    also takes index adjacency lists."""
+    if not isinstance(adj, Mapping):
+        adj = {v: set(nbrs) for v, nbrs in enumerate(adj)}
     edges = [SkelEdge(u, v) for u in sorted(adj) for v in sorted(adj[u]) if u < v]
     tree = SpqrTree()
     next_node = itertools.count()

@@ -7,7 +7,7 @@ comparisons are integer-exact.
 import random
 import time
 
-from minorflow.decomposition import refine, torso_adjacency, validate
+from minorflow.decomposition import refine, validate
 from minorflow.external import cut_table, verify_flow
 from minorflow.maxflow import max_flow
 from minorflow.mimic import (
@@ -28,6 +28,7 @@ from minorflow.testkit import (
     gen_instance,
     oracle_cut_table,
     oracle_max_flow,
+    torso_adjacency,
 )
 from minorflow.testkit import random_network
 

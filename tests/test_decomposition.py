@@ -18,14 +18,19 @@ from minorflow.decomposition import (
     decompose_k5_free,
     refine,
     single_component_tree,
-    torso_adjacency,
     underlying,
     validate,
 )
 from minorflow.fileio import canonical_ids, parse_decomposition, write_decomposition
 from minorflow.network import FlowNetwork
 from minorflow.planar import adjacency, is_planar, planar_embed
-from minorflow.testkit import GenConfig, gen_instance, minor_free_check, oracle_spqr
+from minorflow.testkit import (
+    GenConfig,
+    gen_instance,
+    minor_free_check,
+    oracle_spqr,
+    torso_adjacency,
+)
 
 from conftest import dnet
 
@@ -225,6 +230,15 @@ def test_validate_reports_a_component_attached_to_a_missing_clique():
     assert validate(graph, tree) == (False, ["clique 0 attached to missing component 9"])
     with pytest.raises(InvalidDecomposition, match="clique 0 attached to missing component 9"):
         max_flow_decomposed(graph, tree, 0, 1)
+
+
+def test_validate_reports_a_component_missing_from_the_incidence_map():
+    # A component set into ``components`` directly, without add_component,
+    # has no comp_cliques entry: a problem to report, not a KeyError.
+    graph = FlowNetwork.from_edges([(0, 0, 1, 1)])
+    tree = DecompositionTree()
+    tree.components[0] = graph
+    assert validate(graph, tree) == (False, ["component 0 has no clique incidence entry"])
 
 
 def test_validate_reports_incidence_maps_that_disagree():
@@ -747,13 +761,16 @@ def test_refine_of_a_directly_filled_tree_reuses_no_live_id(fill):
     [
         ("missing-clique", "component 0 attached to missing clique 7"),
         ("clique-outside", "clique 0 vertices missing from component 0"),
+        ("no-incidence-entry", "component 0 has no clique incidence entry"),
     ],
-    ids=["missing-clique", "clique-outside"],
+    ids=["missing-clique", "clique-outside", "no-incidence-entry"],
 )
 def test_refine_rejects_a_tree_that_does_not_hold_together(fault, problem):
     tree = DecompositionTree()
     c = tree.add_component(FlowNetwork.from_edges([(0, 0, 1, 1)]))
-    if fault == "missing-clique":
+    if fault == "no-incidence-entry":
+        del tree.comp_cliques[c]
+    elif fault == "missing-clique":
         tree.comp_cliques[c].add(7)
     else:
         other = tree.add_component(FlowNetwork.from_edges([(1, 1, 9, 1)]))

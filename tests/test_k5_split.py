@@ -11,14 +11,19 @@ import pytest
 from minorflow import decomposition
 from minorflow.decomposition import (
     _is_v8,
+    _nbrs,
     _separating_triples,
     _split_k5,
     decompose_k5_free,
     refine,
-    torso_adjacency,
 )
 from minorflow.planar import adjacency, to_nx
-from minorflow.testkit import GenConfig, gen_instance, oracle_separating_triples
+from minorflow.testkit import (
+    GenConfig,
+    gen_instance,
+    oracle_separating_triples,
+    torso_adjacency,
+)
 
 V8 = nx.Graph([(i, (i + 1) % 8) for i in range(8)] + [(i, i + 4) for i in range(4)])
 CUBE = nx.hypercube_graph(3)
@@ -38,8 +43,23 @@ CUBIC_WITH_TRIANGLES = [
 CUBIC_8 = [V8, CUBE, TWO_K4] + CUBIC_WITH_TRIANGLES
 
 
-def adj_of(g: nx.Graph) -> dict[int, set[int]]:
-    return {v: set(g[v]) for v in g}
+def nbrs_of(g: nx.Graph) -> list[list[int]]:
+    """Index adjacency lists of ``g``, its nodes numbered in their order."""
+    index = {v: i for i, v in enumerate(g)}
+    return [[index[w] for w in g[v]] for v in g]
+
+
+def lazy_triples(adj) -> list[tuple[int, ...]]:
+    """``_separating_triples`` of an adjacency mapping, in its vertex ids."""
+    order = sorted(adj)
+    index = {v: i for i, v in enumerate(order)}
+    nbrs = [[index[w] for w in adj[v]] for v in order]
+    return [tuple(order[i] for i in triple) for triple in _separating_triples(nbrs)]
+
+
+def piece_adjacency(piece) -> dict[int, set[int]]:
+    """The graph of a decomposer piece, on its positions."""
+    return dict(enumerate(map(set, _nbrs(piece))))
 
 
 def relabeled(g: nx.Graph, rng: random.Random) -> nx.Graph:
@@ -64,7 +84,7 @@ def test_is_v8_agrees_with_networkx_on_every_cubic_graph_on_8_vertices(index):
     rng = random.Random(index)
     for _ in range(100):
         g = relabeled(CUBIC_8[index], rng)
-        assert _is_v8(adj_of(g)) is nx.is_isomorphic(g, V8)
+        assert _is_v8(nbrs_of(g)) is nx.is_isomorphic(g, V8)
 
 
 @pytest.mark.parametrize(
@@ -81,7 +101,7 @@ def test_is_v8_agrees_with_networkx_on_every_cubic_graph_on_8_vertices(index):
     ids=["K5", "Petersen", "C8(1,2)", "V8+isolated", "rewired", "V8-chord", "C8"],
 )
 def test_is_v8_rejects_wrong_sizes_and_degrees(g):
-    assert not _is_v8(adj_of(g))
+    assert not _is_v8(nbrs_of(g))
 
 
 def record_split_k5_pieces(monkeypatch) -> list:
@@ -89,9 +109,9 @@ def record_split_k5_pieces(monkeypatch) -> list:
     seen: list = []
     real = decomposition._split_k5
 
-    def recording(verts, pairs, memo):
-        seen.append((verts, pairs))
-        return real(verts, pairs, memo)
+    def recording(piece, memo):
+        seen.append(piece)
+        return real(piece, memo)
 
     monkeypatch.setattr(decomposition, "_split_k5", recording)
     return seen
@@ -117,11 +137,11 @@ def test_lazy_triples_equal_the_eager_list_on_every_piece(monkeypatch):
                     torso = torso_adjacency(tree, cid)
                     if len(torso) >= 4 and min(map(len, torso.values())) >= 3:
                         torsos[frozenset((u, v) for u in torso for v in torso[u])] = torso
-    pieces = {key: adjacency(*key) for key in seen}
+    pieces = {piece: piece_adjacency(piece) for piece in seen}
     assert len(pieces) >= 100 and len(torsos) >= 100
     for adj in list(pieces.values()) + list(torsos.values()):
         assert three_connected(adj)
-        assert list(_separating_triples(adj)) == oracle_separating_triples(adj)
+        assert lazy_triples(adj) == oracle_separating_triples(adj)
 
 
 def test_lazy_triples_equal_the_eager_list_on_random_3_connected_graphs(rng):
@@ -134,7 +154,7 @@ def test_lazy_triples_equal_the_eager_list_on_random_3_connected_graphs(rng):
             continue
         labels = dict(zip(range(n), rng.sample(range(50), n)))
         adj = {labels[v]: {labels[w] for w in adj[v]} for v in adj}
-        assert list(_separating_triples(adj)) == oracle_separating_triples(adj)
+        assert lazy_triples(adj) == oracle_separating_triples(adj)
         checked += 1
 
 
@@ -154,10 +174,10 @@ def test_split_k5_stops_at_the_first_triple_that_splits(monkeypatch):
     # K3,3 is a 3-sum of three K4s at the triangle {0, 1, 2}: the first pair
     # (0, 1) yields it, so one articulation DFS runs, not one per pair.
     calls = count_articulation_calls(monkeypatch)
-    pairs = frozenset(frozenset((a, b)) for a in range(3) for b in range(3, 6))
-    pieces, cliques = _split_k5(frozenset(range(6)), pairs, {})
-    assert [sorted(v) for v, _ in pieces] == [[0, 1, 2, 3], [0, 1, 2, 4], [0, 1, 2, 5]]
-    assert cliques == [(frozenset({0, 1, 2}), [0, 1, 2])]
+    pairs = tuple(x for a in range(3) for b in range(3, 6) for x in (a, b))
+    pieces, cliques, _ = _split_k5((tuple(range(6)), pairs), {})
+    assert [list(v) for v, _ in pieces] == [[0, 1, 2, 3], [0, 1, 2, 4], [0, 1, 2, 5]]
+    assert cliques == [((0, 1, 2), [0, 1, 2])]
     assert len(calls) == 1
 
 
@@ -166,7 +186,7 @@ def test_the_triple_scans_of_a_generated_input_run_fewer_dfs_than_pairs(monkeypa
     calls = count_articulation_calls(monkeypatch)
     graph, _ = gen_instance(GenConfig("k5free", 160, seed=1))
     decompose_k5_free(graph)
-    scanned = [adjacency(*key) for key in set(seen)]
-    scanned = [adj for adj in scanned if not decomposition.is_planar(adj) and not _is_v8(adj)]
+    scanned = [_nbrs(piece) for piece in set(seen)]
+    scanned = [nbrs for nbrs in scanned if not decomposition.is_planar(nbrs) and not _is_v8(nbrs)]
     assert scanned
     assert len(calls) < sum(len(adj) * (len(adj) - 1) // 2 for adj in scanned)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minorflow.decomposition import biconnected_split, torso_adjacency, underlying, validate
+from minorflow.decomposition import biconnected_split, underlying, validate
 from minorflow.planar import (
     PlanarEmbedding,
     articulation_points,
@@ -16,7 +16,7 @@ from minorflow.planar import (
     planar_embed,
     to_nx,
 )
-from minorflow.testkit import GenConfig, gen_instance
+from minorflow.testkit import GenConfig, gen_instance, torso_adjacency
 
 
 def adj_of(pairs):

@@ -45,11 +45,13 @@ def test_script_runs_and_exits_zero(argv):
         assert re.search(line, out.stdout, re.M), out.stdout
         if "--decomposer" in argv:
             # The decompose line: the components, the planar blocks kept
-            # whole (the blocks less the spqr calls) and the spqr calls.
+            # whole (the blocks less the spqr calls), the spqr calls, and the
+            # collections made inside the decomposer with their time.
             key = argv[argv.index("--decomposer") + 1]
             line = (
                 rf"^decompose \({key}\): components=[1-9]\d* \(planar blocks kept whole \d+\), "
-                r"spqr calls \d+ in \d+\.\d\ds$"
+                r"spqr calls \d+ in \d+\.\d\ds, "
+                r"gc collections \[\d+, \d+, \d+\] taking \d+\.\d\ds$"
             )
             assert re.search(line, out.stdout, re.M), out.stdout
         # The parse line: both texts' parse times, their size and the

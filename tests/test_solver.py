@@ -204,18 +204,25 @@ def test_family_solve_runs_on_the_source_component(rng):
 
 
 def test_a_connected_family_solve_finds_its_components_once(monkeypatch, rng):
-    # The decomposer's connectivity check and its first block split share one
-    # adjacency, and the solver runs no check of its own on a connected graph.
+    # The decomposer's block split is its connectivity check (the block-cut
+    # forest has one tree per component), and the solver runs no check of
+    # its own on a connected graph: one pass over the whole graph finds them.
     graph, _ = gen_instance(GenConfig("k5free", 40, seed=3))
     whole = []
-    for mod in (decomposition, solver):
 
-        def counting(adj, removed=frozenset(), real=mod.components):
-            if len(adj) == len(graph.vertices) and not removed:
-                whole.append(adj)
-            return real(adj, removed)
+    def counting(adj, removed=frozenset(), real=solver.components):
+        if len(adj) == len(graph.vertices) and not removed:
+            whole.append(adj)
+        return real(adj, removed)
 
-        monkeypatch.setattr(mod, "components", counting)
+    monkeypatch.setattr(solver, "components", counting)
+
+    def splitting(adj, real=decomposition.biconnected_split):
+        if len(adj) == len(graph.vertices):
+            whole.append(adj)
+        return real(adj)
+
+    monkeypatch.setattr(decomposition, "biconnected_split", splitting)
     s, t = rng.sample(sorted(graph.vertices), 2)
     assert max_flow_family(graph, "k5", s, t)[0] == oracle_max_flow(graph, s, t)
     assert len(whole) == 1
