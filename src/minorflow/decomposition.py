@@ -385,23 +385,18 @@ def refine(tree: DecompositionTree) -> DecompositionTree:
     every gluing triangle of every planar component is one of its faces:
     blocks, their SPQR pieces and their sides at separating gluing triangles
     nest into one split per component, and one ``_build`` makes the tree.
-    Reassembly is unchanged; refining twice equals refining once."""
+    Reassembly is unchanged; refining twice equals refining once.  Raises
+    InvalidDecomposition with the first of the tree's ``_shape_problems``."""
+    problems = _shape_problems(tree)
+    if problems:
+        raise InvalidDecomposition(problems[0])
     splits = {}
     for cid in sorted(tree.components):
         net = tree.components[cid]
-        if cid not in tree.comp_cliques:
-            raise InvalidDecomposition(f"component {cid} has no clique incidence entry")
-        cliques = []
-        for kid in sorted(tree.comp_cliques[cid]):
-            clique = tree.cliques.get(kid)
-            if clique is None:
-                raise InvalidDecomposition(f"component {cid} attached to missing clique {kid}")
-            if not clique <= net.vertices:
-                raise InvalidDecomposition(f"clique {kid} vertices missing from component {cid}")
-            cliques.append(clique)
+        cliques = [tree.cliques[kid] for kid in sorted(tree.comp_cliques[cid])]
         order, index, (blocks, glue), parts = _block_split(net, cliques)
         if parts > 1:
-            raise InvalidDecomposition(f"component {cid} has a disconnected torso")
+            raise InvalidDecomposition(f"component {cid} torso is disconnected")
         triangles = [tuple(sorted(index[v] for v in k)) for k in cliques if len(k) == 3]
         subs = []
         for block in blocks:
@@ -563,41 +558,43 @@ def _connected(nbrs: list[set[int]]) -> bool:
     return len(reach) >= n
 
 
-def validate(graph: FlowNetwork, tree: DecompositionTree) -> tuple[bool, list[str]]:
-    """Check every decomposition-tree invariant and the paper's precondition:
-    each component's torso is planar or has at most ``_SMALL_CAP`` vertices.
-    Planarity is tested only on torsos above the cap.  One sweep over the
-    components gathers what the other checks need and builds each torso once."""
-    problems: list[str] = []
-    comp_ids = sorted(tree.components)
-    clique_ids = sorted(tree.cliques)
+def _shape_problems(tree: DecompositionTree) -> list[str]:
+    """What ``validate`` checks of a tree without its input network, in its
+    order: incidence bookkeeping, tree shape and clique containment."""
+    comp_ids, clique_ids = sorted(tree.components), sorted(tree.cliques)
     if not comp_ids:
-        return False, ["tree has no components"]
-    # Incidence bookkeeping and tree shape.
+        return ["tree has no components"]
     lost = [cid for cid in comp_ids if cid not in tree.comp_cliques]
-    problems += [f"component {cid} has no clique incidence entry" for cid in lost]
+    problems = [f"component {cid} has no clique incidence entry" for cid in lost]
+    lost = [kid for kid in clique_ids if kid not in tree.clique_comps]
+    problems += [f"clique {kid} has no component incidence entry" for kid in lost]
     n_edges = 0
     listed = 0  # tree edges that both incidence maps hold
+    outside = []  # (clique, component) lacking some of its vertices
     for cid in comp_ids:
+        verts = tree.components[cid].vertices
         for kid in tree.comp_cliques.get(cid, ()):
-            if kid not in tree.cliques:
+            k = tree.cliques.get(kid)
+            if k is None:
                 problems.append(f"component {cid} attached to missing clique {kid}")
-            elif cid in tree.clique_comps[kid]:
+            elif cid in tree.clique_comps.get(kid, ()):
                 listed += 1
             else:
                 problems.append(f"component {cid} lists clique {kid}, which does not list it")
+            if k is not None and not k <= verts:
+                outside.append((kid, cid))
             n_edges += 1
     # Every clique-side edge is one of those ``listed`` unless the counts differ.
-    if listed != sum(len(tree.clique_comps[kid]) for kid in clique_ids):
+    if listed != sum(len(tree.clique_comps.get(kid, ())) for kid in clique_ids):
         for kid in clique_ids:
-            for cid in sorted(tree.clique_comps[kid]):
+            for cid in sorted(tree.clique_comps.get(kid, ())):
                 if cid not in tree.components:
                     problems.append(f"clique {kid} attached to missing component {cid}")
                 elif kid not in tree.comp_cliques.get(cid, ()):
                     problems.append(f"clique {kid} lists component {cid}, which does not list it")
     dangling = bool(problems)  # the walk needs nodes that exist and maps that agree
     for kid in clique_ids:
-        if len(tree.clique_comps[kid]) < 2:
+        if len(tree.clique_comps.get(kid, ())) < 2:
             problems.append(f"clique {kid} attached to fewer than 2 components")
     if n_edges != len(comp_ids) + len(clique_ids) - 1:
         problems.append("tree edge count is not nodes-1 (not a tree)")
@@ -605,14 +602,26 @@ def validate(graph: FlowNetwork, tree: DecompositionTree) -> tuple[bool, list[st
         up, above = tree.walk(comp_ids[0])
         if len(up) + len(above) != len(comp_ids) + len(clique_ids):
             problems.append("tree is disconnected")
-    # The sweep: vertex counts, edge owners and fields, clique containment,
-    # and the torso checks of every component whose cliques lie inside it.
+    problems += [f"clique {k} vertices missing from component {c}" for k, c in sorted(outside)]
+    return problems
+
+
+def validate(graph: FlowNetwork, tree: DecompositionTree) -> tuple[bool, list[str]]:
+    """Check every decomposition-tree invariant and the paper's precondition:
+    each component's torso is planar or has at most ``_SMALL_CAP`` vertices.
+    Planarity is tested only on torsos above the cap.  One sweep over the
+    components gathers what the other checks need and builds each torso once."""
+    problems = _shape_problems(tree)
+    if not tree.components:
+        return False, problems
+    comp_ids, clique_ids = sorted(tree.components), sorted(tree.cliques)
+    # The sweep: vertex counts, edge owners and fields, and the torso checks
+    # of every component whose cliques lie inside it.
     # A torso is built once, as index lists; one ``lr_planarity`` run answers
     # both questions above the cap, and a plain search connectivity below it.
     graph_edges = graph.edge_by_id
     held: list[int] = []  # each component's vertices, one after another
     owner: dict[int, int] = {}  # edge id -> the last component holding it
-    outside: list[tuple[int, int]] = []  # (clique, component) lacking some of its vertices
     edge_problems: list[str] = []
     torso_problems: list[str] = []
     for cid in comp_ids:
@@ -635,34 +644,27 @@ def validate(graph: FlowNetwork, tree: DecompositionTree) -> tuple[bool, list[st
             a, b = index[tail], index[head]
             torso[a].add(b)
             torso[b].add(a)
-        whole = True  # every clique exists and lies inside: the torso is complete
         for kid in tree.comp_cliques.get(cid, ()):
             k = tree.cliques.get(kid)
-            if k is None:
-                whole = False
-            elif k <= verts:
-                for u, v in itertools.combinations(k, 2):
-                    a, b = index[u], index[v]
-                    torso[a].add(b)
-                    torso[b].add(a)
+            if k is None or not k <= verts:
+                break  # the torso is incomplete: no torso checks
+            for u, v in itertools.combinations(k, 2):
+                a, b = index[u], index[v]
+                torso[a].add(b)
+                torso[b].add(a)
+        else:  # every clique exists and lies inside: the torso is complete
+            if len(torso) > _SMALL_CAP:
+                roots, planar = lr_planarity(torso)
+                connected = roots == 1
             else:
-                outside.append((kid, cid))
-                whole = False
-        if not whole:
-            continue
-        if len(torso) > _SMALL_CAP:
-            roots, planar = lr_planarity(torso)
-            connected = roots == 1
-        else:
-            connected, planar = _connected(torso), True
-        if not connected:
-            torso_problems.append(f"component {cid} torso is disconnected")
-        if not planar:
-            torso_problems.append(
-                f"component {cid} torso is not planar and has more than {_SMALL_CAP} vertices"
-            )
+                connected, planar = _connected(torso), True
+            if not connected:
+                torso_problems.append(f"component {cid} torso is disconnected")
+            if not planar:
+                torso_problems.append(
+                    f"component {cid} torso is not planar and has more than {_SMALL_CAP} vertices"
+                )
     holders = Counter(held)  # vertex -> number of components holding it
-    problems += [f"clique {k} vertices missing from component {c}" for k, c in sorted(outside)]
     shape_ok = not problems
     # A hand-built tree can hold any vertex set as a clique; the running
     # intersection below does not depend on the size.

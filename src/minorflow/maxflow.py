@@ -257,8 +257,7 @@ def max_flow_side(net: FlowNetwork, s: int, t: int) -> tuple[int, FlowAssignment
 def min_cut_value(net: FlowNetwork, sources: Iterable[int], sinks: Iterable[int]) -> int:
     """Minimum cut with every vertex of ``sources`` on the source side and
     every vertex of ``sinks`` on the sink side (other vertices free)."""
-    sources, sinks = _checked(net, sources, sinks)
-    return TerminalKernel(net, sources + sinks).cut(sources, sinks)[0]
+    return min_cut_side(net, sources, sinks)[0]
 
 
 def min_cut_side(

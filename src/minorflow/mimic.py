@@ -10,10 +10,11 @@ everything up to four terminals collapses via minimum-cut signatures.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .external import cut_table
-from .maxflow import min_cut_side
+from .maxflow import TerminalKernel
+from .maxflow import min_cut_side  # unused here: the benchmark's traced run wraps this binding
 from .network import (
     FULL,
     SINGLE_SOURCE,
@@ -81,52 +82,16 @@ def check_four_way(table: CutTable) -> bool:
     return True
 
 
-def _full_mimic_arcs(
-    cut: Callable[[Sequence[int]], int],
-    terminals: Sequence[int],
-    hub: int | None,
-    first_edge_id: int,
-) -> tuple[Edge, ...]:
-    """Arcs of the exact full-table mimic on 2 or 3 ``terminals``, numbered
-    from ``first_edge_id``, where ``cut(sources)`` is the minimum cut with
-    ``sources`` on the source side and the other terminals on the sink side.
-
-    Two terminals get an antiparallel pair carrying the two cuts; three get
-    a star around ``hub`` whose arc q->hub carries q↛(rest) and hub->q
-    carries (rest)↛q.
-    """
-    if len(terminals) == 2:
-        u, v = terminals
-        return (
-            Edge(first_edge_id, u, v, cut((u,))),
-            Edge(first_edge_id + 1, v, u, cut((v,))),
-        )
-    arcs = []
-    for i, q in enumerate(terminals):
-        rest = [w for w in terminals if w != q]
-        arcs.append(Edge(first_edge_id + 2 * i, q, hub, cut((q,))))
-        arcs.append(Edge(first_edge_id + 2 * i + 1, hub, q, cut(rest)))
-    return tuple(arcs)
-
-
 def build_mimic3(
     table: CutTable,
     hub_vertex: int | None = None,
     first_edge_id: int = 0,
 ) -> FlowNetwork:
-    """4-vertex, 6-edge star mimicking a 3-terminal network.
-
-    For each terminal q the edge q->hub carries q↛(rest) and hub->q carries
-    (rest)↛q; terminals keep their vertex ids.
-    """
-    if table.mode != FULL or table.terminals.k != 3:
+    """4-vertex, 6-edge star mimicking a 3-terminal network: the
+    ``build_full_mimic`` of a table over exactly 3 terminals."""
+    if table.terminals.k != 3:
         raise ValueError("mimic3 needs a full-mode table over exactly 3 terminals")
-    terms = table.terminals.order
-    hub = max(terms) + 1 if hub_vertex is None else hub_vertex
-    if hub in terms:
-        raise ValueError("hub vertex collides with a terminal")
-    edges = _full_mimic_arcs(table.cut, terms, hub, first_edge_id)
-    return FlowNetwork(frozenset(terms) | {hub}, edges)
+    return build_full_mimic(table, hub_vertex, first_edge_id)
 
 
 def build_mimic4_single_source(
@@ -188,20 +153,21 @@ def build_mimic_general(
 ) -> FlowNetwork:
     """Cut-collapsing mimicking network for up to four terminals.
 
-    One source-side-minimal minimum cut is computed per nonempty proper
-    terminal subset; vertices with identical cut-side signatures merge into
-    supervertices (parallel capacities summed), giving at most 2^(2^k - 2)
-    vertices and an identical full cut table.
+    One kernel answers the 2^k - 2 cuts with a nonempty proper terminal
+    subset on the source side; each gives the minimal source side of its
+    minimum cuts (unique).  Vertices with identical cut-side signatures
+    merge into supervertices (parallel capacities summed), giving at most
+    2^(2^k - 2) vertices and an identical full cut table.
     """
     if terminals.k > 4:
         raise ValueError("general construction supports at most 4 terminals")
     terminals.check_in(net)
     order = sorted(net.vertices)
     signatures: dict[int, int] = {v: 0 for v in order}
+    kernel = TerminalKernel(net, terminals.order)
     for bit, subset in enumerate(proper_subsets(terminals.order)):
-        rest = tuple(q for q in terminals.order if q not in subset)
-        _, side = min_cut_side(net, subset, rest)
-        for v in side:
+        rest = [q for q in terminals.order if q not in subset]
+        for v in kernel.cut(subset, rest)[1]:
             signatures[v] |= 1 << bit
     groups: dict[int, list[int]] = {}
     for v in order:
@@ -238,20 +204,32 @@ def build_full_mimic(
     hub_vertex: int | None = None,
     first_edge_id: int = 0,
 ) -> FlowNetwork:
-    """Smallest exact full-table mimic for 2 or 3 terminals.
+    """Smallest exact full-table mimic for 2 or 3 terminals, its arcs
+    numbered from ``first_edge_id``; terminals keep their vertex ids.
 
-    Two terminals need only an antiparallel pair carrying the two cuts; three
-    terminals use the mimic3 star.
+    Two terminals u, v need only an antiparallel pair carrying u↛v and v↛u.
+    Three get a star around ``hub_vertex`` (by default one past the largest
+    terminal) whose arc q->hub carries q↛(rest) and hub->q carries (rest)↛q.
     """
-    if table.mode != FULL:
-        raise ValueError("full-mode table required")
-    if table.terminals.k == 3:
-        return build_mimic3(table, hub_vertex, first_edge_id)
-    if table.terminals.k != 2:
-        raise ValueError("build_full_mimic handles 2 or 3 terminals")
     terms = table.terminals.order
-    edges = _full_mimic_arcs(table.cut, terms, None, first_edge_id)
-    return FlowNetwork(frozenset(terms), edges)
+    if table.mode != FULL or len(terms) not in (2, 3):
+        raise ValueError("full mimic needs a full-mode table over 2 or 3 terminals")
+    if len(terms) == 2:
+        u, v = terms
+        edges = (
+            Edge(first_edge_id, u, v, table.cut((u,))),
+            Edge(first_edge_id + 1, v, u, table.cut((v,))),
+        )
+        return FlowNetwork(frozenset(terms), edges)
+    hub = max(terms) + 1 if hub_vertex is None else hub_vertex
+    if hub in terms:
+        raise ValueError("hub vertex collides with a terminal")
+    edges = []
+    for i, q in enumerate(terms):
+        rest = [w for w in terms if w != q]
+        edges.append(Edge(first_edge_id + 2 * i, q, hub, table.cut((q,))))
+        edges.append(Edge(first_edge_id + 2 * i + 1, hub, q, table.cut(rest)))
+    return FlowNetwork(frozenset(terms) | {hub}, tuple(edges))
 
 
 def merge_mimics(

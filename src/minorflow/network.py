@@ -8,8 +8,9 @@ threads for read-only use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Iterable, Iterator, Mapping, Sequence
 
 MAX_CAPACITY = 2**63 - 1  # bound on input arcs (fileio); internal arcs hold sums of them
@@ -176,15 +177,13 @@ class TerminalSet:
 
 
 def proper_subsets(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """Nonempty proper subsets in deterministic (size, lexicographic) order."""
-    items = tuple(sorted(items))
-    n = len(items)
-    masks = sorted(range(1, (1 << n) - 1), key=lambda m: (bin(m).count("1"), m))
-    for m in masks:
-        yield tuple(items[i] for i in range(n) if m >> i & 1)
+    """``nonempty_subsets`` without the full set, which comes last."""
+    return islice(nonempty_subsets(items), max((1 << len(items)) - 2, 0))
 
 
 def nonempty_subsets(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Nonempty subsets of the sorted ``items`` by size, then by bit mask
+    (item i is bit i): (1, 2), (1, 3), (2, 3), (1, 4), ... for four items."""
     items = tuple(sorted(items))
     n = len(items)
     masks = sorted(range(1, 1 << n), key=lambda m: (bin(m).count("1"), m))
@@ -204,7 +203,7 @@ class CutTable:
 
     mode: str
     terminals: TerminalSet
-    values: Mapping[frozenset[int], int] = field(compare=True)
+    values: Mapping[frozenset[int], int]
 
     def __post_init__(self) -> None:
         if self.mode not in (FULL, SINGLE_SOURCE):
@@ -228,15 +227,6 @@ class CutTable:
 
     def cut(self, subset: Iterable[int]) -> int:
         return self.values[frozenset(subset)]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CutTable):
-            return NotImplemented
-        return (
-            self.mode == other.mode
-            and self.terminals == other.terminals
-            and dict(self.values) == dict(other.values)
-        )
 
 
 # A flow assignment maps edge id -> nonnegative flow; absent ids carry zero.

@@ -204,7 +204,7 @@ class PlanarEmbedding:
 
 
 def planar_embed(adj: Adjacency) -> PlanarEmbedding | None:
-    """Embed a simple undirected graph; None when it is not planar."""
+    """Embed a simple undirected graph (needs networkx); None when it is not planar."""
     import networkx as nx
 
     g = to_nx(adj)

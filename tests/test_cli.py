@@ -587,12 +587,12 @@ def test_importing_the_cli_loads_neither_networkx_nor_numpy():
 
 def test_gen_and_audited_solve_run_without_networkx(tmp_path):
     # networkx is needed only by testkit's exact minor check and numpy only
-    # by its cut-table oracle, so gen and solve --audit (which imports
-    # testkit for the step audit) run in a process where importing either
-    # fails.
+    # by its cut-table oracle, so gen, solve --audit (which imports testkit
+    # for the step audit), decompose, mimic and verify run in a process
+    # where importing either fails.
     src = str(Path(minorflow.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    net, tree = tmp_path / "net.max", tmp_path / "tree.json"
+    net, tree, flow = tmp_path / "net.max", tmp_path / "tree.json", tmp_path / "flow.txt"
     code = (
         "import sys\n"
         "sys.modules['networkx'] = None\n"
@@ -603,7 +603,17 @@ def test_gen_and_audited_solve_run_without_networkx(tmp_path):
         f"for how in (['--decomposition', {str(tree)!r}], ['--family', 'k5']):\n"
         f"    assert main(['solve', '--network', {str(net)!r}, *how,"
         " '--source', '1', '--sink', '7', '--audit']) == 0\n"
+        f"assert main(['decompose', '--network', {str(net)!r}, '--family', 'k5',"
+        f" '-o', {str(tmp_path / 'k5.json')!r}]) == 0\n"
+        "for terms in ('1,7', '1,7,9', '1,7,9,12'):\n"
+        f"    assert main(['mimic', '--network', {str(net)!r}, '--terminals', terms,"
+        f" '-o', {str(tmp_path / 'mimic.max')!r}]) == 0\n"
+        f"assert main(['solve', '--network', {str(net)!r}, '--decomposition', {str(tree)!r},"
+        f" '--source', '1', '--sink', '7', '--emit-flow', {str(flow)!r}]) == 0\n"
+        f"assert main(['verify', '--network', {str(net)!r}, '--flow', {str(flow)!r},"
+        " '--source', '1', '--sink', '7']) == 0\n"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.count("audit steps ok") == 2
+    assert "cut ok" in out.stdout

@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -779,6 +780,45 @@ def test_refine_rejects_a_tree_that_does_not_hold_together(fault, problem):
         tree.attach(other, k)
     with pytest.raises(InvalidDecomposition, match=f"^{problem}$"):
         refine(tree)
+
+
+@pytest.mark.parametrize(
+    "shape, first",
+    [
+        ("no-clique-entry", "clique 0 has no component incidence entry"),
+        ("clique-on-one-component", "clique 1 attached to fewer than 2 components"),
+        ("two-cliques-one-join", "tree edge count is not nodes-1 (not a tree)"),
+        ("no-clique", "tree edge count is not nodes-1 (not a tree)"),
+    ],
+    ids=["no-clique-entry", "clique-on-one-component", "two-cliques-one-join", "no-clique"],
+)
+def test_validate_refine_and_solve_reject_a_tree_that_is_not_one(shape, first):
+    # Components A = {0, 1} and B = {1, 2}, joined by clique {1} unless the
+    # shape leaves it out or adds a second clique.
+    from minorflow.solver import max_flow_decomposed
+
+    tree = DecompositionTree()
+    a = tree.add_component(FlowNetwork.from_edges([(0, 0, 1, 1)]))
+    b = tree.add_component(FlowNetwork.from_edges([(1, 1, 2, 1)]))
+    if shape == "no-clique-entry":  # listed by both components, not by itself
+        tree.cliques[0] = frozenset({1})
+        tree.comp_cliques[a].add(0)
+        tree.comp_cliques[b].add(0)
+    elif shape != "no-clique":
+        k = tree.add_clique([1])
+        tree.attach(a, k)
+        tree.attach(b, k)
+        other = tree.add_clique([1])
+        tree.attach(a, other)
+        if shape == "two-cliques-one-join":
+            tree.attach(b, other)
+    graph = tree.reassemble()
+    ok, problems = validate(graph, tree)
+    assert not ok and problems[0] == first
+    with pytest.raises(InvalidDecomposition, match=f"^{re.escape(first)}$"):
+        refine(tree)
+    with pytest.raises(InvalidDecomposition, match=f"^{re.escape(first)}"):
+        max_flow_decomposed(graph, tree, 0, 2)
 
 
 def test_refine_builds_one_network_per_component_it_adds(monkeypatch):

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from minorflow.external import check_external_realizable, cut_table
+from minorflow.maxflow import min_cut_side
 from minorflow.mimic import (
     build_full_mimic,
     build_mimic3,
@@ -14,9 +17,11 @@ from minorflow.network import (
     FULL,
     SINGLE_SOURCE,
     CutTable,
+    Edge,
     FlowNetwork,
     MimicInputError,
     TerminalSet,
+    proper_subsets,
 )
 from minorflow.testkit import oracle_cut_table, random_network
 
@@ -181,6 +186,43 @@ def test_mimic_general_bounds_and_exactness(rng):
         general = build_mimic_general(net, terms, first_edge_id=10_000)
         assert len(general.vertices) <= 2 ** (2**k - 2)
         assert oracle_cut_table(general, terms, FULL) == oracle_cut_table(net, terms, FULL)
+
+
+def general_by_min_cut_sides(net, terminals, first_edge_id):
+    """The cut-collapsing mimic with one ``min_cut_side`` call per proper
+    terminal subset: vertices group by the sides holding them, groups in
+    signature order, a terminal's group keeping its id."""
+    signature = dict.fromkeys(sorted(net.vertices), 0)
+    for bit, sources in enumerate(proper_subsets(terminals.order)):
+        sinks = [q for q in terminals.order if q not in sources]
+        for v in min_cut_side(net, sources, sinks)[1]:
+            signature[v] |= 1 << bit
+    groups = {}
+    for v, sig in signature.items():
+        groups.setdefault(sig, []).append(v)
+    rep = {}
+    fresh = max(net.vertices) + 1
+    for sig in sorted(groups):
+        named = [q for q in groups[sig] if q in terminals.order]
+        rep |= dict.fromkeys(groups[sig], named[0] if named else fresh)
+        fresh += not named
+    caps = {}
+    for e in net.edges:
+        if rep[e.tail] != rep[e.head]:
+            ends = (rep[e.tail], rep[e.head])
+            caps[ends] = caps.get(ends, 0) + e.cap
+    edges = [Edge(first_edge_id + i, u, v, caps[u, v]) for i, (u, v) in enumerate(sorted(caps))]
+    return FlowNetwork(frozenset(rep.values()), tuple(edges))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_mimic_general_matches_one_min_cut_side_per_subset(k):
+    rng = random.Random(k)
+    for _ in range(30):
+        net = random_network(rng, rng.randint(k, 12))
+        terms = TerminalSet(tuple(rng.sample(sorted(net.vertices), k)))
+        want = general_by_min_cut_sides(net, terms, 500)
+        assert build_mimic_general(net, terms, first_edge_id=500) == want
 
 
 def test_mimic_general_collapses_a_star():

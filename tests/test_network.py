@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import pickle
 import re
+from types import MappingProxyType
 
 import pytest
 
@@ -90,6 +91,22 @@ def test_subset_enumerations():
     assert len(list(nonempty_subsets((1, 2, 3)))) == 7
 
 
+def test_subset_order_is_by_size_then_bit_mask():
+    # Phase I asks its cuts, and build_mimic_general numbers its signature
+    # bits, in this order; items are sorted first.
+    three = [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]
+    assert list(nonempty_subsets((3, 1, 2))) == three
+    assert list(proper_subsets((3, 1, 2))) == three[:-1]
+    four = [
+        (1,), (2,), (3,), (4,),
+        (1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4),
+        (1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4),
+        (1, 2, 3, 4),
+    ]  # fmt: skip
+    assert list(nonempty_subsets((4, 2, 3, 1))) == four
+    assert list(proper_subsets((4, 2, 3, 1))) == four[:-1]
+
+
 def test_cut_table_requires_complete_keys():
     q = TerminalSet((1, 2))
     with pytest.raises(ValueError):
@@ -98,6 +115,20 @@ def test_cut_table_requires_complete_keys():
     assert table.cut([1]) == 2
     ss = CutTable(SINGLE_SOURCE, TerminalSet.single_source(1, 2), {frozenset((2,)): 3})
     assert ss.cut([2]) == 3
+
+
+def test_cut_table_equality_compares_mode_terminals_and_values():
+    q = TerminalSet((1, 2, 3))
+    keys = [frozenset(s) for s in proper_subsets(q.order)]
+    values = {key: i for i, key in enumerate(keys)}
+    table = CutTable(FULL, q, values)
+    assert table == CutTable(FULL, q, dict(reversed(values.items())))
+    assert table == CutTable(FULL, q, MappingProxyType(values))
+    assert table != CutTable(FULL, q, values | {keys[0]: 9})
+    assert table != CutTable(FULL, TerminalSet((2, 1, 3)), values)
+    # One terminal: both modes take the empty table, so only the mode differs.
+    lone = TerminalSet.single_source(1)
+    assert CutTable(FULL, lone, {}) != CutTable(SINGLE_SOURCE, lone, {})
 
 
 def required_keys(mode, q):
