@@ -2,13 +2,15 @@
 """Fuzz harness: solve random instances through the decomposition pipeline
 and cross-check every value against the independent oracle.  Each round
 solves the highest-value s-t pair of four seeded candidates, so most rounds
-check a positive flow.  With --decomposer, the family decomposer's tree is
-validated before it is solved; a planar round draws the k33 or the k5
-decomposer, since a planar network is free of both minors.  Every round
-validates ``refine`` of the generated tree, and of the decomposer's tree
-with --decomposer, and checks that refining it again changes no component
-(the generated k5free trees carry the 3-vertex gluing cliques that the
-triangle split acts on).
+check a positive flow.  A round draws a generated planar, k33free or k5free
+instance of at most --max-n vertices, or ``testkit.nested_triangles`` with
+d <= max_n // 2.  With --decomposer, the family decomposer's tree is
+validated before it is solved; a k5free or nested round uses the k5
+decomposer, and a planar round draws the k33 or the k5 one, since a planar
+network is free of both minors.  Every round validates ``refine`` of the
+generated tree, and of the decomposer's tree with --decomposer, and checks
+that refining it again changes no component (the generated k5free trees
+carry the 3-vertex gluing cliques that the triangle split acts on).
 
     python scripts/fuzz_cross_check.py --rounds 100 --max-n 60
     MINORFLOW_SEED=9 python scripts/fuzz_cross_check.py --rounds 20 --decomposer
@@ -23,7 +25,7 @@ from minorflow.decomposition import refine, validate
 from minorflow.external import verify_flow
 from minorflow.network import TerminalSet
 from minorflow.solver import FAMILIES, decompose, max_flow_decomposed
-from minorflow.testkit import GenConfig, gen_instance, oracle_max_flow
+from minorflow.testkit import GenConfig, gen_instance, nested_triangles, oracle_max_flow
 
 
 def shape(tree):
@@ -53,9 +55,14 @@ def main() -> None:
     started = time.monotonic()
     positive = 0
     for round_no in range(args.rounds):
-        family = rng.choice(("planar", "k33free", "k5free"))
-        n = rng.randint(8, args.max_n)
-        graph, tree = gen_instance(GenConfig(family, n, seed=rng.getrandbits(32)))
+        family = rng.choice(("planar", "k33free", "k5free", "nested"))
+        if family == "nested":
+            d = rng.randint(2, args.max_n // 2)
+            graph, tree, _, _ = nested_triangles(d, rng.getrandbits(32))
+            n = len(graph.vertices)
+        else:
+            n = rng.randint(8, args.max_n)
+            graph, tree = gen_instance(GenConfig(family, n, seed=rng.getrandbits(32)))
         vertices = sorted(graph.vertices)
         pairs = [tuple(rng.sample(vertices, 2)) for _ in range(4)]
         values = [oracle_max_flow(graph, *pair) for pair in pairs]
@@ -63,7 +70,8 @@ def main() -> None:
         s, t = pairs[values.index(want)]
         named = {"generated": tree}
         if args.decomposer:
-            key = {"k33free": "k33", "k5free": "k5"}.get(family) or rng.choice(FAMILIES)
+            key = {"k33free": "k33", "k5free": "k5", "nested": "k5"}.get(family)
+            key = key or rng.choice(FAMILIES)
             tree = named[key] = decompose(graph, key)
         for name, base in named.items():
             refined = refine(base)

@@ -16,7 +16,7 @@ from collections import Counter, deque
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import AbstractSet, Callable, Iterable, Iterator, Sequence
+from typing import AbstractSet, Callable, Generator, Iterable, Iterator, Sequence
 
 from .network import Edge, FlowNetwork, merge_networks
 from .planar import Adjacency, adjacency, articulation_points, components, is_planar
@@ -128,6 +128,20 @@ def single_component_tree(net: FlowNetwork) -> DecompositionTree:
     return tree
 
 
+def run(task: Generator):
+    """The return value of generator ``task``, which writes each self-call as
+    ``(yield f(x))``: the yield gives f(x)'s return value, with no recursion."""
+    stack, value = [task], None
+    while stack:
+        try:
+            stack.append(stack[-1].send(value))
+            value = None
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Structural splits
 #
@@ -234,11 +248,12 @@ def _flatten(split: _Split, pending: list[Clique]) -> _Level:
     """The final pieces of ``split`` in nested order, and its cliques with the
     final pieces they join: for a piece split again, the first one inside
     that holds the clique, as ``_build`` reattaches old cliques; so is each
-    of ``pending`` placed.  One ``_build`` then gives the level-by-level tree."""
+    of ``pending`` placed, by one walk on ``run``, so at any nesting depth.
+    One ``_build`` then gives the level-by-level tree."""
     pieces: list[Piece] = []
     cliques: list[Clique] = []
 
-    def visit(split: _Split, pending: list[Clique]) -> None:
+    def visit(split: _Split, pending: list[Clique]) -> Generator:
         level, glue, subs = split
         waiting: list[list[Clique]] = [[] for _ in level]
         for verts, members in glue:
@@ -255,13 +270,13 @@ def _flatten(split: _Split, pending: list[Clique]) -> _Level:
             waiting[min(set(first).intersection(*rest))].append(clique)
         for piece, sub, held in zip(level, subs, waiting):
             if sub:
-                visit(sub, held)
+                yield visit(sub, held)
                 continue
             for _, members in held:
                 members.append(len(pieces))
             pieces.append(piece)
 
-    visit(split, pending)
+    run(visit(split, pending))
     return pieces, cliques
 
 
@@ -358,26 +373,30 @@ def _sides(piece: Piece, nbrs: list[list[int]], sep: tuple[int, ...]) -> _Level 
 
 
 def _triangle_pieces(piece: Piece, triangles: list[tuple[int, ...]]) -> _Split | None:
-    """The sides of a planar ``piece`` at the first of ``triangles`` inside it
-    that separates it, then each side the same way; None when none does or
-    the piece is not planar.  A block or SPQR piece is a cycle, 3-connected
-    or at most a triangle, and a triangle of a 3-connected planar graph is a
-    face exactly when it does not separate it (Whitney): no embedding is
-    needed, and the sides are 3-connected and planar, tested once."""
+    """The sides of a planar ``piece`` at the first of ``triangles`` inside
+    it that separates it, then each side the same way (on ``run``, at any
+    depth); None when none does or the piece is not planar.  A block or SPQR
+    piece is a cycle, 3-connected or at most a triangle, and a triangle of a
+    3-connected planar graph is a face exactly when it does not separate it
+    (Whitney): no embedding is needed, and the sides are 3-connected and
+    planar, tested once."""
     inside = [tri for tri in triangles if set(piece[0]).issuperset(tri)]
     if not inside or not is_planar(_nbrs(piece)):
         return None
 
-    def split(piece: Piece) -> _Split | None:
+    def split(piece: Piece) -> Generator[Generator, _Split | None, _Split | None]:
         verts, nbrs = piece[0], _nbrs(piece)
         for tri in inside:
             if set(verts).issuperset(tri):
                 sides = _sides(piece, nbrs, tuple(bisect_left(verts, v) for v in tri))
                 if sides is not None:
-                    return (*sides, [split(side) for side in sides[0]])
+                    subs = []
+                    for side in sides[0]:
+                        subs.append((yield split(side)))
+                    return (*sides, subs)
         return None
 
-    return split(piece)
+    return run(split(piece))
 
 
 def refine(tree: DecompositionTree) -> DecompositionTree:
@@ -483,7 +502,7 @@ def decompose_k5_free(net: FlowNetwork) -> DecompositionTree:
     def split(piece: Piece, order: list[int]) -> _Split | tuple[()] | None:
         if len(piece[1]) == 2 * len(piece[0]):
             return None  # an S piece, a planar cycle; _split_k5 tests the rest for planar / V8
-        result = _split_k5(piece, memo)
+        result = run(_split_k5(piece, memo))
         if result is None:
             ids = [order[v] for v in piece[0]]
             raise NotK5MinorFree(
@@ -505,13 +524,13 @@ def _separating_triples(nbrs: Sequence[Sequence[int]]) -> Iterator[tuple[int, in
             yield a, b, c
 
 
-def _split_k5(piece: Piece, memo: dict) -> _Split | tuple[()] | None:
-    """Recursive 3-cut refinement of a 3-connected torso: () when it is
-    planar or V8, else its split, or None when there is none.  Sides carry
-    the completed cut triangle, so are 3-connected again.  Keeps the first
-    separating triple whose sides all split, backtracking: a K5-free graph
-    can have 3-cuts whose completed sides are not.  ``memo`` maps each piece
-    tried to its result."""
+def _split_k5(piece: Piece, memo: dict) -> Generator[Generator, object, _Split | tuple[()] | None]:
+    """3-cut refinement of a 3-connected torso, a task for ``run`` (so at
+    any depth): () when it is planar or V8, else its split, or None when
+    there is none.  Sides carry the completed cut triangle, so are
+    3-connected again.  Keeps the first separating triple whose sides all
+    split, backtracking: a K5-free graph can have 3-cuts whose completed
+    sides are not.  ``memo`` maps each piece tried to its result."""
     if piece in memo:
         return memo[piece]
     nbrs = _nbrs(piece)
@@ -525,7 +544,7 @@ def _split_k5(piece: Piece, memo: dict) -> _Split | tuple[()] | None:
                 continue
             subs = []
             for side in sides[0]:
-                subs.append(_split_k5(side, memo))
+                subs.append((yield _split_k5(side, memo)))
                 if subs[-1] is None:
                     break
             else:

@@ -214,6 +214,8 @@ def parse_decomposition(text: str) -> DecompositionTree:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"bad JSON: {exc}") from None
+    except RecursionError:
+        raise FormatError("bad JSON: nested too deeply") from None
     tree = DecompositionTree()
     try:
         doc = _object(doc, "decomposition", ("components", "cliques", "tree_edges"))

@@ -15,8 +15,9 @@ pair for two terminals, a star around a fresh hub for three).  A question
 is asked first with the mimics of the children built so far, compiled with
 the component into one ``maxflow.TerminalKernel``, and the same Dinic run
 gives the residual source side S.  The children whose clique has vertices
-on both sides of S are built, by the same rule one level down, and the
-question is asked again.  When no child is split, the answer is exact:
+on both sides of S are built, by the same rule one level down (on
+``decomposition.run``, so at any depth), and the question is asked again.
+When no child is split, the answer is exact:
 
 - the network without the unbuilt children is a subnetwork of the true one,
   in which every child is replaced by its exact mimic, so its min cut is at
@@ -65,7 +66,7 @@ saves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Container, Generator, Iterable, Iterator
+from typing import Callable, Container, Generator, Iterable
 
 # Imported but unused here (``refine``, ``cut_table``, ``max_flow``,
 # ``min_cut_value``, ``merge_mimics``, ``build_mimic4_single_source``,
@@ -78,6 +79,7 @@ from .decomposition import (
     decompose_k33_free,
     decompose_k5_free,
     refine,
+    run,
     underlying,
     validate,
 )
@@ -188,15 +190,14 @@ def phase1(
     return the final network (``phase2``'s glue of the last round), its
     max-flow value and a max flow on it.
 
-    The s-t solve and each component's mimic are generators that yield
-    the children whose clique a residual source side split, and resume
-    once those are built; one explicit stack runs them, so a deep off-path
-    chain uses no Python recursion.  A component is compiled again only
-    after it gains children's arcs, so at most 1 + (its children) times.
-    Each path component takes the cliques that no earlier one holds, as in
-    the walk, and a built component all but the clique above it.  Only a
-    built component gets a record; every other off-path component is left
-    out of the final network and of the replay."""
+    The s-t solve and each component's mimic are tasks for ``run``: each
+    yields the build of every child whose clique a residual source side
+    split, last child first, and resumes once those are done.  A component
+    is compiled again only after it gains children's arcs, so at most 1 +
+    (its children) times.  Each path component takes the cliques that no
+    earlier one holds, as in the walk, and a built component all but the
+    clique above it.  Only a built component gets a record; every other
+    off-path component is left out of the final network and of the replay."""
     tree, pending = state.tree, state.pending
     on_path = set(path_comps)
 
@@ -228,7 +229,7 @@ def phase1(
         held |= tree.comp_cliques[p]
     replaced: set[int] = set()  # with an observer only
 
-    def build(child: Child) -> Iterator[list[Child]]:
+    def build(child: Child) -> Generator[Generator, None, None]:
         cid, kid, parent = child
         net = tree.components[cid]
         terminals = tuple(sorted(tree.cliques[kid]))
@@ -244,7 +245,8 @@ def phase1(
                 split = split_off(children, side)
                 if not split:
                     break
-                yield split
+                for c in reversed(split):
+                    yield build(c)
                 kernel = None
             cuts[frozenset(sources)] = value
         hub = state.alloc_vertex() if len(terminals) == 3 else None
@@ -260,23 +262,17 @@ def phase1(
             state.steps.append(step)
             state.observer("replace", step)
 
-    def solve() -> Generator[list[Child], None, tuple[FlowNetwork, int, FlowAssignment]]:
+    def solve() -> Generator[Generator, None, tuple[FlowNetwork, int, FlowAssignment]]:
         while True:
             net = phase2(state, path_comps)
             value, flow, side = max_flow_side(net, s, t)
             split = split_off(path_children, side)
             if not split:
                 return net, value, flow
-            yield split
+            for c in reversed(split):
+                yield build(c)
 
-    stack: list[Iterator[list[Child]]] = [solve()]
-    while stack:
-        try:
-            stack.extend(map(build, next(stack[-1])))
-        except StopIteration as done:
-            stack.pop()
-            answer = done.value  # the last one done is solve()
-    return answer
+    return run(solve())
 
 
 def phase2(state: SolveState, path_comps: list[int]) -> FlowNetwork:

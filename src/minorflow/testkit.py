@@ -19,7 +19,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Sequence
 
-from .decomposition import DecompositionTree, underlying
+from .decomposition import DecompositionTree, single_component_tree, underlying
 from .network import FULL, MAX_CAPACITY, SINGLE_SOURCE, CutTable, Edge, FlowNetwork, TerminalSet
 from .planar import Adjacency, articulation_points, components
 from .spqr import P, Q, R, S, SkelEdge, SpqrNode, SpqrTree
@@ -602,6 +602,36 @@ def gen_instance(cfg: GenConfig) -> tuple[FlowNetwork, DecompositionTree]:
     """Random clique-sum instance plus its ground-truth decomposition tree;
     identical configs produce identical instances."""
     return _Gen(cfg).build()
+
+
+def nested_triangles(d: int, seed: int) -> tuple[FlowNetwork, DecompositionTree, int, int]:
+    """A K5-free network of ``d`` nested separating triangles, its tree and an
+    s-t pair of positive value.  Vertices 0 and 1 join every v_i = 2 + i, the
+    v_i form a path, and each w_i = 2 + d + i joins 0, 1 and v_i: K2 joined
+    to a caterpillar, non-planar for d >= 3 since {0, 1, v_i} and {v_(i-1),
+    v_(i+1), w_i} form a K3,3.  Every pair has an arc each way, with
+    capacities drawn from ``seed``.  The tree has one chain component (0-1,
+    0-v_i, 1-v_i, v_i-v_(i+1)) and one piece per i with w_i's three pairs,
+    glued on the clique {0, 1, v_i}; s = w_0 and t = w_(d-1)."""
+    if d < 2:
+        raise ValueError("need d >= 2")
+    rng = random.Random(seed)
+    ids = itertools.count()
+
+    def net(pairs: list[tuple[int, int]]) -> FlowNetwork:
+        arcs = [
+            Edge(next(ids), a, b, rng.randint(1, 20)) for u, v in pairs for a, b in ((u, v), (v, u))
+        ]
+        return FlowNetwork(frozenset(x for pair in pairs for x in pair), tuple(arcs))
+
+    v = range(2, 2 + d)
+    chain = [(0, 1)] + [(x, y) for y in v for x in (0, 1)] + list(zip(v, v[1:]))
+    tree = single_component_tree(net(chain))
+    for vi, wi in zip(v, range(2 + d, 2 + 2 * d)):
+        kid = tree.add_clique((0, 1, vi))
+        tree.attach(0, kid)
+        tree.attach(tree.add_component(net([(wi, 0), (wi, 1), (wi, vi)])), kid)
+    return tree.reassemble(), tree, 2 + d, 1 + 2 * d
 
 
 def audit_step_values(nets: Sequence[FlowNetwork], s: int, t: int) -> bool:

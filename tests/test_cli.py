@@ -465,6 +465,17 @@ def test_cli_solve_rejects_a_disconnected_tree(tmp_path, capsys):
     assert out == "" and err.startswith("error: ") and "tree is disconnected" in err
 
 
+def test_cli_solve_rejects_a_decomposition_nested_too_deeply(tmp_path, capsys):
+    # json.loads recurses once per nesting level and raised RecursionError.
+    net = tmp_path / "net.max"
+    dec = tmp_path / "deep.json"
+    net.write_text("p max 2 1\na 1 2 5\n")
+    dec.write_text("[" * 100_000 + "]" * 100_000)
+    assert run(tmp_path, "solve", "--network", net, "--decomposition", dec, "--source", 1, "--sink", 2) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: bad JSON: nested too deeply\n"
+
+
 def test_cli_solve_rejects_a_second_source_line(tmp_path, capsys):
     # The first source gives value 3; the second, with no arc out, would
     # give 0 if it silently replaced the first.

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import json
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from minorflow import decomposition
+from minorflow import cli, decomposition
 from minorflow.decomposition import (
     DecompositionTree,
     InvalidDecomposition,
@@ -22,13 +23,15 @@ from minorflow.decomposition import (
     underlying,
     validate,
 )
-from minorflow.fileio import canonical_ids, parse_decomposition, write_decomposition
+from minorflow.fileio import canonical_ids, parse_decomposition, write_decomposition, write_network
+from minorflow.maxflow import max_flow
 from minorflow.network import FlowNetwork
 from minorflow.planar import adjacency, is_planar, planar_embed
 from minorflow.testkit import (
     GenConfig,
     gen_instance,
     minor_free_check,
+    nested_triangles,
     oracle_spqr,
     torso_adjacency,
 )
@@ -880,6 +883,33 @@ def test_refine_splits_nested_separating_triangles(order):
         emb = planar_embed(torso_adjacency(refined, cid))
         for kid in sorted(refined.comp_cliques[cid]):
             assert emb.is_triangle_face(refined.cliques[kid]), (cid, kid)
+
+
+def test_nested_separating_triangles_use_no_stack_per_level(tmp_path, capsys):
+    # One Python frame per nesting level overflowed the stack at d = 1,000.
+    # A limit 100 frames above this one catches such a walk at d = 150.
+    from minorflow.solver import max_flow_decomposed
+
+    graph, tree, s, t = nested_triangles(150, seed=4)
+    want, _ = max_flow(graph, s, t)
+    canon, _, vmap, _ = canonical_ids(graph)
+    net = tmp_path / "net.max"
+    net.write_text(write_network(canon))
+    argv = ["solve", "--network", str(net), "--family", "k5", "--source", str(vmap[s]),
+            "--sink", str(vmap[t])]
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        decomposed = decompose_k5_free(graph)
+        refined = [refine(tree), refine(decomposed)]
+        value, _ = max_flow_decomposed(graph, tree, s, t)
+        code = cli.main(argv)
+    finally:
+        sys.setrecursionlimit(old)
+    for checked in [decomposed, *refined]:
+        assert validate(graph, checked) == (True, [])
+    assert value == want > 0
+    assert code == 0 and capsys.readouterr().out == f"value {want}\n"
 
 
 def test_family_verdicts_agree_with_minor_oracle(rng):

@@ -16,6 +16,7 @@ from minorflow.decomposition import (
     _split_k5,
     decompose_k5_free,
     refine,
+    run,
 )
 from minorflow.planar import adjacency, to_nx
 from minorflow.testkit import (
@@ -175,7 +176,7 @@ def test_split_k5_stops_at_the_first_triple_that_splits(monkeypatch):
     # (0, 1) yields it, so one articulation DFS runs, not one per pair.
     calls = count_articulation_calls(monkeypatch)
     pairs = tuple(x for a in range(3) for b in range(3, 6) for x in (a, b))
-    pieces, cliques, _ = _split_k5((tuple(range(6)), pairs), {})
+    pieces, cliques, _ = run(_split_k5((tuple(range(6)), pairs), {}))
     assert [list(v) for v, _ in pieces] == [[0, 1, 2, 3], [0, 1, 2, 4], [0, 1, 2, 5]]
     assert cliques == [((0, 1, 2), [0, 1, 2])]
     assert len(calls) == 1

@@ -2,13 +2,16 @@ import itertools
 
 import pytest
 
-from minorflow.decomposition import validate
+from minorflow.decomposition import underlying, validate
 from minorflow.maxflow import max_flow
 from minorflow.network import FULL, FlowNetwork, TerminalSet
+from minorflow.planar import is_planar
+from minorflow.solver import max_flow_decomposed
 from minorflow.testkit import (
     GenConfig,
     gen_instance,
     minor_free_check,
+    nested_triangles,
     oracle_cut_table,
     oracle_max_flow,
     random_network,
@@ -94,6 +97,20 @@ def test_generator_single_planar_component():
     graph, tree = gen_instance(GenConfig("planar", 4, seed=0))
     assert len(tree.components) == 1
     assert validate(graph, tree)[0]
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 12])
+def test_nested_triangles_validate_and_solve(d):
+    graph, tree, s, t = nested_triangles(d, seed=d)
+    assert len(graph.vertices) == 2 + 2 * d and len(tree.components) == d + 1
+    assert validate(graph, tree) == (True, [])
+    assert is_planar(underlying(graph)) == (d < 3)  # K3,3 needs an inner v_i
+    if len(graph.vertices) <= 12:
+        assert minor_free_check(graph, "K5")
+    want = oracle_max_flow(graph, s, t)
+    assert want > 0 and max_flow_decomposed(graph, tree, s, t)[0] == want
+    again = nested_triangles(d, seed=d)
+    assert again[0] == graph and again[2:] == (s, t)
 
 
 def test_generated_trees_validate(rng):
