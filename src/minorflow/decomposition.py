@@ -13,10 +13,9 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from collections import Counter, deque
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import AbstractSet, Callable, Generator, Iterable, Iterator, Sequence
+from typing import Callable, Generator, Iterable, Iterator, Sequence
 
 from .network import Edge, FlowNetwork, merge_networks
 from .planar import Adjacency, adjacency, articulation_points, components, is_planar
@@ -56,18 +55,10 @@ class DecompositionTree:
     _next_component: int = field(default=-1, repr=False, compare=False)
     _next_clique: int = field(default=-1, repr=False, compare=False)
 
-    def next_component_id(self) -> int:
+    def add_component(self, net: FlowNetwork) -> int:
         if self._next_component < 0:
             self._next_component = max(self.components, default=-1) + 1
-        return self._next_component
-
-    def next_clique_id(self) -> int:
-        if self._next_clique < 0:
-            self._next_clique = max(self.cliques, default=-1) + 1
-        return self._next_clique
-
-    def add_component(self, net: FlowNetwork) -> int:
-        cid = self.next_component_id()
+        cid = self._next_component
         self.components[cid] = net
         self._next_component = cid + 1
         self.comp_cliques[cid] = set()
@@ -77,7 +68,9 @@ class DecompositionTree:
         vertices = frozenset(vertices)
         if not 1 <= len(vertices) <= 3:
             raise InvalidDecomposition(f"clique size {len(vertices)} out of range 1..3")
-        kid = self.next_clique_id()
+        if self._next_clique < 0:
+            self._next_clique = max(self.cliques, default=-1) + 1
+        kid = self._next_clique
         self.cliques[kid] = vertices
         self._next_clique = kid + 1
         self.clique_comps[kid] = set()
@@ -174,29 +167,13 @@ def _piece(verts: Sequence[int], local: list[int], pairs: list[int], pos: list[i
     return tuple([verts[x] for x in local]), tuple([pos[x] for x in pairs])
 
 
-def biconnected_split(adj: Adjacency | Sequence[Sequence[int]]) -> tuple[list, AbstractSet[int]]:
-    """Block-cut decomposition of an undirected graph: its blocks as (vertices,
-    pairs) in sorted vertex-list order, each isolated vertex a block alone,
-    and its articulation vertices.  Frozensets for an adjacency mapping; for
-    index adjacency lists, blocks are pieces and the vertices indexes."""
-    if not isinstance(adj, Mapping):
-        return _blocks(adj)
-    order = sorted(adj)
-    index = {v: i for i, v in enumerate(order)}
-    blocks, arts = _blocks([[index[w] for w in adj[v]] for v in order])
-    ids = order.__getitem__
-    return [
-        (frozenset(map(ids, vs)), frozenset(
-            frozenset((ids(vs[a]), ids(vs[b]))) for a, b in zip(ps[::2], ps[1::2])))
-        for vs, ps in blocks
-    ], frozenset(map(ids, arts))
-
-
-def _blocks(nbrs: Sequence[Sequence[int]]) -> tuple[list[Piece], set[int]]:
-    """``biconnected_split`` of index lists by one ``lowpoint_dfs``: w heads a
-    block when no frond from its subtree climbs above its parent (lowpt1[w]
-    >= number[parent[w]]), every other vertex joins the block of its parent,
-    and each edge the block of its deeper end."""
+def biconnected_split(nbrs: Sequence[Sequence[int]]) -> tuple[list[Piece], set[int]]:
+    """Block-cut decomposition of the undirected graph with index adjacency
+    lists ``nbrs``: its blocks as pieces in sorted vertex-list order, each
+    isolated vertex a block alone, and its articulation vertices.  One
+    ``lowpoint_dfs``: w heads a block when no frond from its subtree climbs
+    above its parent (lowpt1[w] >= number[parent[w]]), every other vertex
+    joins the block of its parent, and each edge the block of its deeper end."""
     n = len(nbrs)
     number, parent, low1, _, _ = lowpoint_dfs(nbrs)
     head = list(range(n))
@@ -326,16 +303,17 @@ def _build(tree: DecompositionTree, splits: dict[int, tuple]) -> DecompositionTr
     return out
 
 
-def _spqr_pieces(piece: Piece, nbrs: list[list[int]]) -> _Level | None:
-    """The pieces of the SPQR tree of the biconnected ``piece`` (adjacency
-    lists ``nbrs``), None for one node: one per S or R node with all its
-    skeleton pairs, ordered by vertex list (two share at most two vertices),
-    so the split does not depend on how ``spqr`` numbers nodes.  A P node
-    is a clique; its real edge lands in the first attached piece."""
-    verts = piece[0]
+def _spqr_split(block: Piece, nbrs: list[list[int]], split_piece: Callable) -> _Split:
+    """The biconnected ``block`` (adjacency lists ``nbrs``) split into the
+    pieces of its SPQR tree, each split again by ``split_piece``: one per S
+    or R node with all its skeleton pairs, ordered by vertex list, so the
+    split does not depend on how ``spqr`` numbers nodes; the block alone for
+    one node.  A P node is a clique; its real edge lands in the first
+    attached piece."""
+    verts = block[0]
     stree = spqr(nbrs) if len(verts) > 2 else None
     if stree is None or len(stree.nodes) <= 1:
-        return None
+        return [block], [], [split_piece(block)]
     local = {nid: sorted(node.vertices) for nid, node in stree.nodes.items() if node.kind != P}
     non_p = sorted(local, key=local.__getitem__)
     pos = [0] * len(verts)
@@ -349,7 +327,7 @@ def _spqr_pieces(piece: Piece, nbrs: list[list[int]]) -> _Level | None:
     return pieces, [
         (pair[link], sorted(place[nid] for nid in ends if nid in place))
         for link, ends in sorted(stree.tree_edges.items())
-    ]
+    ], [split_piece(piece) for piece in pieces]
 
 
 def _sides(piece: Piece, nbrs: list[list[int]], sep: tuple[int, ...]) -> _Level | None:
@@ -381,22 +359,22 @@ def _triangle_pieces(piece: Piece, triangles: list[tuple[int, ...]]) -> _Split |
     (Whitney): no embedding is needed, and the sides are 3-connected and
     planar, tested once."""
     inside = [tri for tri in triangles if set(piece[0]).issuperset(tri)]
-    if not inside or not is_planar(_nbrs(piece)):
+    if not inside or not is_planar(nbrs := _nbrs(piece)):
         return None
 
-    def split(piece: Piece) -> Generator[Generator, _Split | None, _Split | None]:
-        verts, nbrs = piece[0], _nbrs(piece)
+    def split(piece: Piece, nbrs: list) -> Generator[Generator, _Split | None, _Split | None]:
+        verts, held = piece[0], set(piece[0])
         for tri in inside:
-            if set(verts).issuperset(tri):
+            if held.issuperset(tri):
                 sides = _sides(piece, nbrs, tuple(bisect_left(verts, v) for v in tri))
                 if sides is not None:
                     subs = []
                     for side in sides[0]:
-                        subs.append((yield split(side)))
+                        subs.append((yield split(side, _nbrs(side))))
                     return (*sides, subs)
         return None
 
-    return run(split(piece))
+    return run(split(piece, nbrs))
 
 
 def refine(tree: DecompositionTree) -> DecompositionTree:
@@ -417,10 +395,10 @@ def refine(tree: DecompositionTree) -> DecompositionTree:
         if parts > 1:
             raise InvalidDecomposition(f"component {cid} torso is disconnected")
         triangles = [tuple(sorted(index[v] for v in k)) for k in cliques if len(k) == 3]
-        subs = []
-        for block in blocks:
-            pieces, joins = _spqr_pieces(block, _nbrs(block)) or ([block], [])
-            subs.append((pieces, joins, [_triangle_pieces(p, triangles) for p in pieces]))
+        subs = [
+            _spqr_split(block, _nbrs(block), lambda piece: _triangle_pieces(piece, triangles))
+            for block in blocks
+        ]
         splits[cid] = order, index, (blocks, glue, subs)
     return _build(tree, splits)
 
@@ -468,8 +446,7 @@ def _decompose(net: FlowNetwork, split_piece: Callable) -> DecompositionTree:
         nbrs = _nbrs(block)
         if is_planar(nbrs):
             return None
-        pieces, joins = _spqr_pieces(block, nbrs) or ([block], [])
-        return pieces, joins, [split_piece(piece, order) for piece in pieces]
+        return _spqr_split(block, nbrs, lambda piece: split_piece(piece, order))
 
     split = blocks, glue, [split_block(block) for block in blocks]
     return _build(single_component_tree(net), {0: (order, index, split)})
@@ -540,8 +517,6 @@ def _split_k5(piece: Piece, memo: dict) -> Generator[Generator, object, _Split |
     else:
         for triple in _separating_triples(nbrs):
             sides = _sides(piece, nbrs, triple)
-            if sides is None:
-                continue
             subs = []
             for side in sides[0]:
                 subs.append((yield _split_k5(side, memo)))

@@ -15,7 +15,8 @@
 - ``lowpoint_dfs``: an iterative palm-tree DFS (preorder numbers, parents,
   lowpt1, lowpt2, subtree sizes) on index adjacency lists; SPQR's
   triconnectivity pass and ``articulation_points`` both start from it.
-- ``adjacency``: the graph on a vertex set with a given set of vertex pairs.
+- ``adjacency``: the graph on a vertex set with a given set of vertex pairs;
+  ``index_lists`` turns such a mapping into sorted index adjacency lists.
 """
 
 from __future__ import annotations
@@ -51,6 +52,14 @@ def adjacency(vertices: Iterable[int], pairs: Iterable[Iterable[int]]) -> dict[i
         adj[u].add(v)
         adj[v].add(u)
     return adj
+
+
+def index_lists(adj: Adjacency) -> tuple[list[int], list[list[int]]]:
+    """The vertices of ``adj`` sorted, and their index adjacency lists: the
+    neighbours of the i-th vertex at nbrs[i], ascending, without self-loops."""
+    order = sorted(adj)
+    index = {v: i for i, v in enumerate(order)}
+    return order, [[index[w] for w in sorted(adj[v]) if w != v] for v in order]
 
 
 def components(
@@ -229,10 +238,7 @@ def is_planar(adj: Adjacency | Sequence[Sequence[int]]) -> bool:
     """Whether the simple undirected graph ``adj`` is planar: ``lr_planarity``
     on its index adjacency lists.  ``adj`` maps each vertex to its
     neighbours, or is those lists already (the neighbours of i at adj[i])."""
-    if isinstance(adj, Mapping):
-        index = {v: i for i, v in enumerate(adj)}
-        adj = [[index[w] for w in nbrs] for nbrs in adj.values()]
-    return lr_planarity(adj)[1]
+    return lr_planarity(index_lists(adj)[1] if isinstance(adj, Mapping) else adj)[1]
 
 
 def lr_planarity(nbrs: Sequence[Iterable[int]]) -> tuple[int, bool]:

@@ -28,7 +28,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
-from .planar import Adjacency, adjacency, components, lowpoint_dfs
+from .planar import Adjacency, adjacency, components, index_lists, lowpoint_dfs
 
 S, P, R, Q = "S", "P", "R", "Q"
 
@@ -82,12 +82,7 @@ def spqr(adj: Adjacency | Sequence[Sequence[int]]) -> SpqrTree:
     single-edge inputs yield the degenerate one-Q-node tree; any other
     non-biconnected input raises ValueError.
     """
-    if isinstance(adj, Mapping):
-        order: Sequence[int] = sorted(adj)
-        index = {v: i for i, v in enumerate(order)}
-        nbrs = [[index[w] for w in sorted(adj[v]) if w != v] for v in order]
-    else:
-        order, nbrs = range(len(adj)), adj
+    order, nbrs = index_lists(adj) if isinstance(adj, Mapping) else (range(len(adj)), adj)
     m = sum(map(len, nbrs)) // 2
     if m <= 1:
         if len(nbrs) > m + 1:

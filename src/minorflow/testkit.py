@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .decomposition import DecompositionTree, single_component_tree, underlying
 from .network import FULL, MAX_CAPACITY, SINGLE_SOURCE, CutTable, Edge, FlowNetwork, TerminalSet
-from .planar import Adjacency, articulation_points, components
+from .planar import Adjacency, articulation_points, components, index_lists
 from .spqr import P, Q, R, S, SkelEdge, SpqrNode, SpqrTree
 
 _ORACLE_VERTEX_LIMIT = 20
@@ -378,9 +378,7 @@ def oracle_separating_triples(adj: Adjacency) -> list[tuple[int, ...]]:
     lexicographically: the eager scan that the lazy
     ``decomposition._separating_triples`` must reproduce on 3-connected
     graphs."""
-    order = sorted(adj)
-    index = {v: i for i, v in enumerate(order)}
-    nbrs = [[index[w] for w in adj[v]] for v in order]
+    order, nbrs = index_lists(adj)
     triples: set[tuple[int, ...]] = set()
     for a, b in itertools.combinations(range(len(order)), 2):
         for c in articulation_points(nbrs, {a, b}):

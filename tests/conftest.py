@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from minorflow.decomposition import DecompositionTree
+from minorflow.decomposition import DecompositionTree, biconnected_split
 from minorflow.network import FlowNetwork
+from minorflow.planar import index_lists
 
 
 def dnet(pairs, extra=(), cap=1):
@@ -11,6 +12,32 @@ def dnet(pairs, extra=(), cap=1):
     return FlowNetwork.from_edges(
         [(i, u, v, cap) for i, (u, v) in enumerate(pairs)], extra
     )
+
+
+def id_blocks(adj):
+    """``biconnected_split`` of an adjacency mapping, in its vertex ids: each
+    block as (vertex set, set of vertex pairs), and the articulation vertices."""
+    order, nbrs = index_lists(adj)
+    blocks, arts = biconnected_split(nbrs)
+    ids = order.__getitem__
+    return [
+        (frozenset(map(ids, vs)),
+         frozenset(frozenset((ids(vs[a]), ids(vs[b]))) for a, b in zip(ps[::2], ps[1::2])))
+        for vs, ps in blocks
+    ], frozenset(map(ids, arts))
+
+
+# A 3-connected K5-free graph on which ``decompose_k5_free`` backtracks: four
+# completed sides of separating triples fail (neither planar, V8 nor split)
+# before a triple whose sides all split.
+BACKTRACKING_PAIRS = [
+    (0, 2), (0, 3), (0, 6), (1, 3), (1, 4), (1, 6), (2, 4), (2, 6), (3, 5), (4, 5), (5, 6)
+]
+
+
+def backtracking_net():
+    """The graph of ``BACKTRACKING_PAIRS`` with a unit arc each way, ids serial."""
+    return dnet([arc for u, v in BACKTRACKING_PAIRS for arc in ((u, v), (v, u))])
 
 
 def overflow_tree():

@@ -15,6 +15,7 @@ from minorflow.decomposition import (
     InvalidDecomposition,
     NotK33MinorFree,
     NotK5MinorFree,
+    _nbrs,
     biconnected_split,
     decompose_k33_free,
     decompose_k5_free,
@@ -26,7 +27,7 @@ from minorflow.decomposition import (
 from minorflow.fileio import canonical_ids, parse_decomposition, write_decomposition, write_network
 from minorflow.maxflow import max_flow
 from minorflow.network import FlowNetwork
-from minorflow.planar import adjacency, is_planar, planar_embed
+from minorflow.planar import index_lists, is_planar, planar_embed
 from minorflow.testkit import (
     GenConfig,
     gen_instance,
@@ -36,7 +37,7 @@ from minorflow.testkit import (
     torso_adjacency,
 )
 
-from conftest import dnet
+from conftest import dnet, id_blocks
 
 K5_PAIRS = list(itertools.combinations(range(5), 2))
 K33_PAIRS = [(a, b + 3) for a in range(3) for b in range(3)]
@@ -58,14 +59,14 @@ def planar_torso(tree, cid):
 
 def test_biconnected_split_two_triangles_sharing_a_vertex():
     adj = underlying(dnet([(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)]))
-    blocks, artics = biconnected_split(adj)
+    blocks, artics = id_blocks(adj)
     assert len(blocks) == 2
     assert artics == frozenset({2})
 
 
 def test_biconnected_split_cycle_is_one_block():
     adj = underlying(dnet([(i, (i + 1) % 5) for i in range(5)]))
-    blocks, artics = biconnected_split(adj)
+    blocks, artics = id_blocks(adj)
     assert len(blocks) == 1 and artics == frozenset()
 
 
@@ -75,7 +76,7 @@ def test_biconnected_split_covers_all_edges(rng):
     for _ in range(40):
         net = random_network(rng, rng.randint(2, 12))
         adj = underlying(net)
-        blocks, _ = biconnected_split(adj)
+        blocks, _ = id_blocks(adj)
         covered = set().union(*(b[1] for b in blocks)) if blocks else set()
         assert covered == {frozenset((e.tail, e.head)) for e in net.edges}
 
@@ -557,8 +558,8 @@ def test_each_decomposer_builds_one_network_per_component(monkeypatch, family, d
     monkeypatch.setattr(FlowNetwork, "__post_init__", counting)
     for seed in range(3):
         graph, _ = gen_instance(GenConfig(family, 300, seed=seed))
-        blocks, _ = biconnected_split(underlying(graph))
-        assert not all(is_planar(adjacency(*block)) for block in blocks)
+        blocks, _ = biconnected_split(index_lists(underlying(graph))[1])
+        assert not all(is_planar(_nbrs(block)) for block in blocks)
         built.clear()
         tree = decomposer(graph)
         assert len(built) == len(tree.components), (family, seed)

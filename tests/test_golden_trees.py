@@ -19,7 +19,9 @@ from minorflow.decomposition import (
     decompose_k33_free,
     refine,
 )
-from minorflow.testkit import GenConfig, gen_instance
+from minorflow.testkit import GenConfig, gen_instance, nested_triangles
+
+from conftest import backtracking_net
 
 SIZES = {"k33free": 240, "k5free": 260, "planar": 170}
 
@@ -105,3 +107,28 @@ def golden_trees(family: str, seed: int) -> dict[str, str]:
 @pytest.mark.parametrize("family", sorted(SIZES))
 def test_decomposers_and_refine_build_the_golden_trees(family, seed):
     assert golden_trees(family, seed) == GOLDEN[family, seed]
+
+
+# Trees on paths that no generated input above reaches: refine splitting at
+# nested separating triangles, and the K5-free decomposer backtracking.
+NESTED = nested_triangles(40, 0)
+PATH_GOLDEN = {
+    "k5(nested_triangles(40))": (
+        lambda: decompose_k5_free(NESTED[0]),
+        "f179456a3e4e04a00eedcd65686a88eeda02712ce51d73cf565f50e2306bdc53",
+    ),
+    "refine(nested_triangles(40) tree)": (
+        lambda: refine(NESTED[1]),
+        "0467a044c162ff6c63351bd4af3bf3ba34529fe923718619d7409527f05f08c9",
+    ),
+    "k5(backtracking)": (
+        lambda: decompose_k5_free(backtracking_net()),
+        "2db70cfa6a09154fdf48a05ea497dc1e3d8674d95c6ddfeefc88b662d7f2b8bd",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PATH_GOLDEN)
+def test_nested_triangle_and_backtracking_paths_build_the_golden_trees(name):
+    build, want = PATH_GOLDEN[name]
+    assert tree_sha256(build()) == want

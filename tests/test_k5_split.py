@@ -17,14 +17,19 @@ from minorflow.decomposition import (
     decompose_k5_free,
     refine,
     run,
+    validate,
 )
-from minorflow.planar import adjacency, to_nx
+from minorflow.maxflow import max_flow
+from minorflow.planar import adjacency, index_lists, is_planar, to_nx
+from minorflow.solver import max_flow_decomposed
 from minorflow.testkit import (
     GenConfig,
     gen_instance,
     oracle_separating_triples,
     torso_adjacency,
 )
+
+from conftest import backtracking_net
 
 V8 = nx.Graph([(i, (i + 1) % 8) for i in range(8)] + [(i, i + 4) for i in range(4)])
 CUBE = nx.hypercube_graph(3)
@@ -52,9 +57,7 @@ def nbrs_of(g: nx.Graph) -> list[list[int]]:
 
 def lazy_triples(adj) -> list[tuple[int, ...]]:
     """``_separating_triples`` of an adjacency mapping, in its vertex ids."""
-    order = sorted(adj)
-    index = {v: i for i, v in enumerate(order)}
-    nbrs = [[index[w] for w in adj[v]] for v in order]
+    order, nbrs = index_lists(adj)
     return [tuple(order[i] for i in triple) for triple in _separating_triples(nbrs)]
 
 
@@ -191,3 +194,28 @@ def test_the_triple_scans_of_a_generated_input_run_fewer_dfs_than_pairs(monkeypa
     scanned = [nbrs for nbrs in scanned if not decomposition.is_planar(nbrs) and not _is_v8(nbrs)]
     assert scanned
     assert len(calls) < sum(len(adj) * (len(adj) - 1) // 2 for adj in scanned)
+
+
+def test_split_k5_backtracks_past_sides_that_do_not_split(monkeypatch):
+    # The first triples' completed sides are neither planar, V8 nor split
+    # again: the decomposer must drop each and try the next triple.  Keeping
+    # a failed side whole leaves the non-planar 5-vertex torso {0, 1, 4, 5,
+    # 6}, which ``validate`` accepts since it is at most ``_SMALL_CAP``.
+    failed = []
+    real = decomposition._split_k5
+
+    def noting(piece, memo):
+        result = yield real(piece, memo)
+        failed.append(result is None)
+        return result
+
+    monkeypatch.setattr(decomposition, "_split_k5", noting)
+    graph = backtracking_net()
+    tree = decompose_k5_free(graph)
+    assert sum(failed) == 4
+    assert validate(graph, tree) == (True, [])
+    for cid in tree.components:
+        torso = torso_adjacency(tree, cid)
+        assert is_planar(torso) or _is_v8(index_lists(torso)[1]), sorted(torso)
+    for s, t in itertools.permutations(sorted(graph.vertices), 2):
+        assert max_flow_decomposed(graph, tree, s, t)[0] == max_flow(graph, s, t)[0]

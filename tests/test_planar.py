@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minorflow.decomposition import biconnected_split, underlying, validate
+from minorflow.decomposition import underlying, validate
 from minorflow.planar import (
     PlanarEmbedding,
     articulation_points,
     components,
+    index_lists,
     is_planar,
     lowpoint_dfs,
     lr_planarity,
@@ -17,6 +18,8 @@ from minorflow.planar import (
     to_nx,
 )
 from minorflow.testkit import GenConfig, gen_instance, torso_adjacency
+
+from conftest import id_blocks
 
 
 def adj_of(pairs):
@@ -248,9 +251,7 @@ def test_is_planar_has_no_recursion_limit_on_deep_searches():
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_articulation_points_agree_with_networkx(case, k, rnd):
     adj, _ = case
-    order = sorted(adj)
-    index = {v: i for i, v in enumerate(order)}
-    nbrs = [[index[w] for w in adj[v]] for v in order]
+    order, nbrs = index_lists(adj)
     removed = set(rnd.sample(range(len(order)), min(k, len(order))))
     sub = to_nx(adj)
     sub.remove_nodes_from(order[i] for i in removed)
@@ -270,7 +271,12 @@ def test_biconnected_split_agrees_with_networkx(case):
     covered = set().union(*(vs for vs, _ in want))
     want += [(frozenset((v,)), frozenset()) for v in adj if v not in covered]
     want.sort(key=lambda b: sorted(b[0]))
-    assert biconnected_split(adj) == (want, frozenset(nx.articulation_points(g)))
+    assert id_blocks(adj) == (want, frozenset(nx.articulation_points(g)))
+
+
+def test_index_lists_sort_vertices_and_neighbours_and_drop_self_loops():
+    adj = {7: {3, 7, 9}, 3: {9, 7}, 9: {7, 3}, 1: set()}
+    assert index_lists(adj) == ([1, 3, 7, 9], [[], [2, 3], [1, 3], [1, 2]])
 
 
 def test_lowpoints_of_a_cycle_with_a_chord():

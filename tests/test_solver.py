@@ -27,7 +27,7 @@ from minorflow.testkit import (
     oracle_max_flow,
 )
 
-from conftest import overflow_tree
+from conftest import id_blocks, overflow_tree
 
 
 def two_component_tree():
@@ -248,7 +248,7 @@ def test_family_decomposers_keep_planar_blocks_whole(seed, monkeypatch):
 
     monkeypatch.setattr(decomposition, "spqr", counting)
     graph, _ = gen_instance(GenConfig("planar", 80, seed=seed))
-    blocks, _ = decomposition.biconnected_split(decomposition.underlying(graph))
+    blocks, _ = id_blocks(decomposition.underlying(graph))
     rng = random.Random(seed)
     pairs = [rng.sample(sorted(graph.vertices), 2) for _ in range(3)]
     for key in ("k5", "k33"):

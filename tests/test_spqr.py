@@ -4,7 +4,7 @@ import time
 import pytest
 
 from minorflow.decomposition import biconnected_split, underlying
-from minorflow.planar import adjacency
+from minorflow.planar import adjacency, index_lists
 from minorflow.spqr import P, Q, R, S, check_spqr_axioms, reassemble, spqr
 from minorflow.testkit import GenConfig, gen_instance, oracle_spqr
 
@@ -264,10 +264,10 @@ def test_spqr_of_a_20000_vertex_cycle_with_chords(rng):
 
 def test_spqr_of_the_largest_block_of_a_10000_vertex_k5free_instance():
     graph, _ = gen_instance(GenConfig("k5free", 10_000, seed=0))
-    blocks, _ = biconnected_split(underlying(graph))
+    blocks, _ = biconnected_split(index_lists(underlying(graph))[1])
     verts, pairs = max(blocks, key=lambda block: len(block[0]))
-    assert (len(verts), len(pairs)) == (3_760, 8_137)
-    adj = adjacency(verts, pairs)
+    assert (len(verts), len(pairs) // 2) == (3_760, 8_137)
+    adj = adjacency(range(len(verts)), zip(pairs[::2], pairs[1::2]))
     started = time.perf_counter()
     tree = spqr(adj)
     elapsed = time.perf_counter() - started
