@@ -98,14 +98,14 @@ def decompose_work():
     names = ("biconnected_split", "spqr")
     real = {name: getattr(decomposition, name) for name in names}
 
-    def biconnected_split(adj):
-        blocks, arts = real["biconnected_split"](adj)
+    def biconnected_split(nbrs):
+        blocks, arts = real["biconnected_split"](nbrs)
         seen["blocks"] += len(blocks)
         return blocks, arts
 
-    def spqr(adj):
+    def spqr(nbrs):
         seen["spqr"] += 1
-        return real["spqr"](adj)
+        return real["spqr"](nbrs)
 
     for name, wrapper in zip(names, (biconnected_split, spqr)):
         setattr(decomposition, name, wrapper)

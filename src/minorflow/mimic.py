@@ -146,10 +146,7 @@ def build_mimic4_single_source(
 
 
 def build_mimic_general(
-    net: FlowNetwork,
-    terminals: TerminalSet,
-    first_fresh_vertex: int | None = None,
-    first_edge_id: int = 0,
+    net: FlowNetwork, terminals: TerminalSet, first_edge_id: int = 0
 ) -> FlowNetwork:
     """Cut-collapsing mimicking network for up to four terminals.
 
@@ -157,7 +154,8 @@ def build_mimic_general(
     subset on the source side; each gives the minimal source side of its
     minimum cuts (unique).  Vertices with identical cut-side signatures
     merge into supervertices (parallel capacities summed), giving at most
-    2^(2^k - 2) vertices and an identical full cut table.
+    2^(2^k - 2) vertices and an identical full cut table.  Supervertices
+    without a terminal are numbered from max(net.vertices) + 1.
     """
     if terminals.k > 4:
         raise ValueError("general construction supports at most 4 terminals")
@@ -174,7 +172,7 @@ def build_mimic_general(
         groups.setdefault(signatures[v], []).append(v)
     # Terminals always have pairwise distinct signatures; keep their ids.
     rep: dict[int, int] = {}
-    fresh = (max(net.vertices) + 1 if first_fresh_vertex is None else first_fresh_vertex)
+    fresh = max(net.vertices) + 1
     for sig in sorted(groups):
         members = groups[sig]
         named = [q for q in members if q in terminals.order]

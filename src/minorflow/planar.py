@@ -4,8 +4,8 @@
   (Brandes 2009), one kernel on index adjacency lists that returns both the
   number of DFS roots (the connected components) and the yes/no verdict,
   with no networkx object, embedding or Kuratowski witness built.
-  ``is_planar`` is its yes/no wrapper, for an adjacency mapping or index
-  lists; ``validate`` calls the kernel directly on the torsos it builds.
+  ``is_planar`` is its yes/no wrapper, on index lists; ``validate`` calls
+  the kernel directly on the torsos it builds.
 - ``planar_embed``: a clockwise rotation system for a planar graph (None for
   a non-planar one) from networkx's ``check_planarity``; faces come from the
   standard half-edge walk, so triangle/face membership queries are cheap.
@@ -234,11 +234,10 @@ def planar_embed(adj: Adjacency) -> PlanarEmbedding | None:
     return emb
 
 
-def is_planar(adj: Adjacency | Sequence[Sequence[int]]) -> bool:
-    """Whether the simple undirected graph ``adj`` is planar: ``lr_planarity``
-    on its index adjacency lists.  ``adj`` maps each vertex to its
-    neighbours, or is those lists already (the neighbours of i at adj[i])."""
-    return lr_planarity(index_lists(adj)[1] if isinstance(adj, Mapping) else adj)[1]
+def is_planar(nbrs: Sequence[Iterable[int]]) -> bool:
+    """Whether the simple graph with index adjacency lists ``nbrs`` (the
+    neighbours of i at nbrs[i]) is planar: ``lr_planarity``'s verdict."""
+    return lr_planarity(nbrs)[1]
 
 
 def lr_planarity(nbrs: Sequence[Iterable[int]]) -> tuple[int, bool]:

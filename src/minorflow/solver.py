@@ -386,17 +386,17 @@ def max_flow_family(
     carries 0, and the value is 0 when t lies outside it."""
     if s not in graph.vertices or t not in graph.vertices:
         raise UnknownVertexError("terminal missing from the input network")
-    flow = {e.id: 0 for e in graph.edges}
+    if s == t:
+        raise ValueError("source and sink must differ")
+    zeros = None
     try:
         tree = decompose(graph, family)
     except DisconnectedInput:
+        zeros = {e.id: 0 for e in graph.edges}
         part = next(c for c in components(underlying(graph)) if s in c)
         if t not in part:
-            return 0, flow
+            return 0, zeros
         graph = FlowNetwork(frozenset(part), tuple(e for e in graph.edges if e.tail in part))
         tree = decompose(graph, family)
-    value, part_flow = max_flow_decomposed(
-        graph, tree, s, t, validate_input=False, observer=observer
-    )
-    flow.update(part_flow)
-    return value, flow
+    value, flow = max_flow_decomposed(graph, tree, s, t, validate_input=False, observer=observer)
+    return value, flow if zeros is None else zeros | flow

@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .planar import Adjacency, adjacency, components, index_lists, lowpoint_dfs
+from .planar import Adjacency, adjacency, components, lowpoint_dfs
 
 S, P, R, Q = "S", "P", "R", "Q"
 
@@ -73,21 +72,19 @@ def _skel_adjacency(edges: list[SkelEdge]) -> dict[int, set[int]]:
     return adjacency({v for e in edges for v in (e.u, e.v)}, ((e.u, e.v) for e in edges))
 
 
-def spqr(adj: Adjacency | Sequence[Sequence[int]]) -> SpqrTree:
+def spqr(nbrs: Sequence[Sequence[int]]) -> SpqrTree:
     """Canonical SPQR tree of a biconnected simple graph, in linear time.
 
-    ``adj`` maps each vertex to its neighbours, or is index adjacency lists
-    (the neighbours of vertex i at ``adj[i]``), and then the skeleton edges
-    join indexes; every skeleton edge has u < v.  Single-vertex and
-    single-edge inputs yield the degenerate one-Q-node tree; any other
-    non-biconnected input raises ValueError.
+    ``nbrs`` are index adjacency lists (the neighbours of vertex i at
+    ``nbrs[i]``), and the skeleton edges join indexes; every skeleton edge
+    has u < v.  Single-vertex and single-edge inputs yield the degenerate
+    one-Q-node tree; any other non-biconnected input raises ValueError.
     """
-    order, nbrs = index_lists(adj) if isinstance(adj, Mapping) else (range(len(adj)), adj)
     m = sum(map(len, nbrs)) // 2
     if m <= 1:
         if len(nbrs) > m + 1:
             raise ValueError("SPQR input must be connected")
-        edges = [SkelEdge(order[a], order[b]) for a, nb in enumerate(nbrs) for b in nb if a < b]
+        edges = [SkelEdge(a, b) for a, nb in enumerate(nbrs) for b in nb if a < b]
         return SpqrTree({0: SpqrNode(Q, edges)})
     comps, src, tgt, n_real = _split_components(nbrs)
     skel_edge = tuple.__new__  # a SkelEdge without its Python-level __new__
@@ -102,7 +99,7 @@ def spqr(adj: Adjacency | Sequence[Sequence[int]]) -> SpqrTree:
                 a, b = b, a
             verts.add(a)
             verts.add(b)
-            edges.append(skel_edge(SkelEdge, (order[a], order[b], e if e >= n_real else None)))
+            edges.append(skel_edge(SkelEdge, (a, b, e if e >= n_real else None)))
             if e >= n_real:
                 owners[e] = (*owners.get(e, ()), i)
         kind = P if len(verts) == 2 else S if len(edges) == len(verts) else R
@@ -473,8 +470,9 @@ def reassemble(tree: SpqrTree) -> set[frozenset[int]]:
     return {pair for node in tree.nodes.values() for pair in node.real_pairs()}
 
 
-def check_spqr_axioms(tree: SpqrTree, adj: Adjacency) -> list[str]:
-    """Verify the defining tree properties; returns a list of violations."""
+def check_spqr_axioms(tree: SpqrTree, nbrs: Sequence[Iterable[int]]) -> list[str]:
+    """Verify the defining tree properties against the graph with index
+    adjacency lists ``nbrs``; returns a list of violations."""
     problems: list[str] = []
     link_count: dict[int, int] = {}
     for nid, node in tree.nodes.items():
@@ -531,7 +529,7 @@ def check_spqr_axioms(tree: SpqrTree, adj: Adjacency) -> list[str]:
         problems.append("tree edge count is not nodes-1")
     if len(components(adjacency(tree.nodes, tree.tree_edges.values()))) > 1:
         problems.append("tree is disconnected")
-    if reassemble(tree) != {frozenset((u, w)) for u in adj for w in adj[u] if u != w}:
+    if reassemble(tree) != {frozenset((u, w)) for u, nb in enumerate(nbrs) for w in nb if u != w}:
         problems.append("reassembly differs from input")
     return problems
 

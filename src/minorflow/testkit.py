@@ -15,16 +15,22 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter, defaultdict, deque
-from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Sequence
 
 from .decomposition import DecompositionTree, single_component_tree, underlying
 from .network import FULL, MAX_CAPACITY, SINGLE_SOURCE, CutTable, Edge, FlowNetwork, TerminalSet
-from .planar import Adjacency, articulation_points, components, index_lists
+from .planar import Adjacency, adjacency, articulation_points, components, index_lists
 from .spqr import P, Q, R, S, SkelEdge, SpqrNode, SpqrTree
 
 _ORACLE_VERTEX_LIMIT = 20
+
+# The generators' fixed odds.  Relative odds of gluing a new component at a
+# shared vertex, edge or triangle (triangles only apply to the k5free family):
+_ARITY_WEIGHTS = (0.15, 0.55, 0.30)
+_ANTIPARALLEL = 0.20  # chance that an arc gains an antiparallel twin
+_DROP_PROB = 0.25  # chance that a planar piece's edge is dropped, if it may be
+_CLIQUE_EDGE_DROP = 0.30  # chance that a host's copy of a clique edge is dropped
 
 
 def oracle_max_flow(net: FlowNetwork, s: int, t: int) -> int:
@@ -106,14 +112,9 @@ def oracle_cut_table(net: FlowNetwork, terminals: TerminalSet, mode: str = FULL)
     return CutTable(mode, terminals, values)
 
 
-def random_network(
-    rng: random.Random,
-    n: int,
-    max_cap: int = 20,
-    extra_edges: int | None = None,
-    antiparallel: float = 0.2,
-) -> FlowNetwork:
-    """Small random directed network: a random spanning tree plus extra arcs.
+def random_network(rng: random.Random, n: int, max_cap: int = 20) -> FlowNetwork:
+    """Small random directed network: a random spanning tree plus n/2 to 2n
+    extra arcs.
 
     Capacities are uniform in 1..max_cap; a fraction of edges gains an
     antiparallel twin to exercise the directed residual handling.
@@ -128,7 +129,7 @@ def random_network(
         nonlocal eid
         edges.append((eid, u, v, rng.randint(1, max_cap)))
         eid += 1
-        if rng.random() < antiparallel:
+        if rng.random() < _ANTIPARALLEL:
             edges.append((eid, v, u, rng.randint(1, max_cap)))
             eid += 1
 
@@ -138,8 +139,7 @@ def random_network(
             add(u, v)
         else:
             add(v, u)
-    m_extra = extra_edges if extra_edges is not None else rng.randint(n // 2, 2 * n)
-    for _ in range(m_extra):
+    for _ in range(rng.randint(n // 2, 2 * n)):
         u, v = rng.sample(vertices, 2)
         add(u, v)
     return FlowNetwork.from_edges(edges, vertices)
@@ -268,26 +268,24 @@ def torso_adjacency(tree: DecompositionTree, comp_id: int) -> Adjacency:
 # SPQR oracle (pairwise split-pair search; small graphs)
 
 
-def oracle_spqr(adj: Adjacency | Sequence[Sequence[int]]) -> SpqrTree:
+def oracle_spqr(nbrs: Sequence[Sequence[int]]) -> SpqrTree:
     """Canonical SPQR tree by recursive splitting at split pairs, each found
     by removing every vertex pair of a skeleton and counting what is left,
     then by 2-summing adjacent S-S and P-P nodes one link at a time.
-    O(n^2 m) per skeleton: a differential oracle for ``spqr.spqr``, which
-    also takes index adjacency lists."""
-    if not isinstance(adj, Mapping):
-        adj = {v: set(nbrs) for v, nbrs in enumerate(adj)}
-    edges = [SkelEdge(u, v) for u in sorted(adj) for v in sorted(adj[u]) if u < v]
+    O(n^2 m) per skeleton: a differential oracle for ``spqr.spqr``, on the
+    same index adjacency lists (the neighbours of vertex i at nbrs[i])."""
+    edges = [SkelEdge(u, v) for u, nb in enumerate(nbrs) for v in sorted(nb) if u < v]
     tree = SpqrTree()
     next_node = itertools.count()
     next_link = itertools.count()
     if len(edges) <= 1:
-        if len(components(adj)) > 1:
+        if len(components(nbrs)) > 1:
             raise ValueError("SPQR input must be connected")
         nid = next(next_node)
         tree.nodes[nid] = SpqrNode(Q, list(edges))
         return tree
-    if len(components(adj)) > 1 or (
-        len(adj) > 2 and any(len(components(adj, {cut})) > 1 for cut in sorted(adj))
+    if len(components(nbrs)) > 1 or (
+        len(nbrs) > 2 and any(len(components(nbrs, {cut})) > 1 for cut in range(len(nbrs)))
     ):
         raise ValueError("SPQR input must be biconnected")
 
@@ -396,21 +394,16 @@ _FAMILIES = ("planar", "k33free", "k5free")
 class GenConfig:
     """Deterministic random-instance recipe.
 
-    ``arity_weights`` gives the relative odds of gluing a new component at a
-    shared vertex, edge, or triangle (triangles only apply to the k5free
-    family); ``special_prob`` is the chance a new component is the family's
-    non-planar building block (K5 or the Wagner graph)."""
+    ``special_prob`` is the chance a new component is the family's
+    non-planar building block (K5 or the Wagner graph); ``comp_size`` bounds
+    the vertex count of a planar one."""
 
     family: str
     n: int
     seed: int
     max_cap: int = 20
-    arity_weights: tuple[float, float, float] = (0.15, 0.55, 0.30)
     special_prob: float = 0.18
     comp_size: tuple[int, int] = (4, 12)
-    antiparallel: float = 0.20
-    drop_prob: float = 0.25
-    clique_edge_drop: float = 0.30
 
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
@@ -450,7 +443,7 @@ class _Gen:
                 u, v = v, u
             edges.append(Edge(self.next_edge, u, v, rng.randint(1, cfg.max_cap)))
             self.next_edge += 1
-            if rng.random() < cfg.antiparallel:
+            if rng.random() < _ANTIPARALLEL:
                 edges.append(Edge(self.next_edge, v, u, rng.randint(1, cfg.max_cap)))
                 self.next_edge += 1
         return edges
@@ -460,7 +453,7 @@ class _Gen:
         the seed triangle), minus the anchor-clique pairs, minus random
         deletions that keep the piece connected (an edge may go when its ends
         share a surviving neighbor)."""
-        rng, cfg = self.rng, self.cfg
+        rng = self.rng
         size = len(verts)
         pairs = {(0, 1), (0, 2), (1, 2)}
         faces = [(0, 1, 2)]
@@ -471,12 +464,9 @@ class _Gen:
             faces += [(a, b, i), (a, c, i), (b, c, i)]
         anchor_pairs = {p for p in [(0, 1), (0, 2), (1, 2)][: (anchor * (anchor - 1)) // 2]}
         kept = {p for p in pairs if p not in anchor_pairs}
-        adj: dict[int, set[int]] = {i: set() for i in range(size)}
-        for u, v in kept:
-            adj[u].add(v)
-            adj[v].add(u)
+        adj = adjacency(range(size), kept)
         for u, v in sorted(kept):
-            if rng.random() >= cfg.drop_prob:
+            if rng.random() >= _DROP_PROB:
                 continue
             if adj[u] & adj[v] and len(adj[u]) > 1 and len(adj[v]) > 1:
                 adj[u].discard(v)
@@ -519,17 +509,13 @@ class _Gen:
         net = self.tree.components[comp_id]
         doomed: set[int] = set()
         for u, v in itertools.combinations(sorted(clique), 2):
-            if self.rng.random() >= self.cfg.clique_edge_drop:
+            if self.rng.random() >= _CLIQUE_EDGE_DROP:
                 continue
             ids = [e.id for e in net.edges if {e.tail, e.head} == {u, v}]
             if not ids:
                 continue
-            adj = {w: set() for w in net.vertices}
-            for e in net.edges:
-                if e.id in doomed or e.id in ids:
-                    continue
-                adj[e.tail].add(e.head)
-                adj[e.head].add(e.tail)
+            gone = doomed.union(ids)
+            adj = adjacency(net.vertices, ((e.tail, e.head) for e in net.edges if e.id not in gone))
             if adj[u] & adj[v]:
                 doomed |= set(ids)
         if doomed:
@@ -540,10 +526,7 @@ class _Gen:
         rng = self.rng
         if arity == 1:
             return (rng.choice(sorted(net.vertices)),)
-        adj: dict[int, set[int]] = {v: set() for v in net.vertices}
-        for e in net.edges:
-            adj[e.tail].add(e.head)
-            adj[e.head].add(e.tail)
+        adj = underlying(net)
         pairs = sorted({tuple(sorted((e.tail, e.head))) for e in net.edges})
         if arity == 2:
             return rng.choice(pairs) if pairs else None
@@ -566,7 +549,7 @@ class _Gen:
                 max_arity = 2 if cfg.family == "k33free" else 3
                 if special:
                     max_arity = min(max_arity, 2)
-                weights = cfg.arity_weights[:max_arity]
+                weights = _ARITY_WEIGHTS[:max_arity]
                 arity = rng.choices(range(1, max_arity + 1), weights=weights)[0]
                 # Sometimes pile onto an existing clique of the right size.
                 reuse = cliques_of_arity[arity]

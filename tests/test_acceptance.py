@@ -18,7 +18,7 @@ from minorflow.mimic import (
     check_three_way,
 )
 from minorflow.network import FULL, SINGLE_SOURCE, FlowNetwork, TerminalSet
-from minorflow.planar import is_planar, planar_embed
+from minorflow.planar import index_lists, is_planar, planar_embed
 from minorflow.solver import max_flow_decomposed, max_flow_family
 from minorflow.spqr import check_spqr_axioms, spqr
 from minorflow.testkit import (
@@ -164,8 +164,9 @@ def test_criterion_7_spqr_and_refinement_soundness():
             u, v = sorted(p)
             adj[u].add(v)
             adj[v].add(u)
-        tree = spqr(adj)
-        assert check_spqr_axioms(tree, adj) == [], i
+        nbrs = index_lists(adj)[1]
+        tree = spqr(nbrs)
+        assert check_spqr_axioms(tree, nbrs) == [], i
     for seed in range(30):
         graph, tree = gen_instance(GenConfig("k5free", 28, seed=seed))
         refined = refine(tree)
@@ -176,7 +177,7 @@ def test_criterion_7_spqr_and_refinement_soundness():
             (
                 sorted(net.vertices),
                 sorted(e.id for e in net.edges),
-                is_planar(torso_adjacency(t, cid)),
+                is_planar(index_lists(torso_adjacency(t, cid))[1]),
             )
             for cid, net in t.components.items()
         )

@@ -54,7 +54,7 @@ def k5_with_path(n):
 
 
 def planar_torso(tree, cid):
-    return is_planar(torso_adjacency(tree, cid))
+    return is_planar(index_lists(torso_adjacency(tree, cid))[1])
 
 
 def test_biconnected_split_two_triangles_sharing_a_vertex():

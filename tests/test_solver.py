@@ -236,6 +236,27 @@ def test_planar_graph_solves_under_both_families(rng):
     assert max_flow_family(graph, "k5", s, t)[0] == want
 
 
+def test_family_solve_rejects_equal_terminals_before_decomposing(monkeypatch):
+    # K6 is not K5-minor-free, so decomposing first raised NotK5MinorFree;
+    # on a member network it raised only after a full decompose.
+    k6 = FlowNetwork.from_edges(
+        [(i, u, v, 1) for i, (u, v) in enumerate(itertools.combinations(range(6), 2))]
+    )
+    member, _ = gen_instance(GenConfig("k5free", 40, seed=3))
+    calls = []
+
+    def spy(graph, real=solver.decompose_k5_free):
+        calls.append(graph)
+        return real(graph)
+
+    monkeypatch.setattr(solver, "decompose_k5_free", spy)
+    for graph in (k6, member):
+        v = min(graph.vertices)
+        with pytest.raises(ValueError, match="source and sink must differ"):
+            max_flow_family(graph, "k5", v, v)
+    assert calls == []
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_family_decomposers_keep_planar_blocks_whole(seed, monkeypatch):
     # Every block of a planar input is planar, so each stays one component

@@ -33,52 +33,52 @@ def kinds(tree):
 
 
 def test_k4_is_one_r_node():
-    adj = adj_of(itertools.combinations(range(4), 2))
-    tree = spqr(adj)
+    nbrs = index_lists(adj_of(itertools.combinations(range(4), 2)))[1]
+    tree = spqr(nbrs)
     assert kinds(tree) == [R]
-    assert check_spqr_axioms(tree, adj) == []
+    assert check_spqr_axioms(tree, nbrs) == []
 
 
 def test_cycle_is_one_s_node():
-    adj = adj_of([(i, (i + 1) % 6) for i in range(6)])
-    tree = spqr(adj)
+    nbrs = index_lists(adj_of([(i, (i + 1) % 6) for i in range(6)]))[1]
+    tree = spqr(nbrs)
     assert kinds(tree) == [S]
-    assert check_spqr_axioms(tree, adj) == []
+    assert check_spqr_axioms(tree, nbrs) == []
 
 
 def test_two_triangles_sharing_an_edge():
-    adj = adj_of([(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
-    tree = spqr(adj)
+    nbrs = index_lists(adj_of([(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)]))[1]
+    tree = spqr(nbrs)
     assert kinds(tree) == [P, S, S]
-    assert check_spqr_axioms(tree, adj) == []
+    assert check_spqr_axioms(tree, nbrs) == []
     assert reassemble(tree) == {frozenset(p) for p in [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)]}
 
 
 def test_single_edge_gives_q_node():
-    tree = spqr({0: {1}, 1: {0}})
+    tree = spqr(index_lists({0: {1}, 1: {0}})[1])
     assert kinds(tree) == [Q]
 
 
 def test_non_biconnected_input_raises():
     with pytest.raises(ValueError):
-        spqr(adj_of([(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)]))
+        spqr(index_lists(adj_of([(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)]))[1])
 
 
 def test_axioms_and_reassembly_on_random_graphs(rng):
     for _ in range(120):
-        adj = random_biconnected(rng, rng.randint(3, 24))
-        tree = spqr(adj)
-        assert check_spqr_axioms(tree, adj) == []
+        nbrs = index_lists(random_biconnected(rng, rng.randint(3, 24)))[1]
+        tree = spqr(nbrs)
+        assert check_spqr_axioms(tree, nbrs) == []
 
 
 def test_axioms_report_a_disconnected_tree():
     # Both links of S - P - S made to join the two S nodes: the tree keeps
     # n - 1 edges but leaves the P node on its own.
-    adj = adj_of([(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
-    tree = spqr(adj)
+    nbrs = index_lists(adj_of([(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)]))[1]
+    tree = spqr(nbrs)
     ends = tuple(sorted(nid for nid, node in tree.nodes.items() if node.kind == S))
     tree.tree_edges = dict.fromkeys(tree.tree_edges, ends)
-    assert "tree is disconnected" in check_spqr_axioms(tree, adj)
+    assert "tree is disconnected" in check_spqr_axioms(tree, nbrs)
 
 
 # ---------------------------------------------------------------------------
@@ -196,10 +196,11 @@ def test_spqr_matches_the_pairwise_oracle(rng):
     for family in FAMILIES + (two_sums,):
         for _ in range(40):
             n, pairs = family(rng, rng.randint(3, 40))
-            adj = relabelled(rng, n, pairs)
-            tree = spqr(adj)
-            assert labelled(tree) == labelled(oracle_spqr(adj)), (family.__name__, adj)
-            assert check_spqr_axioms(tree, adj) == [], (family.__name__, adj)
+            # Sorted, the random labels permute the index order.
+            nbrs = index_lists(relabelled(rng, n, pairs))[1]
+            tree = spqr(nbrs)
+            assert labelled(tree) == labelled(oracle_spqr(nbrs)), (family.__name__, nbrs)
+            assert check_spqr_axioms(tree, nbrs) == [], (family.__name__, nbrs)
 
 
 def test_spqr_rejects_what_the_oracle_rejects(rng):
@@ -208,20 +209,21 @@ def test_spqr_rejects_what_the_oracle_rejects(rng):
         adj = adj_of(tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 12)) if n > 1)
         for v in range(n):
             adj.setdefault(v, set())
+        nbrs = index_lists(adj)[1]
         try:
-            want = labelled(oracle_spqr(adj))
+            want = labelled(oracle_spqr(nbrs))
         except ValueError as exc:
             with pytest.raises(ValueError, match=str(exc)):
-                spqr(adj)
+                spqr(nbrs)
         else:
-            assert labelled(spqr(adj)) == want, adj
+            assert labelled(spqr(nbrs)) == want, nbrs
 
 
-def shape_problems(tree, adj):
+def shape_problems(tree, nbrs):
     """The linear-time part of ``check_spqr_axioms``: reassembly, tree shape,
     cycles and bonds, one virtual pair per link, no S-S or P-P adjacency."""
     problems = []
-    if reassemble(tree) != {frozenset((u, v)) for u in adj for v in adj[u]}:
+    if reassemble(tree) != {frozenset((u, v)) for u, nb in enumerate(nbrs) for v in nb}:
         problems.append("reassembly differs")
     if len(tree.tree_edges) != len(tree.nodes) - 1:
         problems.append("not a tree")
@@ -256,9 +258,9 @@ def test_spqr_of_a_20000_vertex_cycle_with_chords(rng):
         i = rng.randrange(n)
         pairs.append((i, (i + rng.randint(2, 3)) % n))
         pairs.append(tuple(rng.sample(range(n), 2)))
-    adj = adj_of(pairs)
-    tree = spqr(adj)
-    assert shape_problems(tree, adj) == []
+    nbrs = index_lists(adj_of(pairs))[1]
+    tree = spqr(nbrs)
+    assert shape_problems(tree, nbrs) == []
     assert {S, P, R} <= set(kinds(tree))
 
 
@@ -268,8 +270,9 @@ def test_spqr_of_the_largest_block_of_a_10000_vertex_k5free_instance():
     verts, pairs = max(blocks, key=lambda block: len(block[0]))
     assert (len(verts), len(pairs) // 2) == (3_760, 8_137)
     adj = adjacency(range(len(verts)), zip(pairs[::2], pairs[1::2]))
-    started = time.perf_counter()
-    tree = spqr(adj)
+    started = time.perf_counter()  # the conversion is timed, as it was inside spqr
+    nbrs = index_lists(adj)[1]
+    tree = spqr(nbrs)
     elapsed = time.perf_counter() - started
-    assert shape_problems(tree, adj) == []
+    assert shape_problems(tree, nbrs) == []
     assert elapsed < 10, f"spqr took {elapsed:.1f}s"
